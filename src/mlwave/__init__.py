@@ -23,6 +23,7 @@ from .mittag_leffler import (
     ml_bound_probe,
     ml_e,
     ml_identity_residuals,
+    ml_row,
 )
 from .criticality import (
     UNBOUNDED,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericFailure
-from .mittag_leffler import _ml
+from .mittag_leffler import _ml, ml_row
 from .spectral_operator import SpectralField
 
 __all__ = [
@@ -192,24 +192,23 @@ def homogeneous_state(p: LinearProblem, t: float):
         raise DomainError("time must be nonnegative")
     a = p.alpha
     lam = p.op.eigenvalues(p.N)
-    u = np.empty(p.N)
-    dtu = np.empty(p.N)
     if t == 0.0:
         return p.u0.coeffs.copy(), p.u1.coeffs.copy()
     ta = t ** a
-    for n in range(p.N):
-        x = -lam[n] * ta
-        e1 = _ml(a, 1.0, x)
-        u[n] = p.u0.coeffs[n] * e1 + p.u1.coeffs[n] * t * _ml(a, 2.0, x)
-        dtu[n] = (-p.u0.coeffs[n] * lam[n] * t ** (a - 1.0) * _ml(a, a, x)
-                  + p.u1.coeffs[n] * e1)
+    x = -lam * ta
+    e1 = ml_row(a, 1.0, x, _ml)
+    u = p.u0.coeffs * e1 + p.u1.coeffs * t * ml_row(a, 2.0, x, _ml)
+    dtu = (-p.u0.coeffs * lam * t ** (a - 1.0) * ml_row(a, a, x, _ml)
+           + p.u1.coeffs * e1)
     return u, dtu
 
 
 class _KernelTable:
     """Per-eigenvalue Mittag-Leffler rows over the grid offsets, shared by
     the propagator evaluation and the product-integration weights.  Cached
-    because box spectra repeat eigenvalues."""
+    because box spectra repeat eigenvalues.  Rows come from ml_row, whose
+    scalar fallback is this module's _ml, so a wrapper around it sees every
+    point the array routes leave to the scalar evaluator."""
 
     def __init__(self, alpha, times):
         self.alpha = alpha
@@ -221,8 +220,7 @@ class _KernelTable:
         key = (float(lam), float(beta))
         got = self._rows.get(key)
         if got is None:
-            a = self.alpha
-            got = np.array([_ml(a, beta, -lam * v) for v in self.ta])
+            got = ml_row(self.alpha, beta, -lam * self.ta, _ml)
             self._rows[key] = got
         return got
 
@@ -255,10 +253,11 @@ def _lag_weights(kt: _KernelTable, lam, dt, deriv=False):
     return w0 - A, A
 
 
-def convolve_forcing(p: LinearProblem, grid):
+def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
     """Volterra convolutions of the forcing against the mild-solution
     kernel (S3) and its time derivative's kernel (S3p), both shaped like
-    the forcing matrix."""
+    the forcing matrix.  kt, when given, is the caller's kernel table on
+    the same grid, so rows it already holds are not built again."""
     p.validate()
     t, dt = _check_grid(grid)
     M1 = len(t)
@@ -268,7 +267,8 @@ def convolve_forcing(p: LinearProblem, grid):
     if p.forcing.kind == "zero":
         return S3, S3p
     lam = p.op.eigenvalues(p.N)
-    kt = _KernelTable(p.alpha, t)
+    if kt is None:
+        kt = _KernelTable(p.alpha, t)
     for n in range(p.N):
         f = F[:, n]
         if not f.any():
@@ -322,8 +322,8 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     a = p.alpha
     lam = p.op.eigenvalues(N)
     F = p.forcing.values(t, N)
-    S3, S3p = convolve_forcing(p, grid)
     kt = _KernelTable(a, t)
+    S3, S3p = convolve_forcing(p, grid, kt)
 
     U = np.empty((M1, N))
     DTU = np.empty((M1, N))

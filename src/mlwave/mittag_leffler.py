@@ -18,6 +18,12 @@ Regime map on the negative axis (y = -x, kappa = y^(1/a)):
 
 The cancellation amplitude of the alternating series is e^kappa, hence the
 series cutoff lives in kappa space; an |x|-space cutoff fails for a < 1.
+
+ml_row evaluates a whole (alpha, beta) row at once with array code: the
+power series over a fixed term count and the branch cut on a fixed
+composite Gauss-Legendre rule with an embedded error estimate.  Points the
+estimate does not certify, and the routes without an array form, go to
+the scalar evaluator above, which stays the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, rgamma
 
@@ -35,6 +42,7 @@ __all__ = [
     "MLPrecision",
     "DEFAULT_PRECISION",
     "ml_e",
+    "ml_row",
     "ml_bound_probe",
     "ml_identity_residuals",
     "kernel_moment",
@@ -154,7 +162,8 @@ def _exp_terms(alpha, beta, y):
 
 def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
     """Algebraic asymptotic series plus exponential terms, with a certified
-    error bound.  Returns (value, ok).
+    error bound.  Returns (value, ok); a term beyond the double range ends
+    the sum uncertified.
 
     Terms whose Gamma argument lands within pole_tol of a non-positive
     integer are added to the sum but excluded from the convergence
@@ -175,7 +184,10 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
             continue        # exact pole, the term vanishes
         # log space: y^-k underflows and 1/Gamma overflows long before
         # their product leaves the double range
-        term = sg * math.exp(-k * ly - float(gammaln(z)))
+        lt = -k * ly - float(gammaln(z))
+        if lt > 709.0:
+            break           # the series diverges off the double range
+        term = sg * math.exp(lt)
         if k % 2 == 0:
             term = -term
         near_pole = z <= 0.5 and abs(z - round(z)) <= pole_tol
@@ -203,15 +215,24 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
 
 # -------------------------------------------------- branch-cut quadrature
 
+_CUT_VMAX = 5.3                    # r = 200, e^-200 dwarfed
+
+
+def _cut_setup(alpha, beta):
+    """Constants of the branch-cut integrand for a reduced beta:
+    (sin pi b, sin pi (b - a), cos pi a, w = a - b + 1, vmin)."""
+    w = alpha - beta + 1.0         # in [0.5, 2.5)
+    return (math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha)),
+            math.cos(math.pi * alpha), w,
+            -46.0 / w)             # e^(v w) below 1e-20 of anything
+
+
 def _cut_core(alpha, beta, y):
     """Branch-cut integral for E_{a,b}(-y), non-integer a in (0,2) and
     b in (a-1.5, a+0.5].  Log substitution r = e^v keeps the domain compact;
     the denominator is bounded below by y^2 sin^2(pi a) > 0."""
     a = alpha
-    sb = math.sin(math.pi * beta)
-    sba = math.sin(math.pi * (beta - a))
-    ca = math.cos(math.pi * a)
-    w = a - beta + 1.0             # in [0.5, 2.5)
+    sb, sba, ca, w, vmin = _cut_setup(a, beta)
 
     def g(v):
         r = math.exp(v)
@@ -219,8 +240,7 @@ def _cut_core(alpha, beta, y):
         den = ra * ra + 2.0 * y * ra * ca + y * y
         return math.exp(-r + v * w) * (ra * sb + y * sba) / den
 
-    vmin = -46.0 / w               # e^(v w) below 1e-20 of anything
-    vmax = 5.3                     # r = 200, e^-200 dwarfed
+    vmax = _CUT_VMAX
     vstar = math.log(y) / a        # resonance location
     pts = sorted({p for p in (vstar - 1.0, vstar - 0.3, vstar,
                               vstar + 0.3, vstar + 1.0, 0.0)
@@ -233,8 +253,9 @@ def _cut_core(alpha, beta, y):
     return iv / math.pi + _exp_terms(a, beta, y)
 
 
-def _cut(alpha, beta, y):
-    # reduce beta into (alpha - 1.5, alpha + 0.5] so the integrand is tame
+def _reduce_beta(alpha, beta):
+    """(b, down, up): b = beta - (down - up) alpha in (alpha - 1.5,
+    alpha + 0.5], where the branch-cut integrand is tame."""
     b = beta
     down = 0
     while b > alpha + 0.5:
@@ -244,8 +265,11 @@ def _cut(alpha, beta, y):
     while b <= alpha - 1.5:
         b += alpha
         up += 1
-    val = _cut_core(alpha, b, y)
-    x = -y
+    return b, down, up
+
+
+def _lift_beta(alpha, b, down, up, x, val):
+    """Undo _reduce_beta on val = E_{a,b}(x); scalars or arrays alike."""
     for _ in range(down):          # E_{a,b+a} = (E_{a,b} - 1/Gamma(b)) / x
         val = (val - float(rgamma(b))) / x
         b += alpha
@@ -253,6 +277,11 @@ def _cut(alpha, beta, y):
         b -= alpha
         val = float(rgamma(b)) + x * val
     return val
+
+
+def _cut(alpha, beta, y):
+    b, down, up = _reduce_beta(alpha, beta)
+    return _lift_beta(alpha, b, down, up, -y, _cut_core(alpha, b, y))
 
 
 # -------------------------------------------- double-double integer alpha
@@ -412,6 +441,159 @@ def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
     return _ml_raw(alpha, beta, x, prec)
 
 
+# ------------------------------------------------------------- array rows
+
+# Gauss-Legendre nodes on [-1, 1]: every branch-cut panel is integrated by
+# the fine rule and checked against the coarse one on the same panel.
+_GL_FINE = np.polynomial.legendre.leggauss(20)
+_GL_COARSE = np.polynomial.legendre.leggauss(12)
+_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
+_GL_WEIGHTS = np.concatenate([_GL_FINE[1], _GL_COARSE[1]])
+_NF = len(_GL_FINE[0])
+# Panel breakpoints in v = log r that do not move with y: fractions of vmin
+# across the e^(v w) tail, then unit steps over the e^-r decay.
+_CUT_TAIL = np.array([1.0, 0.6, 0.35, 0.18, 0.08])
+_CUT_BODY = np.array([-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX])
+_CUT_GRADE = 2.0                   # ratio of successive resonance offsets
+_CUT_CERT = 1e-13                  # accepted estimate, relative to |integral|
+_CHUNK = 1 << 17                   # doubles per (points x nodes) temporary
+
+
+def _taylor_row(alpha, beta, x, prec):
+    """_taylor for x < 0 with kappa <= series_cutoff, as one array: the same
+    log-space terms over the term count the cutoff itself needs, so that no
+    element depends on another.  Each element's terms are summed along
+    its own contiguous row (numpy's pairwise order)."""
+    c = prec.series_cutoff
+    nmax = min(int((c + 10.0 * math.sqrt(c) + 30.0) / alpha) + 24,
+               prec.max_terms)
+    n = np.arange(nmax)
+    g = alpha * n + beta
+    sg = gammasgn(g)
+    sg[n % 2 == 1] *= -1.0
+    # gammasgn is nan at exact non-positive integers (Gamma poles)
+    keep = np.abs(sg) == 1.0
+    n, sg, lg = n[keep], sg[keep], gammaln(g[keep])
+    out = np.empty(x.shape)
+    step = max(1, _CHUNK // max(1, len(n)))
+    for lo in range(0, len(x), step):
+        e = np.log(-x[lo:lo + step, None]) * n - lg
+        # terms below e^-700 are dropped: they cannot move any sum above
+        # 1e-288, and exp is far slower where its result is subnormal
+        gone = e < -700.0
+        e[gone] = -700.0
+        e = np.exp(e) * sg
+        e[gone] = 0.0
+        out[lo:lo + step] = e.sum(axis=1)
+    return out
+
+
+def _cut_row(alpha, beta, y):
+    """_cut for an array y > 0 at non-integer alpha.  Returns (values,
+    certified).
+
+    The integrand of _cut_core is integrated over the same [vmin, vmax] on
+    panels cut at the y-independent breakpoints above and at offsets
+    s = v - v* from each point's resonance v* = log(y)/a, graded
+    geometrically down to the distance pi|a-1|/a of its poles from the real
+    axis.  Per point, the fine rule gives the value and the sum over panels
+    of |fine - coarse| the error estimate; a point is certified when that
+    estimate is below _CUT_CERT of the integral.  Arrays are laid out as
+    (point, panel, node) and summed along their contiguous last axis, so a
+    point's value depends on its own block alone."""
+    a = alpha
+    b, down, up = _reduce_beta(a, beta)
+    sb, sba, ca, w, vmin = _cut_setup(a, b)
+    d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
+    grade = d0 * _CUT_GRADE ** np.arange(
+        max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
+    offsets = np.concatenate([-grade[::-1], [0.0], grade])
+    fixed = np.concatenate([vmin * _CUT_TAIL, _CUT_BODY])
+    nodes = len(_GL_NODES) * (len(fixed) + len(offsets) - 1)
+    step = max(1, _CHUNK // nodes)
+    val = np.empty(y.shape)
+    est = np.empty(y.shape)
+    # a non-finite integrand only costs certification
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(y), step):
+            yc = y[lo:lo + step, None]
+            bp = np.concatenate(
+                [np.broadcast_to(fixed, (len(yc), len(fixed))),
+                 np.log(yc) / a + offsets], axis=1)
+            bp = np.sort(np.clip(bp, vmin, _CUT_VMAX), axis=1)
+            h = 0.5 * np.diff(bp, axis=1)
+            v = (bp[:, :-1] + h)[:, :, None] + h[:, :, None] * _GL_NODES
+            yc = yc[:, :, None]
+            ra = np.exp(a * v)
+            den = ra + 2.0 * ca * yc
+            den *= ra
+            den += yc * yc
+            f = ra * sb
+            f += yc * sba
+            ra = np.exp(v)
+            v *= w
+            v -= ra
+            f *= np.exp(v)
+            f /= den
+            f *= _GL_WEIGHTS
+            fine = f[:, :, :_NF].sum(axis=2) * h
+            coarse = f[:, :, _NF:].sum(axis=2) * h
+            val[lo:lo + step] = fine.sum(axis=1)
+            est[lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
+        ok = est <= _CUT_CERT * np.abs(val)
+        val /= math.pi
+        if a > 1.0:                # _exp_terms, residue pair
+            r = y ** (1.0 / a)
+            th = math.pi / a
+            val += ((2.0 / a) * r ** (1.0 - b) * np.exp(r * math.cos(th))
+                    * np.cos(r * math.sin(th) + (1.0 - b) * th))
+        val = _lift_beta(a, b, down, up, -y, val)
+    return val, ok & np.isfinite(val)
+
+
+def ml_row(alpha, beta, x, scalar=_ml):
+    """E_{alpha,beta} at every element of the array x.
+
+    The route is chosen per element up front:
+
+      x == 0                         1/Gamma(beta)
+      x < 0, kappa <= series_cutoff  power series, fixed term count
+      x < 0, non-integer alpha       branch cut on a fixed Gauss-Legendre
+                                     rule, kept where certified
+      anything else                  scalar(alpha, beta, x_i), one call per
+                                     element
+
+    Each value depends on its own element only, never on the length or
+    order of x, and agrees with _ml to the evaluator's tolerance.  Like
+    _ml, non-finite values are returned, not raised.
+    """
+    MLQuery(alpha, beta, 0.0).validate()
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("ml_row arguments must be finite")
+    xf = x.ravel()
+    out = np.empty(xf.shape)
+    done = xf == 0.0
+    out[done] = float(rgamma(beta))
+    neg = xf < 0.0
+    kappa = np.zeros(xf.shape)
+    kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
+    prec = DEFAULT_PRECISION
+    series = neg & (kappa <= prec.series_cutoff)
+    if series.any():
+        out[series] = _taylor_row(alpha, beta, xf[series], prec)
+        done |= series
+    cut = neg & ~series
+    if alpha not in (1.0, 2.0) and cut.any():
+        idx = np.flatnonzero(cut)
+        val, ok = _cut_row(alpha, beta, -xf[idx])
+        out[idx[ok]] = val[ok]
+        done[idx[ok]] = True
+    for i in np.flatnonzero(~done):
+        out[i] = scalar(alpha, beta, float(xf[i]))
+    return out.reshape(x.shape)
+
+
 # ------------------------------------------------------- derived contracts
 
 def ml_bound_probe(alpha: float, beta: float, x_max: float, n_grid: int) -> float:
@@ -426,12 +608,12 @@ def ml_bound_probe(alpha: float, beta: float, x_max: float, n_grid: int) -> floa
     sup = abs(float(rgamma(beta)))           # x = 0 endpoint
     lo = math.log10(x_max) - 8.0
     hi = math.log10(x_max)
-    for i in range(n_grid - 1):
-        xg = 10.0 ** (lo + (hi - lo) * i / (n_grid - 2)) if n_grid > 2 else x_max
-        v = (1.0 + xg) * abs(_ml_raw(alpha, beta, -xg, DEFAULT_PRECISION))
-        if v > sup:
-            sup = v
-    return sup
+    if n_grid > 2:
+        xg = 10.0 ** (lo + (hi - lo) * np.arange(n_grid - 1) / (n_grid - 2))
+    else:
+        xg = np.array([x_max])
+    v = (1.0 + xg) * np.abs(ml_row(alpha, beta, -xg))
+    return max(sup, float(v.max()))
 
 
 def ml_identity_residuals(alpha: float, lam: float, t: float, h: float):

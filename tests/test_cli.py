@@ -28,6 +28,8 @@ from mlwave import (
 from mlwave.cli import Scenario, main, parse_scenario
 from mlwave.mittag_leffler import DEFAULT_PRECISION, MLQuery
 
+from conftest import taylor_ref
+
 PI = math.pi
 
 
@@ -442,6 +444,15 @@ class TestMlCli:
     def test_eval_missing_argument_is_usage_error(self, capsys):
         assert main(["ml", "eval", "--alpha", "1.5", "--beta", "1.0"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_eval_near_two_falls_through_to_branch_cut(self, capsys):
+        # every asymptotic term with k < ~250 sits near a Gamma pole here,
+        # and the series leaves the double range before it could certify
+        assert main(["ml", "eval", "--alpha", "1.999", "--beta", "1",
+                     "--x", "-100"]) == 0
+        got = float(capsys.readouterr().out.strip())
+        want = float(taylor_ref(1.999, 1.0, -100.0))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_eval_overflow_is_numeric_failure(self, capsys):
         rc = main(["ml", "eval", "--alpha", "1.5", "--beta", "1.0",

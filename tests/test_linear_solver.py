@@ -25,6 +25,7 @@ from mlwave import (
     solve_linear,
     strong_norm_probe,
 )
+from mlwave import linear_solver
 from mlwave.mittag_leffler import _ml
 
 E_15_1_M1 = 0.39662936531808808449       # E_{1.5,1}(-1)
@@ -258,6 +259,37 @@ class TestConvolveForcing:
 
 
 class TestSolveLinear:
+    def test_one_kernel_table_per_solve(self, monkeypatch):
+        # 16 distinct eigenvalues, forced: rows at beta = 1, 2, a (shared by
+        # the propagator and the derivative weights), a + 1 and a + 2
+        rows = []
+        convolutions = []
+        ml_row = linear_solver.ml_row
+        convolve = linear_solver.convolve_forcing
+
+        def counted_row(alpha, beta, x, scalar):
+            rows.append(beta)
+            return ml_row(alpha, beta, x, scalar)
+
+        def counted_convolve(*args):
+            # the solver calls it through the module name
+            convolutions.append(args)
+            return convolve(*args)
+
+        monkeypatch.setattr(linear_solver, "ml_row", counted_row)
+        monkeypatch.setattr(linear_solver, "convolve_forcing",
+                            counted_convolve)
+        op = interval_op()
+        n = np.arange(1, 17)
+        f = ForcingSpec(kind="separable", g=field(op, 1.0 / n ** 2),
+                        h_name="sinusoid",
+                        h_params={"amplitude": 1.0, "omega": 3.0})
+        p = problem(op, 1.5, 1.0 / n ** 2, 0.5 / n ** 2, f)
+        solve_linear(p, np.linspace(0.0, 2.0, 41))
+        assert len(rows) == 80
+        assert sorted(set(rows)) == [1.0, 1.5, 2.0, 2.5, 3.5]
+        assert len(convolutions) == 1
+
     def test_matches_homogeneous_state(self):
         p = problem(interval_op(), 1.4, [1.0, -0.5, 0.2], [0.3, 0.0, -0.1])
         grid = np.linspace(0.0, 3.0, 31)

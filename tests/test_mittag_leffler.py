@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mlwave import (
@@ -9,16 +10,25 @@ from mlwave import (
     DomainError,
     MLPrecision,
     MLQuery,
+    MLWaveError,
     NumericOverflowError,
     deriv_kernel_moment,
     kernel_moment,
     ml_bound_probe,
     ml_e,
     ml_identity_residuals,
+    ml_row,
 )
-from mlwave.mittag_leffler import _ml
+from mlwave.mittag_leffler import _cut_row, _ml
 
 from conftest import ml_ref, ml_ref_row
+
+
+
+def prop(examples):
+    """Deterministic hypothesis settings that write no example database."""
+    return settings(max_examples=examples, derandomize=True, database=None,
+                    deadline=None)
 
 
 def rel(a, b):
@@ -209,3 +219,127 @@ class TestValidation:
         q = MLQuery(1.37, 0.81, -123.456)
         vals = {ml_e(q) for _ in range(5)}
         assert len(vals) == 1
+
+
+def row_betas(alpha):
+    return (1.0, 2.0, alpha - 1.0, alpha, alpha + 1.0, alpha + 2.0)
+
+
+# arguments in [-1e6, 0], log-spread so every route is drawn
+neg_args = st.lists(
+    st.one_of(st.just(0.0),
+              st.floats(-2.0, 6.0).map(lambda e: -(10.0 ** e))),
+    min_size=1, max_size=12)
+
+
+class TestMlRow:
+    @prop(60)
+    @given(alpha=st.floats(1.01, 1.999), which=st.integers(0, 5),
+           xs=neg_args)
+    def test_matches_scalar(self, alpha, which, xs):
+        beta = row_betas(alpha)[which]
+        got = ml_row(alpha, beta, np.array(xs))
+        for x, g in zip(xs, got):
+            want = _ml(alpha, beta, x)
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), \
+                (alpha, beta, x, g, want)
+
+    @prop(40)
+    @given(alpha=st.floats(1.01, 1.999), which=st.integers(0, 5),
+           xs=neg_args, data=st.data())
+    def test_elements_independent(self, alpha, which, xs, data):
+        beta = row_betas(alpha)[which]
+        x = np.array(xs)
+        row = ml_row(alpha, beta, x)
+        for i in range(len(x)):
+            assert (ml_row(alpha, beta, x[i:i + 1]).tobytes()
+                    == row[i:i + 1].tobytes())
+        perm = np.array(data.draw(st.permutations(range(len(x)))))
+        assert ml_row(alpha, beta, x[perm]).tobytes() == row[perm].tobytes()
+        longer = np.concatenate([x, -np.logspace(-1, 5, 7)])
+        assert ml_row(alpha, beta, longer)[:len(x)].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_long_row_is_chunk_independent(self, alpha):
+        # long enough that both array routes work in several chunks
+        x = -np.concatenate([np.logspace(-4, 0.5, 2500),
+                             np.logspace(0.5, 6, 1500)])
+        x = np.concatenate([x, x[::-1]])
+        for beta in (alpha, alpha + 2.0):
+            row = ml_row(alpha, beta, x)
+            assert row[:4000].tobytes() == row[:3999:-1].tobytes()
+            for i in (0, 1999, 2500, 3200, 3999):
+                assert (ml_row(alpha, beta, x[i:i + 1]).tobytes()
+                        == row[i:i + 1].tobytes())
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_oracle_rows(self, alpha):
+        xs = -np.logspace(-2, 4, 12)
+        for beta in row_betas(alpha):
+            ref = ml_ref_row(alpha, beta, xs)
+            got = ml_row(alpha, beta, xs)
+            for x, g, rv in zip(xs, got, ref):
+                assert rel(g, rv) < 1e-10, (alpha, beta, x)
+
+    def test_uncertified_points_fall_back(self):
+        # a close to 1: the resonance at v* = log(y)/a is narrow and for
+        # kappa just above the series cutoff the fixed rule's estimate
+        # rejects some points
+        a, beta = 1.001, 1.001
+        y = np.logspace(np.log10(5.0 ** a * 1.0001), 2, 40)
+        _, ok = _cut_row(a, beta, y)
+        assert not ok.all()
+        calls = []
+
+        def scalar(alpha, b, x):
+            calls.append(x)
+            return _ml(alpha, b, x)
+
+        got = ml_row(a, beta, -y, scalar)
+        assert sorted(calls) == sorted((-y[~ok]).tolist())
+        for x, g in zip(-y, got):
+            assert abs(g - _ml(a, beta, x)) <= 1e-12 * max(1.0, abs(g))
+
+    def test_scalar_routes_fall_back(self):
+        # positive arguments and integer alpha outside the series band
+        # have no array route
+        calls = []
+
+        def scalar(alpha, b, x):
+            calls.append((alpha, x))
+            return _ml(alpha, b, x)
+
+        ml_row(1.5, 1.0, np.array([0.0, -1.0, 2.0, -100.0]), scalar)
+        ml_row(2.0, 1.0, np.array([-1.0, -400.0]), scalar)
+        assert calls == [(1.5, 2.0), (2.0, -400.0)]
+
+    def test_shape_and_validation(self):
+        x = -np.arange(6.0).reshape(2, 3)
+        got = ml_row(1.5, 1.0, x)
+        assert got.shape == (2, 3) and got[0, 0] == 1.0
+        with pytest.raises(DomainError):
+            ml_row(2.5, 1.0, x)
+        with pytest.raises(DomainError):
+            ml_row(1.5, 1.0, np.array([-1.0, np.nan]))
+
+
+class TestNearTwoAsymptotics:
+    @pytest.mark.parametrize("alpha,beta,y", [
+        (1.999, 1.0, 100.0), (1.999, 1.999, 60.0), (1.9995, 2.0, 400.0),
+        (1.999, 3.999, 1000.0)])
+    def test_values(self, alpha, beta, y):
+        # the asymptotic series diverges off the double range here; the
+        # branch cut takes over
+        got = ml_e(MLQuery(alpha, beta, -y))
+        assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12
+
+    @prop(40)
+    @given(alpha=st.floats(1.998, 2.0, exclude_max=True),
+           beta=st.floats(-1.0, 4.0),
+           ly=st.floats(math.log10(50.0), 4.0))
+    def test_no_overflow_escapes(self, alpha, beta, ly):
+        try:
+            v = ml_e(MLQuery(alpha, beta, -(10.0 ** ly)))
+        except MLWaveError:
+            return
+        assert math.isfinite(v)
