@@ -859,9 +859,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mlwave",
                      description="Fractional-in-time wave equation toolkit")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on worker threads (results are "
-                             "independent of this setting)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -924,25 +921,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_threads(args):
-    env = os.environ.get("MLWAVE_THREADS")
-    cap = args.threads
-    if cap is None and env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"MLWAVE_THREADS must be an integer, got {env!r}") from None
-    if cap is not None and cap < 1:
-        raise ConfigError("thread cap must be >= 1")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_threads(args)
         return args.func(args)
     except _UsageError as exc:
         print(exc.parser.format_usage(), end="", file=sys.stderr)

@@ -12,14 +12,13 @@ reproduced to evaluator precision and smooth forcing at second order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericFailure
 from .mittag_leffler import _ml, ml_row
-from .spectral_operator import SpectralField
+from .spectral_operator import SpectralField, weighted_norm
 
 __all__ = [
     "TIME_FUNCTIONS",
@@ -181,12 +180,17 @@ def _check_grid(times):
     return t, dt
 
 
-def homogeneous_state(p: LinearProblem, t: float):
-    """Coefficients (u, dtu) of the unforced evolution at one time.
+def _propagate(u0, u1, lam, t, ta1, e1, e2, eaa):
+    """The unforced mode evolution, the one formula every solver uses:
+    u   = u0 E_{a,1}(-lam t^a) + u1 t E_{a,2}(-lam t^a)
+    dtu = -u0 lam t^(a-1) E_{a,a}(-lam t^a) + u1 E_{a,1}(-lam t^a)
+    with ta1 = t^(a-1) and the e arrays the Mittag-Leffler values; all
+    arguments broadcast (modes at one time, or time rows by modes)."""
+    return u0 * e1 + u1 * t * e2, -u0 * lam * ta1 * eaa + u1 * e1
 
-    u_n = u0_n E_{a,1}(-lam t^a) + u1_n t E_{a,2}(-lam t^a)
-    dtu_n = -u0_n lam t^(a-1) E_{a,a}(-lam t^a) + u1_n E_{a,1}(-lam t^a)
-    """
+
+def homogeneous_state(p: LinearProblem, t: float):
+    """Coefficients (u, dtu) of the unforced evolution at one time."""
     p.validate()
     if t < 0.0:
         raise DomainError("time must be nonnegative")
@@ -194,13 +198,10 @@ def homogeneous_state(p: LinearProblem, t: float):
     lam = p.op.eigenvalues(p.N)
     if t == 0.0:
         return p.u0.coeffs.copy(), p.u1.coeffs.copy()
-    ta = t ** a
-    x = -lam * ta
+    x = -lam * t ** a
     e1 = ml_row(a, 1.0, x, _ml)
-    u = p.u0.coeffs * e1 + p.u1.coeffs * t * ml_row(a, 2.0, x, _ml)
-    dtu = (-p.u0.coeffs * lam * t ** (a - 1.0) * ml_row(a, a, x, _ml)
-           + p.u1.coeffs * e1)
-    return u, dtu
+    return _propagate(p.u0.coeffs, p.u1.coeffs, lam, t, t ** (a - 1.0),
+                      e1, ml_row(a, 2.0, x, _ml), ml_row(a, a, x, _ml))
 
 
 class _KernelTable:
@@ -223,6 +224,32 @@ class _KernelTable:
             got = ml_row(self.alpha, beta, -lam * self.ta, _ml)
             self._rows[key] = got
         return got
+
+
+def _unforced_rows(kt: _KernelTable, lam, u0, u1):
+    """Unforced (U, DTU) on the table's grid, time rows by mode columns,
+    with the initial data exact in row 0.  Modes whose data vanish stay
+    zero and build no rows."""
+    t = kt.t
+    M1 = len(t)
+    U = np.zeros((M1, len(lam)))
+    DTU = np.zeros((M1, len(lam)))
+    live = np.flatnonzero((u0 != 0.0) | (u1 != 0.0))
+
+    def rows(beta):
+        return np.stack([kt.row(lam[n], beta) for n in live], axis=1)
+
+    ta1 = np.zeros(M1)
+    ta1[1:] = t[1:] ** (kt.alpha - 1.0)
+    if live.size:
+        # callers check the result for non-finite values; no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            U[:, live], DTU[:, live] = _propagate(
+                u0[live], u1[live], lam[live], t[:, None], ta1[:, None],
+                rows(1.0), rows(2.0), rows(kt.alpha))
+    U[0] = u0
+    DTU[0] = u1
+    return U, DTU
 
 
 def _lag_weights(kt: _KernelTable, lam, dt, deriv=False):
@@ -325,23 +352,11 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     kt = _KernelTable(a, t)
     S3, S3p = convolve_forcing(p, grid, kt)
 
-    U = np.empty((M1, N))
-    DTU = np.empty((M1, N))
-    ta1 = np.zeros(M1)
-    ta1[1:] = t[1:] ** (a - 1.0)
+    U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs)
     # overflow surfaces as a NumericFailure below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N):
-            e1 = kt.row(lam[n], 1.0)
-            e2 = kt.row(lam[n], 2.0)
-            eaa = kt.row(lam[n], a)
-            U[:, n] = (p.u0.coeffs[n] * e1 + p.u1.coeffs[n] * t * e2
-                       + S3[:, n])
-            DTU[:, n] = (-p.u0.coeffs[n] * lam[n] * ta1 * eaa
-                         + p.u1.coeffs[n] * e1 + S3p[:, n])
-        # exact initial rows
-        U[0] = p.u0.coeffs
-        DTU[0] = p.u1.coeffs
+        U[1:] += S3[1:]
+        DTU[1:] += S3p[1:]
         DAL = -U * lam[None, :] + F
 
     warnings = ()
@@ -349,7 +364,9 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     if want_d2:
         warnings = _d2_smoothness_warning(p)
         D2 = np.empty((M1, N))
+        ta1 = np.zeros(M1)
         ta2 = np.zeros(M1)
+        ta1[1:] = t[1:] ** (a - 1.0)
         ta2[1:] = t[1:] ** (a - 2.0)
         for n in range(N):
             eam1 = kt.row(lam[n], a - 1.0)
@@ -373,15 +390,17 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
                 f"non-finite d2u coefficient at time index {bad[0] + 1}",
                 time_index=int(bad[0] + 1))
 
-    gamma = 1.0 / a
-    wg = lam ** (2.0 * gamma)
-    norms = {
-        "u_Vgamma": np.sqrt((U ** 2 * wg[None, :]).sum(axis=1)),
-        "dtu_L2": np.sqrt((DTU ** 2).sum(axis=1)),
-        "dalpha_Vminusgamma": np.sqrt(
-            (DAL ** 2 / wg[None, :]).sum(axis=1)),
-    }
-    return SolutionTrace(t, U, DTU, DAL, D2, norms, warnings)
+    return SolutionTrace(t, U, DTU, DAL, D2,
+                         _norm_series(U, DTU, DAL, lam, a), warnings)
+
+
+def _norm_series(U, DTU, DAL, lam, alpha):
+    """The reported norms over time: ||u||_{V_gamma}, ||dtu||_{L2} and
+    ||D_t^alpha u||_{V_-gamma}, gamma = 1/alpha."""
+    gamma = 1.0 / alpha
+    return {"u_Vgamma": weighted_norm(U, lam, gamma),
+            "dtu_L2": weighted_norm(DTU, lam, 0.0),
+            "dalpha_Vminusgamma": weighted_norm(DAL, lam, -gamma)}
 
 
 def strong_norm_probe(trace: SolutionTrace, p: LinearProblem) -> dict:
@@ -391,15 +410,14 @@ def strong_norm_probe(trace: SolutionTrace, p: LinearProblem) -> dict:
     d2 integral uses the t^(alpha-2) envelope to close the singular head
     analytically."""
     lam = p.op.eigenvalues(p.N)
-    au = np.sqrt((trace.u_coeffs ** 2 * lam[None, :] ** 2).sum(axis=1))
-    dal = np.sqrt((trace.dalpha_coeffs ** 2).sum(axis=1))
-    series = dal + au
+    series = (weighted_norm(trace.dalpha_coeffs, lam, 0.0)
+              + weighted_norm(trace.u_coeffs, lam, 1.0))
     out = {"times": trace.times, "strong_series": series}
     if trace.d2u_coeffs is None:
         out["w21_integral"] = None
         out["note"] = "second derivatives not computed"
         return out
-    d2n = np.sqrt((trace.d2u_coeffs[1:] ** 2).sum(axis=1))
+    d2n = weighted_norm(trace.d2u_coeffs[1:], lam, 0.0)
     t = trace.times
     body = float(np.trapezoid(d2n, t[1:]))
     head = float(d2n[0] * t[1] / (p.alpha - 1.0))

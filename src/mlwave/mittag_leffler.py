@@ -358,6 +358,26 @@ def _dd_series(step, beta, x, nmax=2600):
 def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
     """E_{m,beta}(x) for m in {1, 2} and x < 0 outside the Taylor band."""
     y = -x
+    limit = 36.0 if m == 1 else 1300.0
+    top = 4.0 if m == 1 else 3.0
+    if beta == round(beta) and beta > top and y > limit:
+        # the asymptotic series does not certify integer beta here: climb
+        # from a closed form (good to a few ulps; the trig of sqrt(y) to
+        # sqrt(y) ulps) by E_{m,b+m} = (E_{m,b} - 1/Gamma(b)) / x, bounding
+        # the error to first order.  It stays small while E_{m,b} is small
+        # next to 1/Gamma(b) (b < y for m = 1, b^2 < y for m = 2); past
+        # that the difference cancels and the asymptotic series refuses.
+        b = beta - math.ceil((beta - top) / m) * m
+        val = _integer_alpha_neg(m, b, x, rel_tol, max_terms)
+        rt, eps = math.sqrt(y), np.finfo(float).eps
+        err = 8.0 * eps * (abs(val) if m == 1 else (1.0 + rt) / rt ** (b - 1))
+        while b < beta:
+            g = float(rgamma(b))
+            val = (val - g) / x
+            err = (err + 4.0 * eps * abs(g)) / y + 3.0 * eps * abs(val)
+            b += m
+        if err <= 0.25 * rel_tol * abs(val):
+            return val
     # closed forms first; integer beta <= 1 reduces exactly because the
     # leading terms sit on Gamma poles: E_{1,k}(x) = x^(1-k) e^x and
     # E_{2,k}(x) = x^ceil((1-k)/2) E_{2,1 or 2}(x)
@@ -378,7 +398,6 @@ def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
         shift = (2 - k) // 2 if k % 2 == 0 else (1 - k) // 2
         base = math.cos(rt) if k % 2 == 1 else math.sin(rt) / rt
         return x ** shift * base
-    limit = 36.0 if m == 1 else 1300.0
     if y > limit:
         v, ok = _asym(m, beta, y, rel_tol, max_terms, pole_tol=1e-8)
         if not ok:

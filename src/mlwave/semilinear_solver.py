@@ -18,9 +18,11 @@ import numpy as np
 
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
-from .linear_solver import SolutionTrace, _KernelTable, _lag_weights
+from .linear_solver import (SolutionTrace, _KernelTable, _lag_weights,
+                            _norm_series, _unforced_rows)
 from .mittag_leffler import ml_bound_probe
-from .spectral_operator import SpectralField, evaluate, project
+from .spectral_operator import (SpectralField, evaluate, project,
+                                weighted_norm)
 
 __all__ = [
     "NONLINEARITY_KINDS",
@@ -294,10 +296,8 @@ class _Workspace:
         self.t = np.asarray(grid, dtype=float)
         self.dt = float(self.t[1] - self.t[0])
         self.N = p.N
-        a = p.alpha
         self.lam = p.op.eigenvalues(p.N)
-        self.kt = _KernelTable(a, self.t)
-        self.gammaw = self.lam ** (2.0 / a)
+        self.kt = _KernelTable(p.alpha, self.t)
         self.quad = (cfg.nonlinearity_quadrature
                      if cfg.nonlinearity_quadrature is not None
                      else max(4 * p.N, 40))
@@ -305,23 +305,8 @@ class _Workspace:
             raise ConfigError(
                 f"nonlinearity_quadrature={self.quad} is below the "
                 f"anti-aliasing floor 4N={4 * p.N}")
-        M1 = len(self.t)
-        ta1 = np.zeros(M1)
-        ta1[1:] = self.t[1:] ** (a - 1.0)
-        self.hom_u = np.zeros((M1, p.N))
-        self.hom_dtu = np.zeros((M1, p.N))
-        for n in range(p.N):
-            if p.u0.coeffs[n] == 0.0 and p.u1.coeffs[n] == 0.0:
-                continue
-            e1 = self.kt.row(self.lam[n], 1.0)
-            e2 = self.kt.row(self.lam[n], 2.0)
-            eaa = self.kt.row(self.lam[n], a)
-            self.hom_u[:, n] = (p.u0.coeffs[n] * e1
-                                + p.u1.coeffs[n] * self.t * e2)
-            self.hom_dtu[:, n] = (-p.u0.coeffs[n] * self.lam[n] * ta1 * eaa
-                                  + p.u1.coeffs[n] * e1)
-        self.hom_u[0] = p.u0.coeffs
-        self.hom_dtu[0] = p.u1.coeffs
+        self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
+                                                  p.u0.coeffs, p.u1.coeffs)
         self._weights = {}
 
     def weights(self, n):
@@ -347,9 +332,15 @@ class _Workspace:
 
     def combined_norms(self, U, DTU):
         """Per-row ||u||_{V_gamma} + ||dtu||_{L2}."""
-        a = np.sqrt((U ** 2 * self.gammaw[None, :]).sum(axis=1))
-        b = np.sqrt((DTU ** 2).sum(axis=1))
-        return a + b
+        return (weighted_norm(U, self.lam, 1.0 / self.p.alpha)
+                + weighted_norm(DTU, self.lam, 0.0))
+
+    def trust_radius(self, cfg, u, dtu):
+        """cfg.R_star, or 8 (c0 + 1) re-centred on the combined norm c0 of
+        the state (u, dtu) a window starts from."""
+        if cfg.R_star is not None:
+            return cfg.R_star
+        return 8.0 * (float(self.combined_norms(u, dtu)) + 1.0)
 
     def window_solve(self, ia, ib, F_hist, cfg, R_eff):
         """Fixed-point iteration on nodes ia..ib given accepted forcing
@@ -446,14 +437,9 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
             if hu.shape[0] < ia + 1:
                 raise DomainError("history does not reach the window start")
             F_hist = ws.apply_rows(hu[:ia + 1])
-    if cfg.R_star is not None:
-        R_eff = cfg.R_star
-    else:
-        start_u = (history.u_coeffs[ia] if ia > 0 else p.u0.coeffs)
-        start_dtu = (history.dtu_coeffs[ia] if ia > 0 else p.u1.coeffs)
-        c0 = float(ws.combined_norms(np.asarray(start_u)[None, :],
-                                     np.asarray(start_dtu)[None, :])[0])
-        R_eff = 8.0 * (c0 + 1.0)
+    R_eff = (ws.trust_radius(cfg, p.u0.coeffs, p.u1.coeffs) if ia == 0
+             else ws.trust_radius(cfg, np.asarray(history.u_coeffs[ia]),
+                                  np.asarray(history.dtu_coeffs[ia])))
     U, DTU, Fw, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
                                                      R_eff)
     return {
@@ -489,15 +475,6 @@ def _admit(p: SemilinearProblem):
         raise ConfigError(
             f"growth exponent r={r} exceeds the admissible bound "
             f"r*={allowance:.6g} for alpha={p.alpha}, q_A={regime.q_A}")
-
-
-def _norm_series(U, DTU, DAL, lam, alpha):
-    wg = lam ** (2.0 / alpha)
-    return {
-        "u_Vgamma": np.sqrt((U ** 2 * wg[None, :]).sum(axis=1)),
-        "dtu_L2": np.sqrt((DTU ** 2).sum(axis=1)),
-        "dalpha_Vminusgamma": np.sqrt((DAL ** 2 / wg[None, :]).sum(axis=1)),
-    }
 
 
 def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
@@ -537,12 +514,6 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
 
     c_est = max(1.0, ml_bound_probe(p.alpha, p.alpha, 1e3, 64))
 
-    def trust_radius(i):
-        if cfg.R_star is not None:
-            return cfg.R_star
-        c0 = float(ws.combined_norms(U[i:i + 1], DTU[i:i + 1])[0])
-        return 8.0 * (c0 + 1.0)
-
     def heuristic_window(R):
         q2 = p.nonlinearity.magnitude_envelope(R)
         if q2 <= 0.0:
@@ -554,13 +525,13 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     status = "completed"
     T_est = None
     i = 0
-    window_time = heuristic_window(trust_radius(0))
+    window_time = heuristic_window(ws.trust_radius(cfg, U[0], DTU[0]))
     steps_cap = max(1, round(cfg.window_init / dt))
     steps = max(1, min(M, round(window_time / dt)))
     while i < M:
         steps = min(steps, M - i)
         ib = i + steps
-        R_eff = trust_radius(i)
+        R_eff = ws.trust_radius(cfg, U[i], DTU[i])
         try:
             Uw, DTUw, Fw, iters, contraction = ws.window_solve(
                 i, ib, F[:i + 1], cfg, R_eff)
@@ -620,11 +591,8 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     s = float(q) * (float(r) - 1.0)
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
-    xs = _sup_grid(p.op)
-    sup_vals = np.empty(len(trace.times))
-    for i in range(len(trace.times)):
-        fld = SpectralField(p.op, trace.u_coeffs[i], p.N)
-        sup_vals[i] = float(np.max(np.abs(evaluate(fld, xs))))
+    phi = p.op.basis(p.N, _sup_grid(p.op)).reshape(-1, p.N)
+    sup_vals = np.array([np.max(np.abs(phi @ u)) for u in trace.u_coeffs])
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"
     return {"verdict": verdict,

@@ -1,21 +1,24 @@
 """Eigen-decomposed operators on product domains.
 
 Everything downstream works in coefficient space, so an operator here is
-just its spectrum: a positive nondecreasing eigenvalue sequence, the
-matching L2-orthonormal eigenfunctions, the spatial dimension, and the
-Sobolev exponent q_A of the embedding V_{1/2} -> L^{2 q_A}.  The catalog
-is restricted to domains with closed-form eigenpairs (intervals, boxes,
-a shifted Neumann variant, and spectral fractional powers of these), which
-is what makes independent oracle testing possible.
+just its spectrum, held as arrays: a positive nondecreasing eigenvalue
+vector, the matrix of the matching L2-orthonormal eigenfunctions at any
+set of points, the spatial dimension, and the Sobolev exponent q_A of the
+embedding V_{1/2} -> L^{2 q_A}.  The catalog is restricted to domains with
+closed-form eigenpairs (intervals, boxes, a shifted Neumann variant, and
+spectral fractional powers of these), which is what makes independent
+oracle testing possible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .criticality import table_q_A
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -27,9 +30,11 @@ __all__ = [
     "project",
     "evaluate",
     "frac_norm",
+    "weighted_norm",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_BASIS_MAX = 1 << 22        # doubles in one basis block (32 MB)
 
 _KINDS = (
     "dirichlet_laplacian_interval",
@@ -79,31 +84,165 @@ class OperatorSpecConfig:
             raise ConfigError("q must lie in (1, inf)")
 
 
-class Operator:
-    """Immutable spectral triple (lambda_n, phi_n, q_A) on a box."""
+class _BoxModes:
+    """Lazily grown mode table of a product box: per-axis indices j_i,
+    starting at `first`, sorted by sum_i (j_i pi / L_i)^2 with
+    lexicographic index tie-break.  Indices with some component beyond the
+    current cube edge M are only admitted once the cube provably contains
+    every mode below the cutoff ((M+1) pi / max L)^2, so the ordering is
+    exact, not truncation-dependent."""
 
-    def __init__(self, name, dim, q_A, domain_box, eigval_fn, eigfun_fn):
+    def __init__(self, lengths, first):
+        self.lengths = lengths
+        self.first = first
+        self.kvec = np.array([math.pi / L for L in lengths])
+        self.lam = np.empty(0)
+        self.idx = np.empty((0, len(lengths)), dtype=int)
+        self._M = 0
+
+    def _rebuild(self, M):
+        axes = [np.arange(self.first, M + 1)] * len(self.lengths)
+        grids = np.meshgrid(*axes, indexing="ij")
+        idx = np.stack([g.reshape(-1) for g in grids], axis=1)
+        lam = ((idx * self.kvec) ** 2).sum(axis=1)
+        keep = lam <= ((M + 1) * math.pi / max(self.lengths)) ** 2
+        idx, lam = idx[keep], lam[keep]
+        order = np.lexsort(tuple(idx.T[::-1]) + (lam,))
+        self.idx, self.lam = idx[order], lam[order]
+        self._M = M
+
+    def need(self, count):
+        """(eigenvalues, indices) of the first count modes."""
+        M = max(self._M, 8)
+        while len(self.lam) < count:
+            self._rebuild(M)
+            M *= 2
+        return self.lam[:count], self.idx[:count]
+
+
+class _Rule(NamedTuple):
+    """Read-only tensor Gauss-Legendre rule: nodes as the integrand sees
+    them ((P,) in 1-D, (P_1, ..., P_d, d) otherwise), weights on the same
+    grid, and the basis there (grid shape + (N,); None past _BASIS_MAX)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+
+
+class Operator:
+    """Immutable spectral triple (lambda_n, phi_n, q_A) on a box.
+
+    Every catalog eigenfunction is a product of 1-D factors,
+    phi_n(x) = prod_i c(j_i) trig(j_i pi x_i / L_i): sines on Dirichlet
+    axes, cosines on the Neumann interval, c(j) = sqrt(2/L_i) except
+    c(0) = sqrt(1/L_i); lambda_n = (sum_i (j_i pi / L_i)^2 + shift)^power.
+    The mode indices j come from the exact _BoxModes ordering."""
+
+    def __init__(self, name, q_A, lengths, neumann=False, shift=0.0,
+                 power=1.0):
         self.name = name
-        self.dim = dim
+        self.dim = len(lengths)
         self.q_A = q_A
-        self.domain_box = tuple(tuple(b) for b in domain_box)
-        self._eigval = eigval_fn
-        self._eigfun = eigfun_fn
+        self.domain_box = tuple((0.0, L) for L in lengths)
+        self.shift = shift
+        self.power = power
+        self._modes = _BoxModes(tuple(lengths), 0 if neumann else 1)
+        self._trig = np.cos if neumann else np.sin
+        self._rules = {}
+
+    def eigenvalues(self, N: int) -> np.ndarray:
+        """First N eigenvalues as a fresh vector."""
+        lam = self._modes.need(N)[0] + self.shift
+        return lam if self.power == 1.0 else lam ** self.power
 
     def eigenvalue(self, n: int) -> float:
         if n < 1:
             raise DomainError("mode index is 1-based")
-        return self._eigval(int(n))
+        return float(self.eigenvalues(int(n))[-1])
 
-    def eigenvalues(self, N: int) -> np.ndarray:
-        """First N eigenvalues as a vector (solver hot path)."""
-        return np.array([self._eigval(n) for n in range(1, N + 1)])
+    def basis(self, N: int, x) -> np.ndarray:
+        """phi_1..phi_N at x, shape x.shape + (N,) in 1-D, else
+        x.shape[:-1] + (N,).  A cached rule's node array gets that rule's
+        read-only matrix; other points must lie in the box."""
+        phi, shape, coords = self._grid(N, x)
+        return (phi if phi is not None
+                else self._factors(N, coords).reshape(shape + (N,)))
 
     def eigenfunction(self, n: int, x):
         """phi_n at x; x broadcasts (scalar/array in 1-D, (..., dim) else)."""
         if n < 1:
             raise DomainError("mode index is 1-based")
-        return self._eigfun(int(n), x)
+        return self.basis(int(n), x)[..., -1][()]
+
+    def rule(self, N: int, panels: int) -> _Rule:
+        """Composite 10-node Gauss-Legendre rule with `panels` panels per
+        axis and its basis for N modes, built once per (N, panels)."""
+        key = (int(N), int(panels))
+        if key not in self._rules:
+            axes = [_panel_nodes(lo, hi, panels) for lo, hi in self.domain_box]
+            coords = np.ix_(*[xa for xa, _ in axes])
+            w = math.prod(np.ix_(*[wa for _, wa in axes]), start=1.0)
+            nodes = (coords[0] if self.dim == 1
+                     else np.stack(np.broadcast_arrays(*coords), axis=-1))
+            phi = (self._factors(N, coords) if w.size * N <= _BASIS_MAX
+                   else None)
+            got = _Rule(nodes, w, phi)
+            for arr in got:
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._rules[key] = got, coords
+        return self._rules[key][0]
+
+    def _grid(self, N, x):
+        """(cached basis or None, shape, per-axis coordinates) of points x:
+        a cached rule's node array brings its basis and grid axes; other
+        points are checked to lie in the box and flattened."""
+        for (n, _), (rule, coords) in self._rules.items():
+            if rule.nodes is x and n == N:
+                return rule.basis, rule.weights.shape, coords
+        xv = np.asarray(x, dtype=float)
+        if self.dim == 1:
+            shape, coords = xv.shape, [xv.reshape(-1)]
+        else:
+            if xv.ndim == 0 or xv.shape[-1] != self.dim:
+                raise DomainError(f"point must have {self.dim} coordinates")
+            shape, coords = xv.shape[:-1], list(xv.reshape(-1, self.dim).T)
+        for xi, (lo, hi) in zip(coords, self.domain_box):
+            if np.any(xi < lo) or np.any(xi > hi):
+                raise DomainError("point outside the operator domain")
+        return None, shape, coords
+
+    def _blocks(self, N, x):
+        """Yield (rows, phi) over the points of x in order, phi the basis
+        at the flattened points `rows`: a cached rule basis whole, else
+        slabs along the grid's first axis of at most _BASIS_MAX doubles."""
+        phi, _, coords = self._grid(N, x)
+        if phi is not None:
+            yield slice(None), phi.reshape(-1, N)
+            return
+        shape = np.broadcast_shapes(*[xi.shape for xi in coords])
+        inner = math.prod(shape[1:])
+        step = max(1, _BASIS_MAX // (N * inner))
+        for s in range(0, max(shape[0], 1), step):
+            part = [xi[s:s + step] if len(xi) > 1 else xi for xi in coords]
+            yield (slice(s * inner, (s + step) * inner),
+                   self._factors(N, part).reshape(-1, N))
+
+    def _factors(self, N, coords):
+        """Basis from per-axis factor tables, coords broadcast together;
+        stored mode-major, so each eigenfunction's values are contiguous."""
+        _, idx = self._modes.need(N)
+        amp = np.ones(N)
+        for L, j in zip(self._modes.lengths, idx.T):
+            amp = amp * np.where(j == 0, math.sqrt(1.0 / L),
+                                 math.sqrt(2.0 / L))
+        out = amp.reshape((N,) + (1,) * coords[0].ndim)
+        for k, j, xi in zip(self._modes.kvec, idx.T, coords):
+            table = self._trig(np.multiply.outer(np.arange(j.max() + 1) * k,
+                                                 xi))
+            out = out * table[j]
+        return np.moveaxis(out, 0, -1)
 
     def __repr__(self):
         return f"Operator({self.name}, dim={self.dim}, q_A={self.q_A})"
@@ -130,142 +269,29 @@ class SpectralField:
 
 # ------------------------------------------------------------ the catalog
 
-def _interval_ops(L):
-    k = math.pi / L
-    amp = math.sqrt(2.0 / L)
-
-    def ev(n):
-        return (n * k) ** 2
-
-    def ef(n, x):
-        return amp * np.sin(n * k * np.asarray(x, dtype=float))
-
-    return ev, ef
-
-
-def _neumann_shifted_ops(L, eps):
-    k = math.pi / L
-    a0 = math.sqrt(1.0 / L)
-    amp = math.sqrt(2.0 / L)
-
-    def ev(n):
-        return ((n - 1) * k) ** 2 + eps
-
-    def ef(n, x):
-        x = np.asarray(x, dtype=float)
-        if n == 1:
-            return np.full_like(x, a0, dtype=float)
-        return amp * np.cos((n - 1) * k * x)
-
-    return ev, ef
-
-
-class _BoxModes:
-    """Lazily grown table of (eigenvalue, multi-index) for a product box,
-    sorted by eigenvalue with lexicographic index tie-break.  Indices with
-    some component beyond the current cube edge M are only admitted once
-    the cube provably contains every mode below the cutoff ((M+1) pi /
-    max L)^2, so the ordering is exact, not truncation-dependent."""
-
-    def __init__(self, lengths):
-        self.lengths = lengths
-        self.kvec = np.array([math.pi / L for L in lengths])
-        self.table = []
-        self._M = 0
-
-    def _rebuild(self, M):
-        d = len(self.lengths)
-        axes = [np.arange(1, M + 1)] * d
-        grids = np.meshgrid(*axes, indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in grids], axis=1)
-        lam = ((idx * self.kvec) ** 2).sum(axis=1)
-        cutoff = ((M + 1) * math.pi / max(self.lengths)) ** 2
-        keep = lam <= cutoff
-        order = sorted(
-            (float(lam[i]), tuple(int(v) for v in idx[i]))
-            for i in range(len(lam)) if keep[i])
-        self.table = order
-        self._M = M
-
-    def need(self, count):
-        M = max(self._M, 8)
-        while len(self.table) < count:
-            self._rebuild(M)
-            M *= 2
-        return self.table
-
-
-def _box_ops(lengths):
-    modes = _BoxModes(lengths)
-    d = len(lengths)
-    amp = math.prod(math.sqrt(2.0 / L) for L in lengths)
-    kvec = modes.kvec
-
-    def ev(n):
-        return modes.need(n)[n - 1][0]
-
-    def ef(n, x):
-        idx = modes.need(n)[n - 1][1]
-        pt = np.asarray(x, dtype=float)
-        if pt.shape == () or pt.shape[-1] != d:
-            raise DomainError(f"point must have {d} coordinates")
-        out = amp
-        for i in range(d):
-            out = out * np.sin(idx[i] * kvec[i] * pt[..., i])
-        return out
-
-    return ev, ef
-
-
 def q_A_of(cfg: OperatorSpecConfig):
-    """Sobolev exponent of V_{1/2} -> L^{2 q_A} for a catalog entry.
-    math.inf encodes the unbounded case."""
+    """Sobolev exponent of V_{1/2} -> L^{2 q_A} for a catalog entry, from
+    the criticality tables (the shifted Neumann interval shares the
+    Laplacian row).  math.inf encodes the unbounded case."""
     cfg.validate()
     if cfg.kind == "spectral_fractional_power":
-        d = len(cfg.base.lengths)
-        s = cfg.power
-        if d < 2.0 * s:
-            return math.inf
-        if d == 2.0 * s:
-            return cfg.q
-        return d / (d - 2.0 * s)
-    d = len(cfg.lengths)
-    if d == 1:
-        return math.inf
-    if d == 2:
-        return cfg.q
-    return d / (d - 2.0)
+        return table_q_A(cfg.kind, len(cfg.base.lengths), s=cfg.power,
+                         q=cfg.q)
+    return table_q_A("dirichlet_laplacian", len(cfg.lengths), q=cfg.q)
 
 
 def make_operator(cfg: OperatorSpecConfig) -> Operator:
     cfg.validate()
     qa = q_A_of(cfg)
+    base, name, power = cfg, cfg.kind, 1.0
     if cfg.kind == "spectral_fractional_power":
-        base = make_operator(cfg.base)
-        s = cfg.power
-
-        def ev(n, _b=base, _s=s):
-            return _b.eigenvalue(n) ** _s
-
-        name = f"{cfg.base.kind}^{s:g}"
-        return Operator(name, base.dim, qa, base.domain_box, ev,
-                        base._eigfun)
-    if cfg.kind == "dirichlet_laplacian_interval":
-        L = float(cfg.lengths[0])
-        ev, ef = _interval_ops(L)
-        box = ((0.0, L),)
-    elif cfg.kind == "neumann_laplacian_shifted":
-        L = float(cfg.lengths[0])
-        ev, ef = _neumann_shifted_ops(L, float(cfg.shift))
-        box = ((0.0, L),)
-    else:
-        Ls = tuple(float(v) for v in cfg.lengths)
-        if len(Ls) == 1:
-            ev, ef = _interval_ops(Ls[0])
-        else:
-            ev, ef = _box_ops(Ls)
-        box = tuple((0.0, L) for L in Ls)
-    return Operator(cfg.kind, len(box), qa, box, ev, ef)
+        base, power = cfg.base, cfg.power
+        name = f"{base.kind}^{power:g}"
+    neumann = base.kind == "neumann_laplacian_shifted"
+    return Operator(name, qa, tuple(float(L) for L in base.lengths),
+                    neumann=neumann,
+                    shift=float(base.shift) if neumann else 0.0,
+                    power=power)
 
 
 # --------------------------------------------- projection and evaluation
@@ -280,28 +306,14 @@ def _panel_nodes(lo, hi, panels):
 
 
 def _quad_coeffs(op, g, N, panels):
-    if op.dim == 1:
-        lo, hi = op.domain_box[0]
-        xs, ws = _panel_nodes(lo, hi, panels)
-        gv = np.asarray(g(xs), dtype=float)
-        if gv.shape != xs.shape:
-            raise DomainError("function values must match the grid shape")
-        wg = ws * gv
-        return np.array([float(np.dot(op.eigenfunction(n, xs), wg))
-                         for n in range(1, N + 1)])
-    per_axis = [_panel_nodes(lo, hi, panels) for lo, hi in op.domain_box]
-    grids = np.meshgrid(*[xa for xa, _ in per_axis], indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    wgrid = np.meshgrid(*[wa for _, wa in per_axis], indexing="ij")
-    w = np.ones_like(grids[0])
-    for wa in wgrid:
-        w = w * wa
-    gv = np.asarray(g(pts), dtype=float)
+    nodes, w, _ = op.rule(N, panels)
+    gv = np.asarray(g(nodes), dtype=float)
     if gv.shape != w.shape:
         raise DomainError("function values must match the grid shape")
-    wg = w * gv
-    return np.array([float(np.sum(op.eigenfunction(n, pts) * wg))
-                     for n in range(1, N + 1)])
+    wg = (w * gv).reshape(-1)
+    # one dot product per contiguous eigenfunction row of each block
+    parts = [np.vecdot(p.T, wg[rows]) for rows, p in op._blocks(N, nodes)]
+    return sum(parts[1:], parts[0])
 
 
 def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
@@ -312,7 +324,8 @@ def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
     truncation/zero-padding.  quad_points is the per-axis node floor and
     must be at least 4N so phi_N cannot alias on the composite rule.  All
     coefficients are re-done on a doubled rule; the largest difference is
-    reported as aliasing_est with a warning past 1e-8.
+    reported as aliasing_est with a warning past 1e-8.  Both rules are
+    cached on the operator, with their basis while it fits _BASIS_MAX.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -341,25 +354,27 @@ def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
 
 
 def evaluate(field: SpectralField, x):
-    """Sum of c_n phi_n(x), ascending n (fixed order keeps runs bitwise
-    reproducible)."""
-    op = field.op
-    if op.dim == 1:
-        xv = np.asarray(x, dtype=float)
-        lo, hi = op.domain_box[0]
-        if np.any(xv < lo) or np.any(xv > hi):
-            raise DomainError("point outside the operator domain")
-    else:
-        xv = np.asarray(x, dtype=float)
-        if xv.shape[-1] != op.dim:
-            raise DomainError(f"point must have {op.dim} coordinates")
-        for i, (lo, hi) in enumerate(op.domain_box):
-            if np.any(xv[..., i] < lo) or np.any(xv[..., i] > hi):
-                raise DomainError("point outside the operator domain")
-    acc = 0.0
-    for n in range(1, field.N + 1):
-        acc = acc + field.coeffs[n - 1] * op.eigenfunction(n, xv)
-    return acc if np.ndim(acc) else float(acc)
+    """Sum of c_n phi_n(x) over the basis blocks; a float for one point.
+    Modes are added in ascending n, a fixed order that keeps runs bitwise
+    reproducible: numpy sums a multi-point block's strided mode axis so,
+    and a lone point's contiguous row, which it would sum pairwise, goes
+    through the sequential cumsum."""
+    op, c = field.op, field.coeffs
+    vals = [np.cumsum(p[0] * c)[-1:] if len(p) == 1 else (p * c).sum(axis=-1)
+            for _, p in op._blocks(field.N, x)]
+    vals = np.concatenate(vals) if len(vals) > 1 else vals[0]
+    shape = np.shape(x) if op.dim == 1 else np.shape(x)[:-1]
+    return vals.reshape(shape) if shape else float(vals[0])
+
+
+def weighted_norm(coeffs, lam, theta: float):
+    """(sum_n lam_n^(2 theta) c_n^2)^(1/2) over the last axis of coeffs:
+    the V_theta norm, the duality-pairing norm for theta < 0."""
+    c2 = np.asarray(coeffs, dtype=float) ** 2
+    if theta == 0.0:
+        return np.sqrt(c2.sum(axis=-1))
+    w = lam ** (2.0 * abs(theta))
+    return np.sqrt((c2 * w if theta > 0.0 else c2 / w).sum(axis=-1))
 
 
 def frac_norm(field: SpectralField, theta: float) -> float:
@@ -367,8 +382,5 @@ def frac_norm(field: SpectralField, theta: float) -> float:
     in [-1, 1], negative values giving the duality-pairing norm."""
     if not -1.0 <= theta <= 1.0:
         raise DomainError("theta must lie in [-1, 1]")
-    if theta == 0.0:
-        return float(np.linalg.norm(field.coeffs))
-    lam = field.op.eigenvalues(field.N)
-    return float(math.sqrt(np.sum(lam ** (2.0 * theta)
-                                  * field.coeffs ** 2)))
+    return float(weighted_norm(field.coeffs,
+                               field.op.eigenvalues(field.N), theta))

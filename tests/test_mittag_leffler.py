@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from mlwave import (
     DEFAULT_PRECISION,
+    AccuracyError,
     DomainError,
     MLPrecision,
     MLQuery,
@@ -343,3 +344,37 @@ class TestNearTwoAsymptotics:
         except MLWaveError:
             return
         assert math.isfinite(v)
+
+
+class TestIntegerAlphaLargeArgument:
+    """Integer beta past the closed forms, where the asymptotic series does
+    not certify: the recurrence up from the closed forms answers where its
+    error bound certifies, and the point is refused elsewhere."""
+
+    @pytest.mark.parametrize("alpha,beta,y", [
+        (2.0, 4.0, 1300.5), (2.0, 4.0, 1354.24), (2.0, 4.0, 1395.01),
+        (2.0, 5.0, 5e3), (2.0, 6.0, 1e5), (2.0, 7.0, 1e6),
+        (1.0, 5.0, 36.5), (1.0, 5.0, 100.0), (1.0, 6.0, 1e3),
+        (1.0, 8.0, 1e6)])
+    def test_against_oracle(self, alpha, beta, y):
+        got = ml_e(MLQuery(alpha, beta, -y))
+        assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12
+
+    def test_row_route(self):
+        # ml_row hands integer alpha to the scalar evaluator point by point
+        xs = -np.array([1301.0, 1600.0, 2.5e4])
+        got = ml_row(2.0, 4.0, xs)
+        for g, x in zip(got, xs):
+            assert rel(g, ml_ref(2.0, 4.0, float(x))) < 1e-12
+
+    @pytest.mark.parametrize("alpha,beta,y", [
+        (1.0, 100.0, 40.0), (2.0, 80.0, 1301.0), (1.0, 53.0, 37.0),
+        (2.0, 67.0, 2274.0)])
+    def test_large_beta_is_accurate_or_refused(self, alpha, beta, y):
+        # beta beyond y (m = 1) or sqrt(y) (m = 2): each step of the
+        # recurrence cancels, so a value must still meet the tolerance
+        try:
+            got = ml_e(MLQuery(alpha, beta, -y))
+        except AccuracyError:
+            return
+        assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12

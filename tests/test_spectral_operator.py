@@ -13,6 +13,7 @@ from mlwave import (
     make_operator,
     project,
     q_A_of,
+    spectral_operator,
 )
 
 INTERVAL_PI = OperatorSpecConfig("dirichlet_laplacian_interval",
@@ -121,6 +122,120 @@ class TestCatalog:
             lam = make_operator(cfg).eigenvalues(40)
             assert lam[0] > 0
             assert np.all(np.diff(lam) >= 0)
+
+
+CATALOG = [
+    INTERVAL_PI,
+    OperatorSpecConfig("neumann_laplacian_shifted", lengths=(1.5,),
+                       shift=0.25),
+    OperatorSpecConfig("dirichlet_laplacian_box",
+                       lengths=(math.pi, math.pi)),
+    OperatorSpecConfig("dirichlet_laplacian_box", lengths=(1.0, 2.0, 0.7)),
+    OperatorSpecConfig("spectral_fractional_power", power=0.75,
+                       base=INTERVAL_PI),
+]
+CATALOG_IDS = ["interval", "neumann", "box2", "box3", "fracpow"]
+
+
+@pytest.mark.parametrize("cfg", CATALOG, ids=CATALOG_IDS)
+class TestArrays:
+    def test_rule_basis_orthonormal_under_its_weights(self, cfg):
+        # the doubled rule project checks against at the 4N node floor; its
+        # basis is cached below the block budget (all but box3) and built
+        # afresh past it
+        op = make_operator(cfg)
+        N = 10
+        nodes, w, _ = op.rule(N, 2 * math.ceil(4 * N / 10))
+        phi = op.basis(N, nodes)
+        P = phi.reshape(-1, N)
+        G = P.T @ (w.reshape(-1)[:, None] * P)
+        assert np.max(np.abs(G - np.eye(N))) < 1e-12
+
+    def test_rule_is_built_once(self, cfg):
+        op = make_operator(cfg)
+        assert op.rule(6, 3) is op.rule(6, 3)
+        assert op.basis(6, op.rule(6, 3).nodes) is op.rule(6, 3).basis
+
+    def test_basis_columns_are_the_eigenfunctions(self, cfg):
+        op = make_operator(cfg)
+        rng = np.random.default_rng(7)
+        hi = np.array([b for _, b in op.domain_box])
+        x = rng.uniform(0.0, 1.0, (5, op.dim)) * hi
+        if op.dim == 1:
+            x = x[:, 0]
+        phi = op.basis(6, x)
+        assert phi.shape == (5, 6)
+        for n in range(1, 7):
+            assert np.array_equal(phi[:, n - 1], op.eigenfunction(n, x))
+
+    def test_evaluate_adds_modes_in_ascending_order(self, cfg):
+        # the per-mode loop the basis matrix replaced, bit for bit
+        op = make_operator(cfg)
+        N = 8
+        c = np.random.default_rng(5).normal(size=N)
+        field = SpectralField(op, c, N)
+        nodes = op.rule(N, 4).nodes
+        flat = nodes.reshape(-1) if op.dim == 1 else nodes.reshape(-1, op.dim)
+        # the cached rule, two points (a strided block), one point (a
+        # contiguous row) and no points
+        for x in (nodes, flat[:2].copy(), flat[7].copy(), flat[:0].copy()):
+            ref = 0.0
+            for n in range(1, N + 1):
+                ref = ref + c[n - 1] * op.eigenfunction(n, x)
+            assert np.array_equal(evaluate(field, x), ref)
+
+    def test_project_matches_per_mode_quadrature(self, cfg):
+        op = make_operator(cfg)
+        N = 6
+
+        def g(x):
+            return np.cos(x if x.ndim == 1 else x.sum(axis=-1))
+
+        got = project(op, g, N, 4 * N).coeffs
+        nodes, w, _ = op.rule(N, math.ceil(4 * N / 10))
+        ref = np.array([np.sum(op.eigenfunction(n, nodes) * w * g(nodes))
+                        for n in range(1, N + 1)])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_evaluate_on_cached_nodes_matches_a_copy(self, cfg):
+        op = make_operator(cfg)
+        N = 8
+        c = np.random.default_rng(3).normal(size=N)
+        field = SpectralField(op, c, N)
+        nodes = op.rule(N, 4).nodes
+        cached = evaluate(field, nodes)
+        fresh = evaluate(field, nodes.copy())
+        assert cached.shape == fresh.shape == op.rule(N, 4).weights.shape
+        assert (np.max(np.abs(cached - fresh))
+                <= 1e-14 * np.max(np.abs(fresh)))
+
+    def test_blocks_past_the_budget_match_the_cached_basis(self, cfg,
+                                                           monkeypatch):
+        N = 8
+        c = np.random.default_rng(11).normal(size=N)
+
+        def g(x):
+            return np.cos(x if x.ndim == 1 else x.sum(axis=-1))
+
+        results = []
+        for budget in (spectral_operator._BASIS_MAX, 3 * N):
+            monkeypatch.setattr(spectral_operator, "_BASIS_MAX", budget)
+            op = make_operator(cfg)
+            rule = op.rule(N, math.ceil(4 * N / 10))
+            results.append((rule.basis is None, project(op, g, N, 4 * N),
+                            evaluate(SpectralField(op, c, N), rule.nodes)))
+        (cached, p_whole, e_whole), (sliced, p_slab, e_slab) = results
+        assert not cached and sliced
+        # per-point sums keep their order; the projection adds slab sums
+        assert np.array_equal(e_slab, e_whole)
+        assert (np.max(np.abs(p_slab.coeffs - p_whole.coeffs))
+                <= 1e-14 * np.max(np.abs(p_whole.coeffs)))
+
+    def test_cached_rule_arrays_reject_writes(self, cfg):
+        rule = make_operator(cfg).rule(4, 2)
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
 
 
 class TestEmbeddingExponent:
