@@ -13,11 +13,12 @@ reproduced to evaluator precision and smooth forcing at second order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericFailure
-from .mittag_leffler import _ml, ml_row
+from .mittag_leffler import _ml, kernel_moments, ml_row
 from .spectral_operator import SpectralField, weighted_norm
 
 __all__ = [
@@ -127,28 +128,42 @@ class ForcingSpec:
 
 
 @dataclass(frozen=True)
-class LinearProblem:
+class ModalProblem:
+    """What both problems check: alpha in (1, 2), or (1, 2] where admitted,
+    and initial data on op with one truncation order."""
+
     op: object
     alpha: float
     u0: SpectralField
     u1: SpectralField
-    forcing: ForcingSpec
+    admits_alpha_two: ClassVar[bool] = False
 
     def validate(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha must lie in (1, 2], got {self.alpha}")
+        top = "]" if self.admits_alpha_two else ")"
+        if not (1.0 < self.alpha < 2.0 or top == "]" and self.alpha == 2.0):
+            raise DomainError(
+                f"alpha must lie in (1, 2{top}, got {self.alpha}")
         if self.u0.N != self.u1.N:
             raise DomainError("u0 and u1 must share the truncation order")
         for f in (self.u0, self.u1):
             if f.op is not self.op and f.op.name != self.op.name:
                 raise DomainError("initial data live on a different operator")
-        self.forcing.validate()
-        if self.forcing.kind == "separable" and self.forcing.g.N != self.u0.N:
-            raise DomainError("forcing profile must share the truncation")
 
     @property
     def N(self):
         return self.u0.N
+
+
+@dataclass(frozen=True)
+class LinearProblem(ModalProblem):
+    forcing: ForcingSpec
+    admits_alpha_two: ClassVar[bool] = True
+
+    def validate(self):
+        super().validate()
+        self.forcing.validate()
+        if self.forcing.kind == "separable" and self.forcing.g.N != self.u0.N:
+            raise DomainError("forcing profile must share the truncation")
 
 
 @dataclass(frozen=True)
@@ -205,17 +220,18 @@ def homogeneous_state(p: LinearProblem, t: float):
 
 
 class _KernelTable:
-    """Per-eigenvalue Mittag-Leffler rows over the grid offsets, shared by
-    the propagator evaluation and the product-integration weights.  Cached
-    because box spectra repeat eigenvalues.  Rows come from ml_row, whose
-    scalar fallback is this module's _ml, so a wrapper around it sees every
-    point the array routes leave to the scalar evaluator."""
+    """Both solvers' product-integration layer on one uniform grid: Mittag-
+    Leffler rows over the grid offsets and the weights built from them,
+    cached per eigenvalue as box spectra repeat them.  Rows come from
+    ml_row with this module's _ml as its scalar fallback, so a wrapper
+    around _ml sees every point the array routes leave to it."""
 
     def __init__(self, alpha, times):
         self.alpha = alpha
         self.t = np.asarray(times, dtype=float)
         self.ta = self.t ** alpha
         self._rows = {}
+        self._weights = {}
 
     def row(self, lam, beta):
         key = (float(lam), float(beta))
@@ -224,6 +240,38 @@ class _KernelTable:
             got = ml_row(self.alpha, beta, -lam * self.ta, _ml)
             self._rows[key] = got
         return got
+
+    def moment_steps(self, lam, deriv):
+        """Per-panel increments of the moments (M0, M1), or (M'0, M'1)."""
+        m0, m1 = kernel_moments(self.alpha, self.t,
+                                lambda beta: self.row(lam, beta), deriv)
+        m0[0] = m1[0] = 0.0
+        return np.diff(m0), np.diff(m1)
+
+    def weights(self, lam):
+        """Product-integration weights (B, A, B', A') on the grid's panels,
+        against s^(a-1)E_aa and against s^(a-2)E_{a,a-1}: panel l
+        contributes f_left B[l] + f_right A[l].  Built from the moment
+        differences so that sum(B + A) telescopes to the exact integral of
+        the kernel, making constant forcing exact."""
+        key = float(lam)
+        if key not in self._weights:
+            dt = float(self.t[1] - self.t[0])
+            ell = np.arange(1, len(self.t))
+            got = ()
+            for deriv in (False, True):
+                w0, mm1 = self.moment_steps(key, deriv)
+                A = ell * w0 - mm1 / dt
+                got += (w0 - A, A)
+            self._weights[key] = got
+        return self._weights[key]
+
+
+def _panel_sum(f, B, A):
+    """The causal Volterra sum of samples f at nodes 0..K against weights
+    (B, A): at node i in 1..K, sum_{l < i} f[i-1-l] B[l] + f[i-l] A[l]."""
+    K = len(f) - 1
+    return (np.convolve(f[:-1], B[:K]) + np.convolve(f[1:], A[:K]))[:K]
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1):
@@ -252,41 +300,13 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1):
     return U, DTU
 
 
-def _lag_weights(kt: _KernelTable, lam, dt, deriv=False):
-    """Product-integration weights against s^(a-1)E_aa (deriv=False) or
-    s^(a-2)E_{a,a-1} (deriv=True) on panels of width dt.
-
-    Returns (B, A): panel value = f_left B[l] + f_right A[l].  Built from
-    the moment differences so that sum(B + A) telescopes to the exact
-    integral of the kernel, making constant forcing exact."""
-    a = kt.alpha
-    t = kt.t
-    if deriv:
-        eaa = kt.row(lam, a)
-        ea1 = kt.row(lam, a + 1.0)
-        m0 = t ** (a - 1.0) * eaa
-        m1 = t ** a * (eaa - ea1)
-    else:
-        ea1 = kt.row(lam, a + 1.0)
-        ea2 = kt.row(lam, a + 2.0)
-        m0 = t ** a * ea1
-        m1 = t ** (a + 1.0) * (ea1 - ea2)
-    m0[0] = 0.0
-    m1[0] = 0.0
-    w0 = np.diff(m0)
-    mm1 = np.diff(m1)
-    ell = np.arange(1, len(t))
-    A = ell * w0 - mm1 / dt
-    return w0 - A, A
-
-
 def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
     """Volterra convolutions of the forcing against the mild-solution
     kernel (S3) and its time derivative's kernel (S3p), both shaped like
     the forcing matrix.  kt, when given, is the caller's kernel table on
     the same grid, so rows it already holds are not built again."""
     p.validate()
-    t, dt = _check_grid(grid)
+    t, _ = _check_grid(grid)
     M1 = len(t)
     F = p.forcing.values(t, p.N)
     S3 = np.zeros((M1, p.N))
@@ -300,22 +320,16 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
         f = F[:, n]
         if not f.any():
             continue
-        B, A = _lag_weights(kt, lam[n], dt)
-        S3[1:, n] = (np.convolve(f[:-1], B) + np.convolve(f[1:], A))[:M1 - 1]
-        Bp, Ap = _lag_weights(kt, lam[n], dt, deriv=True)
-        S3p[1:, n] = (np.convolve(f[:-1], Bp)
-                      + np.convolve(f[1:], Ap))[:M1 - 1]
+        B, A, Bp, Ap = kt.weights(lam[n])
+        S3[1:, n] = _panel_sum(f, B, A)
+        S3p[1:, n] = _panel_sum(f, Bp, Ap)
     return S3, S3p
 
 
 def _fprime_convolution(kt, lam_n, dt, f):
     """Convolution of the piecewise-constant derivative of f against
     s^(a-2)E_{a,a-1}; used by the second-derivative assembly."""
-    a = kt.alpha
-    eaa = kt.row(lam_n, a)
-    m0 = kt.t ** (a - 1.0) * eaa
-    m0[0] = 0.0
-    w0 = np.diff(m0)
+    w0 = kt.moment_steps(lam_n, deriv=True)[0]
     df = np.diff(f) / dt
     out = np.zeros(len(kt.t))
     out[1:] = np.convolve(df, w0)[:len(kt.t) - 1]

@@ -46,6 +46,7 @@ __all__ = [
     "ml_bound_probe",
     "ml_identity_residuals",
     "kernel_moment",
+    "kernel_moments",
     "deriv_kernel_moment",
 ]
 
@@ -91,6 +92,7 @@ class MLPrecision:
 
 
 DEFAULT_PRECISION = MLPrecision()
+_EPS = float(np.finfo(float).eps)
 
 
 # ----------------------------------------------------------- power series
@@ -145,25 +147,28 @@ def _taylor(alpha, beta, x, rel_tol, max_terms):
 # ------------------------------------------------- asymptotic + residues
 
 def _exp_terms(alpha, beta, y):
-    """Exponential (residue) contributions to E_{a,b}(-y), y > 0.
-
-    a in (1,2]: conjugate pair on the principal sheet.  a == 1: the pair
-    degenerates onto the negative axis, Stokes half-weight.  a < 1: none.
-    """
+    """Exponential (residue) contributions to E_{a,b}(-y), y > 0 (a float
+    or an array), and a first-order bound of their rounding.  a in
+    (1,2]: conjugate pair on the principal sheet, whose phase and exponent
+    (r = y^(1/a) times O(1)) carry about (4 + ln(y) / 2a) r eps.  a == 1:
+    the pair degenerates onto the negative axis, Stokes half-weight."""
     if alpha < 1.0:
-        return 0.0
+        return 0.0, 0.0
+    xp = np if isinstance(y, np.ndarray) else math
     r = y ** (1.0 / alpha)
     if alpha == 1.0:
-        return r ** (1.0 - beta) * math.exp(-y) * math.cos(math.pi * (1.0 - beta))
+        return (r ** (1.0 - beta) * xp.exp(-y)
+                * math.cos(math.pi * (1.0 - beta)), 0.0)
     th = math.pi / alpha
-    amp = (2.0 / alpha) * r ** (1.0 - beta) * math.exp(r * math.cos(th))
-    return amp * math.cos(r * math.sin(th) + (1.0 - beta) * th)
+    amp = (2.0 / alpha) * r ** (1.0 - beta) * xp.exp(r * math.cos(th))
+    return (amp * xp.cos(r * math.sin(th) + (1.0 - beta) * th),
+            _EPS * (1.0 + r) * (4.0 + xp.log(y) / (2.0 * alpha)) * abs(amp))
 
 
 def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
     """Algebraic asymptotic series plus exponential terms, with a certified
-    error bound.  Returns (value, ok); a term beyond the double range ends
-    the sum uncertified.
+    error bound (see _strict for the residue pair's rounding).  Returns
+    (value, ok); a term beyond the double range ends the sum uncertified.
 
     Terms whose Gamma argument lands within pole_tol of a non-positive
     integer are added to the sum but excluded from the convergence
@@ -208,9 +213,11 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
         t = s + yk
         c = (t - s) - yk
         s = t
-    total = s + _exp_terms(alpha, beta, y)
-    scale = max(abs(total), 1e-300)
-    return total, (err <= 0.25 * rel_tol * scale)
+    e, e_err = _exp_terms(alpha, beta, y)
+    total = s + e
+    # the first omitted term bounds the truncation within a factor 4
+    err += 0.25 * e_err if _strict(alpha, beta) else 0.0
+    return total, err <= 0.25 * rel_tol * max(abs(total), 1e-300)
 
 
 # -------------------------------------------------- branch-cut quadrature
@@ -221,16 +228,26 @@ _CUT_VMAX = 5.3                    # r = 200, e^-200 dwarfed
 def _cut_setup(alpha, beta):
     """Constants of the branch-cut integrand for a reduced beta:
     (sin pi b, sin pi (b - a), cos pi a, w = a - b + 1, vmin)."""
-    w = alpha - beta + 1.0         # in [0.5, 2.5)
+    w = alpha - beta + 1.0         # at least 0.5
+    if w > 60.0:                   # the r^w e^-r bulk nears r = 200
+        raise AccuracyError(f"beta={beta} is below the branch cut's range")
     return (math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha)),
             math.cos(math.pi * alpha), w,
             -46.0 / w)             # e^(v w) below 1e-20 of anything
 
 
+def _strict(alpha, beta):
+    """Whether non-integer alpha routes count the residue rounding in their
+    certificate: below beta > alpha - 1.5, the range of the solver rows."""
+    return beta <= alpha - 1.5 and alpha not in (1.0, 2.0)
+
+
 def _cut_core(alpha, beta, y):
     """Branch-cut integral for E_{a,b}(-y), non-integer a in (0,2) and
-    b in (a-1.5, a+0.5].  Log substitution r = e^v keeps the domain compact;
-    the denominator is bounded below by y^2 sin^2(pi a) > 0."""
+    b <= a+0.5.  Log substitution r = e^v keeps the domain compact; the
+    denominator is bounded below by y^2 sin^2(pi a) > 0.  Returns the
+    value and a bound on its absolute error: quad's estimate, the
+    integral's rounding and the residue pair's."""
     a = alpha
     sb, sba, ca, w, vmin = _cut_setup(a, beta)
 
@@ -250,38 +267,37 @@ def _cut_core(alpha, beta, y):
     if est > 1e-8 * max(abs(iv), 1e-250):
         raise AccuracyError(
             f"branch-cut quadrature stalled for E_{{{alpha},{beta}}}({-y})")
-    return iv / math.pi + _exp_terms(a, beta, y)
+    e, e_err = _exp_terms(a, beta, y)
+    return iv / math.pi + e, (est + _EPS * abs(iv)) / math.pi + e_err
 
 
 def _reduce_beta(alpha, beta):
-    """(b, down, up): b = beta - (down - up) alpha in (alpha - 1.5,
-    alpha + 0.5], where the branch-cut integrand is tame."""
+    """(b, down): b = beta - down alpha <= alpha + 0.5.  Any lower b is
+    integrated as it is: an up-step E_{a,b-a} = 1/Gamma(b-a) + x E_{a,b}
+    would multiply the error by |x|."""
     b = beta
     down = 0
     while b > alpha + 0.5:
         b -= alpha
         down += 1
-    up = 0
-    while b <= alpha - 1.5:
-        b += alpha
-        up += 1
-    return b, down, up
+    return b, down
 
 
-def _lift_beta(alpha, b, down, up, x, val):
+def _lift_beta(alpha, b, down, x, val):
     """Undo _reduce_beta on val = E_{a,b}(x); scalars or arrays alike."""
     for _ in range(down):          # E_{a,b+a} = (E_{a,b} - 1/Gamma(b)) / x
         val = (val - float(rgamma(b))) / x
         b += alpha
-    for _ in range(up):            # E_{a,b-a} = 1/Gamma(b-a) + x E_{a,b}
-        b -= alpha
-        val = float(rgamma(b)) + x * val
     return val
 
 
-def _cut(alpha, beta, y):
-    b, down, up = _reduce_beta(alpha, beta)
-    return _lift_beta(alpha, b, down, up, -y, _cut_core(alpha, b, y))
+def _cut(alpha, beta, y, rel_tol):
+    b, down = _reduce_beta(alpha, beta)
+    val, err = _cut_core(alpha, b, y)
+    if _strict(alpha, b) and not err <= rel_tol * abs(val):
+        raise AccuracyError(
+            f"branch cut for E_{{{alpha},{beta}}}({-y}) not certified")
+    return _lift_beta(alpha, b, down, -y, val)
 
 
 # -------------------------------------------- double-double integer alpha
@@ -369,12 +385,12 @@ def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
         # that the difference cancels and the asymptotic series refuses.
         b = beta - math.ceil((beta - top) / m) * m
         val = _integer_alpha_neg(m, b, x, rel_tol, max_terms)
-        rt, eps = math.sqrt(y), np.finfo(float).eps
-        err = 8.0 * eps * (abs(val) if m == 1 else (1.0 + rt) / rt ** (b - 1))
+        rt = math.sqrt(y)
+        err = 8.0 * _EPS * (abs(val) if m == 1 else (1.0 + rt) / rt ** (b - 1))
         while b < beta:
             g = float(rgamma(b))
             val = (val - g) / x
-            err = (err + 4.0 * eps * abs(g)) / y + 3.0 * eps * abs(val)
+            err = (err + 4.0 * _EPS * abs(g)) / y + 3.0 * _EPS * abs(val)
             b += m
         if err <= 0.25 * rel_tol * abs(val):
             return val
@@ -419,7 +435,9 @@ def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
 
 # ------------------------------------------------------------- dispatcher
 
-def _ml_raw(alpha, beta, x, prec):
+def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
+    """E_{alpha,beta}(x) for validated inputs: the evaluator the solvers
+    call directly, and the scalar fallback of ml_row."""
     rel_tol = prec.rel_tol
     if x == 0.0:
         return float(rgamma(beta))
@@ -435,7 +453,7 @@ def _ml_raw(alpha, beta, x, prec):
         v, ok = _asym(alpha, beta, y, rel_tol, min(prec.max_terms, 400))
         if ok:
             return v
-    return _cut(alpha, beta, y)
+    return _cut(alpha, beta, y, rel_tol)
 
 
 def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
@@ -448,16 +466,11 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
     """
     q.validate()
     p.validate()
-    val = _ml_raw(q.alpha, q.beta, q.x, p)
+    val = _ml(q.alpha, q.beta, q.x, p)
     if not math.isfinite(val):
         raise NumericOverflowError(
             f"E_{{{q.alpha},{q.beta}}}({q.x}) is not finite in double precision")
     return val
-
-
-def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
-    """Internal fast path used by the solvers (inputs already validated)."""
-    return _ml_raw(alpha, beta, x, prec)
 
 
 # ------------------------------------------------------------- array rows
@@ -521,7 +534,7 @@ def _cut_row(alpha, beta, y):
     (point, panel, node) and summed along their contiguous last axis, so a
     point's value depends on its own block alone."""
     a = alpha
-    b, down, up = _reduce_beta(a, beta)
+    b, down = _reduce_beta(a, beta)
     sb, sba, ca, w, vmin = _cut_setup(a, b)
     d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
     grade = d0 * _CUT_GRADE ** np.arange(
@@ -560,13 +573,8 @@ def _cut_row(alpha, beta, y):
             val[lo:lo + step] = fine.sum(axis=1)
             est[lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
         ok = est <= _CUT_CERT * np.abs(val)
-        val /= math.pi
-        if a > 1.0:                # _exp_terms, residue pair
-            r = y ** (1.0 / a)
-            th = math.pi / a
-            val += ((2.0 / a) * r ** (1.0 - b) * np.exp(r * math.cos(th))
-                    * np.cos(r * math.sin(th) + (1.0 - b) * th))
-        val = _lift_beta(a, b, down, up, -y, val)
+        val = val / math.pi + _exp_terms(a, b, y)[0]
+        val = _lift_beta(a, b, down, -y, val)
     return val, ok & np.isfinite(val)
 
 
@@ -577,8 +585,8 @@ def ml_row(alpha, beta, x, scalar=_ml):
 
       x == 0                         1/Gamma(beta)
       x < 0, kappa <= series_cutoff  power series, fixed term count
-      x < 0, non-integer alpha       branch cut on a fixed Gauss-Legendre
-                                     rule, kept where certified
+      x < 0, non-integer alpha,      branch cut on a fixed Gauss-Legendre
+      beta > alpha - 1.5             rule, kept where certified
       anything else                  scalar(alpha, beta, x_i), one call per
                                      element
 
@@ -603,7 +611,7 @@ def ml_row(alpha, beta, x, scalar=_ml):
         out[series] = _taylor_row(alpha, beta, xf[series], prec)
         done |= series
     cut = neg & ~series
-    if alpha not in (1.0, 2.0) and cut.any():
+    if alpha not in (1.0, 2.0) and not _strict(alpha, beta) and cut.any():
         idx = np.flatnonzero(cut)
         val, ok = _cut_row(alpha, beta, -xf[idx])
         out[idx[ok]] = val[ok]
@@ -654,7 +662,7 @@ def ml_identity_residuals(alpha: float, lam: float, t: float, h: float):
     p = DEFAULT_PRECISION
 
     def e(beta, s):
-        return _ml_raw(a, beta, -lam * s ** a, p)
+        return _ml(a, beta, -lam * s ** a, p)
 
     tm, tp = t - h, t + h
     cd1 = (e(1.0, tp) - e(1.0, tm)) / (2.0 * h)
@@ -666,18 +674,25 @@ def ml_identity_residuals(alpha: float, lam: float, t: float, h: float):
     return r1, r2, r3
 
 
-def kernel_moment(alpha: float, lam: float, h: float, k: int,
-                  p: MLPrecision = DEFAULT_PRECISION) -> float:
-    """Moments M_k = int_0^h s^k s^(a-1) E_{a,a}(-lam s^a) ds of the forcing
-    kernel, k in {0, 1}.
+def kernel_moments(alpha, t, row, deriv=False):
+    """(M0, M1): the moments int_0^t s^k K(s) ds, k = 0, 1, of the forcing
+    kernel K = s^(a-1) E_{a,a}(-lam s^a), or with deriv of its derivative's
+    kernel s^(a-2) E_{a,a-1}(-lam s^a); row(beta) is E_{a,beta}(-lam t^a),
+    a kernel-table row over a grid t or a scalar at one t.
 
-    M_0 = h^a E_{a,a+1}(-lam h^a).  M_1 sums the series
-    sum_n (-lam)^n h^(a n + a + 1) / ((a n + a + 1) Gamma(a n + a)); the
-    reciprocal-Gamma difference identity collapses it to
-    h^(a+1) [E_{a,a+1} - E_{a,a+2}](-lam h^a), term by term, which is what
-    is evaluated (the raw double series cancels catastrophically for large
-    lam h^a while the collapsed form inherits certified accuracy).
-    """
+      M0  = t^a E_{a,a+1}       M1  = t^(a+1) [E_{a,a+1} - E_{a,a+2}]
+      M'0 = t^(a-1) E_{a,a}     M'1 = t^a [E_{a,a} - E_{a,a+1}]
+
+    The reciprocal-Gamma difference identity collapses the series of M1
+    and M'1 to these forms term by term (the raw series cancels)."""
+    a = alpha
+    p0, p1, b0, b1 = ((a - 1.0, a, a, a + 1.0) if deriv
+                      else (a, a + 1.0, a + 1.0, a + 2.0))
+    e0 = row(b0)
+    return t ** p0 * e0, t ** p1 * (e0 - row(b1))
+
+
+def _moment(alpha, lam, h, k, p, deriv):
     if not 1.0 < alpha <= 2.0:
         raise DomainError("alpha must lie in (1, 2]")
     if lam < 0.0:
@@ -687,31 +702,20 @@ def kernel_moment(alpha: float, lam: float, h: float, k: int,
     if k not in (0, 1):
         raise DomainError("k must be 0 or 1")
     z = -lam * h ** alpha
-    if k == 0:
-        return h ** alpha * _ml_raw(alpha, alpha + 1.0, z, p)
-    return h ** (alpha + 1.0) * (_ml_raw(alpha, alpha + 1.0, z, p)
-                                 - _ml_raw(alpha, alpha + 2.0, z, p))
+    return kernel_moments(alpha, h, lambda beta: _ml(alpha, beta, z, p),
+                          deriv)[k]
+
+
+def kernel_moment(alpha: float, lam: float, h: float, k: int,
+                  p: MLPrecision = DEFAULT_PRECISION) -> float:
+    """M_k = int_0^h s^k s^(a-1) E_{a,a}(-lam s^a) ds, k in {0, 1}; the
+    closed forms are those of kernel_moments."""
+    return _moment(alpha, lam, h, k, p, deriv=False)
 
 
 def deriv_kernel_moment(alpha: float, lam: float, h: float, k: int,
                         p: MLPrecision = DEFAULT_PRECISION) -> float:
-    """Moments of the differentiated kernel s^(a-2) E_{a,a-1}(-lam s^a),
-    k in {0, 1}; the kernel is integrable for a > 1.
-
-    M'_0 = h^(a-1) E_{a,a}(-lam h^a) and
-    M'_1 = h^a [E_{a,a} - E_{a,a+1}](-lam h^a), both exact identities of the
-    defining series (same collapsing mechanism as kernel_moment).
-    """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (1, 2]")
-    if lam < 0.0:
-        raise DomainError("lam must be nonnegative")
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    if k not in (0, 1):
-        raise DomainError("k must be 0 or 1")
-    z = -lam * h ** alpha
-    if k == 0:
-        return h ** (alpha - 1.0) * _ml_raw(alpha, alpha, z, p)
-    return h ** alpha * (_ml_raw(alpha, alpha, z, p)
-                         - _ml_raw(alpha, alpha + 1.0, z, p))
+    """M'_k = int_0^h s^k s^(a-2) E_{a,a-1}(-lam s^a) ds, k in {0, 1}, the
+    moments of the differentiated kernel (integrable for a > 1); the closed
+    forms are those of kernel_moments."""
+    return _moment(alpha, lam, h, k, p, deriv=True)

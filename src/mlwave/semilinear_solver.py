@@ -18,8 +18,9 @@ import numpy as np
 
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
-from .linear_solver import (SolutionTrace, _KernelTable, _lag_weights,
-                            _norm_series, _unforced_rows)
+from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
+                            _norm_series, _panel_sum, _unforced_rows)
+from . import spectral_operator
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, evaluate, project,
                                 weighted_norm)
@@ -129,8 +130,6 @@ class NonlinearitySpec:
         if self.kind == "custom" and "r" in self.params:
             r = float(self.params["r"])
             return r, float(self.params.get("C", self.lipschitz_envelope(1.0)))
-        if self.kind == "zero":
-            return None     # no growth to restrict
         return None
 
     def apply(self, vals):
@@ -186,26 +185,12 @@ class NonlinearitySpec:
 
 
 @dataclass(frozen=True)
-class SemilinearProblem:
-    op: object
-    alpha: float
-    u0: SpectralField
-    u1: SpectralField
+class SemilinearProblem(ModalProblem):
     nonlinearity: NonlinearitySpec
 
     def validate(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise DomainError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if self.u0.N != self.u1.N:
-            raise DomainError("u0 and u1 must share the truncation order")
-        for f in (self.u0, self.u1):
-            if f.op is not self.op and f.op.name != self.op.name:
-                raise DomainError("initial data live on a different operator")
+        super().validate()
         self.nonlinearity.validate()
-
-    @property
-    def N(self):
-        return self.u0.N
 
 
 @dataclass(frozen=True)
@@ -287,17 +272,15 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
 # ------------------------------------------------------- window machinery
 
 class _Workspace:
-    """Per-run caches: Mittag-Leffler rows over the global grid, the
-    homogeneous part, product-integration weights per eigenvalue, and the
+    """Per-run caches: the kernel table over the global grid (its rows and
+    product-integration weights), the homogeneous part, and the
     collocation quadrature resolution."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
-        self.t = np.asarray(grid, dtype=float)
-        self.dt = float(self.t[1] - self.t[0])
         self.N = p.N
         self.lam = p.op.eigenvalues(p.N)
-        self.kt = _KernelTable(p.alpha, self.t)
+        self.kt = _KernelTable(p.alpha, grid)
         self.quad = (cfg.nonlinearity_quadrature
                      if cfg.nonlinearity_quadrature is not None
                      else max(4 * p.N, 40))
@@ -307,17 +290,6 @@ class _Workspace:
                 f"anti-aliasing floor 4N={4 * p.N}")
         self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
                                                   p.u0.coeffs, p.u1.coeffs)
-        self._weights = {}
-
-    def weights(self, n):
-        key = float(self.lam[n])
-        got = self._weights.get(key)
-        if got is None:
-            B, A = _lag_weights(self.kt, key, self.dt)
-            Bp, Ap = _lag_weights(self.kt, key, self.dt, deriv=True)
-            got = (B, A, Bp, Ap)
-            self._weights[key] = got
-        return got
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
@@ -354,7 +326,7 @@ class _Workspace:
             for n in range(N):
                 if not F_hist[:ia + 1, n].any():
                     continue
-                B, A, Bp, Ap = self.weights(n)
+                B, A, Bp, Ap = self.kt.weights(self.lam[n])
                 rev0 = F_hist[:ia, n][::-1]
                 rev1 = F_hist[1:ia + 1, n][::-1]
                 base_u[:, n] += (np.correlate(B[:ia + W], rev0, "valid")
@@ -378,11 +350,9 @@ class _Workspace:
                     f = Fw[:, n]
                     if not f.any():
                         continue
-                    B, A, Bp, Ap = self.weights(n)
-                    newU[1:, n] += (np.convolve(f[:-1], B[:W])
-                                    + np.convolve(f[1:], A[:W]))[:W]
-                    newDTU[1:, n] += (np.convolve(f[:-1], Bp[:W])
-                                      + np.convolve(f[1:], Ap[:W]))[:W]
+                    B, A, Bp, Ap = self.kt.weights(self.lam[n])
+                    newU[1:, n] += _panel_sum(f, B, A)
+                    newDTU[1:, n] += _panel_sum(f, Bp, Ap)
             if not (np.all(np.isfinite(newU)) and np.all(np.isfinite(newDTU))):
                 raise WindowFailure("iterate overflowed")
             d = float(np.max(self.combined_norms(newU - U, newDTU - DTU)))
@@ -591,8 +561,15 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     s = float(q) * (float(r) - 1.0)
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
-    phi = p.op.basis(p.N, _sup_grid(p.op)).reshape(-1, p.N)
-    sup_vals = np.array([np.max(np.abs(phi @ u)) for u in trace.u_coeffs])
+    # the spatial sup per time row, one product per basis block and run of
+    # rows, none larger than the block budget
+    sup_vals = np.zeros(len(trace.times))
+    for _, phi in p.op._blocks(p.N, _sup_grid(p.op)):
+        step = max(1, spectral_operator._BASIS_MAX // len(phi))
+        for lo in range(0, len(sup_vals), step):
+            rows = slice(lo, lo + step)
+            vals = np.abs(trace.u_coeffs[rows] @ phi.T).max(axis=1)
+            sup_vals[rows] = np.maximum(sup_vals[rows], vals)
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"
     return {"verdict": verdict,

@@ -258,6 +258,42 @@ class TestConvolveForcing:
             convolve_forcing(p, np.array([0.0]))
 
 
+class TestProductIntegration:
+    def test_panel_sum_is_the_causal_sum(self):
+        rng = np.random.default_rng(5)
+        f, B, A = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
+        got = linear_solver._panel_sum(f, B, A)
+        want = [sum(f[i - 1 - l] * B[l] + f[i - l] * A[l] for l in range(i))
+                for i in range(1, len(f))]
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_weights_built_once_per_eigenvalue(self, monkeypatch):
+        # the square's spectrum repeats eigenvalues; weights are built
+        # once per distinct value and served from the table after that
+        built = []
+        moments = linear_solver.kernel_moments
+
+        def counted(alpha, t, row, deriv=False):
+            built.append(deriv)
+            return moments(alpha, t, row, deriv)
+
+        monkeypatch.setattr(linear_solver, "kernel_moments", counted)
+        op = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=(math.pi, math.pi)))
+        N = 12
+        lam = op.eigenvalues(N)
+        f = ForcingSpec(kind="separable", g=field(op, np.ones(N)),
+                        h_name="constant", h_params={"value": 1.0})
+        p = problem(op, 1.5, np.zeros(N), np.zeros(N), f)
+        kt = linear_solver._KernelTable(1.5, np.linspace(0.0, 1.0, 11))
+        convolve_forcing(p, kt.t, kt)
+        distinct = len(set(lam))
+        assert distinct < N
+        assert built.count(False) == built.count(True) == distinct
+        assert kt.weights(lam[0]) is kt.weights(float(lam[0]))
+        assert len(built) == 2 * distinct
+
+
 class TestSolveLinear:
     def test_one_kernel_table_per_solve(self, monkeypatch):
         # 16 distinct eigenvalues, forced: rows at beta = 1, 2, a (shared by

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 from mlwave import (
     DEFAULT_PRECISION,
@@ -20,7 +21,7 @@ from mlwave import (
     ml_identity_residuals,
     ml_row,
 )
-from mlwave.mittag_leffler import _cut_row, _ml
+from mlwave.mittag_leffler import _cut_row, _ml, kernel_moments
 
 from conftest import ml_ref, ml_ref_row
 
@@ -192,6 +193,27 @@ class TestKernelMoments:
         a, h = 1.5, 0.7
         assert rel(deriv_kernel_moment(a, 0.0, h, 0),
                    h ** (a - 1.0) / gamma(a)) < 1e-13
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_grid_moments_match_the_scalar_views(self, deriv):
+        # one routine serves the kernel-table rows and the public views
+        a, lam = 1.4, 3.0
+        t = np.linspace(0.0, 2.0, 21)
+        m0, m1 = kernel_moments(a, t, lambda b: ml_row(a, b, -lam * t ** a),
+                                deriv)
+        view = deriv_kernel_moment if deriv else kernel_moment
+        for i in range(1, len(t)):
+            for k, m in ((0, m0), (1, m1)):
+                want = view(a, lam, float(t[i]), k)
+                # ml_row and _ml agree to the evaluator's tolerance
+                assert abs(m[i] - want) <= 1e-12 * abs(want), (i, k)
+
+    def test_views_share_one_argument_check(self):
+        for view in (kernel_moment, deriv_kernel_moment):
+            for args in ((1.0, 1.0, 1.0, 0), (1.5, -1.0, 1.0, 0),
+                         (1.5, 1.0, 0.0, 0), (1.5, 1.0, 1.0, 2)):
+                with pytest.raises(DomainError):
+                    view(*args)
 
 
 class TestValidation:
@@ -378,3 +400,65 @@ class TestIntegerAlphaLargeArgument:
         except AccuracyError:
             return
         assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12
+
+
+class TestNegativeBeta:
+    """beta <= alpha - 1.5 is integrated on the branch cut as it stands
+    (no step E_{a,b-a} = 1/Gamma(b-a) + x E_{a,b}, which multiplies the
+    error by |x|), and every route certifies such a value against rel_tol
+    with the residue pair's rounding included."""
+
+    @pytest.mark.parametrize("route", ["row", "scalar"])
+    def test_accurate_or_refused(self, route):
+        def ev(alpha, beta, x):
+            return (ml_row(alpha, beta, np.array([x]))[0] if route == "row"
+                    else _ml(alpha, beta, x))
+
+        x = -5e4
+        assert rel(ev(1.9, -2.5, x), ml_ref(1.9, -2.5, x)) < 1e-12
+        # near a = 2 these values sit close to a zero of the residue
+        # pair's cosine, and its rounding (1e-12 to 2e-11 of the value)
+        # cannot meet rel_tol
+        for alpha, beta, x in ((1.998, -0.7, -174166.19),
+                               (1.99, -0.7, -1e6)):
+            with pytest.raises(AccuracyError):
+                ev(alpha, beta, x)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.01, 1.15, 1.5, 1.9])
+    def test_rows_against_oracle(self, alpha):
+        # one to three steps of alpha below the solver rows' range, up to
+        # |x| = 1e5, where a step up in beta would amplify the error 1e15x
+        xs = -np.logspace(math.log10(5.0 ** alpha) + 0.01, 5, 9)
+        for beta in (alpha - 1.6, -1.5, -3.0):
+            got = ml_row(alpha, beta, xs)
+            for x, g in zip(xs, got):
+                want = ml_ref(alpha, beta, float(x))
+                assert rel(g, want) < 1e-12, (alpha, beta, x)
+                assert rel(_ml(alpha, beta, float(x)), want) < 1e-12
+
+    def test_below_the_cut_range_is_refused(self):
+        # the integrand's r^(1-b) e^-r bulk would reach the cut-off r = 200
+        with pytest.raises(AccuracyError):
+            ml_e(MLQuery(1.5, -70.0, -100.0))
+        with pytest.raises(AccuracyError):
+            ml_row(1.5, -70.0, np.array([-100.0]))
+
+    @prop(80)
+    @given(alpha=st.floats(1.01, 1.99), beta=st.floats(-3.0, 4.0),
+           x=st.floats(-1e5, 0.0, exclude_max=True))
+    def test_recurrence(self, alpha, beta, x):
+        # E_{a,b}(x) = 1/Gamma(b) + x E_{a,a+b}(x), which _cut uses to
+        # reduce beta, between two independently evaluated values.  alpha
+        # and beta go on a 2^-40 grid so that alpha + beta is exact: its
+        # rounding alone would move E_{a,a+b} by |dE/dbeta| ulp, up to
+        # 1e-12 of the scale near a zero of 1/Gamma(b - a)
+        alpha, beta = (round(v * 2.0 ** 40) * 2.0 ** -40
+                       for v in (alpha, beta))
+        try:
+            lhs = _ml(alpha, beta, x)
+            upper = _ml(alpha, alpha + beta, x)
+        except AccuracyError:
+            return
+        g = float(rgamma(beta))
+        scale = max(abs(g), abs(x * upper))
+        assert abs(lhs - (g + x * upper)) <= 1e-12 * scale

@@ -32,6 +32,7 @@ from mlwave import (
     solve_linear,
     strong_solution_check,
 )
+from mlwave import semilinear_solver, spectral_operator
 from mlwave.mittag_leffler import _ml
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
@@ -224,6 +225,18 @@ class TestProblemValidation:
             with pytest.raises(DomainError):
                 problem(op, alpha, [1.0], [0.0], nl).validate()
         problem(op, 1.5, [1.0], [0.0], nl).validate()
+
+    def test_shared_checks_keep_their_messages(self):
+        # one validation body for both problems; only the linear problem
+        # admits the alpha = 2 limit
+        op = interval_op()
+        with pytest.raises(DomainError, match=r"\(1, 2\), got 2.0"):
+            problem(op, 2.0, [1.0], [0.0], NonlinearitySpec()).validate()
+        lin = LinearProblem(op, 2.0, field(op, [1.0]), field(op, [0.0]),
+                            ForcingSpec())
+        lin.validate()
+        with pytest.raises(DomainError, match=r"\(1, 2\], got 2.5"):
+            LinearProblem(op, 2.5, lin.u0, lin.u1, lin.forcing).validate()
 
     def test_truncation_mismatch(self):
         op = interval_op()
@@ -511,3 +524,21 @@ class TestStrongSolutionCheck:
         out = run(p, 0.1, PicardConfig(), 0.01)
         with pytest.raises(DomainError):
             strong_solution_check(out, p, 2.0, 1.0)
+
+    def test_blocked_sup_matches_one_block(self, monkeypatch):
+        # a budget small enough that the 65 x 65 sup grid splits into
+        # several basis blocks and the time rows into several products
+        op = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=(math.pi, math.pi)))
+        n = np.arange(1, 9)
+        p = problem(op, 1.25, 0.2 / n ** 2, 0.1 / n ** 2,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 2.0}))
+        out = run(p, 0.1, PicardConfig(), 0.01)
+        whole = strong_solution_check(out, p, 2.0, 2.0)
+        monkeypatch.setattr(spectral_operator, "_BASIS_MAX", 8 * 500)
+        grid = semilinear_solver._sup_grid(op)
+        assert len(list(op._blocks(p.N, grid))) > 1
+        assert len(out.trace.times) > 8
+        blocked = strong_solution_check(out, p, 2.0, 2.0)
+        assert blocked["verdict"] == whole["verdict"] == "strong"
+        assert abs(blocked["norm"] - whole["norm"]) <= 1e-14 * whole["norm"]
