@@ -568,6 +568,8 @@ def _cmd_solve(args) -> int:
             "T_est": outcome.T_est,
             "windows": _windows_json(outcome.windows),
             "strong_check": outcome.strong_check,
+            "aliasing_est": outcome.aliasing_est,
+            "warnings": list(outcome.warnings),
         })
         status = outcome.status
     _write_atomic(os.path.join(out, "trace.csv"), _trace_csv(trace))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericFailure
 from .mittag_leffler import _ml, kernel_moments, ml_row
@@ -272,6 +273,28 @@ def _panel_sum(f, B, A):
     (B, A): at node i in 1..K, sum_{l < i} f[i-1-l] B[l] + f[i-l] A[l]."""
     K = len(f) - 1
     return (np.convolve(f[:-1], B[:K]) + np.convolve(f[1:], A[:K]))[:K]
+
+
+def _correlate_rows(w, f, count):
+    """np.correlate(w[..., n, :], f[n], "valid")[:count] for every mode row
+    n at once, out[..., n, k] = sum_j w[..., n, k + j] f[n, j]; leading
+    axes of w stack weight tables.  One vecdot over a zero-copy Toeplitz
+    view of w, so nothing of size count * f.shape[1] is built."""
+    J = f.shape[-1]
+    view = sliding_window_view(w[..., :count + J - 1], J, axis=-1)
+    return np.vecdot(view, np.ascontiguousarray(f)[:, None, :])
+
+
+def _panel_sums(F, B, A):
+    """_panel_sum of every mode row of F (samples at nodes 0..K) against
+    the same rows of B and A at once, as correlations with zero-led
+    weights; leading axes of B and A stack weight tables."""
+    K = F.shape[-1] - 1
+    lead = np.zeros(B.shape[:-1] + (K - 1,))
+    return (_correlate_rows(np.concatenate([lead, B[..., :K]], axis=-1),
+                            F[:, -2::-1], K)
+            + _correlate_rows(np.concatenate([lead, A[..., :K]], axis=-1),
+                              F[:, :0:-1], K))
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1):

@@ -225,13 +225,22 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
 _CUT_VMAX = 5.3                    # r = 200, e^-200 dwarfed
 
 
+def _sinpi(x):
+    """sin(pi x), exactly 0 at the integers: x is first reduced to the
+    nearest integer n, exactly, since math.sin(math.pi * n) is about
+    1.2e-16 n."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    return -s if n % 2 else s
+
+
 def _cut_setup(alpha, beta):
     """Constants of the branch-cut integrand for a reduced beta:
     (sin pi b, sin pi (b - a), cos pi a, w = a - b + 1, vmin)."""
     w = alpha - beta + 1.0         # at least 0.5
     if w > 60.0:                   # the r^w e^-r bulk nears r = 200
         raise AccuracyError(f"beta={beta} is below the branch cut's range")
-    return (math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha)),
+    return (_sinpi(beta), _sinpi(beta - alpha),
             math.cos(math.pi * alpha), w,
             -46.0 / w)             # e^(v w) below 1e-20 of anything
 

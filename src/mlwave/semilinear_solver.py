@@ -19,11 +19,14 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _norm_series, _panel_sum, _unforced_rows)
+                            _correlate_rows, _norm_series, _panel_sums,
+                            _unforced_rows)
 from . import spectral_operator
 from .mittag_leffler import ml_bound_probe
-from .spectral_operator import (SpectralField, evaluate, project,
-                                weighted_norm)
+from .spectral_operator import (SpectralField, _aliasing_warnings,
+                                _rule_panels, weighted_norm)
+# not called here: module names that `bench/run.py --trace 1` wraps
+from .spectral_operator import evaluate, project  # noqa: F401
 
 __all__ = [
     "NONLINEARITY_KINDS",
@@ -242,13 +245,57 @@ class RunOutcome:
     windows: tuple
     trace: SolutionTrace
     strong_check: dict | None = None
+    aliasing_est: float = 0.0       # largest over the accepted windows
+    warnings: tuple = ()
+
+
+def _row_blocks(op, N, x, n_rows):
+    """(points, rows, phi) over the basis blocks of x, each block's rows
+    0..n_rows-1 cut into runs whose rows-by-points products stay within
+    the block budget."""
+    for pts, phi in op._blocks(N, x):
+        step = max(1, spectral_operator._BASIS_MAX // len(phi))
+        for lo in range(0, n_rows, step):
+            yield pts, slice(lo, lo + step), phi
+
+
+def _collocate(f, op, C, N, panels):
+    """Coefficients of f(u) for each coefficient row u of C, collocated on
+    the composite rule with `panels` panels per axis: per basis block phi
+    and run of rows, V = C phi^T, then (w f(V)) phi.  Both products keep
+    the summation order of `evaluate` and `project`, modes added in
+    ascending order and one dot product per eigenfunction, so a row's
+    coefficients do not depend on the rows batched with it.  Non-finite
+    values of f raise OverflowSignal for the blow-up monitor."""
+    nodes, w, _ = op.rule(N, panels)
+    w = w.reshape(-1)
+    out = np.zeros((len(C), N))
+    for pts, rows, phi in _row_blocks(op, N, nodes, len(C)):
+        c, phi_t = C[rows], phi.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = c[:, :1] * phi_t[0]
+            for n in range(1, N):
+                vals += c[:, n:n + 1] * phi_t[n]
+            vals = f.apply(vals)
+        if not np.all(np.isfinite(vals)):
+            raise OverflowSignal("nonlinearity produced non-finite values")
+        out[rows] += np.vecdot((vals * w[pts])[:, None, :], phi_t)
+    return out
+
+
+def _aliasing(f, op, C, F, N, panels):
+    """Largest change of the coefficients F of f(C) on the rule with
+    `panels` panels when they are redone on the doubled rule."""
+    return float(np.max(np.abs(_collocate(f, op, C, N, 2 * panels) - F)))
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
                        quad_points: int) -> SpectralField:
     """Pseudo-spectral composition: collocate u, apply f pointwise,
-    project back to the leading N coefficients.  Non-finite pointwise
-    values raise OverflowSignal for the blow-up monitor."""
+    project back to the leading N coefficients, all as one row of the
+    solver's batched collocation.  The projection is redone on the doubled
+    rule for aliasing_est, with a warning past 1e-8 as `project` gives.
+    Non-finite pointwise values raise OverflowSignal."""
     f.validate()
     if quad_points < 4 * u.N:
         raise DomainError(
@@ -257,24 +304,20 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
     if f.kind == "zero":
         # quadrature of the zero function is exactly zero
         return SpectralField(u.op, np.zeros(u.N), u.N)
-
-    def composed(x):
-        vals = evaluate(u, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = f.apply(vals)
-        if not np.all(np.isfinite(out)):
-            raise OverflowSignal("nonlinearity produced non-finite values")
-        return out
-
-    return project(u.op, composed, u.N, quad_points)
+    panels = _rule_panels(quad_points)
+    C = u.coeffs[None, :]
+    c = _collocate(f, u.op, C, u.N, panels)
+    aliasing = _aliasing(f, u.op, C, c, u.N, panels)
+    return SpectralField(u.op, c[0], u.N, aliasing_est=aliasing,
+                         warnings=_aliasing_warnings(aliasing, u.N))
 
 
 # ------------------------------------------------------- window machinery
 
 class _Workspace:
-    """Per-run caches: the kernel table over the global grid (its rows and
-    product-integration weights), the homogeneous part, and the
-    collocation quadrature resolution."""
+    """Per-run caches: the kernel table over the global grid, its product-
+    integration weights stacked as one (4, modes, panels) table (B, B', A,
+    A'), the homogeneous part, and the collocation rule's resolution."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
@@ -288,19 +331,40 @@ class _Workspace:
             raise ConfigError(
                 f"nonlinearity_quadrature={self.quad} is below the "
                 f"anti-aliasing floor 4N={4 * p.N}")
+        self.panels = _rule_panels(self.quad)
         self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
                                                   p.u0.coeffs, p.u1.coeffs)
+        self._wt = np.zeros((4, self.N, len(grid) - 1))
+        self._have = np.zeros(self.N, dtype=bool)
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
         if self.p.nonlinearity.kind == "zero":
             return np.zeros_like(U_rows)
-        out = np.empty_like(U_rows)
-        for i in range(U_rows.shape[0]):
-            fld = SpectralField(self.p.op, U_rows[i], self.N)
-            out[i] = apply_nonlinearity(self.p.nonlinearity, fld,
-                                        self.quad).coeffs
-        return out
+        return _collocate(self.p.nonlinearity, self.p.op, U_rows, self.N,
+                          self.panels)
+
+    def aliasing(self, U_rows, F_rows):
+        """Aliasing estimate of the rows' f(u) coefficients F_rows: their
+        largest change on the doubled rule, inf if f overflows there."""
+        if self.p.nonlinearity.kind == "zero":
+            return 0.0
+        try:
+            return _aliasing(self.p.nonlinearity, self.p.op, U_rows, F_rows,
+                             self.N, self.panels)
+        except OverflowSignal:
+            return math.inf
+
+    def weights(self, cols, K):
+        """Left-node weights (B, B') and right-node weights (A, A') of the
+        modes cols over the first K panels, each (2, modes, K).  A mode's
+        kernel rows are built the first time it carries forcing."""
+        for n in cols[~self._have[cols]]:
+            B, A, Bp, Ap = self.kt.weights(self.lam[n])
+            self._wt[:, n] = B, Bp, A, Ap
+            self._have[n] = True
+        got = self._wt[:, cols, :K]
+        return got[:2], got[2:]
 
     def combined_norms(self, U, DTU):
         """Per-row ||u||_{V_gamma} + ||dtu||_{L2}."""
@@ -319,23 +383,22 @@ class _Workspace:
         history F_hist (rows 0..ia).  Returns (U, DTU, F, iterations,
         contraction) over the window nodes or raises WindowFailure."""
         W = ib - ia
-        N = self.N
         base_u = self.hom_u[ia:ib + 1].copy()
         base_dtu = self.hom_dtu[ia:ib + 1].copy()
-        if ia > 0:
-            for n in range(N):
-                if not F_hist[:ia + 1, n].any():
-                    continue
-                B, A, Bp, Ap = self.kt.weights(self.lam[n])
-                rev0 = F_hist[:ia, n][::-1]
-                rev1 = F_hist[1:ia + 1, n][::-1]
-                base_u[:, n] += (np.correlate(B[:ia + W], rev0, "valid")
-                                 + np.correlate(A[:ia + W], rev1, "valid"))
-                base_dtu[:, n] += (np.correlate(Bp[:ia + W], rev0, "valid")
-                                   + np.correlate(Ap[:ia + W], rev1, "valid"))
+        cols = np.flatnonzero(F_hist[:ia + 1].any(axis=0)) if ia > 0 else ()
+        if len(cols):
+            # the memory of the accepted panels, every forced mode at once
+            left, right = self.weights(cols, ia + W)
+            rev0 = F_hist[ia - 1::-1, cols].T
+            rev1 = F_hist[ia:0:-1, cols].T
+            with np.errstate(over="ignore", invalid="ignore"):
+                mem = (_correlate_rows(left, rev0, W + 1)
+                       + _correlate_rows(right, rev1, W + 1))
+                base_u[:, cols] += mem[0].T
+                base_dtu[:, cols] += mem[1].T
         U = base_u.copy()
         DTU = base_dtu.copy()
-        Fw = np.empty((W + 1, N))
+        Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         prev_d = None
         for it in range(1, cfg.max_iter + 1):
@@ -345,14 +408,12 @@ class _Workspace:
                 raise WindowFailure(str(sig)) from sig
             newU = base_u.copy()
             newDTU = base_dtu.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for n in range(N):
-                    f = Fw[:, n]
-                    if not f.any():
-                        continue
-                    B, A, Bp, Ap = self.kt.weights(self.lam[n])
-                    newU[1:, n] += _panel_sum(f, B, A)
-                    newDTU[1:, n] += _panel_sum(f, Bp, Ap)
+            cols = np.flatnonzero(Fw.any(axis=0))
+            if cols.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new = _panel_sums(Fw[:, cols].T, *self.weights(cols, W))
+                    newU[1:, cols] += new[0].T
+                    newDTU[1:, cols] += new[1].T
             if not (np.all(np.isfinite(newU)) and np.all(np.isfinite(newDTU))):
                 raise WindowFailure("iterate overflowed")
             d = float(np.max(self.combined_norms(newU - U, newDTU - DTU)))
@@ -494,6 +555,7 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     windows = []
     status = "completed"
     T_est = None
+    aliasing = 0.0
     i = 0
     window_time = heuristic_window(ws.trust_radius(cfg, U[0], DTU[0]))
     steps_cap = max(1, round(cfg.window_init / dt))
@@ -517,15 +579,15 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
         F[i + 1:ib + 1] = Fw[1:]
         norms = ws.combined_norms(Uw[1:], DTUw[1:])
         breach = np.where(norms > cfg.blowup_threshold)[0]
+        end = i + 1 + int(breach[0]) if breach.size else ib
+        windows.append(WindowRecord(grid[i], grid[end], iters, contraction))
+        kept = slice(1, end - i + 1)
+        aliasing = max(aliasing, ws.aliasing(Uw[kept], Fw[kept]))
+        i = end
         if breach.size:
-            j = i + 1 + int(breach[0])
-            windows.append(WindowRecord(grid[i], grid[j], iters, contraction))
             status = "maximal_time_detected"
-            T_est = grid[j]
-            i = j
+            T_est = grid[end]
             break
-        windows.append(WindowRecord(grid[i], grid[ib], iters, contraction))
-        i = ib
         steps = min(steps_cap, max(1, round(steps * 1.5)))
 
     last = i if status == "maximal_time_detected" else M
@@ -535,7 +597,9 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     trace = SolutionTrace(tt, Uf, DTUf, DAL, None,
                           _norm_series(Uf, DTUf, DAL, ws.lam, p.alpha))
     return RunOutcome(status=status, T_end=T_end, T_est=T_est,
-                      windows=tuple(windows), trace=trace)
+                      windows=tuple(windows), trace=trace,
+                      aliasing_est=aliasing,
+                      warnings=_aliasing_warnings(aliasing, p.N))
 
 
 def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
@@ -564,12 +628,10 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     # the spatial sup per time row, one product per basis block and run of
     # rows, none larger than the block budget
     sup_vals = np.zeros(len(trace.times))
-    for _, phi in p.op._blocks(p.N, _sup_grid(p.op)):
-        step = max(1, spectral_operator._BASIS_MAX // len(phi))
-        for lo in range(0, len(sup_vals), step):
-            rows = slice(lo, lo + step)
-            vals = np.abs(trace.u_coeffs[rows] @ phi.T).max(axis=1)
-            sup_vals[rows] = np.maximum(sup_vals[rows], vals)
+    for _, rows, phi in _row_blocks(p.op, p.N, _sup_grid(p.op),
+                                    len(sup_vals)):
+        vals = np.abs(trace.u_coeffs[rows] @ phi.T).max(axis=1)
+        sup_vals[rows] = np.maximum(sup_vals[rows], vals)
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"
     return {"verdict": verdict,

@@ -342,15 +342,24 @@ def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
         raise DomainError(
             f"quad_points={quad_points} is below the anti-aliasing floor "
             f"4N={4 * N}")
-    panels = max(1, math.ceil(quad_points / len(_GL_NODES)))
+    panels = _rule_panels(quad_points)
     c = _quad_coeffs(op, g, N, panels)
-    refined = _quad_coeffs(op, g, N, 2 * panels)
-    aliasing = float(np.max(np.abs(refined - c)))
-    warn = ()
+    aliasing = float(np.max(np.abs(_quad_coeffs(op, g, N, 2 * panels) - c)))
+    return SpectralField(op, c, N, aliasing_est=aliasing,
+                         warnings=_aliasing_warnings(aliasing, N))
+
+
+def _rule_panels(quad_points: int) -> int:
+    """Panels per axis of the composite rule with quad_points nodes."""
+    return max(1, math.ceil(quad_points / len(_GL_NODES)))
+
+
+def _aliasing_warnings(aliasing: float, N: int) -> tuple:
+    """The warning an aliasing estimate past 1e-8 carries, else ()."""
     if aliasing > 1e-8:
-        warn = (f"quadrature under-resolved: aliasing estimate {aliasing:.3e} "
-                f"over {N} coefficients",)
-    return SpectralField(op, c, N, aliasing_est=aliasing, warnings=warn)
+        return (f"quadrature under-resolved: aliasing estimate "
+                f"{aliasing:.3e} over {N} coefficients",)
+    return ()
 
 
 def evaluate(field: SpectralField, x):

@@ -405,6 +405,29 @@ class TestSolveSemilinearCli:
         scn = parse_scenario(json.dumps(doc["scenario"]))
         assert scn == parse_scenario(open(cfg).read())
 
+    def test_outcome_reports_the_run_aliasing(self, tmp_path):
+        smooth = write_config(
+            tmp_path, "smooth.json", N_modes=2, u0=[0.1, 0.05],
+            nonlinearity={"kind": "sine", "params": {"c": 0.2}},
+            grid={"t_end": 0.1, "dt": 0.01})
+        rough = write_config(
+            tmp_path, "rough.json", N_modes=4, u0=[6.0, 0.0, 0.0, 4.0],
+            nonlinearity={"kind": "sine", "params": {"c": 0.2}},
+            grid={"t_end": 0.1, "dt": 0.01},
+            picard={"nonlinearity_quadrature": 16})
+        docs = {}
+        for name, cfg in (("smooth", smooth), ("rough", rough)):
+            out = tmp_path / name
+            assert main(["solve", "semilinear", "--config", cfg,
+                         "--out", str(out)]) == 0
+            docs[name] = json.loads((out / "outcome.json").read_text())
+        assert docs["smooth"]["aliasing_est"] < 1e-8
+        assert docs["smooth"]["warnings"] == []
+        assert docs["rough"]["aliasing_est"] > 1e-8
+        assert len(docs["rough"]["warnings"]) == 1
+        assert docs["rough"]["warnings"][0].startswith(
+            "quadrature under-resolved")
+
     def test_blowup_still_exits_zero(self, tmp_path):
         cfg = write_config(
             tmp_path, N_modes=1, u0=[20.0],

@@ -21,7 +21,8 @@ from mlwave import (
     ml_identity_residuals,
     ml_row,
 )
-from mlwave.mittag_leffler import _cut_row, _ml, kernel_moments
+from mlwave.mittag_leffler import (_cut, _cut_row, _ml, _sinpi,
+                                   kernel_moments)
 
 from conftest import ml_ref, ml_ref_row
 
@@ -400,6 +401,31 @@ class TestIntegerAlphaLargeArgument:
         except AccuracyError:
             return
         assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12
+
+
+class TestSinPi:
+    """The branch cut's sin(pi b) and sin(pi (b - a)) vanish exactly at the
+    integers; math.sin(math.pi * n) is about 1.2e-16 n, which y times
+    swamps the integrand's numerator on the d2 row beta = a - 1."""
+
+    def test_exact_at_integers(self):
+        for n in range(-4, 5):
+            assert _sinpi(float(n)) == 0.0
+        assert _sinpi(0.5) == 1.0 and _sinpi(-0.5) == -1.0
+        assert _sinpi(1.5) == -1.0 and _sinpi(-1.5) == 1.0
+        for x in (0.3, 1.25, -2.7, 3.9):
+            assert _sinpi(x) == pytest.approx(math.sin(math.pi * x),
+                                              rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha, y", [(1.1309, 8.87e5), (1.7, 5e5),
+                                          (1.5, 1e5), (1.05, 1e6),
+                                          (1.3, 2e5), (1.9, 3e5)])
+    def test_d2_row_at_large_argument(self, alpha, y):
+        beta = alpha - 1.0
+        want = ml_ref(alpha, beta, -y)
+        assert rel(_cut(alpha, beta, y, DEFAULT_PRECISION.rel_tol),
+                   want) < 1e-12
+        assert rel(ml_row(alpha, beta, np.array([-y]))[0], want) < 1e-12
 
 
 class TestNegativeBeta:

@@ -33,6 +33,7 @@ from mlwave import (
     strong_solution_check,
 )
 from mlwave import semilinear_solver, spectral_operator
+from mlwave.linear_solver import _correlate_rows, _panel_sum, _panel_sums
 from mlwave.mittag_leffler import _ml
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
@@ -189,6 +190,161 @@ class TestApplyNonlinearity:
         with pytest.raises(OverflowSignal):
             apply_nonlinearity(
                 NonlinearitySpec("power", {"c": 1.0, "r": 3.0}), u, 64)
+
+
+CATALOG = {
+    "interval": OperatorSpecConfig(kind="dirichlet_laplacian_interval",
+                                   lengths=(math.pi,)),
+    "box2": OperatorSpecConfig(kind="dirichlet_laplacian_box",
+                               lengths=(1.0, 2.0)),
+    "neumann": OperatorSpecConfig(kind="neumann_laplacian_shifted",
+                                  lengths=(2.0,), shift=1.0),
+    "fractional": OperatorSpecConfig(
+        kind="spectral_fractional_power", power=0.5,
+        base=OperatorSpecConfig(kind="dirichlet_laplacian_interval",
+                                lengths=(math.pi,))),
+}
+
+NONLINEARITIES = {
+    "power": NonlinearitySpec("power", {"c": 1.0, "r": 3.0}),
+    "sine": NonlinearitySpec("sine", {"c": 0.7}),
+    "custom": NonlinearitySpec("custom", {"s": [-4.0, -1.0, 0.0, 0.5, 4.0],
+                                          "values": [-2.0, -1.5, 0.0, 0.25,
+                                                     3.0]}),
+}
+
+
+def coefficient_rows(rows, N, seed=0):
+    n = np.arange(1, N + 1)
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, N)) / n
+
+
+def per_row(f, op, C, quad):
+    """The per-row pseudo-spectral path: evaluate one row's field on the
+    rule, apply f, project."""
+    N = C.shape[1]
+    out = []
+    for c in C:
+        u = SpectralField(op, c, N)
+        out.append(spectral_operator.project(
+            op, lambda x, u=u: f.apply(spectral_operator.evaluate(u, x)), N,
+            quad).coeffs)
+    return np.array(out)
+
+
+def close(got, want, tol=1e-14):
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+class TestBatchedCollocation:
+    """apply_rows collocates every time row of a window at once: per basis
+    block, V = C phi^T, f(V) pointwise, (w f(V)) phi."""
+
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    @pytest.mark.parametrize("nl", sorted(NONLINEARITIES))
+    def test_rows_match_the_per_row_path(self, kind, nl):
+        op = make_operator(CATALOG[kind])
+        f = NONLINEARITIES[nl]
+        N, quad = 6, 40
+        C = coefficient_rows(5, N)
+        got = semilinear_solver._collocate(
+            f, op, C, N, spectral_operator._rule_panels(quad))
+        assert close(got, per_row(f, op, C, quad))
+        # apply_nonlinearity is one row of the same routine, with the
+        # doubled rule's aliasing estimate as project reports it
+        one = apply_nonlinearity(f, SpectralField(op, C[2], N), quad)
+        ref = spectral_operator.project(
+            op, lambda x: f.apply(spectral_operator.evaluate(
+                SpectralField(op, C[2], N), x)), N, quad)
+        assert close(one.coeffs, ref.coeffs)
+        assert one.aliasing_est == pytest.approx(ref.aliasing_est, rel=0,
+                                                 abs=1e-14)
+        assert one.warnings == ref.warnings
+
+    def test_under_resolved_row_warns_like_project(self):
+        op = interval_op()
+        u = field(op, [6.0, 0.0, 0.0, 4.0])
+        got = apply_nonlinearity(NonlinearitySpec("sine", {"c": 1.0}), u, 16)
+        assert got.aliasing_est > 1e-8
+        assert got.warnings == (
+            f"quadrature under-resolved: aliasing estimate "
+            f"{got.aliasing_est:.3e} over 4 coefficients",)
+
+    def test_blocks_and_row_runs_match_one_block(self, monkeypatch):
+        # a budget small enough that the 40 x 40 rule keeps no basis, its
+        # basis comes in several slabs and the rows in several runs
+        cfg = CATALOG["box2"]
+        f = NONLINEARITIES["power"]
+        N, panels = 4, 4
+        C = coefficient_rows(12, N, seed=3)
+        whole = semilinear_solver._collocate(f, make_operator(cfg), C, N,
+                                             panels)
+        budget = 400
+        monkeypatch.setattr(spectral_operator, "_BASIS_MAX", budget)
+        op = make_operator(cfg)
+        sizes = []
+
+        def spy(vals):
+            sizes.append(vals.size)
+            return f.apply(vals)
+
+        got = semilinear_solver._collocate(SimpleNamespace(apply=spy), op,
+                                           C, N, panels)
+        rule = op.rule(N, panels)
+        assert rule.basis is None
+        blocks = len(list(op._blocks(N, rule.nodes)))
+        assert blocks > 1
+        assert len(sizes) > blocks
+        assert max(sizes) <= budget
+        assert close(got, whole)
+
+    def test_one_overflowing_row_raises(self):
+        op = make_operator(CATALOG["box2"])
+        C = coefficient_rows(4, 5)
+        C[2, 0] = 1e200
+        with pytest.raises(OverflowSignal, match="non-finite"):
+            semilinear_solver._collocate(NONLINEARITIES["power"], op, C, 5,
+                                         4)
+
+    def test_zero_kind_never_builds_a_rule(self):
+        op = interval_op()
+        got = apply_nonlinearity(NonlinearitySpec(), field(op, [1.0, 2.0]),
+                                 64)
+        assert np.array_equal(got.coeffs, np.zeros(2))
+        assert op._rules == {}
+
+
+class TestBatchedCausalSums:
+    """The window's Volterra sums over every forced mode at once match the
+    per-mode _panel_sum and np.correlate."""
+
+    @pytest.mark.parametrize("K", [1, 2, 37])
+    def test_panel_sums_match_per_mode(self, K):
+        rng = np.random.default_rng(K)
+        F = rng.standard_normal((5, K + 1))
+        B, A = rng.standard_normal((2, 2, 5, K + 3))
+        got = _panel_sums(F, B, A)
+        assert got.shape == (2, 5, K)
+        for s in range(2):
+            for m in range(5):
+                want = _panel_sum(F[m], B[s, m], A[s, m])
+                scale = _panel_sum(np.abs(F[m]), np.abs(B[s, m]),
+                                   np.abs(A[s, m]))
+                assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("ia, W", [(1, 1), (3, 5), (40, 12)])
+    def test_memory_term_matches_correlate(self, ia, W):
+        rng = np.random.default_rng(ia + W)
+        w = rng.standard_normal((2, 4, ia + W + 2))
+        f = rng.standard_normal((4, ia))
+        got = _correlate_rows(w, f, W + 1)
+        assert got.shape == (2, 4, W + 1)
+        for s in range(2):
+            for m in range(4):
+                want = np.correlate(w[s, m, :ia + W], f[m], "valid")
+                scale = np.correlate(np.abs(w[s, m, :ia + W]),
+                                     np.abs(f[m]), "valid")
+                assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
 
 
 class TestPicardConfig:
@@ -478,6 +634,41 @@ class TestRun:
         out = run(p, 10.0, PicardConfig(), 0.01)
         assert out.status == "completed"
         assert out.strong_check is None
+
+
+class TestRunAliasing:
+    """run re-projects each accepted window's rows on the doubled rule once
+    and reports the largest change."""
+
+    def test_smooth_run_does_not_warn(self):
+        op = interval_op()
+        p = problem(op, 1.5, [0.1, 0.05], [0.0, 0.0],
+                    NonlinearitySpec("sine", {"c": 0.2}))
+        out = run(p, 0.1, PicardConfig(), 0.01)
+        assert 0.0 <= out.aliasing_est < 1e-8
+        assert out.warnings == ()
+
+    def test_under_resolved_run_warns(self):
+        op = interval_op()
+        f = NonlinearitySpec("sine", {"c": 0.2})
+        p = problem(op, 1.5, [6.0, 0.0, 0.0, 4.0], [0.0] * 4, f)
+        out = run(p, 0.1, PicardConfig(nonlinearity_quadrature=16), 0.01)
+        assert out.status == "completed"
+        assert out.aliasing_est > 1e-8
+        assert out.warnings == (
+            f"quadrature under-resolved: aliasing estimate "
+            f"{out.aliasing_est:.3e} over 4 coefficients",)
+        # the largest per-row estimate over the accepted rows
+        rows = [apply_nonlinearity(f, field(op, c), 16).aliasing_est
+                for c in out.trace.u_coeffs[1:]]
+        assert out.aliasing_est == pytest.approx(max(rows), rel=1e-12)
+
+    def test_zero_nonlinearity_reports_zero(self):
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0], NonlinearitySpec())
+        out = run(p, 0.5, PicardConfig(), 0.01)
+        assert out.aliasing_est == 0.0
+        assert out.warnings == ()
 
 
 class TestStrongSolutionCheck:
