@@ -42,6 +42,7 @@ _FORCING_KEYS = {"kind", "g", "h_name", "h_params", "h_samples", "table"}
 _NONLINEARITY_KEYS = {"kind", "params"}
 _PICARD_KEYS = set(asdict(PicardConfig()))
 _PICARD_INTS = {"max_iter", "nonlinearity_quadrature"}
+_LIST_PARAMS = {"s", "values", "coeffs"}    # tabulated catalog parameters
 
 
 # ------------------------------------------------------------- scenario
@@ -106,21 +107,62 @@ def _check_keys(doc, allowed, where):
             f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _operator_from_dict(doc) -> OperatorSpecConfig:
+def _number(value, label, problems):
+    """value as a finite float, or None after adding to problems: JSON
+    strings, null, lists, objects, booleans and numbers past the float
+    range are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    problems.append(f"{label} must be a finite number, got {value!r}")
+    return None
+
+
+def _numbers(value, label, problems):
+    """A list of finite numbers as floats, or None after adding to
+    problems."""
+    if not isinstance(value, list):
+        problems.append(f"{label} must be a list of numbers, got {value!r}")
+        return None
+    vals = [_number(v, f"{label}[{i}]", problems) for i, v in enumerate(value)]
+    return None if None in vals else vals
+
+
+def _params(value, label, problems):
+    """A catalog parameter object: a list of numbers under the tabulated
+    keys, a number under every other; None after adding to problems."""
+    if not isinstance(value, dict):
+        problems.append(f"{label} must be an object, got {value!r}")
+        return None
+    before = len(problems)
+    out = {key: (_numbers if key in _LIST_PARAMS else _number)(
+        v, f"{label}.{key}", problems) for key, v in value.items()}
+    return out if len(problems) == before else None
+
+
+def _operator_from_dict(doc, problems):
+    """The operator entry, or None after adding to problems."""
     if not isinstance(doc, dict):
         raise ConfigError("operator must be an object")
     _check_keys(doc, _OPERATOR_KEYS, "operator")
     if "kind" not in doc:
         raise ConfigError("operator needs a kind")
+    before = len(problems)
+    lengths = _numbers(doc.get("lengths", []), "operator.lengths", problems)
+    shift = _number(doc.get("shift", 0.0), "operator.shift", problems)
+    power = _number(doc.get("power", 0.0), "operator.power", problems)
+    q = _number(doc.get("q", 4.0), "operator.q", problems)
     base = doc.get("base")
-    return OperatorSpecConfig(
-        kind=doc["kind"],
-        lengths=tuple(float(L) for L in doc.get("lengths", ())),
-        shift=float(doc.get("shift", 0.0)),
-        power=float(doc.get("power", 0.0)),
-        base=_operator_from_dict(base) if base is not None else None,
-        q=float(doc.get("q", 4.0)),
-    )
+    if base is not None:
+        base = _operator_from_dict(base, problems)
+    if len(problems) > before:
+        return None
+    return OperatorSpecConfig(kind=doc["kind"], lengths=tuple(lengths),
+                              shift=shift, power=power, base=base, q=q)
 
 
 def _operator_to_dict(cfg: OperatorSpecConfig) -> dict:
@@ -213,7 +255,10 @@ def _normalize_forcing(doc, N, problems):
         out["g"] = list(g)
         out["h_name"] = doc.get("h_name")
         if doc.get("h_params") is not None:
-            out["h_params"] = _canon(doc["h_params"])
+            out["h_params"] = _params(doc["h_params"], "forcing.h_params",
+                                      problems)
+            if out["h_params"] is None:
+                return None
         if doc.get("h_samples") is not None:
             out["h_samples"] = _canon(doc["h_samples"])
     elif kind == "tabulated":
@@ -233,7 +278,10 @@ def _normalize_nonlinearity(doc, problems):
     if not isinstance(kind, str):
         problems.append("nonlinearity needs a kind")
         return None
-    out = {"kind": kind, "params": _canon(doc.get("params", {}))}
+    out = {"kind": kind, "params": _params(doc.get("params", {}),
+                                           "nonlinearity.params", problems)}
+    if out["params"] is None:
+        return None
     try:
         NonlinearitySpec(kind, dict(out["params"])).validate()
     except MLWaveError as exc:
@@ -268,15 +316,16 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         _check_keys(doc["picard"], _PICARD_KEYS, "picard")
 
     problems = []
-    operator = _operator_from_dict(doc["operator"])
-    try:
-        operator.validate()
-    except MLWaveError as exc:
-        problems.append(f"operator: {exc}")
+    operator = _operator_from_dict(doc["operator"], problems)
+    if operator is not None:
+        try:
+            operator.validate()
+        except MLWaveError as exc:
+            problems.append(f"operator: {exc}")
 
-    alpha = float(doc["alpha"])
+    alpha = _number(doc["alpha"], "alpha", problems)
     has_nl = doc.get("nonlinearity") is not None
-    if not 1.0 < alpha <= 2.0:
+    if alpha is not None and not 1.0 < alpha <= 2.0:
         problems.append(f"alpha must lie in (1, 2], got {alpha}")
     elif alpha == 2.0:
         if not allow_limit:
@@ -304,28 +353,31 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         nonlinearity = _normalize_nonlinearity(doc["nonlinearity"], problems)
 
     grid = doc.get("grid", {})
-    t_end = float(grid.get("t_end", 1.0))
-    dt = float(grid.get("dt", 0.01))
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        problems.append(f"grid.t_end must be positive and finite, got {t_end}")
-    if not (dt > 0.0 and math.isfinite(dt)):
-        problems.append(f"grid.dt must be positive and finite, got {dt}")
-    else:
-        M = round(t_end / dt)
+    t_end = _number(grid.get("t_end", 1.0), "grid.t_end", problems)
+    dt = _number(grid.get("dt", 0.01), "grid.dt", problems)
+    if t_end is not None and not t_end > 0.0:
+        problems.append(f"grid.t_end must be positive, got {t_end}")
+    if dt is not None and not dt > 0.0:
+        problems.append(f"grid.dt must be positive, got {dt}")
+    elif t_end is not None and dt is not None:
+        steps = t_end / dt
+        M = round(steps) if math.isfinite(steps) else 0
         if M < 1 or abs(M * dt - t_end) > 1e-12 * max(1.0, t_end):
             problems.append(
                 f"grid.dt={dt} does not divide t_end={t_end} within 1e-12")
 
     picard = asdict(PicardConfig())
+    before = len(problems)
     for key, val in doc.get("picard", {}).items():
-        if key in _PICARD_INTS:
-            picard[key] = int(val) if val is not None else None
-        else:
-            picard[key] = float(val) if val is not None else None
-    try:
-        PicardConfig(**picard).validate()
-    except MLWaveError as exc:
-        problems.append(f"picard: {exc}")
+        if val is None and picard[key] is None:
+            continue        # an optional setting left unset
+        x = _number(val, f"picard.{key}", problems)
+        picard[key] = int(x) if key in _PICARD_INTS and x is not None else x
+    if len(problems) == before:
+        try:
+            PicardConfig(**picard).validate()
+        except MLWaveError as exc:
+            problems.append(f"picard: {exc}")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -486,8 +538,15 @@ def _cmd_criticality(args) -> int:
     if args.qa is not None:
         subject = args.qa
     else:
-        subject = make_operator(_operator_from_dict(json.loads(
-            args.operator)))
+        try:
+            doc = json.loads(args.operator)
+        except ValueError as exc:
+            raise ConfigError(f"--operator is not valid JSON: {exc}") from exc
+        problems = []
+        cfg = _operator_from_dict(doc, problems)
+        if problems:
+            raise ConfigError("invalid operator: " + "; ".join(problems))
+        subject = make_operator(cfg)
     regime = classify(subject, args.alpha)
     print(json.dumps(_regime_json(regime), indent=2, sort_keys=True))
     if args.table:

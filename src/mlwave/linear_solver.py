@@ -41,18 +41,23 @@ def eval_time_function(name, params, t):
     """Named scalar time factors usable in separable forcing."""
     t = np.asarray(t, dtype=float)
     p = params or {}
-    if name == "constant":
-        return np.full(t.shape, float(p["value"]))
-    if name == "polynomial":
-        out = np.zeros(t.shape)
-        for c in reversed(list(p["coeffs"])):
-            out = out * t + float(c)
-        return out
-    if name == "sinusoid":
-        return float(p["amplitude"]) * np.sin(
-            float(p["omega"]) * t + float(p.get("phase", 0.0)))
-    if name == "exponential-decay":
-        return float(p["amplitude"]) * np.exp(-float(p["rate"]) * t)
+    try:
+        if name == "constant":
+            return np.full(t.shape, float(p["value"]))
+        if name == "polynomial":
+            out = np.zeros(t.shape)
+            for c in reversed(list(p["coeffs"])):
+                out = out * t + float(c)
+            return out
+        if name == "sinusoid":
+            return float(p["amplitude"]) * np.sin(
+                float(p["omega"]) * t + float(p.get("phase", 0.0)))
+        if name == "exponential-decay":
+            return float(p["amplitude"]) * np.exp(-float(p["rate"]) * t)
+    except KeyError as exc:
+        raise ConfigError(
+            f"time function {name!r} needs parameter {exc.args[0]!r}"
+        ) from exc
     raise ConfigError(
         f"unknown time function {name!r}; catalog: {TIME_FUNCTIONS}")
 
@@ -268,13 +273,6 @@ class _KernelTable:
         return self._weights[key]
 
 
-def _panel_sum(f, B, A):
-    """The causal Volterra sum of samples f at nodes 0..K against weights
-    (B, A): at node i in 1..K, sum_{l < i} f[i-1-l] B[l] + f[i-l] A[l]."""
-    K = len(f) - 1
-    return (np.convolve(f[:-1], B[:K]) + np.convolve(f[1:], A[:K]))[:K]
-
-
 def _correlate_rows(w, f, count):
     """np.correlate(w[..., n, :], f[n], "valid")[:count] for every mode row
     n at once, out[..., n, k] = sum_j w[..., n, k + j] f[n, j]; leading
@@ -286,9 +284,11 @@ def _correlate_rows(w, f, count):
 
 
 def _panel_sums(F, B, A):
-    """_panel_sum of every mode row of F (samples at nodes 0..K) against
-    the same rows of B and A at once, as correlations with zero-led
-    weights; leading axes of B and A stack weight tables."""
+    """The causal Volterra sums of every mode row of F (samples at nodes
+    0..K) against the same rows of the weights (B, A): at node i in 1..K,
+    sum_{l < i} F[n, i-1-l] B[n, l] + F[n, i-l] A[n, l], for all modes at
+    once as correlations with zero-led weights; leading axes of B and A
+    stack weight tables."""
     K = F.shape[-1] - 1
     lead = np.zeros(B.shape[:-1] + (K - 1,))
     return (_correlate_rows(np.concatenate([lead, B[..., :K]], axis=-1),
@@ -339,13 +339,13 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
     lam = p.op.eigenvalues(p.N)
     if kt is None:
         kt = _KernelTable(p.alpha, t)
-    for n in range(p.N):
-        f = F[:, n]
-        if not f.any():
-            continue
-        B, A, Bp, Ap = kt.weights(lam[n])
-        S3[1:, n] = _panel_sum(f, B, A)
-        S3p[1:, n] = _panel_sum(f, Bp, Ap)
+    cols = np.flatnonzero(F.any(axis=0))
+    if cols.size:
+        # (B, A, B', A') of each forced mode, then every mode's sums at once
+        wt = np.array([kt.weights(lam[n]) for n in cols]).swapaxes(0, 1)
+        S = _panel_sums(F[:, cols].T, wt[::2], wt[1::2])
+        S3[1:, cols] = S[0].T
+        S3p[1:, cols] = S[1].T
     return S3, S3p
 
 

@@ -21,10 +21,10 @@ from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
                             _correlate_rows, _norm_series, _panel_sums,
                             _unforced_rows)
-from . import spectral_operator
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
-                                _rule_panels, weighted_norm)
+                                _row_runs, _rule_panels, analysis, synthesis,
+                                weighted_norm)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -249,37 +249,19 @@ class RunOutcome:
     warnings: tuple = ()
 
 
-def _row_blocks(op, N, x, n_rows):
-    """(points, rows, phi) over the basis blocks of x, each block's rows
-    0..n_rows-1 cut into runs whose rows-by-points products stay within
-    the block budget."""
-    for pts, phi in op._blocks(N, x):
-        step = max(1, spectral_operator._BASIS_MAX // len(phi))
-        for lo in range(0, n_rows, step):
-            yield pts, slice(lo, lo + step), phi
-
-
 def _collocate(f, op, C, N, panels):
-    """Coefficients of f(u) for each coefficient row u of C, collocated on
-    the composite rule with `panels` panels per axis: per basis block phi
-    and run of rows, V = C phi^T, then (w f(V)) phi.  Both products keep
-    the summation order of `evaluate` and `project`, modes added in
-    ascending order and one dot product per eigenfunction, so a row's
-    coefficients do not depend on the rows batched with it.  Non-finite
-    values of f raise OverflowSignal for the blow-up monitor."""
-    nodes, w, _ = op.rule(N, panels)
-    w = w.reshape(-1)
-    out = np.zeros((len(C), N))
-    for pts, rows, phi in _row_blocks(op, N, nodes, len(C)):
-        c, phi_t = C[rows], phi.T
+    """Coefficients of f(u) for each coefficient row u of C on the
+    composite rule with `panels` panels per axis: per run of rows, grid
+    values by synthesis, f pointwise, weighted values back by analysis.
+    Non-finite values of f raise OverflowSignal for the blow-up monitor."""
+    _, w, factors = op.rule(N, panels)
+    out = np.empty((len(C), N))
+    for rows in _row_runs(len(C), w.size):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = c[:, :1] * phi_t[0]
-            for n in range(1, N):
-                vals += c[:, n:n + 1] * phi_t[n]
-            vals = f.apply(vals)
+            vals = f.apply(synthesis(factors, C[rows]))
         if not np.all(np.isfinite(vals)):
             raise OverflowSignal("nonlinearity produced non-finite values")
-        out[rows] += np.vecdot((vals * w[pts])[:, None, :], phi_t)
+        out[rows] = analysis(factors, vals * w)
     return out
 
 
@@ -625,13 +607,14 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     s = float(q) * (float(r) - 1.0)
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
-    # the spatial sup per time row, one product per basis block and run of
-    # rows, none larger than the block budget
-    sup_vals = np.zeros(len(trace.times))
-    for _, rows, phi in _row_blocks(p.op, p.N, _sup_grid(p.op),
-                                    len(sup_vals)):
-        vals = np.abs(trace.u_coeffs[rows] @ phi.T).max(axis=1)
-        sup_vals[rows] = np.maximum(sup_vals[rows], vals)
+    # the spatial sup per time row on a uniform tensor grid, per run of rows
+    axes = [np.linspace(lo, hi, 513 if p.op.dim == 1 else 65)
+            for lo, hi in p.op.domain_box]
+    factors = p.op.factors(p.N, axes)
+    sup_vals = np.empty(len(trace.times))
+    for rows in _row_runs(len(sup_vals), math.prod(map(len, axes))):
+        vals = synthesis(factors, trace.u_coeffs[rows])
+        sup_vals[rows] = np.abs(vals.reshape(len(vals), -1)).max(axis=1)
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"
     return {"verdict": verdict,
@@ -641,12 +624,3 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
             "exponent": s,
             "time_horizon": float(trace.times[-1])}
 
-
-def _sup_grid(op):
-    """Dense spatial sample for discrete sup norms."""
-    if op.dim == 1:
-        lo, hi = op.domain_box[0]
-        return np.linspace(lo, hi, 513)
-    axes = [np.linspace(lo, hi, 65) for lo, hi in op.domain_box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grids, axis=-1)

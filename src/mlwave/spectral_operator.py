@@ -2,12 +2,12 @@
 
 Everything downstream works in coefficient space, so an operator here is
 just its spectrum, held as arrays: a positive nondecreasing eigenvalue
-vector, the matrix of the matching L2-orthonormal eigenfunctions at any
-set of points, the spatial dimension, and the Sobolev exponent q_A of the
-embedding V_{1/2} -> L^{2 q_A}.  The catalog is restricted to domains with
-closed-form eigenpairs (intervals, boxes, a shifted Neumann variant, and
-spectral fractional powers of these), which is what makes independent
-oracle testing possible.
+vector, per-axis tables of the 1-D factors of the matching L2-orthonormal
+eigenfunctions at any tensor grid, the spatial dimension, and the Sobolev
+exponent q_A of the embedding V_{1/2} -> L^{2 q_A}.  The catalog is
+restricted to domains with closed-form eigenpairs (intervals, boxes, a
+shifted Neumann variant, and spectral fractional powers of these), which is
+what makes independent oracle testing possible.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_BASIS_MAX = 1 << 22        # doubles in one basis block (32 MB)
+_VALUES_MAX = 1 << 22       # doubles of one run of rows' grid values (32 MB)
 
 _KINDS = (
     "dirichlet_laplacian_interval",
@@ -120,14 +120,28 @@ class _BoxModes:
         return self.lam[:count], self.idx[:count]
 
 
-class _Rule(NamedTuple):
-    """Read-only tensor Gauss-Legendre rule: nodes as the integrand sees
-    them ((P,) in 1-D, (P_1, ..., P_d, d) otherwise), weights on the same
-    grid, and the basis there (grid shape + (N,); None past _BASIS_MAX)."""
+class _Factors(NamedTuple):
+    """Per-axis (J_i, P_i) factor tables of N modes, and each mode's flat
+    position in the (J_1, ..., J_d) grid of table rows (None in 1-D)."""
 
-    nodes: np.ndarray
+    tables: tuple
+    index: np.ndarray | None
+
+
+class _Rule(NamedTuple):
+    """Read-only tensor Gauss-Legendre rule: per-axis nodes, weights on
+    the (P_1, ..., P_d) grid and the factors of the basis there."""
+
+    axes: tuple
     weights: np.ndarray
-    basis: np.ndarray
+    factors: _Factors
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The grid as the integrand sees it, (P,) or (P_1, ..., P_d, d)."""
+        if len(self.axes) == 1:
+            return self.axes[0]
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
 
 class Operator:
@@ -162,12 +176,11 @@ class Operator:
         return float(self.eigenvalues(int(n))[-1])
 
     def basis(self, N: int, x) -> np.ndarray:
-        """phi_1..phi_N at x, shape x.shape + (N,) in 1-D, else
-        x.shape[:-1] + (N,).  A cached rule's node array gets that rule's
-        read-only matrix; other points must lie in the box."""
-        phi, shape, coords = self._grid(N, x)
-        return (phi if phi is not None
-                else self._factors(N, coords).reshape(shape + (N,)))
+        """phi_1..phi_N at points x in the box, shape x.shape + (N,) in
+        1-D, else x.shape[:-1] + (N,)."""
+        shape, phis = self._at(N, x)
+        # stored mode-major, so each eigenfunction's values are contiguous
+        return np.stack(list(phis)).T.reshape(shape + (N,))
 
     def eigenfunction(self, n: int, x):
         """phi_n at x; x broadcasts (scalar/array in 1-D, (..., dim) else)."""
@@ -177,30 +190,41 @@ class Operator:
 
     def rule(self, N: int, panels: int) -> _Rule:
         """Composite 10-node Gauss-Legendre rule with `panels` panels per
-        axis and its basis for N modes, built once per (N, panels)."""
+        axis and the factors of N modes there, built once per (N, panels)."""
         key = (int(N), int(panels))
         if key not in self._rules:
-            axes = [_panel_nodes(lo, hi, panels) for lo, hi in self.domain_box]
-            coords = np.ix_(*[xa for xa, _ in axes])
-            w = math.prod(np.ix_(*[wa for _, wa in axes]), start=1.0)
-            nodes = (coords[0] if self.dim == 1
-                     else np.stack(np.broadcast_arrays(*coords), axis=-1))
-            phi = (self._factors(N, coords) if w.size * N <= _BASIS_MAX
-                   else None)
-            got = _Rule(nodes, w, phi)
-            for arr in got:
+            xs, ws = zip(*[_panel_nodes(lo, hi, panels)
+                           for lo, hi in self.domain_box])
+            got = _Rule(xs, math.prod(np.ix_(*ws), start=1.0),
+                        self.factors(N, xs))
+            for arr in (*xs, got.weights, *got.factors.tables,
+                        got.factors.index):
                 if arr is not None:
                     arr.flags.writeable = False
-            self._rules[key] = got, coords
-        return self._rules[key][0]
+            self._rules[key] = got
+        return self._rules[key]
 
-    def _grid(self, N, x):
-        """(cached basis or None, shape, per-axis coordinates) of points x:
-        a cached rule's node array brings its basis and grid axes; other
-        points are checked to lie in the box and flattened."""
-        for (n, _), (rule, coords) in self._rules.items():
-            if rule.nodes is x and n == N:
-                return rule.basis, rule.weights.shape, coords
+    def factors(self, N: int, axes) -> _Factors:
+        """The first N modes at per-axis nodes axes: table i has row r =
+        c(j) trig(j pi x / L_i) at j = first + r."""
+        _, idx = self._modes.need(N)
+        rows = idx - self._modes.first
+        shape = tuple(rows.max(axis=0) + 1)
+        tables = []
+        for L, k, J, xi in zip(self._modes.lengths, self._modes.kvec, shape,
+                               axes):
+            j = np.arange(self._modes.first, self._modes.first + J)
+            amp = np.where(j == 0, math.sqrt(1.0 / L), math.sqrt(2.0 / L))
+            tables.append(amp[:, None]
+                          * self._trig(np.multiply.outer(j * k, xi)))
+        return _Factors(tuple(tables),
+                        np.ravel_multi_index(tuple(rows.T), shape)
+                        if self.dim > 1 else None)
+
+    def _at(self, N, x):
+        """(shape, phis) of points x, checked to lie in the box: phis
+        yields phi_1..phi_N at the flattened points, each the product of
+        its d factors."""
         xv = np.asarray(x, dtype=float)
         if self.dim == 1:
             shape, coords = xv.shape, [xv.reshape(-1)]
@@ -211,38 +235,10 @@ class Operator:
         for xi, (lo, hi) in zip(coords, self.domain_box):
             if np.any(xi < lo) or np.any(xi > hi):
                 raise DomainError("point outside the operator domain")
-        return None, shape, coords
-
-    def _blocks(self, N, x):
-        """Yield (rows, phi) over the points of x in order, phi the basis
-        at the flattened points `rows`: a cached rule basis whole, else
-        slabs along the grid's first axis of at most _BASIS_MAX doubles."""
-        phi, _, coords = self._grid(N, x)
-        if phi is not None:
-            yield slice(None), phi.reshape(-1, N)
-            return
-        shape = np.broadcast_shapes(*[xi.shape for xi in coords])
-        inner = math.prod(shape[1:])
-        step = max(1, _BASIS_MAX // (N * inner))
-        for s in range(0, max(shape[0], 1), step):
-            part = [xi[s:s + step] if len(xi) > 1 else xi for xi in coords]
-            yield (slice(s * inner, (s + step) * inner),
-                   self._factors(N, part).reshape(-1, N))
-
-    def _factors(self, N, coords):
-        """Basis from per-axis factor tables, coords broadcast together;
-        stored mode-major, so each eigenfunction's values are contiguous."""
-        _, idx = self._modes.need(N)
-        amp = np.ones(N)
-        for L, j in zip(self._modes.lengths, idx.T):
-            amp = amp * np.where(j == 0, math.sqrt(1.0 / L),
-                                 math.sqrt(2.0 / L))
-        out = amp.reshape((N,) + (1,) * coords[0].ndim)
-        for k, j, xi in zip(self._modes.kvec, idx.T, coords):
-            table = self._trig(np.multiply.outer(np.arange(j.max() + 1) * k,
-                                                 xi))
-            out = out * table[j]
-        return np.moveaxis(out, 0, -1)
+        tables = self.factors(N, coords).tables
+        rows = self._modes.need(N)[1] - self._modes.first
+        return shape, (math.prod(T[r] for T, r in zip(tables, at))
+                       for at in rows)
 
     def __repr__(self):
         return f"Operator({self.name}, dim={self.dim}, q_A={self.q_A})"
@@ -306,14 +302,48 @@ def _panel_nodes(lo, hi, panels):
 
 
 def _quad_coeffs(op, g, N, panels):
-    nodes, w, _ = op.rule(N, panels)
-    gv = np.asarray(g(nodes), dtype=float)
-    if gv.shape != w.shape:
+    rule = op.rule(N, panels)
+    gv = np.asarray(g(rule.nodes), dtype=float)
+    if gv.shape != rule.weights.shape:
         raise DomainError("function values must match the grid shape")
-    wg = (w * gv).reshape(-1)
-    # one dot product per contiguous eigenfunction row of each block
-    parts = [np.vecdot(p.T, wg[rows]) for rows, p in op._blocks(N, nodes)]
-    return sum(parts[1:], parts[0])
+    return analysis(rule.factors, (rule.weights * gv)[None])[0]
+
+
+def synthesis(factors: _Factors, C) -> np.ndarray:
+    """Grid values (rows, P_1, ..., P_d) of coefficient rows C, scattered
+    onto the (J_1, ..., J_d) table-row grid and contracted one axis at a
+    time, table rows added in ascending order: a row's values do not
+    depend on the rows with it."""
+    tables, index = factors
+    D = C
+    if index is not None:
+        D = np.zeros((len(C),) + tuple(len(T) for T in tables))
+        D.reshape(len(C), -1)[:, index] = C
+    for T in tables:
+        cols = D.swapaxes(0, 1)[..., None]      # cols[j] is D[:, j, ..., None]
+        acc = cols[0] * T[0]
+        for c, t in zip(cols[1:], T[1:]):
+            acc += c * t
+        D = acc
+    return D
+
+
+def analysis(factors: _Factors, V) -> np.ndarray:
+    """Coefficient rows, (rows, N), of weighted grid values V: one vecdot
+    per axis, the last axis first, then the modes gathered in order."""
+    tables, index = factors
+    *rest, T = tables
+    V = np.vecdot(V[..., None, :], T)
+    for k, T in enumerate(reversed(rest), start=2):
+        V = np.vecdot(V[(..., None) + (slice(None),) * k],
+                      T.reshape(T.shape + (1,) * (k - 1)), axis=-k)
+    return V if index is None else V.reshape(len(V), -1).take(index, axis=1)
+
+
+def _row_runs(count, points):
+    """Runs of rows 0..count-1, each within _VALUES_MAX values or one row."""
+    step = max(1, _VALUES_MAX // points)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
@@ -325,7 +355,7 @@ def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
     must be at least 4N so phi_N cannot alias on the composite rule.  All
     coefficients are re-done on a doubled rule; the largest difference is
     reported as aliasing_est with a warning past 1e-8.  Both rules are
-    cached on the operator, with their basis while it fits _BASIS_MAX.
+    cached on the operator with the per-axis factors of their basis.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -363,16 +393,10 @@ def _aliasing_warnings(aliasing: float, N: int) -> tuple:
 
 
 def evaluate(field: SpectralField, x):
-    """Sum of c_n phi_n(x) over the basis blocks; a float for one point.
-    Modes are added in ascending n, a fixed order that keeps runs bitwise
-    reproducible: numpy sums a multi-point block's strided mode axis so,
-    and a lone point's contiguous row, which it would sum pairwise, goes
-    through the sequential cumsum."""
-    op, c = field.op, field.coeffs
-    vals = [np.cumsum(p[0] * c)[-1:] if len(p) == 1 else (p * c).sum(axis=-1)
-            for _, p in op._blocks(field.N, x)]
-    vals = np.concatenate(vals) if len(vals) > 1 else vals[0]
-    shape = np.shape(x) if op.dim == 1 else np.shape(x)[:-1]
+    """Sum of c_n phi_n(x), modes added in ascending n, a fixed order that
+    keeps runs bitwise reproducible; a float for one point."""
+    shape, phis = field.op._at(field.N, x)
+    vals = sum(c * phi for c, phi in zip(field.coeffs, phis))
     return vals.reshape(shape) if shape else float(vals[0])
 
 

@@ -8,6 +8,7 @@ the only timestamp lives in summary.json metadata.
 import json
 import math
 import os
+from dataclasses import asdict
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -236,6 +237,80 @@ class TestParseScenario:
         scn = parse_scenario(scenario_text(alpha=2.0), allow_limit=True)
         again = parse_scenario(json.dumps(scn.echo()), allow_limit=True)
         assert again == scn
+
+
+# Small versions of the linear-forced and picard-blowup benchmark scenarios.
+MUTATION_BASE = {
+    "linear": scenario_doc(
+        N_modes=4, u0=[1.0, 0.5], u1=[0.2],
+        forcing={"kind": "separable", "g": [1.0, 0.25], "h_name": "sinusoid",
+                 "h_params": {"amplitude": 1.0, "omega": 3.0, "phase": 0.0}},
+        grid={"t_end": 0.1, "dt": 0.05}),
+    "semilinear": scenario_doc(
+        N_modes=4, u0=[20.0, 0.1], u1="zero",
+        nonlinearity={"kind": "power", "params": {"c": 1.0, "r": 3.0}},
+        grid={"t_end": 0.01, "dt": 0.005}),
+}
+NUMERIC_FIELDS = (
+    [(kind, path) for kind in MUTATION_BASE
+     for path in ("alpha", "grid.t_end", "grid.dt", "operator.lengths",
+                  "operator.lengths.0")]
+    + [("linear", "forcing.h_params"),
+       ("linear", "forcing.h_params.amplitude"),
+       ("semilinear", "nonlinearity.params"),
+       ("semilinear", "nonlinearity.params.c"),
+       ("semilinear", "nonlinearity.params.r")]
+    + [("semilinear", f"picard.{key}") for key in sorted(asdict(
+        PicardConfig()))])
+# mutations that leave a valid scenario: a unit interval, and null for the
+# picard settings that default to unset
+STILL_VALID = {("operator.lengths", "[1]"), ("picard.R_star", "null"),
+               ("picard.nonlinearity_quadrature", "null")}
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *head, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = doc
+    for key in head:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[last] = value
+    return doc
+
+
+class TestMistypedFields:
+    """A numeric scenario field holding anything but a number exits 1 with
+    an itemized error, never with a traceback."""
+
+    def solve(self, tmp_path, kind, doc):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        return main(["solve", kind, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("value", ["x", None, [1], {}],
+                             ids=["string", "null", "list", "object"])
+    @pytest.mark.parametrize("kind, path", NUMERIC_FIELDS,
+                             ids=[f"{k}-{p}" for k, p in NUMERIC_FIELDS])
+    def test_non_number_exits_one(self, tmp_path, capsys, kind, path, value):
+        rc = self.solve(tmp_path, kind,
+                        mutated(MUTATION_BASE[kind], path, value))
+        if (path, json.dumps(value)) in STILL_VALID:
+            assert rc == 0
+        else:
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(MUTATION_BASE))
+    def test_horizon_past_the_float_range_of_steps(self, tmp_path, capsys,
+                                                   kind):
+        doc = mutated(MUTATION_BASE[kind], "grid.t_end", 1e308)
+        assert self.solve(tmp_path, kind, doc) == 1
+        assert "does not divide" in capsys.readouterr().err
+
+    def test_huge_integer_is_not_a_number(self):
+        with pytest.raises(ConfigError, match="alpha must be a finite"):
+            parse_scenario(scenario_text().replace("1.5", "1" + "0" * 400))
 
 
 class TestSolveLinearCli:
@@ -517,6 +592,13 @@ class TestCriticalityCli:
         assert doc["r_star"] == "unbounded"
         assert doc["subcritical"] is True
         assert doc["supercritical_range_empty"] is True
+
+    @pytest.mark.parametrize("op", ['{"kind": "dirichlet_laplacian_interval"'
+                                    ', "lengths": ["x"]}', "{nope"])
+    def test_bad_operator_json_exits_one(self, capsys, op):
+        assert main(["criticality", "--operator", op,
+                     "--alpha", "1.5"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_box_operator_json(self, capsys):
         op = json.dumps({"kind": "dirichlet_laplacian_box",

@@ -261,10 +261,11 @@ class TestConvolveForcing:
 class TestProductIntegration:
     def test_panel_sum_is_the_causal_sum(self):
         rng = np.random.default_rng(5)
-        f, B, A = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
-        got = linear_solver._panel_sum(f, B, A)
-        want = [sum(f[i - 1 - l] * B[l] + f[i - l] * A[l] for l in range(i))
-                for i in range(1, len(f))]
+        F, B, A = (rng.normal(size=(3, 12)), rng.normal(size=(3, 15)),
+                   rng.normal(size=(3, 15)))
+        got = linear_solver._panel_sums(F, B, A)
+        want = [[sum(f[i - 1 - l] * b[l] + f[i - l] * a[l] for l in range(i))
+                 for i in range(1, len(f))] for f, b, a in zip(F, B, A)]
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):

@@ -33,7 +33,7 @@ from mlwave import (
     strong_solution_check,
 )
 from mlwave import semilinear_solver, spectral_operator
-from mlwave.linear_solver import _correlate_rows, _panel_sum, _panel_sums
+from mlwave.linear_solver import _correlate_rows, _panel_sums
 from mlwave.mittag_leffler import _ml
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
@@ -237,8 +237,9 @@ def close(got, want, tol=1e-14):
 
 
 class TestBatchedCollocation:
-    """apply_rows collocates every time row of a window at once: per basis
-    block, V = C phi^T, f(V) pointwise, (w f(V)) phi."""
+    """apply_rows collocates every time row of a window at once: per run of
+    rows, grid values by synthesis, f pointwise, weighted values back by
+    analysis."""
 
     @pytest.mark.parametrize("kind", sorted(CATALOG))
     @pytest.mark.parametrize("nl", sorted(NONLINEARITIES))
@@ -271,17 +272,16 @@ class TestBatchedCollocation:
             f"{got.aliasing_est:.3e} over 4 coefficients",)
 
     def test_blocks_and_row_runs_match_one_block(self, monkeypatch):
-        # a budget small enough that the 40 x 40 rule keeps no basis, its
-        # basis comes in several slabs and the rows in several runs
-        cfg = CATALOG["box2"]
+        # a budget of five rows' values on the 40 x 40 rule: the rows come
+        # in blocks of five, and each row's coefficients are those of one
+        # run, bit for bit
+        op = make_operator(CATALOG["box2"])
         f = NONLINEARITIES["power"]
         N, panels = 4, 4
         C = coefficient_rows(12, N, seed=3)
-        whole = semilinear_solver._collocate(f, make_operator(cfg), C, N,
-                                             panels)
-        budget = 400
-        monkeypatch.setattr(spectral_operator, "_BASIS_MAX", budget)
-        op = make_operator(cfg)
+        whole = semilinear_solver._collocate(f, op, C, N, panels)
+        budget = 5 * 40 * 40
+        monkeypatch.setattr(spectral_operator, "_VALUES_MAX", budget)
         sizes = []
 
         def spy(vals):
@@ -290,13 +290,28 @@ class TestBatchedCollocation:
 
         got = semilinear_solver._collocate(SimpleNamespace(apply=spy), op,
                                            C, N, panels)
+        assert sizes == [budget, budget, 2 * 40 * 40]
+        assert np.array_equal(got, whole)
+
+    def test_interval_rows_are_the_ascending_mode_sums(self):
+        # Pool entry 23 of the picard-blowup benchmark has a window that
+        # converges in exactly max_iter iterations at states near 2e5, so
+        # its acceptance rests on rounding: on the interval the collocation
+        # must stay this arithmetic, modes added in ascending order and one
+        # dot product per eigenfunction, bit for bit.
+        op = interval_op()
+        f = NONLINEARITIES["power"]
+        N, panels = 8, 4
+        C = 1e5 * coefficient_rows(6, N, seed=23)
+        got = semilinear_solver._collocate(f, op, C, N, panels)
         rule = op.rule(N, panels)
-        assert rule.basis is None
-        blocks = len(list(op._blocks(N, rule.nodes)))
-        assert blocks > 1
-        assert len(sizes) > blocks
-        assert max(sizes) <= budget
-        assert close(got, whole)
+        phi = [op.eigenfunction(n, rule.nodes) for n in range(1, N + 1)]
+        vals = C[:, :1] * phi[0]
+        for n in range(1, N):
+            vals += C[:, n:n + 1] * phi[n]
+        fw = f.apply(vals) * rule.weights
+        want = np.stack([np.vecdot(fw, p) for p in phi], axis=-1)
+        assert np.array_equal(got, want)
 
     def test_one_overflowing_row_raises(self):
         op = make_operator(CATALOG["box2"])
@@ -314,9 +329,16 @@ class TestBatchedCollocation:
         assert op._rules == {}
 
 
+def causal_sum(f, B, A):
+    """The causal Volterra sum written out panel by panel: at node i in
+    1..K, sum_{l < i} f[i-1-l] B[l] + f[i-l] A[l]."""
+    return np.array([sum(f[i - 1 - l] * B[l] + f[i - l] * A[l]
+                         for l in range(i)) for i in range(1, len(f))])
+
+
 class TestBatchedCausalSums:
     """The window's Volterra sums over every forced mode at once match the
-    per-mode _panel_sum and np.correlate."""
+    per-mode panel loop and np.correlate."""
 
     @pytest.mark.parametrize("K", [1, 2, 37])
     def test_panel_sums_match_per_mode(self, K):
@@ -327,8 +349,8 @@ class TestBatchedCausalSums:
         assert got.shape == (2, 5, K)
         for s in range(2):
             for m in range(5):
-                want = _panel_sum(F[m], B[s, m], A[s, m])
-                scale = _panel_sum(np.abs(F[m]), np.abs(B[s, m]),
+                want = causal_sum(F[m], B[s, m], A[s, m])
+                scale = causal_sum(np.abs(F[m]), np.abs(B[s, m]),
                                    np.abs(A[s, m]))
                 assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
 
@@ -717,8 +739,9 @@ class TestStrongSolutionCheck:
             strong_solution_check(out, p, 2.0, 1.0)
 
     def test_blocked_sup_matches_one_block(self, monkeypatch):
-        # a budget small enough that the 65 x 65 sup grid splits into
-        # several basis blocks and the time rows into several products
+        # a budget of three rows' values on the 65 x 65 sup grid splits
+        # the time rows into blocks; the sup matches one block and the
+        # dense basis on the same grid
         op = make_operator(OperatorSpecConfig(
             kind="dirichlet_laplacian_box", lengths=(math.pi, math.pi)))
         n = np.arange(1, 9)
@@ -726,10 +749,14 @@ class TestStrongSolutionCheck:
                     NonlinearitySpec("power", {"c": 1.0, "r": 2.0}))
         out = run(p, 0.1, PicardConfig(), 0.01)
         whole = strong_solution_check(out, p, 2.0, 2.0)
-        monkeypatch.setattr(spectral_operator, "_BASIS_MAX", 8 * 500)
-        grid = semilinear_solver._sup_grid(op)
-        assert len(list(op._blocks(p.N, grid))) > 1
-        assert len(out.trace.times) > 8
+        monkeypatch.setattr(spectral_operator, "_VALUES_MAX", 3 * 65 * 65)
+        assert len(out.trace.times) == 11
         blocked = strong_solution_check(out, p, 2.0, 2.0)
         assert blocked["verdict"] == whole["verdict"] == "strong"
-        assert abs(blocked["norm"] - whole["norm"]) <= 1e-14 * whole["norm"]
+        assert blocked["norm"] == whole["norm"]
+        axes = np.meshgrid(*[np.linspace(0.0, math.pi, 65)] * 2,
+                           indexing="ij")
+        phi = op.basis(p.N, np.stack(axes, axis=-1)).reshape(-1, p.N)
+        sup = np.abs(out.trace.u_coeffs @ phi.T).max(axis=1)
+        dense = float(np.trapezoid(sup ** 2.0, out.trace.times)) ** 0.5
+        assert abs(blocked["norm"] - dense) <= 1e-14 * dense

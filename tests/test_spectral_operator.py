@@ -15,6 +15,7 @@ from mlwave import (
     q_A_of,
     spectral_operator,
 )
+from mlwave.spectral_operator import analysis, synthesis
 
 INTERVAL_PI = OperatorSpecConfig("dirichlet_laplacian_interval",
                                  lengths=(math.pi,))
@@ -140,21 +141,22 @@ CATALOG_IDS = ["interval", "neumann", "box2", "box3", "fracpow"]
 @pytest.mark.parametrize("cfg", CATALOG, ids=CATALOG_IDS)
 class TestArrays:
     def test_rule_basis_orthonormal_under_its_weights(self, cfg):
-        # the doubled rule project checks against at the 4N node floor; its
-        # basis is cached below the block budget (all but box3) and built
-        # afresh past it
+        # the doubled rule project checks against at the 4N node floor:
+        # each per-axis factor table is orthonormal under its axis weights,
+        # so the modes are under the rule's weights
         op = make_operator(cfg)
         N = 10
-        nodes, w, _ = op.rule(N, 2 * math.ceil(4 * N / 10))
-        phi = op.basis(N, nodes)
-        P = phi.reshape(-1, N)
-        G = P.T @ (w.reshape(-1)[:, None] * P)
+        panels = 2 * math.ceil(4 * N / 10)
+        _, w, factors = op.rule(N, panels)
+        for T, (lo, hi) in zip(factors.tables, op.domain_box):
+            _, wa = spectral_operator._panel_nodes(lo, hi, panels)
+            assert np.max(np.abs((T * wa) @ T.T - np.eye(len(T)))) < 1e-12
+        G = analysis(factors, synthesis(factors, np.eye(N)) * w)
         assert np.max(np.abs(G - np.eye(N))) < 1e-12
 
     def test_rule_is_built_once(self, cfg):
         op = make_operator(cfg)
         assert op.rule(6, 3) is op.rule(6, 3)
-        assert op.basis(6, op.rule(6, 3).nodes) is op.rule(6, 3).basis
 
     def test_basis_columns_are_the_eigenfunctions(self, cfg):
         op = make_operator(cfg)
@@ -169,15 +171,14 @@ class TestArrays:
             assert np.array_equal(phi[:, n - 1], op.eigenfunction(n, x))
 
     def test_evaluate_adds_modes_in_ascending_order(self, cfg):
-        # the per-mode loop the basis matrix replaced, bit for bit
+        # the per-mode loop written out, bit for bit
         op = make_operator(cfg)
         N = 8
         c = np.random.default_rng(5).normal(size=N)
         field = SpectralField(op, c, N)
         nodes = op.rule(N, 4).nodes
         flat = nodes.reshape(-1) if op.dim == 1 else nodes.reshape(-1, op.dim)
-        # the cached rule, two points (a strided block), one point (a
-        # contiguous row) and no points
+        # the rule's nodes, two points, one point and no points
         for x in (nodes, flat[:2].copy(), flat[7].copy(), flat[:0].copy()):
             ref = 0.0
             for n in range(1, N + 1):
@@ -192,7 +193,8 @@ class TestArrays:
             return np.cos(x if x.ndim == 1 else x.sum(axis=-1))
 
         got = project(op, g, N, 4 * N).coeffs
-        nodes, w, _ = op.rule(N, math.ceil(4 * N / 10))
+        rule = op.rule(N, math.ceil(4 * N / 10))
+        nodes, w = rule.nodes, rule.weights
         ref = np.array([np.sum(op.eigenfunction(n, nodes) * w * g(nodes))
                         for n in range(1, N + 1)])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -211,31 +213,41 @@ class TestArrays:
 
     def test_blocks_past_the_budget_match_the_cached_basis(self, cfg,
                                                            monkeypatch):
+        # rows cut into runs by a budget of two rows' grid values and
+        # transformed with the rule's cached factor tables match one run,
+        # and both directions match the dense basis matrix
+        op = make_operator(cfg)
         N = 8
-        c = np.random.default_rng(11).normal(size=N)
-
-        def g(x):
-            return np.cos(x if x.ndim == 1 else x.sum(axis=-1))
-
-        results = []
-        for budget in (spectral_operator._BASIS_MAX, 3 * N):
-            monkeypatch.setattr(spectral_operator, "_BASIS_MAX", budget)
-            op = make_operator(cfg)
-            rule = op.rule(N, math.ceil(4 * N / 10))
-            results.append((rule.basis is None, project(op, g, N, 4 * N),
-                            evaluate(SpectralField(op, c, N), rule.nodes)))
-        (cached, p_whole, e_whole), (sliced, p_slab, e_slab) = results
-        assert not cached and sliced
-        # per-point sums keep their order; the projection adds slab sums
-        assert np.array_equal(e_slab, e_whole)
-        assert (np.max(np.abs(p_slab.coeffs - p_whole.coeffs))
-                <= 1e-14 * np.max(np.abs(p_whole.coeffs)))
+        rule = op.rule(N, math.ceil(4 * N / 10))
+        w, factors = rule.weights, rule.factors
+        C = np.random.default_rng(11).normal(size=(5, N))
+        whole = synthesis(factors, C)
+        monkeypatch.setattr(spectral_operator, "_VALUES_MAX", 2 * w.size)
+        runs = spectral_operator._row_runs(len(C), w.size)
+        assert len(runs) == 3
+        parts = [synthesis(factors, C[rows]) for rows in runs]
+        assert np.array_equal(np.concatenate(parts), whole)
+        phi = op.basis(N, rule.nodes).reshape(-1, N)
+        vals = whole.reshape(len(C), -1)
+        assert (np.max(np.abs(vals - C @ phi.T))
+                <= 1e-14 * np.max(np.abs(vals)))
+        got = analysis(factors, whole * w)
+        want = (vals * w.reshape(-1)) @ phi
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_cached_rule_arrays_reject_writes(self, cfg):
-        rule = make_operator(cfg).rule(4, 2)
-        for arr in rule:
+        axes, w, (tables, index) = make_operator(cfg).rule(4, 2)
+        for arr in (*axes, w, *tables) + (() if index is None else (index,)):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
+
+
+def test_three_dimensional_rule_holds_no_modes_by_nodes_array():
+    op = make_operator(CATALOG[CATALOG_IDS.index("box3")])
+    N = 16
+    axes, w, (tables, index) = op.rule(N, math.ceil(4 * N / 10))
+    assert max(a.size for a in (*axes, w, index, *tables)) < N * w.size
+    assert len(index) == N
 
 
 class TestEmbeddingExponent:
