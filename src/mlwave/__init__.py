@@ -24,6 +24,7 @@ from .mittag_leffler import (
     ml_e,
     ml_identity_residuals,
     ml_row,
+    ml_rows,
 )
 from .criticality import (
     UNBOUNDED,

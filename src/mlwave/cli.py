@@ -30,7 +30,7 @@ from .semilinear_solver import (NonlinearitySpec, PicardConfig,
                                 SemilinearProblem, run,
                                 strong_solution_check)
 from .spectral_operator import (OperatorSpecConfig, SpectralField,
-                                make_operator)
+                                _doubled_rule_nodes, make_operator)
 
 __all__ = ["Scenario", "parse_scenario", "main"]
 
@@ -43,6 +43,13 @@ _NONLINEARITY_KEYS = {"kind", "params"}
 _PICARD_KEYS = set(asdict(PicardConfig()))
 _PICARD_INTS = {"max_iter", "nonlinearity_quadrature"}
 _LIST_PARAMS = {"s", "values", "coeffs"}    # tabulated catalog parameters
+# Caps on the grid's steps, far above the longest horizons run (5e4
+# steps), and on the nodes over the whole box of the doubled collocation
+# rule the aliasing estimate builds, 32 MB of doubles (a 16-mode square
+# at its default rule needs 19600).  A larger value is refused here
+# instead of failing in numpy's allocation.
+_MAX_STEPS = 10 ** 6
+_MAX_RULE_NODES = 1 << 22
 
 
 # ------------------------------------------------------------- scenario
@@ -317,9 +324,11 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
 
     problems = []
     operator = _operator_from_dict(doc["operator"], problems)
+    dim = None          # the box's dimension, once the operator is valid
     if operator is not None:
         try:
             operator.validate()
+            dim = len((operator.base or operator).lengths)
         except MLWaveError as exc:
             problems.append(f"operator: {exc}")
 
@@ -365,6 +374,10 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         if M < 1 or abs(M * dt - t_end) > 1e-12 * max(1.0, t_end):
             problems.append(
                 f"grid.dt={dt} does not divide t_end={t_end} within 1e-12")
+        elif M > _MAX_STEPS:
+            problems.append(
+                f"grid.t_end/grid.dt = {M:.3g} steps exceeds the cap of "
+                f"{_MAX_STEPS} steps")
 
     picard = asdict(PicardConfig())
     before = len(problems)
@@ -374,10 +387,18 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         x = _number(val, f"picard.{key}", problems)
         picard[key] = int(x) if key in _PICARD_INTS and x is not None else x
     if len(problems) == before:
+        cfg = PicardConfig(**picard)
         try:
-            PicardConfig(**picard).validate()
+            cfg.validate()
         except MLWaveError as exc:
             problems.append(f"picard: {exc}")
+        else:
+            quad = cfg.quadrature(N)
+            if has_nl and dim is not None and \
+                    _doubled_rule_nodes(quad, dim) > _MAX_RULE_NODES:
+                problems.append(
+                    f"a {quad:.3g}-node rule per axis is doubled past the "
+                    f"cap of {_MAX_RULE_NODES} rule nodes on the {dim}-D box")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):

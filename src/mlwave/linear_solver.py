@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericFailure
-from .mittag_leffler import _ml, kernel_moments, ml_row
+from .mittag_leffler import _ml, kernel_moments, ml_rows, moment_betas
 from .spectral_operator import SpectralField, weighted_norm
 
 __all__ = [
@@ -210,6 +210,11 @@ def _propagate(u0, u1, lam, t, ta1, e1, e2, eaa):
     return u0 * e1 + u1 * t * e2, -u0 * lam * ta1 * eaa + u1 * e1
 
 
+def _propagator_betas(alpha):
+    """The betas of the rows _propagate takes: e1, e2 and eaa."""
+    return 1.0, 2.0, alpha
+
+
 def homogeneous_state(p: LinearProblem, t: float):
     """Coefficients (u, dtu) of the unforced evolution at one time."""
     p.validate()
@@ -219,17 +224,16 @@ def homogeneous_state(p: LinearProblem, t: float):
     lam = p.op.eigenvalues(p.N)
     if t == 0.0:
         return p.u0.coeffs.copy(), p.u1.coeffs.copy()
-    x = -lam * t ** a
-    e1 = ml_row(a, 1.0, x, _ml)
+    e1, e2, eaa = ml_rows(a, _propagator_betas(a), -lam * t ** a, _ml)
     return _propagate(p.u0.coeffs, p.u1.coeffs, lam, t, t ** (a - 1.0),
-                      e1, ml_row(a, 2.0, x, _ml), ml_row(a, a, x, _ml))
+                      e1, e2, eaa)
 
 
 class _KernelTable:
     """Both solvers' product-integration layer on one uniform grid: Mittag-
     Leffler rows over the grid offsets and the weights built from them,
     cached per eigenvalue as box spectra repeat them.  Rows come from
-    ml_row with this module's _ml as its scalar fallback, so a wrapper
+    ml_rows with this module's _ml as its scalar fallback, so a wrapper
     around _ml sees every point the array routes leave to it."""
 
     def __init__(self, alpha, times):
@@ -239,18 +243,33 @@ class _KernelTable:
         self._rows = {}
         self._weights = {}
 
-    def row(self, lam, beta):
-        key = (float(lam), float(beta))
-        got = self._rows.get(key)
-        if got is None:
-            got = ml_row(self.alpha, beta, -lam * self.ta, _ml)
-            self._rows[key] = got
-        return got
+    def row(self, lam, betas):
+        """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
+        each eigenvalue of lam, a scalar or an array: shape (len(betas),)
+        + np.shape(lam) + t.shape.  The rows the table lacks are built in
+        one ml_rows call, at the betas some requested eigenvalue lacks."""
+        lam = np.asarray(lam, dtype=float)
+        keys = lam.ravel().tolist()
+        have = self._rows
+        lacking = [(v, b) for v in dict.fromkeys(keys) for b in betas
+                   if (v, b) not in have]
+        if lacking:
+            new = list(dict.fromkeys(v for v, _ in lacking))
+            need = tuple(dict.fromkeys(b for _, b in lacking))
+            got = ml_rows(self.alpha, need,
+                          -np.array(new)[:, None] * self.ta, _ml)
+            for b, rows in zip(need, got):
+                for v, r in zip(new, rows):
+                    have.setdefault((v, b), r)
+        return np.array([[have[v, b] for v in keys] for b in betas]).reshape(
+            (len(betas),) + lam.shape + self.t.shape)
 
     def moment_steps(self, lam, deriv):
-        """Per-panel increments of the moments (M0, M1), or (M'0, M'1)."""
+        """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
+        one eigenvalue."""
         m0, m1 = kernel_moments(self.alpha, self.t,
-                                lambda beta: self.row(lam, beta), deriv)
+                                lambda beta: self.row(lam, (beta,))[0],
+                                deriv)
         m0[0] = m1[0] = 0.0
         return np.diff(m0), np.diff(m1)
 
@@ -259,7 +278,12 @@ class _KernelTable:
         against s^(a-1)E_aa and against s^(a-2)E_{a,a-1}: panel l
         contributes f_left B[l] + f_right A[l].  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact."""
+        the kernel, making constant forcing exact.  For an array of
+        eigenvalues, a (4, len(lam), panels) stack, whose rows are built
+        in one call first."""
+        if np.ndim(lam):
+            self.row(lam, moment_betas(self.alpha))
+            return np.array([self.weights(v) for v in lam]).swapaxes(0, 1)
         key = float(lam)
         if key not in self._weights:
             dt = float(self.t[1] - self.t[0])
@@ -306,18 +330,15 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1):
     U = np.zeros((M1, len(lam)))
     DTU = np.zeros((M1, len(lam)))
     live = np.flatnonzero((u0 != 0.0) | (u1 != 0.0))
-
-    def rows(beta):
-        return np.stack([kt.row(lam[n], beta) for n in live], axis=1)
-
     ta1 = np.zeros(M1)
     ta1[1:] = t[1:] ** (kt.alpha - 1.0)
     if live.size:
+        rows = kt.row(lam[live], _propagator_betas(kt.alpha)).swapaxes(1, 2)
         # callers check the result for non-finite values; no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             U[:, live], DTU[:, live] = _propagate(
                 u0[live], u1[live], lam[live], t[:, None], ta1[:, None],
-                rows(1.0), rows(2.0), rows(kt.alpha))
+                *rows)
     U[0] = u0
     DTU[0] = u1
     return U, DTU
@@ -342,7 +363,7 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
         # (B, A, B', A') of each forced mode, then every mode's sums at once
-        wt = np.array([kt.weights(lam[n]) for n in cols]).swapaxes(0, 1)
+        wt = kt.weights(lam[cols])
         S = _panel_sums(F[:, cols].T, wt[::2], wt[1::2])
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
@@ -387,6 +408,10 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     lam = p.op.eigenvalues(N)
     F = p.forcing.values(t, N)
     kt = _KernelTable(a, t)
+    # modes with both forcing and initial data need the propagator's rows
+    # and the moments': build them all in one call
+    both = F.any(axis=0) & ((p.u0.coeffs != 0.0) | (p.u1.coeffs != 0.0))
+    kt.row(lam[both], _propagator_betas(a) + moment_betas(a))
     S3, S3p = convolve_forcing(p, grid, kt)
 
     U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs)
@@ -405,9 +430,9 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         ta2 = np.zeros(M1)
         ta1[1:] = t[1:] ** (a - 1.0)
         ta2[1:] = t[1:] ** (a - 2.0)
+        EAM1, EAA = kt.row(lam, (a - 1.0, a))
         for n in range(N):
-            eam1 = kt.row(lam[n], a - 1.0)
-            eaa = kt.row(lam[n], a)
+            eam1, eaa = EAM1[n], EAA[n]
             D2[:, n] = (-p.u0.coeffs[n] * lam[n] * ta2 * eam1
                         - p.u1.coeffs[n] * lam[n] * ta1 * eaa
                         + F[0, n] * ta2 * eam1

@@ -19,11 +19,13 @@ Regime map on the negative axis (y = -x, kappa = y^(1/a)):
 The cancellation amplitude of the alternating series is e^kappa, hence the
 series cutoff lives in kappa space; an |x|-space cutoff fails for a < 1.
 
-ml_row evaluates a whole (alpha, beta) row at once with array code: the
-power series over a fixed term count and the branch cut on a fixed
-composite Gauss-Legendre rule with an embedded error estimate.  Points the
-estimate does not certify, and the routes without an array form, go to
-the scalar evaluator above, which stays the reference.
+ml_rows evaluates whole rows, one array of points at several betas, with
+array code: the power series over a fixed term count and the branch cut on
+a fixed composite Gauss-Legendre rule with an embedded error estimate,
+integrated once per reduced beta and lifted to the betas that share it.
+Points the estimate does not certify, and the routes without an array
+form, go to the scalar evaluator above, which stays the reference.  ml_row
+is its one-beta case.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ __all__ = [
     "DEFAULT_PRECISION",
     "ml_e",
     "ml_row",
+    "ml_rows",
     "ml_bound_probe",
     "ml_identity_residuals",
     "kernel_moment",
     "kernel_moments",
+    "moment_betas",
     "deriv_kernel_moment",
 ]
 
@@ -497,7 +501,7 @@ _CUT_TAIL = np.array([1.0, 0.6, 0.35, 0.18, 0.08])
 _CUT_BODY = np.array([-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX])
 _CUT_GRADE = 2.0                   # ratio of successive resonance offsets
 _CUT_CERT = 1e-13                  # accepted estimate, relative to |integral|
-_CHUNK = 1 << 17                   # doubles per (points x nodes) temporary
+_CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
 
 
 def _taylor_row(alpha, beta, x, prec):
@@ -529,9 +533,10 @@ def _taylor_row(alpha, beta, x, prec):
     return out
 
 
-def _cut_row(alpha, beta, y):
-    """_cut for an array y > 0 at non-integer alpha.  Returns (values,
-    certified).
+def _cut_row(alpha, b, y):
+    """The branch-cut value of E_{alpha,b}(-y) for an array y > 0, at non-
+    integer alpha and a reduced b (see _reduce_beta), before any lift.
+    Returns (values, certified), the values with the residue pair added.
 
     The integrand of _cut_core is integrated over the same [vmin, vmax] on
     panels cut at the y-independent breakpoints above and at offsets
@@ -543,7 +548,6 @@ def _cut_row(alpha, beta, y):
     (point, panel, node) and summed along their contiguous last axis, so a
     point's value depends on its own block alone."""
     a = alpha
-    b, down = _reduce_beta(a, beta)
     sb, sba, ca, w, vmin = _cut_setup(a, b)
     d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
     grade = d0 * _CUT_GRADE ** np.arange(
@@ -583,14 +587,14 @@ def _cut_row(alpha, beta, y):
             est[lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
         ok = est <= _CUT_CERT * np.abs(val)
         val = val / math.pi + _exp_terms(a, b, y)[0]
-        val = _lift_beta(a, b, down, -y, val)
-    return val, ok & np.isfinite(val)
+    return val, ok
 
 
-def ml_row(alpha, beta, x, scalar=_ml):
-    """E_{alpha,beta} at every element of the array x.
+def ml_rows(alpha, betas, x, scalar=_ml):
+    """E_{alpha,beta} at every element of the array x, for each beta in
+    betas: an array of shape (len(betas),) + x.shape.
 
-    The route is chosen per element up front:
+    The routes are chosen per element once for every beta:
 
       x == 0                         1/Gamma(beta)
       x < 0, kappa <= series_cutoff  power series, fixed term count
@@ -599,35 +603,54 @@ def ml_row(alpha, beta, x, scalar=_ml):
       anything else                  scalar(alpha, beta, x_i), one call per
                                      element
 
-    Each value depends on its own element only, never on the length or
-    order of x, and agrees with _ml to the evaluator's tolerance.  Like
-    _ml, non-finite values are returned, not raised.
+    The branch cut is integrated once per distinct reduced b of
+    _reduce_beta and lifted to each beta that shares it.  Each value
+    depends on its own element and beta only, never on the length or
+    order of x or on the other betas, and agrees with _ml to the
+    evaluator's tolerance.  Like _ml, non-finite values are returned, not
+    raised.
     """
-    MLQuery(alpha, beta, 0.0).validate()
+    for beta in betas:
+        MLQuery(alpha, beta, 0.0).validate()
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise DomainError("ml_row arguments must be finite")
+        raise DomainError("ml_rows arguments must be finite")
     xf = x.ravel()
-    out = np.empty(xf.shape)
-    done = xf == 0.0
-    out[done] = float(rgamma(beta))
+    out = np.empty((len(betas), xf.size))
+    zero = xf == 0.0
     neg = xf < 0.0
     kappa = np.zeros(xf.shape)
     kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
     prec = DEFAULT_PRECISION
     series = neg & (kappa <= prec.series_cutoff)
-    if series.any():
-        out[series] = _taylor_row(alpha, beta, xf[series], prec)
-        done |= series
-    cut = neg & ~series
-    if alpha not in (1.0, 2.0) and not _strict(alpha, beta) and cut.any():
-        idx = np.flatnonzero(cut)
-        val, ok = _cut_row(alpha, beta, -xf[idx])
-        out[idx[ok]] = val[ok]
-        done[idx[ok]] = True
-    for i in np.flatnonzero(~done):
-        out[i] = scalar(alpha, beta, float(xf[i]))
-    return out.reshape(x.shape)
+    cut = np.flatnonzero(neg & ~series)
+    y = -xf[cut]
+    cuts = {}                      # reduced b -> _cut_row(alpha, b, y)
+    for row, beta in zip(out, betas):
+        row[zero] = float(rgamma(beta))
+        done = zero | series
+        if series.any():
+            row[series] = _taylor_row(alpha, beta, xf[series], prec)
+        if alpha not in (1.0, 2.0) and not _strict(alpha, beta) and cut.size:
+            b, down = _reduce_beta(alpha, beta)
+            if b not in cuts:
+                cuts[b] = _cut_row(alpha, b, y)
+            val, ok = cuts[b]
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                val = _lift_beta(alpha, b, down, -y, val)
+            ok = ok & np.isfinite(val)
+            row[cut[ok]] = val[ok]
+            done[cut[ok]] = True
+        for i in np.flatnonzero(~done):
+            row[i] = scalar(alpha, beta, float(xf[i]))
+    return out.reshape((len(betas),) + x.shape)
+
+
+def ml_row(alpha, beta, x, scalar=_ml):
+    """E_{alpha,beta} at every element of the array x: the one-beta case
+    of ml_rows."""
+    return ml_rows(alpha, (beta,), x, scalar)[0]
 
 
 # ------------------------------------------------------- derived contracts
@@ -695,10 +718,16 @@ def kernel_moments(alpha, t, row, deriv=False):
     The reciprocal-Gamma difference identity collapses the series of M1
     and M'1 to these forms term by term (the raw series cancels)."""
     a = alpha
-    p0, p1, b0, b1 = ((a - 1.0, a, a, a + 1.0) if deriv
-                      else (a, a + 1.0, a + 1.0, a + 2.0))
+    ba, ba1, ba2 = moment_betas(a)
+    p0, p1, b0, b1 = ((a - 1.0, a, ba, ba1) if deriv
+                      else (a, a + 1.0, ba1, ba2))
     e0 = row(b0)
     return t ** p0 * e0, t ** p1 * (e0 - row(b1))
+
+
+def moment_betas(alpha):
+    """The betas of every row kernel_moments reads, with deriv or not."""
+    return alpha, alpha + 1.0, alpha + 2.0
 
 
 def _moment(alpha, lam, h, k, p, deriv):

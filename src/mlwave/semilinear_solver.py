@@ -223,6 +223,13 @@ class PicardConfig:
                 and self.nonlinearity_quadrature < 4):
             raise ConfigError("nonlinearity_quadrature must be >= 4")
 
+    def quadrature(self, N):
+        """Collocation nodes per axis for N modes: nonlinearity_quadrature,
+        or max(4N, 40) when it is unset."""
+        return (self.nonlinearity_quadrature
+                if self.nonlinearity_quadrature is not None
+                else max(4 * N, 40))
+
 
 @dataclass(frozen=True)
 class WindowRecord:
@@ -306,9 +313,7 @@ class _Workspace:
         self.N = p.N
         self.lam = p.op.eigenvalues(p.N)
         self.kt = _KernelTable(p.alpha, grid)
-        self.quad = (cfg.nonlinearity_quadrature
-                     if cfg.nonlinearity_quadrature is not None
-                     else max(4 * p.N, 40))
+        self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
             raise ConfigError(
                 f"nonlinearity_quadrature={self.quad} is below the "
@@ -339,12 +344,14 @@ class _Workspace:
 
     def weights(self, cols, K):
         """Left-node weights (B, B') and right-node weights (A, A') of the
-        modes cols over the first K panels, each (2, modes, K).  A mode's
-        kernel rows are built the first time it carries forcing."""
-        for n in cols[~self._have[cols]]:
-            B, A, Bp, Ap = self.kt.weights(self.lam[n])
-            self._wt[:, n] = B, Bp, A, Ap
-            self._have[n] = True
+        modes cols over the first K panels, each (2, modes, K).  The
+        weights of the modes that carry forcing for the first time are
+        built together, their kernel rows in one call."""
+        new = cols[~self._have[cols]]
+        if new.size:
+            # (B, A, B', A') stacked as (B, B', A, A')
+            self._wt[:, new] = self.kt.weights(self.lam[new])[[0, 2, 1, 3]]
+            self._have[new] = True
         got = self._wt[:, cols, :K]
         return got[:2], got[2:]
 

@@ -384,6 +384,12 @@ def _rule_panels(quad_points: int) -> int:
     return max(1, math.ceil(quad_points / len(_GL_NODES)))
 
 
+def _doubled_rule_nodes(quad_points: int, dim: int) -> int:
+    """Nodes over a dim-dimensional box of the doubled rule, the largest
+    rule that projecting or collocating with quad_points nodes builds."""
+    return (2 * _rule_panels(quad_points) * len(_GL_NODES)) ** dim
+
+
 def _aliasing_warnings(aliasing: float, N: int) -> tuple:
     """The warning an aliasing estimate past 1e-8 carries, else ()."""
     if aliasing > 1e-8:

@@ -26,6 +26,7 @@ from mlwave import (
     ml_e,
     solve_linear,
 )
+from mlwave import cli
 from mlwave.cli import Scenario, main, parse_scenario
 from mlwave.mittag_leffler import DEFAULT_PRECISION, MLQuery
 
@@ -307,6 +308,53 @@ class TestMistypedFields:
         doc = mutated(MUTATION_BASE[kind], "grid.t_end", 1e308)
         assert self.solve(tmp_path, kind, doc) == 1
         assert "does not divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(MUTATION_BASE))
+    def test_grid_past_the_step_cap_exits_one(self, tmp_path, capsys, kind):
+        # 1e300 / dt steps is a finite count that no array can hold
+        doc = mutated(MUTATION_BASE[kind], "grid.t_end", 1e300)
+        assert self.solve(tmp_path, kind, doc) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_rule_past_the_node_cap_exits_one(self, tmp_path, capsys):
+        doc = mutated(MUTATION_BASE["semilinear"],
+                      "picard.nonlinearity_quadrature", 1e308)
+        assert self.solve(tmp_path, "semilinear", doc) == 1
+        assert "rule nodes" in capsys.readouterr().err
+
+    def test_step_cap_admits_its_own_value(self):
+        base = MUTATION_BASE["semilinear"]
+        dt = 0.5
+        at = mutated(mutated(base, "grid.dt", dt), "grid.t_end",
+                     dt * cli._MAX_STEPS)
+        assert parse_scenario(json.dumps(at)).t_end == dt * cli._MAX_STEPS
+        past = mutated(at, "grid.t_end", dt * (cli._MAX_STEPS + 1))
+        with pytest.raises(ConfigError, match="steps exceeds the cap"):
+            parse_scenario(json.dumps(past))
+
+    def test_rule_cap_counts_every_axis(self, tmp_path, capsys):
+        # the cap bounds the doubled rule's nodes over the whole square:
+        # 10-node panels, 2 * panels per axis, squared
+        panels = math.isqrt(cli._MAX_RULE_NODES) // 20
+        assert (20 * panels) ** 2 <= cli._MAX_RULE_NODES \
+            < (20 * (panels + 1)) ** 2
+        box = mutated(mutated(MUTATION_BASE["semilinear"], "operator.kind",
+                              "dirichlet_laplacian_box"),
+                      "operator.lengths", [PI, PI])
+        box = mutated(box, "u0", [1.0, 0.1])
+        at = mutated(box, "picard.nonlinearity_quadrature", 10 * panels)
+        assert self.solve(tmp_path, "semilinear", at) == 0
+        past = mutated(at, "picard.nonlinearity_quadrature", 10 * panels + 1)
+        assert self.solve(tmp_path, "semilinear", past) == 1
+        assert "past the cap of" in capsys.readouterr().err
+        # the default rule, max(4N, 40) nodes per axis, is capped too
+        many = mutated(box, "N_modes", 3 * panels)
+        with pytest.raises(ConfigError, match="past the cap"):
+            parse_scenario(json.dumps(many))
+        # in 1-D the same count of nodes per axis is far inside the cap
+        parse_scenario(json.dumps(mutated(
+            MUTATION_BASE["semilinear"], "picard.nonlinearity_quadrature",
+            10 * panels + 1)))
 
     def test_huge_integer_is_not_a_number(self):
         with pytest.raises(ConfigError, match="alpha must be a finite"):

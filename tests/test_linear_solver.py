@@ -26,7 +26,7 @@ from mlwave import (
     strong_norm_probe,
 )
 from mlwave import linear_solver
-from mlwave.mittag_leffler import _ml
+from mlwave.mittag_leffler import _ml, ml_row
 
 E_15_1_M1 = 0.39662936531808808449       # E_{1.5,1}(-1)
 E_15_15_M1 = 0.70652803706417579426      # E_{1.5,1.5}(-1)
@@ -295,25 +295,85 @@ class TestProductIntegration:
         assert len(built) == 2 * distinct
 
 
+class TestKernelTable:
+    def test_rows_built_once_per_distinct_eigenvalue(self, monkeypatch):
+        # the square's spectrum repeats eigenvalues: one build of the
+        # requested betas over the distinct ones, rows equal to ml_row's
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append((betas, x.shape))
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        op = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=(math.pi, math.pi)))
+        lam = op.eigenvalues(12)
+        distinct = len(set(lam))
+        assert distinct < len(lam)
+        a = 1.5
+        kt = linear_solver._KernelTable(a, np.linspace(0.0, 40.0, 201))
+        betas = (1.0, 2.0, a, a + 1.0, a + 2.0)
+        got = kt.row(lam, betas)
+        assert built == [(betas, (distinct, 201))]
+        assert got.shape == (len(betas), len(lam), 201)
+        for beta, rows in zip(betas, got):
+            for v, row in zip(lam, rows):
+                want = ml_row(a, beta, -v * kt.t ** a)
+                assert row.tobytes() == want.tobytes()
+                assert kt.row(v, (beta,))[0].tobytes() == want.tobytes()
+        # a beta the table lacks is built alone, and only once
+        d2 = kt.row(lam[::-1], (a - 1.0, a))
+        kt.row(lam, (a - 1.0,))
+        assert built[1:] == [((a - 1.0,), (distinct, 201))]
+        assert d2[0, 0].tobytes() == ml_row(a, a - 1.0,
+                                            -lam[-1] * kt.t ** a).tobytes()
+
+    def test_rows_are_built_at_the_betas_asked_for(self, monkeypatch):
+        # unforced: the propagator's rows alone; forcing on a mode without
+        # initial data adds the moments' rows for that mode alone
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append((betas, x.shape))
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        op = interval_op()
+        grid = np.linspace(0.0, 1.0, 11)
+        u0, u1 = [1.0, 0.5, 0.0], [0.2, 0.0, 0.0]
+        solve_linear(problem(op, 1.5, u0, u1), grid)
+        assert built == [((1.0, 2.0, 1.5), (2, 11))]
+        built.clear()
+        f = ForcingSpec(kind="separable", g=field(op, [0.0, 0.0, 1.0]),
+                        h_name="constant", h_params={"value": 1.0})
+        solve_linear(problem(op, 1.5, u0, u1, f), grid)
+        assert built == [((1.5, 2.5, 3.5), (1, 11)),
+                         ((1.0, 2.0, 1.5), (2, 11))]
+
+
 class TestSolveLinear:
     def test_one_kernel_table_per_solve(self, monkeypatch):
-        # 16 distinct eigenvalues, forced: rows at beta = 1, 2, a (shared by
-        # the propagator and the derivative weights), a + 1 and a + 2
+        # 16 distinct eigenvalues, forced: one call builds every mode's rows
+        # at beta = 1, 2, a (shared by the propagator and the derivative
+        # weights), a + 1 and a + 2
         rows = []
         convolutions = []
-        ml_row = linear_solver.ml_row
+        ml_rows = linear_solver.ml_rows
         convolve = linear_solver.convolve_forcing
 
-        def counted_row(alpha, beta, x, scalar):
-            rows.append(beta)
-            return ml_row(alpha, beta, x, scalar)
+        def counted_rows(alpha, betas, x, scalar):
+            rows.append((betas, x.shape))
+            return ml_rows(alpha, betas, x, scalar)
 
         def counted_convolve(*args):
             # the solver calls it through the module name
             convolutions.append(args)
             return convolve(*args)
 
-        monkeypatch.setattr(linear_solver, "ml_row", counted_row)
+        monkeypatch.setattr(linear_solver, "ml_rows", counted_rows)
         monkeypatch.setattr(linear_solver, "convolve_forcing",
                             counted_convolve)
         op = interval_op()
@@ -323,8 +383,7 @@ class TestSolveLinear:
                         h_params={"amplitude": 1.0, "omega": 3.0})
         p = problem(op, 1.5, 1.0 / n ** 2, 0.5 / n ** 2, f)
         solve_linear(p, np.linspace(0.0, 2.0, 41))
-        assert len(rows) == 80
-        assert sorted(set(rows)) == [1.0, 1.5, 2.0, 2.5, 3.5]
+        assert rows == [((1.0, 2.0, 1.5, 2.5, 3.5), (16, 41))]
         assert len(convolutions) == 1
 
     def test_matches_homogeneous_state(self):

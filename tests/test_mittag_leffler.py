@@ -20,8 +20,10 @@ from mlwave import (
     ml_e,
     ml_identity_residuals,
     ml_row,
+    ml_rows,
 )
-from mlwave.mittag_leffler import (_cut, _cut_row, _ml, _sinpi,
+from mlwave import mittag_leffler
+from mlwave.mittag_leffler import (_cut, _cut_row, _ml, _reduce_beta, _sinpi,
                                    kernel_moments)
 
 from conftest import ml_ref, ml_ref_row
@@ -345,6 +347,63 @@ class TestMlRow:
             ml_row(2.5, 1.0, x)
         with pytest.raises(DomainError):
             ml_row(1.5, 1.0, np.array([-1.0, np.nan]))
+
+
+# arguments on every route: zero, the series band, the branch cut, and
+# positive values for the scalar route
+any_args = st.lists(
+    st.one_of(st.just(0.0),
+              st.floats(-2.0, 6.0).map(lambda e: -(10.0 ** e)),
+              st.floats(0.01, 4.0)),
+    min_size=1, max_size=12)
+
+
+class TestMlRows:
+    @prop(60)
+    @given(alpha=st.floats(1.01, 1.999), xs=any_args)
+    def test_equals_stacked_rows(self, alpha, xs):
+        x = np.array(xs)
+        betas = row_betas(alpha)
+        want = np.stack([ml_row(alpha, beta, x) for beta in betas])
+        assert ml_rows(alpha, betas, x).tobytes() == want.tobytes()
+        assert ml_rows(alpha, betas[::-1], x).tobytes() == \
+            want[::-1].tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_integer_alpha_equals_stacked_rows(self, alpha):
+        # no branch cut at integer alpha: every point past the series
+        # band takes the scalar route
+        x = np.array([0.0, -0.5, -30.0, -400.0, -2e3, 1.5])
+        betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
+        want = np.stack([ml_row(alpha, beta, x) for beta in betas])
+        assert ml_rows(alpha, betas, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_branch_cut_once_per_reduced_beta(self, alpha, monkeypatch):
+        calls = []
+        cut_row = mittag_leffler._cut_row
+
+        def counted(a, b, y):
+            calls.append(b)
+            return cut_row(a, b, y)
+
+        monkeypatch.setattr(mittag_leffler, "_cut_row", counted)
+        betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
+        got = ml_rows(alpha, betas, -np.logspace(-1, 5, 40))
+        assert len(calls) == 3
+        assert set(calls) == {_reduce_beta(alpha, b)[0] for b in betas}
+        monkeypatch.undo()
+        for row, beta in zip(got, betas):
+            assert row.tobytes() == \
+                ml_row(alpha, beta, -np.logspace(-1, 5, 40)).tobytes()
+
+    def test_shape(self):
+        x = -np.arange(6.0).reshape(2, 3)
+        got = ml_rows(1.5, (1.0, 2.0, 2.5), x)
+        assert got.shape == (3, 2, 3)
+        assert ml_rows(1.5, (), x).shape == (0, 2, 3)
+        with pytest.raises(DomainError):
+            ml_rows(1.5, (1.0, math.nan), x)
 
 
 class TestNearTwoAsymptotics:
