@@ -44,12 +44,15 @@ _PICARD_KEYS = set(asdict(PicardConfig()))
 _PICARD_INTS = {"max_iter", "nonlinearity_quadrature"}
 _LIST_PARAMS = {"s", "values", "coeffs"}    # tabulated catalog parameters
 # Caps on the grid's steps, far above the longest horizons run (5e4
-# steps), and on the nodes over the whole box of the doubled collocation
+# steps), on the nodes over the whole box of the doubled collocation
 # rule the aliasing estimate builds, 32 MB of doubles (a 16-mode square
-# at its default rule needs 19600).  A larger value is refused here
-# instead of failing in numpy's allocation.
+# at its default rule needs 19600), and on the modes, far above the 16
+# of the benchmark scenarios (a semilinear interval solve at the cap
+# peaks near 160 MB, at 4096 modes near 1.1 GB).  A larger value is refused
+# here instead of failing in numpy's allocation.
 _MAX_STEPS = 10 ** 6
 _MAX_RULE_NODES = 1 << 22
+_MAX_MODES = 1024
 
 
 # ------------------------------------------------------------- scenario
@@ -347,6 +350,9 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
     N = doc.get("N_modes", 8)
     if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
         problems.append(f"N_modes must be a positive integer, got {N!r}")
+        N = 8
+    elif N > _MAX_MODES:
+        problems.append(f"N_modes exceeds the cap of {_MAX_MODES} modes")
         N = 8
 
     u0 = _resolve_coeffs(doc["u0"], N, "u0", problems)

@@ -266,11 +266,11 @@ class _KernelTable:
 
     def moment_steps(self, lam, deriv):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
-        one eigenvalue."""
+        one eigenvalue, or of each of an array of them (one row each)."""
         m0, m1 = kernel_moments(self.alpha, self.t,
                                 lambda beta: self.row(lam, (beta,))[0],
                                 deriv)
-        m0[0] = m1[0] = 0.0
+        m0[..., 0] = m1[..., 0] = 0.0
         return np.diff(m0), np.diff(m1)
 
     def weights(self, lam):
@@ -279,22 +279,27 @@ class _KernelTable:
         contributes f_left B[l] + f_right A[l].  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
         the kernel, making constant forcing exact.  For an array of
-        eigenvalues, a (4, len(lam), panels) stack, whose rows are built
-        in one call first."""
-        if np.ndim(lam):
-            self.row(lam, moment_betas(self.alpha))
-            return np.array([self.weights(v) for v in lam]).swapaxes(0, 1)
-        key = float(lam)
-        if key not in self._weights:
+        eigenvalues, a (4, len(lam), panels) stack.  The weights of every
+        eigenvalue the table lacks are built at once, from rows built in
+        one call; the arithmetic is elementwise, so each eigenvalue's
+        weights are those of a build of it alone."""
+        keys = np.ravel(lam).tolist()
+        new = [v for v in dict.fromkeys(keys) if v not in self._weights]
+        if new:
+            new_lam = np.array(new)
+            self.row(new_lam, moment_betas(self.alpha))
             dt = float(self.t[1] - self.t[0])
             ell = np.arange(1, len(self.t))
             got = ()
             for deriv in (False, True):
-                w0, mm1 = self.moment_steps(key, deriv)
+                w0, mm1 = self.moment_steps(new_lam, deriv)
                 A = ell * w0 - mm1 / dt
                 got += (w0 - A, A)
-            self._weights[key] = got
-        return self._weights[key]
+            for i, v in enumerate(new):
+                self._weights[v] = tuple(w[i] for w in got)
+        if np.ndim(lam):
+            return np.array([self._weights[v] for v in keys]).swapaxes(0, 1)
+        return self._weights[keys[0]]
 
 
 def _correlate_rows(w, f, count):

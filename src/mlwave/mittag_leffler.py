@@ -22,7 +22,8 @@ series cutoff lives in kappa space; an |x|-space cutoff fails for a < 1.
 ml_rows evaluates whole rows, one array of points at several betas, with
 array code: the power series over a fixed term count and the branch cut on
 a fixed composite Gauss-Legendre rule with an embedded error estimate,
-integrated once per reduced beta and lifted to the betas that share it.
+integrated in one pass over every reduced beta and lifted to the betas
+that share one.
 Points the estimate does not certify, and the routes without an array
 form, go to the scalar evaluator above, which stays the reference.  ml_row
 is its one-beta case.
@@ -240,13 +241,11 @@ def _sinpi(x):
 
 def _cut_setup(alpha, beta):
     """Constants of the branch-cut integrand for a reduced beta:
-    (sin pi b, sin pi (b - a), cos pi a, w = a - b + 1, vmin)."""
+    (sin pi b, sin pi (b - a), w = a - b + 1)."""
     w = alpha - beta + 1.0         # at least 0.5
     if w > 60.0:                   # the r^w e^-r bulk nears r = 200
         raise AccuracyError(f"beta={beta} is below the branch cut's range")
-    return (_sinpi(beta), _sinpi(beta - alpha),
-            math.cos(math.pi * alpha), w,
-            -46.0 / w)             # e^(v w) below 1e-20 of anything
+    return _sinpi(beta), _sinpi(beta - alpha), w
 
 
 def _strict(alpha, beta):
@@ -262,7 +261,9 @@ def _cut_core(alpha, beta, y):
     value and a bound on its absolute error: quad's estimate, the
     integral's rounding and the residue pair's."""
     a = alpha
-    sb, sba, ca, w, vmin = _cut_setup(a, beta)
+    sb, sba, w = _cut_setup(a, beta)
+    ca = math.cos(math.pi * a)
+    vmin = -46.0 / w               # e^(v w) below 1e-20 of anything
 
     def g(v):
         r = math.exp(v)
@@ -492,13 +493,20 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 # the fine rule and checked against the coarse one on the same panel.
 _GL_FINE = np.polynomial.legendre.leggauss(20)
 _GL_COARSE = np.polynomial.legendre.leggauss(12)
+# The nodes of both rules side by side, and their weights as the two
+# columns of a matrix, so one product gives a panel's fine and coarse sums.
 _GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
-_GL_WEIGHTS = np.concatenate([_GL_FINE[1], _GL_COARSE[1]])
-_NF = len(_GL_FINE[0])
-# Panel breakpoints in v = log r that do not move with y: fractions of vmin
-# across the e^(v w) tail, then unit steps over the e^-r decay.
-_CUT_TAIL = np.array([1.0, 0.6, 0.35, 0.18, 0.08])
-_CUT_BODY = np.array([-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX])
+_GL_WEIGHTS = np.zeros((len(_GL_NODES), 2))
+_GL_WEIGHTS[:len(_GL_FINE[0]), 0] = _GL_FINE[1]
+_GL_WEIGHTS[len(_GL_FINE[0]):, 1] = _GL_COARSE[1]
+# Panel breakpoints in v = log r that do not move with y or b: fractions of
+# the lower limit across the e^(v w) tail, then unit steps over the e^-r
+# decay.  Every array cut has w = a - b + 1 >= 0.5, so one lower limit,
+# e^(v w) below 1e-20 of anything at w = 0.5, serves every b.
+_CUT_VMIN = -92.0
+_CUT_FIXED = np.concatenate([
+    _CUT_VMIN * np.array([1.0, 0.6, 0.35, 0.18, 0.1, 0.05]),
+    [-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX]])
 _CUT_GRADE = 2.0                   # ratio of successive resonance offsets
 _CUT_CERT = 1e-13                  # accepted estimate, relative to |integral|
 _CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
@@ -533,39 +541,43 @@ def _taylor_row(alpha, beta, x, prec):
     return out
 
 
-def _cut_row(alpha, b, y):
-    """The branch-cut value of E_{alpha,b}(-y) for an array y > 0, at non-
-    integer alpha and a reduced b (see _reduce_beta), before any lift.
-    Returns (values, certified), the values with the residue pair added.
+def _cut_rows(alpha, bs, y):
+    """The branch-cut values of E_{alpha,b}(-y) for an array y > 0, at non-
+    integer alpha, for each reduced b in bs (see _reduce_beta), before any
+    lift.  Returns one (values, certified) pair per b, the values with the
+    residue pair added.
 
-    The integrand of _cut_core is integrated over the same [vmin, vmax] on
-    panels cut at the y-independent breakpoints above and at offsets
-    s = v - v* from each point's resonance v* = log(y)/a, graded
-    geometrically down to the distance pi|a-1|/a of its poles from the real
-    axis.  Per point, the fine rule gives the value and the sum over panels
-    of |fine - coarse| the error estimate; a point is certified when that
-    estimate is below _CUT_CERT of the integral.  Arrays are laid out as
-    (point, panel, node) and summed along their contiguous last axis, so a
-    point's value depends on its own block alone."""
+    The integrand of _cut_core is integrated over [_CUT_VMIN, _CUT_VMAX] on
+    panels cut at the fixed breakpoints above and at offsets s = v - v*
+    from each point's resonance v* = log(y)/a, graded geometrically down to
+    the distance pi|a-1|/a of its poles from the real axis.  Per point, the
+    fine rule gives the value and the sum over panels of |fine - coarse|
+    the error estimate; a point is certified when that estimate is below
+    _CUT_CERT of the integral.  Nothing of the panels depends on b, so the
+    nodes, r = e^v, r^a and the denominator are built once per chunk for
+    every b; only the numerator and r^w e^-r are per b.  Arrays are laid
+    out as (point, panel, node), and each point's (panel, node) block is
+    reduced by its own matrix product with the weights, so a value depends
+    on its own point and b alone."""
     a = alpha
-    sb, sba, ca, w, vmin = _cut_setup(a, b)
+    consts = [_cut_setup(a, b) for b in bs]
+    ca = math.cos(math.pi * a)
     d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
     grade = d0 * _CUT_GRADE ** np.arange(
         max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
     offsets = np.concatenate([-grade[::-1], [0.0], grade])
-    fixed = np.concatenate([vmin * _CUT_TAIL, _CUT_BODY])
-    nodes = len(_GL_NODES) * (len(fixed) + len(offsets) - 1)
+    nodes = len(_GL_NODES) * (len(_CUT_FIXED) + len(offsets) - 1)
     step = max(1, _CHUNK // nodes)
-    val = np.empty(y.shape)
-    est = np.empty(y.shape)
+    val = np.empty((len(bs),) + y.shape)
+    est = np.empty(val.shape)
     # a non-finite integrand only costs certification
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(y), step):
             yc = y[lo:lo + step, None]
             bp = np.concatenate(
-                [np.broadcast_to(fixed, (len(yc), len(fixed))),
+                [np.broadcast_to(_CUT_FIXED, (len(yc), len(_CUT_FIXED))),
                  np.log(yc) / a + offsets], axis=1)
-            bp = np.sort(np.clip(bp, vmin, _CUT_VMAX), axis=1)
+            bp = np.sort(np.clip(bp, _CUT_VMIN, _CUT_VMAX), axis=1)
             h = 0.5 * np.diff(bp, axis=1)
             v = (bp[:, :-1] + h)[:, :, None] + h[:, :, None] * _GL_NODES
             yc = yc[:, :, None]
@@ -573,21 +585,20 @@ def _cut_row(alpha, b, y):
             den = ra + 2.0 * ca * yc
             den *= ra
             den += yc * yc
-            f = ra * sb
-            f += yc * sba
-            ra = np.exp(v)
-            v *= w
-            v -= ra
-            f *= np.exp(v)
-            f /= den
-            f *= _GL_WEIGHTS
-            fine = f[:, :, :_NF].sum(axis=2) * h
-            coarse = f[:, :, _NF:].sum(axis=2) * h
-            val[lo:lo + step] = fine.sum(axis=1)
-            est[lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
-        ok = est <= _CUT_CERT * np.abs(val)
-        val = val / math.pi + _exp_terms(a, b, y)[0]
-    return val, ok
+            r = np.exp(v)
+            for k, (sb, sba, w) in enumerate(consts):
+                f = ra * sb
+                f += yc * sba
+                e = v * w
+                e -= r
+                f *= np.exp(e, out=e)
+                f /= den
+                fine, coarse = (f @ _GL_WEIGHTS).transpose(2, 0, 1) * h
+                val[k, lo:lo + step] = fine.sum(axis=1)
+                est[k, lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
+        return [(val[k] / math.pi + _exp_terms(a, b, y)[0],
+                 est[k] <= _CUT_CERT * np.abs(val[k]))
+                for k, b in enumerate(bs)]
 
 
 def ml_rows(alpha, betas, x, scalar=_ml):
@@ -603,8 +614,8 @@ def ml_rows(alpha, betas, x, scalar=_ml):
       anything else                  scalar(alpha, beta, x_i), one call per
                                      element
 
-    The branch cut is integrated once per distinct reduced b of
-    _reduce_beta and lifted to each beta that shares it.  Each value
+    The branch cut is integrated in one pass over the distinct reduced b
+    of _reduce_beta and lifted to each beta that shares one.  Each value
     depends on its own element and beta only, never on the length or
     order of x or on the other betas, and agrees with _ml to the
     evaluator's tolerance.  Like _ml, non-finite values are returned, not
@@ -625,16 +636,19 @@ def ml_rows(alpha, betas, x, scalar=_ml):
     series = neg & (kappa <= prec.series_cutoff)
     cut = np.flatnonzero(neg & ~series)
     y = -xf[cut]
-    cuts = {}                      # reduced b -> _cut_row(alpha, b, y)
+    reduced = {}                   # beta -> (b, down) for the cut's betas
+    if alpha not in (1.0, 2.0) and cut.size:
+        reduced = {beta: _reduce_beta(alpha, beta) for beta in betas
+                   if not _strict(alpha, beta)}
+    bs = tuple(dict.fromkeys(b for b, _ in reduced.values()))
+    cuts = dict(zip(bs, _cut_rows(alpha, bs, y))) if bs else {}
     for row, beta in zip(out, betas):
         row[zero] = float(rgamma(beta))
         done = zero | series
         if series.any():
             row[series] = _taylor_row(alpha, beta, xf[series], prec)
-        if alpha not in (1.0, 2.0) and not _strict(alpha, beta) and cut.size:
-            b, down = _reduce_beta(alpha, beta)
-            if b not in cuts:
-                cuts[b] = _cut_row(alpha, b, y)
+        if beta in reduced:
+            b, down = reduced[beta]
             val, ok = cuts[b]
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):

@@ -332,6 +332,21 @@ class TestMistypedFields:
         with pytest.raises(ConfigError, match="steps exceeds the cap"):
             parse_scenario(json.dumps(past))
 
+    @pytest.mark.parametrize("kind", sorted(MUTATION_BASE))
+    def test_modes_past_the_cap_exit_one(self, tmp_path, capsys, kind):
+        # 10**30 modes once ended in an OverflowError traceback
+        doc = mutated(MUTATION_BASE[kind], "N_modes", 10 ** 30)
+        assert self.solve(tmp_path, kind, doc) == 1
+        assert "exceeds the cap of" in capsys.readouterr().err
+        past = mutated(doc, "N_modes", cli._MAX_MODES + 1)
+        with pytest.raises(ConfigError, match="N_modes exceeds the cap"):
+            parse_scenario(json.dumps(past))
+
+    @pytest.mark.parametrize("kind", sorted(MUTATION_BASE))
+    def test_mode_cap_admits_its_own_value(self, tmp_path, kind):
+        doc = mutated(MUTATION_BASE[kind], "N_modes", cli._MAX_MODES)
+        assert self.solve(tmp_path, kind, doc) == 0
+
     def test_rule_cap_counts_every_axis(self, tmp_path, capsys):
         # the cap bounds the doubled rule's nodes over the whole square:
         # 10-node panels, 2 * panels per axis, squared

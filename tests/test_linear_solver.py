@@ -269,14 +269,16 @@ class TestProductIntegration:
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):
-        # the square's spectrum repeats eigenvalues; weights are built
-        # once per distinct value and served from the table after that
+        # the square's spectrum repeats eigenvalues; the weights of every
+        # distinct value are built once, in one batched build, and served
+        # from the table after that
         built = []
         moments = linear_solver.kernel_moments
 
         def counted(alpha, t, row, deriv=False):
-            built.append(deriv)
-            return moments(alpha, t, row, deriv)
+            got = moments(alpha, t, row, deriv)
+            built.append((deriv, got[0].shape))
+            return got
 
         monkeypatch.setattr(linear_solver, "kernel_moments", counted)
         op = make_operator(OperatorSpecConfig(
@@ -290,9 +292,20 @@ class TestProductIntegration:
         convolve_forcing(p, kt.t, kt)
         distinct = len(set(lam))
         assert distinct < N
-        assert built.count(False) == built.count(True) == distinct
+        assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
         assert kt.weights(lam[0]) is kt.weights(float(lam[0]))
-        assert len(built) == 2 * distinct
+        kt.weights(lam[::-1])
+        assert len(built) == 2
+
+    def test_batched_weights_equal_single_builds(self):
+        t = np.linspace(0.0, 2.0, 41)
+        lam = (np.arange(1, 9) ** 2.0)[[3, 0, 7, 3, 5, 1]]
+        for a in (1.1, 1.5, 1.9):
+            got = linear_solver._KernelTable(a, t).weights(lam)
+            for i, v in enumerate(lam):
+                want = linear_solver._KernelTable(a, t).weights(float(v))
+                for g, w in zip(got[:, i], want):
+                    assert g.tobytes() == w.tobytes()
 
 
 class TestKernelTable:

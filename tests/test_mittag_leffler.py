@@ -23,8 +23,8 @@ from mlwave import (
     ml_rows,
 )
 from mlwave import mittag_leffler
-from mlwave.mittag_leffler import (_cut, _cut_row, _ml, _reduce_beta, _sinpi,
-                                   kernel_moments)
+from mlwave.mittag_leffler import (_cut, _cut_rows, _ml, _reduce_beta,
+                                   _sinpi, kernel_moments)
 
 from conftest import ml_ref, ml_ref_row
 
@@ -313,7 +313,7 @@ class TestMlRow:
         # rejects some points
         a, beta = 1.001, 1.001
         y = np.logspace(np.log10(5.0 ** a * 1.0001), 2, 40)
-        _, ok = _cut_row(a, beta, y)
+        [(_, ok)] = _cut_rows(a, (beta,), y)
         assert not ok.all()
         calls = []
 
@@ -380,22 +380,97 @@ class TestMlRows:
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_branch_cut_once_per_reduced_beta(self, alpha, monkeypatch):
+        # one pass over the branch cut, at each distinct reduced b once
         calls = []
-        cut_row = mittag_leffler._cut_row
+        cut_rows = mittag_leffler._cut_rows
 
-        def counted(a, b, y):
-            calls.append(b)
-            return cut_row(a, b, y)
+        def counted(a, bs, y):
+            calls.append(bs)
+            return cut_rows(a, bs, y)
 
-        monkeypatch.setattr(mittag_leffler, "_cut_row", counted)
+        monkeypatch.setattr(mittag_leffler, "_cut_rows", counted)
         betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
         got = ml_rows(alpha, betas, -np.logspace(-1, 5, 40))
-        assert len(calls) == 3
-        assert set(calls) == {_reduce_beta(alpha, b)[0] for b in betas}
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(
+            {_reduce_beta(alpha, b)[0] for b in betas})
+        assert len(calls[0]) == 3
         monkeypatch.undo()
         for row, beta in zip(got, betas):
             assert row.tobytes() == \
                 ml_row(alpha, beta, -np.logspace(-1, 5, 40)).tobytes()
+
+    @prop(40)
+    @given(alpha=st.floats(1.01, 1.999),
+           fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=5),
+           ys=st.lists(st.floats(0.7, 6.0).map(lambda e: 10.0 ** e),
+                       min_size=1, max_size=8))
+    def test_cut_pass_values_independent_of_other_b(self, alpha, fracs, ys):
+        # b anywhere in (a - 1.5, a + 0.5], grouped and ordered at will
+        bs = tuple(alpha - 1.5 + 2.0 * f for f in fracs)
+        y = np.array(ys)
+        got = _cut_rows(alpha, bs, y)
+        for k, b in enumerate(bs):
+            [(val, ok)] = _cut_rows(alpha, (b,), y)
+            assert got[k][0].tobytes() == val.tobytes()
+            assert got[k][1].tobytes() == ok.tobytes()
+        back = _cut_rows(alpha, bs[::-1], y)[::-1]
+        for (v1, ok1), (v2, ok2) in zip(got, back):
+            assert v1.tobytes() == v2.tobytes()
+            assert ok1.tobytes() == ok2.tobytes()
+
+    @prop(60)
+    @given(alpha=st.floats(1.01, 1.99), xs=any_args,
+           seams=st.lists(st.tuples(st.sampled_from(("series", "asym",
+                                                     "kappa30")),
+                                    st.floats(-1e-3, 1e-3)),
+                          max_size=6))
+    def test_handoff_to_scalar_evaluator(self, alpha, xs, seams):
+        # every route, and both sides of the scalar evaluator's route
+        # boundaries (kappa = series_cutoff, y = asym_cutoff, kappa = 30)
+        p = DEFAULT_PRECISION
+        at = {"series": p.series_cutoff ** alpha, "asym": p.asym_cutoff,
+              "kappa30": 30.0 ** alpha}
+        x = np.array(xs + [-at[k] * (1.0 + d) for k, d in seams])
+        betas = row_betas(alpha)
+        for beta, row in zip(betas, ml_rows(alpha, betas, x)):
+            for xi, g in zip(x, row):
+                want = _ml(alpha, beta, float(xi))
+                assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (alpha, beta, xi, g, want)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    def test_cut_at_the_ends_of_w(self, alpha):
+        # w = a - b + 1 at 0.5 and near 2.5, the ends the fixed lower
+        # limit of the cut must serve: each value is within 1e-12 of the
+        # oracle or handed to the scalar route
+        calls = []
+
+        def scalar(a, b, x):
+            calls.append((b, x))
+            return _ml(a, b, x)
+
+        xs = -np.logspace(np.log10(5.0 ** alpha * 1.001), 5, 12)
+        betas = (alpha + 0.5, alpha - 1.5 + 1e-6)
+        got = ml_rows(alpha, betas, xs, scalar)
+        for beta, row in zip(betas, got):
+            for x, g, want in zip(xs, row, ml_ref_row(alpha, beta, xs)):
+                if (beta, x) in calls:
+                    continue
+                assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (alpha, beta, x, g, want)
+
+    def test_uncertified_count_on_a_fixed_sweep(self):
+        # a fixed sweep over the cut's b range, a close to 1 included; the
+        # per-b panels, whose lower limit was -46/w, left 56 of its 9600
+        # points uncertified
+        bad = 0
+        for a in (1.001, 1.003, 1.01, 1.5, 1.99, 1.999):
+            bs = tuple(np.linspace(a - 1.5, a + 0.5, 9)[1:].tolist())
+            y = np.logspace(np.log10(5.0 ** a), 6, 200)
+            bad += sum(int((~ok).sum()) for _, ok in _cut_rows(a, bs, y))
+        assert bad <= 56
 
     def test_shape(self):
         x = -np.arange(6.0).reshape(2, 3)
