@@ -489,30 +489,30 @@ def _write_json(path, obj):
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _csv(cols, blocks) -> str:
+    """The header cols, then one line per time row of the column blocks
+    side by side, each value as _fmt writes it, a row formatted whole."""
+    table = np.column_stack(blocks)
+    line = ",".join(["%.17g"] * len(cols))
+    return "\n".join([",".join(cols)]
+                     + [line % tuple(row) for row in table.tolist()]) + "\n"
+
+
 def _trace_csv(trace) -> str:
     N = trace.u_coeffs.shape[1]
     cols = ["t"]
     for block in ("u", "dtu", "dalpha"):
         cols += [f"{block}_c_{n}" for n in range(1, N + 1)]
-    lines = [",".join(cols)]
-    for i, t in enumerate(trace.times):
-        row = [_fmt(t)]
-        for arr in (trace.u_coeffs, trace.dtu_coeffs, trace.dalpha_coeffs):
-            row += [_fmt(v) for v in arr[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv(cols, [trace.times, trace.u_coeffs, trace.dtu_coeffs,
+                       trace.dalpha_coeffs])
 
 
 def _norms_csv(trace) -> str:
     names = (("u_Vgamma", "norm_Vgamma_u"),
              ("dtu_L2", "norm_L2_dtu"),
              ("dalpha_Vminusgamma", "norm_Vminusgamma_dalpha"))
-    lines = ["t," + ",".join(out for _, out in names)]
-    for i, t in enumerate(trace.times):
-        row = [_fmt(t)] + [_fmt(trace.norm_series[key][i])
-                           for key, _ in names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv(["t"] + [out for _, out in names],
+                [trace.times] + [trace.norm_series[key] for key, _ in names])
 
 
 def _windows_json(windows):

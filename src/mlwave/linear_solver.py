@@ -312,18 +312,31 @@ def _correlate_rows(w, f, count):
     return np.vecdot(view, np.ascontiguousarray(f)[:, None, :])
 
 
-def _panel_sums(F, B, A):
-    """The causal Volterra sums of every mode row of F (samples at nodes
-    0..K) against the same rows of the weights (B, A): at node i in 1..K,
-    sum_{l < i} F[n, i-1-l] B[n, l] + F[n, i-l] A[n, l], for all modes at
-    once as correlations with zero-led weights; leading axes of B and A
-    stack weight tables."""
-    K = F.shape[-1] - 1
+def _panel_plan(B, A):
+    """What the causal sums against the weights (B, A) of K panels share
+    for any forcing: each table led by K - 1 zeros, and its zero-copy
+    Toeplitz view, row k holding the weights against F reversed for node
+    k + 1.  Built once, applied by _apply_plan to each F of K + 1 nodes;
+    leading axes of B and A stack weight tables."""
+    K = B.shape[-1]
     lead = np.zeros(B.shape[:-1] + (K - 1,))
-    return (_correlate_rows(np.concatenate([lead, B[..., :K]], axis=-1),
-                            F[:, -2::-1], K)
-            + _correlate_rows(np.concatenate([lead, A[..., :K]], axis=-1),
-                              F[:, :0:-1], K))
+    return tuple(sliding_window_view(np.concatenate([lead, w], axis=-1), K,
+                                     axis=-1) for w in (B, A))
+
+
+def _apply_plan(plan, F):
+    """The causal Volterra sums of every mode row of F (samples at nodes
+    0..K) against the same rows of the plan's weights (B, A): at node i in
+    1..K, sum_{l < i} F[n, i-1-l] B[n, l] + F[n, i-l] A[n, l]."""
+    left, right = plan
+    return (np.vecdot(left, np.ascontiguousarray(F[:, -2::-1])[:, None, :])
+            + np.vecdot(right, np.ascontiguousarray(F[:, :0:-1])[:, None, :]))
+
+
+def _panel_sums(F, B, A):
+    """_apply_plan of F against a plan of the first K panels of (B, A)."""
+    K = F.shape[-1] - 1
+    return _apply_plan(_panel_plan(B[..., :K], A[..., :K]), F)
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1):

@@ -19,8 +19,8 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _correlate_rows, _norm_series, _panel_sums,
-                            _unforced_rows)
+                            _apply_plan, _correlate_rows, _norm_series,
+                            _panel_plan, _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _row_runs, _rule_panels, analysis, synthesis,
@@ -144,8 +144,12 @@ class NonlinearitySpec:
         if self.kind == "linear_shift":
             return float(p["kappa"]) * vals
         if self.kind == "power":
-            c, r = float(p["c"]), float(p["r"])
-            return c * np.abs(vals) ** (r - 1.0) * vals
+            c, e = float(p["c"]), float(p["r"]) - 1.0
+            mag = np.abs(vals)
+            # the exponents 1 and 2 as products, bit-equal to the general pow
+            grow = (mag if e == 1.0 else mag * mag if e == 2.0
+                    else mag ** e)
+            return c * grow * vals
         if self.kind == "sine":
             return float(p["c"]) * np.sin(vals)
         return np.interp(vals, np.asarray(p["s"], dtype=float),
@@ -390,6 +394,8 @@ class _Workspace:
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         prev_d = None
+        # the window's sums reuse one plan while the forced modes stay put
+        plan_cols = None
         for it in range(1, cfg.max_iter + 1):
             try:
                 Fw[1:] = self.apply_rows(U[1:])
@@ -399,8 +405,11 @@ class _Workspace:
             newDTU = base_dtu.copy()
             cols = np.flatnonzero(Fw.any(axis=0))
             if cols.size:
+                if not np.array_equal(cols, plan_cols):
+                    plan_cols = cols
+                    plan = _panel_plan(*self.weights(cols, W))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    new = _panel_sums(Fw[:, cols].T, *self.weights(cols, W))
+                    new = _apply_plan(plan, Fw[:, cols].T)
                     newU[1:, cols] += new[0].T
                     newDTU[1:, cols] += new[1].T
             if not (np.all(np.isfinite(newU)) and np.all(np.isfinite(newDTU))):

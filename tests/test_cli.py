@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mlwave import (
     ConfigError,
@@ -28,7 +29,10 @@ from mlwave import (
 )
 from mlwave import cli
 from mlwave.cli import Scenario, main, parse_scenario
+from mlwave.linear_solver import TIME_FUNCTIONS
 from mlwave.mittag_leffler import DEFAULT_PRECISION, MLQuery
+from mlwave.semilinear_solver import NONLINEARITY_KINDS
+from mlwave.spectral_operator import _KINDS as OPERATOR_KINDS
 
 from conftest import taylor_ref
 
@@ -374,6 +378,54 @@ class TestMistypedFields:
     def test_huge_integer_is_not_a_number(self):
         with pytest.raises(ConfigError, match="alpha must be a finite"):
             parse_scenario(scenario_text().replace("1.5", "1" + "0" * 400))
+
+
+# The non-numeric scenario fields of each kind: kinds, the time function's
+# name, the initial-data forms, and whole objects.
+FUZZ_FIELDS = {
+    "linear": ("operator", "operator.kind", "forcing", "forcing.kind",
+               "forcing.h_name", "forcing.h_params", "forcing.g", "u0",
+               "u1", "grid"),
+    "semilinear": ("operator", "operator.kind", "nonlinearity",
+                   "nonlinearity.kind", "nonlinearity.params", "u0", "u1",
+                   "grid", "picard"),
+}
+NAMES = (OPERATOR_KINDS + NONLINEARITY_KINDS + TIME_FUNCTIONS
+         + ("separable", "tabulated", "phi0", "phi1", "phi4", "phi5", ""))
+SMALL = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                  st.floats(-1e3, 1e3), st.text(max_size=4),
+                  st.sampled_from(NAMES))
+JUNK = st.one_of(SMALL, st.lists(SMALL, max_size=3),
+                 st.dictionaries(st.sampled_from(("kind", "file", "value")),
+                                 SMALL, max_size=2))
+
+
+@st.composite
+def fuzzed_scenario(draw):
+    """(kind, scenario) with up to three fields of distinct top-level
+    objects replaced by arbitrary JSON."""
+    kind = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
+    doc = MUTATION_BASE[kind]
+    for path in draw(st.lists(st.sampled_from(FUZZ_FIELDS[kind]),
+                              min_size=1, max_size=3,
+                              unique_by=lambda p: p.split(".")[0])):
+        doc = mutated(doc, path, draw(JUNK))
+    return kind, doc
+
+
+class TestFuzzedFields:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=fuzzed_scenario())
+    def test_solve_exits_with_a_documented_code(self, tmp_path, case):
+        # a traceback fails the test; every outcome is an exit code
+        kind, doc = case
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", kind, "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc in (0, 1, 2, 3)
 
 
 class TestSolveLinearCli:

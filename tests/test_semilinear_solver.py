@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlwave import (
     ConfigError,
@@ -33,7 +34,8 @@ from mlwave import (
     strong_solution_check,
 )
 from mlwave import semilinear_solver, spectral_operator
-from mlwave.linear_solver import _correlate_rows, _panel_sums
+from mlwave.linear_solver import (_apply_plan, _correlate_rows, _panel_plan,
+                                  _panel_sums)
 from mlwave.mittag_leffler import _ml
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
@@ -353,6 +355,58 @@ class TestBatchedCausalSums:
                 scale = causal_sum(np.abs(F[m]), np.abs(B[s, m]),
                                    np.abs(A[s, m]))
                 assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(K=st.integers(1, 60), lead=st.lists(st.integers(1, 3), max_size=2),
+           modes=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_plan_applies_like_a_fresh_sum(self, K, lead, modes, seed):
+        # one plan serves every forcing of a window, byte for byte as a
+        # sum built afresh for each; its Toeplitz views copy nothing
+        rng = np.random.default_rng(seed)
+        B, A = rng.standard_normal((2, *lead, modes, K))
+        plan = _panel_plan(B, A)
+        assert not any(view.flags.owndata for view in plan)
+        for _ in range(3):
+            F = rng.standard_normal((modes, K + 1))
+            assert np.array_equal(_apply_plan(plan, F), _panel_sums(F, B, A))
+
+    def test_one_plan_per_window_attempt(self, monkeypatch):
+        calls = {"plan": 0, "apply": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(semilinear_solver, "_panel_plan",
+                            counted("plan", semilinear_solver._panel_plan))
+        monkeypatch.setattr(semilinear_solver, "_apply_plan",
+                            counted("apply", semilinear_solver._apply_plan))
+        attempts = []
+        solve = semilinear_solver._Workspace.window_solve
+
+        def attempt(self, *args):
+            before = dict(calls)
+            try:
+                return solve(self, *args)
+            finally:
+                attempts.append((calls["plan"] - before["plan"],
+                                 calls["apply"] - before["apply"]))
+
+        monkeypatch.setattr(semilinear_solver._Workspace, "window_solve",
+                            attempt)
+        # every mode forced from the start, run to blow-up through
+        # rejected windows
+        op = interval_op()
+        out = run(problem(op, 1.5, [20.0, 0.1, -0.05, 0.02], [0.0] * 4,
+                          NonlinearitySpec("power", {"c": 1.0, "r": 3.0})),
+                  0.1, PicardConfig(), 0.0005)
+        assert out.status == "maximal_time_detected"
+        assert len(attempts) > len(out.windows)
+        assert all(plans == 1 for plans, applies in attempts if applies)
+        assert sum(applies for _, applies in attempts) > 2 * len(attempts)
 
     @pytest.mark.parametrize("ia, W", [(1, 1), (3, 5), (40, 12)])
     def test_memory_term_matches_correlate(self, ia, W):
