@@ -9,6 +9,7 @@ name.  Exit codes: 0 success, 1 domain/config error, 2 numeric failure,
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -944,6 +945,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+@functools.cache                   # built once, reused by every main call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mlwave",
                      description="Fractional-in-time wave equation toolkit")

@@ -14,19 +14,21 @@ Regime map on the negative axis (y = -x, kappa = y^(1/a)):
   a exactly 1 or 2         closed forms (exp / cos families) where they
                            exist, else a double-double Pochhammer series
   otherwise                real branch-cut integral (weighted rational
-                           density against e^-r) via adaptive quadrature
+                           density against e^-r) on a fixed composite
+                           Gauss-Legendre rule with an embedded error
+                           estimate
 
 The cancellation amplitude of the alternating series is e^kappa, hence the
 series cutoff lives in kappa space; an |x|-space cutoff fails for a < 1.
 
 ml_rows evaluates whole rows, one array of points at several betas, with
-array code: the power series over a fixed term count and the branch cut on
-a fixed composite Gauss-Legendre rule with an embedded error estimate,
-integrated in one pass over every reduced beta and lifted to the betas
-that share one.
-Points the estimate does not certify, and the routes without an array
-form, go to the scalar evaluator above, which stays the reference.  ml_row
-is its one-beta case.
+array code: the power series over a fixed term count, and the branch cut
+in one pass over every reduced beta, lifted to the betas that share one.
+The scalar evaluator takes the same pass at its one point, so both give
+the same bits there.  Rows keep a cut value only where the estimate is
+within 1e-13 of the integral; the rest, and the routes without an array
+form, go to the scalar evaluator, which accepts an estimate up to 1e-8 of
+the integral.  ml_row is the one-beta case.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import AccuracyError, DomainError, NumericOverflowError
@@ -102,6 +103,21 @@ _EPS = float(np.finfo(float).eps)
 
 # ----------------------------------------------------------- power series
 
+def _kappa(y, alpha):
+    """y^(1/alpha), y >= 0, or inf past the double range (small alpha)."""
+    try:
+        return y ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
+def _term_count(kappa, alpha, max_terms):
+    """Power-series terms for kappa: the terms peak near alpha n = kappa
+    and are spent 10 sqrt(kappa) + 30 further on; at most max_terms."""
+    n = (kappa + 10.0 * math.sqrt(kappa) + 30.0) / alpha
+    return min(int(min(n, max_terms)) + 24, max_terms)
+
+
 def _taylor(alpha, beta, x, rel_tol, max_terms):
     """Kahan-compensated power series; every term through exp/log so large
     Gamma arguments neither overflow nor underflow.  Poles of Gamma are
@@ -110,12 +126,11 @@ def _taylor(alpha, beta, x, rel_tol, max_terms):
         return float(rgamma(beta))
     ax = abs(x)
     lax = math.log(ax)
-    kappa = ax ** (1.0 / alpha)
+    kappa = _kappa(ax, alpha)
     if x > 0.0 and kappa > 708.0:
         raise NumericOverflowError(
             f"E_{{{alpha},{beta}}}({x}) exceeds the double range")
-    nmax = min(int((kappa + 10.0 * math.sqrt(kappa) + 30.0) / alpha) + 24,
-               max_terms)
+    nmax = _term_count(kappa, alpha, max_terms)
     s = 0.0
     c = 0.0
     small_run = 0
@@ -227,9 +242,6 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
 
 # -------------------------------------------------- branch-cut quadrature
 
-_CUT_VMAX = 5.3                    # r = 200, e^-200 dwarfed
-
-
 def _sinpi(x):
     """sin(pi x), exactly 0 at the integers: x is first reduced to the
     nearest integer n, exactly, since math.sin(math.pi * n) is about
@@ -239,50 +251,10 @@ def _sinpi(x):
     return -s if n % 2 else s
 
 
-def _cut_setup(alpha, beta):
-    """Constants of the branch-cut integrand for a reduced beta:
-    (sin pi b, sin pi (b - a), w = a - b + 1)."""
-    w = alpha - beta + 1.0         # at least 0.5
-    if w > 60.0:                   # the r^w e^-r bulk nears r = 200
-        raise AccuracyError(f"beta={beta} is below the branch cut's range")
-    return _sinpi(beta), _sinpi(beta - alpha), w
-
-
 def _strict(alpha, beta):
     """Whether non-integer alpha routes count the residue rounding in their
     certificate: below beta > alpha - 1.5, the range of the solver rows."""
     return beta <= alpha - 1.5 and alpha not in (1.0, 2.0)
-
-
-def _cut_core(alpha, beta, y):
-    """Branch-cut integral for E_{a,b}(-y), non-integer a in (0,2) and
-    b <= a+0.5.  Log substitution r = e^v keeps the domain compact; the
-    denominator is bounded below by y^2 sin^2(pi a) > 0.  Returns the
-    value and a bound on its absolute error: quad's estimate, the
-    integral's rounding and the residue pair's."""
-    a = alpha
-    sb, sba, w = _cut_setup(a, beta)
-    ca = math.cos(math.pi * a)
-    vmin = -46.0 / w               # e^(v w) below 1e-20 of anything
-
-    def g(v):
-        r = math.exp(v)
-        ra = r ** a
-        den = ra * ra + 2.0 * y * ra * ca + y * y
-        return math.exp(-r + v * w) * (ra * sb + y * sba) / den
-
-    vmax = _CUT_VMAX
-    vstar = math.log(y) / a        # resonance location
-    pts = sorted({p for p in (vstar - 1.0, vstar - 0.3, vstar,
-                              vstar + 0.3, vstar + 1.0, 0.0)
-                  if vmin < p < vmax})
-    iv, est = quad(g, vmin, vmax, points=pts, limit=300,
-                   epsabs=1e-300, epsrel=5e-14)
-    if est > 1e-8 * max(abs(iv), 1e-250):
-        raise AccuracyError(
-            f"branch-cut quadrature stalled for E_{{{alpha},{beta}}}({-y})")
-    e, e_err = _exp_terms(a, beta, y)
-    return iv / math.pi + e, (est + _EPS * abs(iv)) / math.pi + e_err
 
 
 def _reduce_beta(alpha, beta):
@@ -305,13 +277,119 @@ def _lift_beta(alpha, b, down, x, val):
     return val
 
 
+# Gauss-Legendre nodes on [-1, 1]: every branch-cut panel is integrated by
+# the fine rule and checked against the coarse one on the same panel.
+_GL_FINE = np.polynomial.legendre.leggauss(20)
+_GL_COARSE = np.polynomial.legendre.leggauss(12)
+# The nodes of both rules side by side, and their weights as the two
+# columns of a matrix, so one product gives a panel's fine and coarse sums.
+_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
+_GL_WEIGHTS = np.zeros((len(_GL_NODES), 2))
+_GL_WEIGHTS[:len(_GL_FINE[0]), 0] = _GL_FINE[1]
+_GL_WEIGHTS[len(_GL_FINE[0]):, 1] = _GL_COARSE[1]
+# Panel breakpoints in v = log r that do not move with y or b: fractions of
+# the lower limit across the e^(v w) tail, then unit steps over the e^-r
+# decay up to r = 200, where e^-200 is dwarfed.  Every cut has
+# w = a - b + 1 >= 0.5, so one lower limit, e^(v w) below 1e-20 of
+# anything at w = 0.5, serves every b; past w = 60 the r^w e^-r bulk nears
+# r = 200 and the cut certifies nothing.
+_CUT_VMIN = -92.0
+_CUT_VMAX = 5.3
+_CUT_WMAX = 60.0
+_CUT_FIXED = np.concatenate([
+    _CUT_VMIN * np.array([1.0, 0.6, 0.35, 0.18, 0.1, 0.05]),
+    [-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX]])
+_CUT_GRADE = 2.0                   # ratio of successive resonance offsets
+_CUT_CERT = 1e-13                  # a row's accepted estimate, of |integral|
+_CUT_STALL = 1e-8                  # the scalar's, of |integral|
+_CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
+
+
+def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
+              rel_tol=DEFAULT_PRECISION.rel_tol):
+    """The branch-cut values of E_{alpha,b}(-y) for an array y > 0, at non-
+    integer alpha, for each reduced b in bs (see _reduce_beta), before any
+    lift.  Returns one (values, certified) pair per b, the values with the
+    residue pair added.
+
+    With r = e^v, E_{a,b}(-y) is the residue pair plus (1/pi) times the
+    integral over v of e^(v w - r) (r^a sin pi b + y sin pi (b - a)) /
+    (r^2a + 2 y r^a cos pi a + y^2), w = a - b + 1, whose denominator is
+    at least y^2 sin^2 pi a > 0.  It is integrated over [_CUT_VMIN,
+    _CUT_VMAX] on panels cut at the fixed breakpoints above and at offsets
+    s = v - v* from each point's resonance v* = log(y)/a, graded
+    geometrically down to the distance pi|a-1|/a of its poles from the
+    real axis.  Per point, the fine rule gives the integral I and the sum
+    over panels of |fine - coarse| the estimate; the value's error bound is
+    (estimate + eps |I|) / pi, plus the residue pair's rounding where
+    _strict(a, b).  A value is certified when the estimate is within limit
+    of |I|, w is within _CUT_WMAX and, for strict b, the bound within
+    rel_tol of the value.
+
+    Nothing of the panels depends on b, so the nodes, r = e^v, r^a and the
+    denominator are built once per chunk for every b; only the numerator
+    and r^w e^-r are per b.  Arrays are laid out as (point, panel, node),
+    and each point's (panel, node) block is reduced by its own matrix
+    product with the weights, so a value depends on its own point and b
+    alone."""
+    a = alpha
+    consts = [(_sinpi(b), _sinpi(b - a), a - b + 1.0) for b in bs]
+    ca = math.cos(math.pi * a)
+    d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
+    grade = d0 * _CUT_GRADE ** np.arange(
+        max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
+    offsets = np.concatenate([-grade[::-1], [0.0], grade])
+    nodes = len(_GL_NODES) * (len(_CUT_FIXED) + len(offsets) - 1)
+    step = max(1, _CHUNK // nodes)
+    val = np.empty((len(bs),) + y.shape)
+    est = np.empty(val.shape)
+    # a non-finite integrand only costs certification
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(y), step):
+            yc = y[lo:lo + step, None]
+            bp = np.concatenate(
+                [np.broadcast_to(_CUT_FIXED, (len(yc), len(_CUT_FIXED))),
+                 np.log(yc) / a + offsets], axis=1)
+            bp = np.sort(np.clip(bp, _CUT_VMIN, _CUT_VMAX), axis=1)
+            h = 0.5 * np.diff(bp, axis=1)
+            v = (bp[:, :-1] + h)[:, :, None] + h[:, :, None] * _GL_NODES
+            yc = yc[:, :, None]
+            ra = np.exp(a * v)
+            den = ra + 2.0 * ca * yc
+            den *= ra
+            den += yc * yc
+            r = np.exp(v)
+            for k, (sb, sba, w) in enumerate(consts):
+                f = ra * sb
+                f += yc * sba
+                e = v * w
+                e -= r
+                f *= np.exp(e, out=e)
+                f /= den
+                fine, coarse = (f @ _GL_WEIGHTS).transpose(2, 0, 1) * h
+                val[k, lo:lo + step] = fine.sum(axis=1)
+                est[k, lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
+        out = []
+        for b, (_, _, w), iv, err in zip(bs, consts, val, est):
+            res, res_err = _exp_terms(a, b, y)
+            value = iv / math.pi + res
+            ok = (err <= limit * np.abs(iv)) & (w <= _CUT_WMAX)
+            if _strict(a, b):
+                bound = (err + _EPS * np.abs(iv)) / math.pi + res_err
+                ok &= bound <= rel_tol * np.abs(value)
+            out.append((value, ok))
+        return out
+
+
 def _cut(alpha, beta, y, rel_tol):
+    """The branch cut at the one point y: _cut_rows' pass and certificate,
+    with the scalar's stall limit on the estimate, lifted to beta."""
     b, down = _reduce_beta(alpha, beta)
-    val, err = _cut_core(alpha, b, y)
-    if _strict(alpha, b) and not err <= rel_tol * abs(val):
+    [(val, ok)] = _cut_rows(alpha, (b,), np.array([y]), _CUT_STALL, rel_tol)
+    if not ok[0]:
         raise AccuracyError(
             f"branch cut for E_{{{alpha},{beta}}}({-y}) not certified")
-    return _lift_beta(alpha, b, down, -y, val)
+    return _lift_beta(alpha, b, down, -y, float(val[0]))
 
 
 # -------------------------------------------- double-double integer alpha
@@ -458,7 +536,7 @@ def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
     if x > 0.0:
         return _taylor(alpha, beta, x, rel_tol, prec.max_terms)
     y = -x
-    kappa = y ** (1.0 / alpha)
+    kappa = _kappa(y, alpha)
     if kappa <= prec.series_cutoff:
         return _taylor(alpha, beta, x, rel_tol, prec.max_terms)
     if alpha == 1.0 or alpha == 2.0:
@@ -473,10 +551,15 @@ def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
 def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
     """Evaluate E_{alpha,beta}(x).
 
-    Deterministic (fixed summation orders everywhere); relative accuracy
-    p.rel_tol against extended-precision references on x in [-1e6, 10].
-    Raises DomainError on invalid parameters and NumericOverflowError when
-    the value exceeds the double range (large positive x).
+    Deterministic (fixed summation orders everywhere).  The series and
+    asymptotic routes certify p.rel_tol, and so does the branch cut for
+    beta <= alpha - 1.5.  For beta > alpha - 1.5 a branch-cut value is only
+    checked against the 1e-8 stall limit of its quadrature estimate; within
+    0.01 of alpha = 1, at kappa 5 to 13, it misses p.rel_tol by up to 5e-11
+    against extended-precision references.  Raises DomainError on invalid
+    parameters, NumericOverflowError when the value exceeds the double
+    range (large positive x) and AccuracyError where no route certifies a
+    value.
     """
     q.validate()
     p.validate()
@@ -489,38 +572,12 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 
 # ------------------------------------------------------------- array rows
 
-# Gauss-Legendre nodes on [-1, 1]: every branch-cut panel is integrated by
-# the fine rule and checked against the coarse one on the same panel.
-_GL_FINE = np.polynomial.legendre.leggauss(20)
-_GL_COARSE = np.polynomial.legendre.leggauss(12)
-# The nodes of both rules side by side, and their weights as the two
-# columns of a matrix, so one product gives a panel's fine and coarse sums.
-_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
-_GL_WEIGHTS = np.zeros((len(_GL_NODES), 2))
-_GL_WEIGHTS[:len(_GL_FINE[0]), 0] = _GL_FINE[1]
-_GL_WEIGHTS[len(_GL_FINE[0]):, 1] = _GL_COARSE[1]
-# Panel breakpoints in v = log r that do not move with y or b: fractions of
-# the lower limit across the e^(v w) tail, then unit steps over the e^-r
-# decay.  Every array cut has w = a - b + 1 >= 0.5, so one lower limit,
-# e^(v w) below 1e-20 of anything at w = 0.5, serves every b.
-_CUT_VMIN = -92.0
-_CUT_FIXED = np.concatenate([
-    _CUT_VMIN * np.array([1.0, 0.6, 0.35, 0.18, 0.1, 0.05]),
-    [-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX]])
-_CUT_GRADE = 2.0                   # ratio of successive resonance offsets
-_CUT_CERT = 1e-13                  # accepted estimate, relative to |integral|
-_CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
-
-
 def _taylor_row(alpha, beta, x, prec):
     """_taylor for x < 0 with kappa <= series_cutoff, as one array: the same
     log-space terms over the term count the cutoff itself needs, so that no
     element depends on another.  Each element's terms are summed along
     its own contiguous row (numpy's pairwise order)."""
-    c = prec.series_cutoff
-    nmax = min(int((c + 10.0 * math.sqrt(c) + 30.0) / alpha) + 24,
-               prec.max_terms)
-    n = np.arange(nmax)
+    n = np.arange(_term_count(prec.series_cutoff, alpha, prec.max_terms))
     g = alpha * n + beta
     sg = gammasgn(g)
     sg[n % 2 == 1] *= -1.0
@@ -541,66 +598,6 @@ def _taylor_row(alpha, beta, x, prec):
     return out
 
 
-def _cut_rows(alpha, bs, y):
-    """The branch-cut values of E_{alpha,b}(-y) for an array y > 0, at non-
-    integer alpha, for each reduced b in bs (see _reduce_beta), before any
-    lift.  Returns one (values, certified) pair per b, the values with the
-    residue pair added.
-
-    The integrand of _cut_core is integrated over [_CUT_VMIN, _CUT_VMAX] on
-    panels cut at the fixed breakpoints above and at offsets s = v - v*
-    from each point's resonance v* = log(y)/a, graded geometrically down to
-    the distance pi|a-1|/a of its poles from the real axis.  Per point, the
-    fine rule gives the value and the sum over panels of |fine - coarse|
-    the error estimate; a point is certified when that estimate is below
-    _CUT_CERT of the integral.  Nothing of the panels depends on b, so the
-    nodes, r = e^v, r^a and the denominator are built once per chunk for
-    every b; only the numerator and r^w e^-r are per b.  Arrays are laid
-    out as (point, panel, node), and each point's (panel, node) block is
-    reduced by its own matrix product with the weights, so a value depends
-    on its own point and b alone."""
-    a = alpha
-    consts = [_cut_setup(a, b) for b in bs]
-    ca = math.cos(math.pi * a)
-    d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
-    grade = d0 * _CUT_GRADE ** np.arange(
-        max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
-    offsets = np.concatenate([-grade[::-1], [0.0], grade])
-    nodes = len(_GL_NODES) * (len(_CUT_FIXED) + len(offsets) - 1)
-    step = max(1, _CHUNK // nodes)
-    val = np.empty((len(bs),) + y.shape)
-    est = np.empty(val.shape)
-    # a non-finite integrand only costs certification
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, len(y), step):
-            yc = y[lo:lo + step, None]
-            bp = np.concatenate(
-                [np.broadcast_to(_CUT_FIXED, (len(yc), len(_CUT_FIXED))),
-                 np.log(yc) / a + offsets], axis=1)
-            bp = np.sort(np.clip(bp, _CUT_VMIN, _CUT_VMAX), axis=1)
-            h = 0.5 * np.diff(bp, axis=1)
-            v = (bp[:, :-1] + h)[:, :, None] + h[:, :, None] * _GL_NODES
-            yc = yc[:, :, None]
-            ra = np.exp(a * v)
-            den = ra + 2.0 * ca * yc
-            den *= ra
-            den += yc * yc
-            r = np.exp(v)
-            for k, (sb, sba, w) in enumerate(consts):
-                f = ra * sb
-                f += yc * sba
-                e = v * w
-                e -= r
-                f *= np.exp(e, out=e)
-                f /= den
-                fine, coarse = (f @ _GL_WEIGHTS).transpose(2, 0, 1) * h
-                val[k, lo:lo + step] = fine.sum(axis=1)
-                est[k, lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
-        return [(val[k] / math.pi + _exp_terms(a, b, y)[0],
-                 est[k] <= _CUT_CERT * np.abs(val[k]))
-                for k, b in enumerate(bs)]
-
-
 def ml_rows(alpha, betas, x, scalar=_ml):
     """E_{alpha,beta} at every element of the array x, for each beta in
     betas: an array of shape (len(betas),) + x.shape.
@@ -609,8 +606,8 @@ def ml_rows(alpha, betas, x, scalar=_ml):
 
       x == 0                         1/Gamma(beta)
       x < 0, kappa <= series_cutoff  power series, fixed term count
-      x < 0, non-integer alpha,      branch cut on a fixed Gauss-Legendre
-      beta > alpha - 1.5             rule, kept where certified
+      x < 0, non-integer alpha       branch cut (_cut_rows), kept where
+                                     certified
       anything else                  scalar(alpha, beta, x_i), one call per
                                      element
 
@@ -631,15 +628,15 @@ def ml_rows(alpha, betas, x, scalar=_ml):
     zero = xf == 0.0
     neg = xf < 0.0
     kappa = np.zeros(xf.shape)
-    kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
+    with np.errstate(over="ignore"):     # inf past the double range
+        kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
     prec = DEFAULT_PRECISION
     series = neg & (kappa <= prec.series_cutoff)
     cut = np.flatnonzero(neg & ~series)
     y = -xf[cut]
-    reduced = {}                   # beta -> (b, down) for the cut's betas
+    reduced = {}                   # beta -> (b, down) at non-integer alpha
     if alpha not in (1.0, 2.0) and cut.size:
-        reduced = {beta: _reduce_beta(alpha, beta) for beta in betas
-                   if not _strict(alpha, beta)}
+        reduced = {beta: _reduce_beta(alpha, beta) for beta in betas}
     bs = tuple(dict.fromkeys(b for b, _ in reduced.values()))
     cuts = dict(zip(bs, _cut_rows(alpha, bs, y))) if bs else {}
     for row, beta in zip(out, betas):

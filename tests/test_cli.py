@@ -8,6 +8,8 @@ the only timestamp lives in summary.json metadata.
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -271,6 +273,16 @@ NUMERIC_FIELDS = (
 # picard settings that default to unset
 STILL_VALID = {("operator.lengths", "[1]"), ("picard.R_star", "null"),
                ("picard.nonlinearity_quadrature", "null")}
+
+
+def run_cli(*argv, code=None):
+    """A fresh interpreter running `mlwave argv...`, or the given code,
+    that imports this package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    cmd = ["-c", code] if code is not None else ["-m", "mlwave.cli", *argv]
+    return subprocess.run([sys.executable, *cmd], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def mutated(doc, path, value):
@@ -675,6 +687,13 @@ class TestMlCli:
         want = float(taylor_ref(1.999, 1.0, -100.0))
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_eval_at_small_alpha_exits_without_traceback(self):
+        # y^(1/alpha) leaves the double range at alpha = 0.0033
+        proc = run_cli("ml", "eval", "--alpha", "0.0033", "--beta",
+                       "-0.6174", "--x", "-8345")
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+
     def test_eval_overflow_is_numeric_failure(self, capsys):
         rc = main(["ml", "eval", "--alpha", "1.5", "--beta", "1.0",
                    "--x", "20000"])
@@ -804,6 +823,20 @@ class TestDispatch:
     def test_no_arguments_prints_usage(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_parser_survives_a_solve(self, tmp_path, capsys):
+        # one parser serves every main call in a process
+        cfg = write_config(tmp_path, N_modes=2, u0=[1.0])
+        assert main(["solve", "linear", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["ml", "eval", "--alpha", "1.5"]) == 1
+        assert "usage: mlwave ml eval" in capsys.readouterr().err
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_leaves_out_scipy_integrate(self):
+        proc = run_cli(code="import sys, mlwave.cli; "
+                            "print('scipy.integrate' in sys.modules)")
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_is_wired(self):
         # The wiring is read from the repo's own pyproject.toml, so the check

@@ -622,3 +622,40 @@ class TestNegativeBeta:
         g = float(rgamma(beta))
         scale = max(abs(g), abs(x * upper))
         assert abs(lhs - (g + x * upper)) <= 1e-12 * scale
+
+
+class TestOneBranchCut:
+    """The scalar evaluator integrates the branch cut with the row pass at
+    its one point, so both give the same bits wherever _ml takes the cut."""
+
+    @prop(300)
+    @given(alpha=st.floats(0.0, 2.0, exclude_min=True),
+           beta=st.floats(-3.0, 4.0), x=st.floats(-1e6, 10.0))
+    def test_ml_e_is_finite_or_refused(self, alpha, beta, x):
+        try:
+            v = ml_e(MLQuery(alpha, beta, x))
+        except MLWaveError:
+            return
+        assert math.isfinite(v)
+
+    @prop(400)
+    @given(alpha=st.floats(1.01, 1.99), frac=st.floats(0.0, 1.0,
+                                                        exclude_min=True),
+           t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_scalar_equals_row_on_the_cut(self, alpha, frac, t):
+        # kappa in (series_cutoff, 30) and y below asym_cutoff, where _ml
+        # goes straight to the cut; beta in (a - 1.5, 4].  kappa keeps off
+        # the series cutoff itself, where both take the power series, whose
+        # scalar and array sums differ in their last bits
+        beta = alpha - 1.5 + (5.5 - alpha) * frac
+        top = min(30.0, 50.0 ** (1.0 / alpha)) * (1.0 - 1e-9)
+        y = (5.0 * (1.0 + 1e-9) + (top - 5.0) * t) ** alpha
+        try:
+            want = _ml(alpha, beta, -y)
+        except AccuracyError:
+            with pytest.raises(AccuracyError):
+                ml_row(alpha, beta, np.array([-y]))
+            return
+        got = ml_row(alpha, beta, np.array([-y]))[0]
+        assert np.float64(want).tobytes() == got.tobytes(), \
+            (alpha, beta, y, want, got)
