@@ -58,6 +58,10 @@ def eval_time_function(name, params, t):
         raise ConfigError(
             f"time function {name!r} needs parameter {exc.args[0]!r}"
         ) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"time function {name!r} has a mistyped parameter: {exc}"
+        ) from exc
     raise ConfigError(
         f"unknown time function {name!r}; catalog: {TIME_FUNCTIONS}")
 
@@ -232,9 +236,10 @@ def homogeneous_state(p: LinearProblem, t: float):
 class _KernelTable:
     """Both solvers' product-integration layer on one uniform grid: Mittag-
     Leffler rows over the grid offsets and the weights built from them,
-    cached per eigenvalue as box spectra repeat them.  Rows come from
-    ml_rows with this module's _ml as its scalar fallback, so a wrapper
-    around _ml sees every point the array routes leave to it."""
+    cached per eigenvalue as box spectra repeat them; the one owner of the
+    weights and of their layout.  Rows come from ml_rows with this
+    module's _ml as its scalar fallback, so a wrapper around _ml sees
+    every point the array routes leave to it."""
 
     def __init__(self, alpha, times):
         self.alpha = alpha
@@ -274,12 +279,13 @@ class _KernelTable:
         return np.diff(m0), np.diff(m1)
 
     def weights(self, lam):
-        """Product-integration weights (B, A, B', A') on the grid's panels,
-        against s^(a-1)E_aa and against s^(a-2)E_{a,a-1}: panel l
-        contributes f_left B[l] + f_right A[l].  Built from the moment
+        """Product-integration weights of each eigenvalue of the array lam
+        on the grid's panels, as one (2, 2, len(lam), panels) stack (left,
+        right): left = (B, B') and right = (A, A'), where panel l
+        contributes f_left B[l] + f_right A[l] against s^(a-1)E_aa (B, A)
+        and against s^(a-2)E_{a,a-1} (B', A').  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact.  For an array of
-        eigenvalues, a (4, len(lam), panels) stack.  The weights of every
+        the kernel, making constant forcing exact.  The weights of every
         eigenvalue the table lacks are built at once, from rows built in
         one call; the arithmetic is elementwise, so each eigenvalue's
         weights are those of a build of it alone."""
@@ -290,16 +296,14 @@ class _KernelTable:
             self.row(new_lam, moment_betas(self.alpha))
             dt = float(self.t[1] - self.t[0])
             ell = np.arange(1, len(self.t))
-            got = ()
-            for deriv in (False, True):
+            got = np.empty((2, 2, len(new), len(ell)))
+            for k, deriv in enumerate((False, True)):
                 w0, mm1 = self.moment_steps(new_lam, deriv)
-                A = ell * w0 - mm1 / dt
-                got += (w0 - A, A)
+                got[1, k] = ell * w0 - mm1 / dt
+                got[0, k] = w0 - got[1, k]
             for i, v in enumerate(new):
-                self._weights[v] = tuple(w[i] for w in got)
-        if np.ndim(lam):
-            return np.array([self._weights[v] for v in keys]).swapaxes(0, 1)
-        return self._weights[keys[0]]
+                self._weights[v] = got[:, :, i]
+        return np.stack([self._weights[v] for v in keys], axis=2)
 
 
 def _correlate_rows(w, f, count):
@@ -380,22 +384,11 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
         kt = _KernelTable(p.alpha, t)
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
-        # (B, A, B', A') of each forced mode, then every mode's sums at once
-        wt = kt.weights(lam[cols])
-        S = _panel_sums(F[:, cols].T, wt[::2], wt[1::2])
+        # every forced mode's sums against both kernels at once
+        S = _panel_sums(F[:, cols].T, *kt.weights(lam[cols]))
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
     return S3, S3p
-
-
-def _fprime_convolution(kt, lam_n, dt, f):
-    """Convolution of the piecewise-constant derivative of f against
-    s^(a-2)E_{a,a-1}; used by the second-derivative assembly."""
-    w0 = kt.moment_steps(lam_n, deriv=True)[0]
-    df = np.diff(f) / dt
-    out = np.zeros(len(kt.t))
-    out[1:] = np.convolve(df, w0)[:len(kt.t) - 1]
-    return out
 
 
 def _d2_smoothness_warning(p):
@@ -443,18 +436,18 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     D2 = None
     if want_d2:
         warnings = _d2_smoothness_warning(p)
-        D2 = np.empty((M1, N))
-        ta1 = np.zeros(M1)
-        ta2 = np.zeros(M1)
-        ta1[1:] = t[1:] ** (a - 1.0)
-        ta2[1:] = t[1:] ** (a - 2.0)
-        EAM1, EAA = kt.row(lam, (a - 1.0, a))
-        for n in range(N):
-            eam1, eaa = EAM1[n], EAA[n]
-            D2[:, n] = (-p.u0.coeffs[n] * lam[n] * ta2 * eam1
-                        - p.u1.coeffs[n] * lam[n] * ta1 * eaa
-                        + F[0, n] * ta2 * eam1
-                        + _fprime_convolution(kt, lam[n], dt, F[:, n]))
+        ta1, ta2 = np.zeros((2, M1, 1))
+        ta1[1:, 0] = t[1:] ** (a - 1.0)
+        ta2[1:, 0] = t[1:] ** (a - 2.0)
+        EAM1, EAA = kt.row(lam, (a - 1.0, a)).swapaxes(1, 2)
+        # the piecewise-constant derivative of f against s^(a-2)E_{a,a-1}
+        dF = np.diff(F, axis=0).T / dt
+        W0 = kt.moment_steps(lam, deriv=True)[0]
+        conv = np.zeros((M1, N))
+        conv[1:] = np.array([np.convolve(d, w)[:M1 - 1]
+                             for d, w in zip(dF, W0)]).T
+        D2 = (-p.u0.coeffs * lam * ta2 * EAM1
+              - p.u1.coeffs * lam * ta1 * EAA + F[0] * ta2 * EAM1 + conv)
         D2[0] = np.nan      # the t^(alpha-2) kernel is singular at zero
 
     for name, mat in (("u", U), ("dtu", DTU), ("dalpha", DAL)):

@@ -7,8 +7,8 @@ ever asking for x <= 0.
 
 Regime map on the negative axis (y = -x, kappa = y^(1/a)):
 
-  kappa <= series_cutoff   power series, log-space terms, Kahan summation
-  large y or kappa         asymptotic series + exponential terms, accepted
+  kappa <= 5               power series, log-space terms, Kahan summation
+  y >= 50 or kappa >= 30   asymptotic series + exponential terms, accepted
                            only when a smallest-term error bound certifies
                            the requested tolerance
   a exactly 1 or 2         closed forms (exp / cos families) where they
@@ -19,7 +19,8 @@ Regime map on the negative axis (y = -x, kappa = y^(1/a)):
                            estimate
 
 The cancellation amplitude of the alternating series is e^kappa, hence the
-series cutoff lives in kappa space; an |x|-space cutoff fails for a < 1.
+series cutoff (_SERIES_CUTOFF, like _ASYM_CUTOFF a fixed constant) lives in
+kappa space; an |x|-space cutoff fails for a < 1.
 
 ml_rows evaluates whole rows, one array of points at several betas, with
 array code: the power series over a fixed term count, and the branch cut
@@ -75,30 +76,24 @@ class MLQuery:
 
 @dataclass(frozen=True)
 class MLPrecision:
-    """Evaluation policy.
-
-    series_cutoff bounds kappa = |x|^(1/alpha) for the pure power series;
-    asym_cutoff is the |x| threshold past which the asymptotic expansion is
-    attempted first.  Both are tunable defaults, accuracy is certified
-    internally rather than assumed from the thresholds.
-    """
+    """Evaluation policy: the relative tolerance the routes certify."""
 
     rel_tol: float = 1e-12
-    series_cutoff: float = 5.0
-    asym_cutoff: float = 50.0
-    max_terms: int = 20000
 
     def validate(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("rel_tol must lie in (0, 1)")
-        if not self.series_cutoff < self.asym_cutoff:
-            raise DomainError("series_cutoff must be below asym_cutoff")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
 
 
 DEFAULT_PRECISION = MLPrecision()
 _EPS = float(np.finfo(float).eps)
+# The route thresholds, the same for the scalar evaluator and the rows:
+# kappa = |x|^(1/alpha) up to which the pure power series runs, the |x| past
+# which the asymptotic expansion is tried first, and the series' term cap.
+# Accuracy is certified by each route, not assumed from the thresholds.
+_SERIES_CUTOFF = 5.0
+_ASYM_CUTOFF = 50.0
+_MAX_TERMS = 20000
 
 
 # ----------------------------------------------------------- power series
@@ -111,14 +106,14 @@ def _kappa(y, alpha):
         return math.inf
 
 
-def _term_count(kappa, alpha, max_terms):
+def _term_count(kappa, alpha):
     """Power-series terms for kappa: the terms peak near alpha n = kappa
-    and are spent 10 sqrt(kappa) + 30 further on; at most max_terms."""
+    and are spent 10 sqrt(kappa) + 30 further on; at most _MAX_TERMS."""
     n = (kappa + 10.0 * math.sqrt(kappa) + 30.0) / alpha
-    return min(int(min(n, max_terms)) + 24, max_terms)
+    return min(int(min(n, _MAX_TERMS)) + 24, _MAX_TERMS)
 
 
-def _taylor(alpha, beta, x, rel_tol, max_terms):
+def _taylor(alpha, beta, x, rel_tol):
     """Kahan-compensated power series; every term through exp/log so large
     Gamma arguments neither overflow nor underflow.  Poles of Gamma are
     detected through gammasgn and skipped."""
@@ -130,7 +125,7 @@ def _taylor(alpha, beta, x, rel_tol, max_terms):
     if x > 0.0 and kappa > 708.0:
         raise NumericOverflowError(
             f"E_{{{alpha},{beta}}}({x}) exceeds the double range")
-    nmax = _term_count(kappa, alpha, max_terms)
+    nmax = _term_count(kappa, alpha)
     s = 0.0
     c = 0.0
     small_run = 0
@@ -463,7 +458,7 @@ def _dd_series(step, beta, x, nmax=2600):
     return (sh + sl) * float(rgamma(beta))
 
 
-def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
+def _integer_alpha_neg(m, beta, x, rel_tol):
     """E_{m,beta}(x) for m in {1, 2} and x < 0 outside the Taylor band."""
     y = -x
     limit = 36.0 if m == 1 else 1300.0
@@ -476,7 +471,7 @@ def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
         # next to 1/Gamma(b) (b < y for m = 1, b^2 < y for m = 2); past
         # that the difference cancels and the asymptotic series refuses.
         b = beta - math.ceil((beta - top) / m) * m
-        val = _integer_alpha_neg(m, b, x, rel_tol, max_terms)
+        val = _integer_alpha_neg(m, b, x, rel_tol)
         rt = math.sqrt(y)
         err = 8.0 * _EPS * (abs(val) if m == 1 else (1.0 + rt) / rt ** (b - 1))
         while b < beta:
@@ -507,7 +502,7 @@ def _integer_alpha_neg(m, beta, x, rel_tol, max_terms):
         base = math.cos(rt) if k % 2 == 1 else math.sin(rt) / rt
         return x ** shift * base
     if y > limit:
-        v, ok = _asym(m, beta, y, rel_tol, max_terms, pole_tol=1e-8)
+        v, ok = _asym(m, beta, y, rel_tol, _MAX_TERMS, pole_tol=1e-8)
         if not ok:
             raise AccuracyError(
                 f"asymptotic series for E_{{{m},{beta}}}({x}) not certified")
@@ -534,15 +529,15 @@ def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
     if x == 0.0:
         return float(rgamma(beta))
     if x > 0.0:
-        return _taylor(alpha, beta, x, rel_tol, prec.max_terms)
+        return _taylor(alpha, beta, x, rel_tol)
     y = -x
     kappa = _kappa(y, alpha)
-    if kappa <= prec.series_cutoff:
-        return _taylor(alpha, beta, x, rel_tol, prec.max_terms)
+    if kappa <= _SERIES_CUTOFF:
+        return _taylor(alpha, beta, x, rel_tol)
     if alpha == 1.0 or alpha == 2.0:
-        return _integer_alpha_neg(int(alpha), beta, x, rel_tol, prec.max_terms)
-    if y >= prec.asym_cutoff or kappa >= 30.0:
-        v, ok = _asym(alpha, beta, y, rel_tol, min(prec.max_terms, 400))
+        return _integer_alpha_neg(int(alpha), beta, x, rel_tol)
+    if y >= _ASYM_CUTOFF or kappa >= 30.0:
+        v, ok = _asym(alpha, beta, y, rel_tol, 400)
         if ok:
             return v
     return _cut(alpha, beta, y, rel_tol)
@@ -572,12 +567,12 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 
 # ------------------------------------------------------------- array rows
 
-def _taylor_row(alpha, beta, x, prec):
-    """_taylor for x < 0 with kappa <= series_cutoff, as one array: the same
+def _taylor_row(alpha, beta, x):
+    """_taylor for x < 0 with kappa <= _SERIES_CUTOFF, as one array: the same
     log-space terms over the term count the cutoff itself needs, so that no
     element depends on another.  Each element's terms are summed along
     its own contiguous row (numpy's pairwise order)."""
-    n = np.arange(_term_count(prec.series_cutoff, alpha, prec.max_terms))
+    n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
     g = alpha * n + beta
     sg = gammasgn(g)
     sg[n % 2 == 1] *= -1.0
@@ -605,7 +600,7 @@ def ml_rows(alpha, betas, x, scalar=_ml):
     The routes are chosen per element once for every beta:
 
       x == 0                         1/Gamma(beta)
-      x < 0, kappa <= series_cutoff  power series, fixed term count
+      x < 0, kappa <= _SERIES_CUTOFF power series, fixed term count
       x < 0, non-integer alpha       branch cut (_cut_rows), kept where
                                      certified
       anything else                  scalar(alpha, beta, x_i), one call per
@@ -630,8 +625,7 @@ def ml_rows(alpha, betas, x, scalar=_ml):
     kappa = np.zeros(xf.shape)
     with np.errstate(over="ignore"):     # inf past the double range
         kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
-    prec = DEFAULT_PRECISION
-    series = neg & (kappa <= prec.series_cutoff)
+    series = neg & (kappa <= _SERIES_CUTOFF)
     cut = np.flatnonzero(neg & ~series)
     y = -xf[cut]
     reduced = {}                   # beta -> (b, down) at non-integer alpha
@@ -643,7 +637,7 @@ def ml_rows(alpha, betas, x, scalar=_ml):
         row[zero] = float(rgamma(beta))
         done = zero | series
         if series.any():
-            row[series] = _taylor_row(alpha, beta, xf[series], prec)
+            row[series] = _taylor_row(alpha, beta, xf[series])
         if beta in reduced:
             b, down = reduced[beta]
             val, ok = cuts[b]

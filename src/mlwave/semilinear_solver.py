@@ -308,9 +308,9 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
 # ------------------------------------------------------- window machinery
 
 class _Workspace:
-    """Per-run caches: the kernel table over the global grid, its product-
-    integration weights stacked as one (4, modes, panels) table (B, B', A,
-    A'), the homogeneous part, and the collocation rule's resolution."""
+    """Per-run caches: the kernel table over the global grid, which also
+    holds the product-integration weights of every mode forced so far, the
+    homogeneous part, and the collocation rule's resolution."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
@@ -325,8 +325,6 @@ class _Workspace:
         self.panels = _rule_panels(self.quad)
         self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
                                                   p.u0.coeffs, p.u1.coeffs)
-        self._wt = np.zeros((4, self.N, len(grid) - 1))
-        self._have = np.zeros(self.N, dtype=bool)
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
@@ -345,19 +343,6 @@ class _Workspace:
                              self.N, self.panels)
         except OverflowSignal:
             return math.inf
-
-    def weights(self, cols, K):
-        """Left-node weights (B, B') and right-node weights (A, A') of the
-        modes cols over the first K panels, each (2, modes, K).  The
-        weights of the modes that carry forcing for the first time are
-        built together, their kernel rows in one call."""
-        new = cols[~self._have[cols]]
-        if new.size:
-            # (B, A, B', A') stacked as (B, B', A, A')
-            self._wt[:, new] = self.kt.weights(self.lam[new])[[0, 2, 1, 3]]
-            self._have[new] = True
-        got = self._wt[:, cols, :K]
-        return got[:2], got[2:]
 
     def combined_norms(self, U, DTU):
         """Per-row ||u||_{V_gamma} + ||dtu||_{L2}."""
@@ -381,7 +366,7 @@ class _Workspace:
         cols = np.flatnonzero(F_hist[:ia + 1].any(axis=0)) if ia > 0 else ()
         if len(cols):
             # the memory of the accepted panels, every forced mode at once
-            left, right = self.weights(cols, ia + W)
+            left, right = self.kt.weights(self.lam[cols])
             rev0 = F_hist[ia - 1::-1, cols].T
             rev1 = F_hist[ia:0:-1, cols].T
             with np.errstate(over="ignore", invalid="ignore"):
@@ -407,7 +392,8 @@ class _Workspace:
             if cols.size:
                 if not np.array_equal(cols, plan_cols):
                     plan_cols = cols
-                    plan = _panel_plan(*self.weights(cols, W))
+                    plan = _panel_plan(
+                        *self.kt.weights(self.lam[cols])[..., :W])
                 with np.errstate(over="ignore", invalid="ignore"):
                     new = _apply_plan(plan, Fw[:, cols].T)
                     newU[1:, cols] += new[0].T
@@ -430,6 +416,8 @@ class _Workspace:
 
 
 def _node_index(t, value, what):
+    if not math.isfinite(value):
+        raise DomainError(f"{what}={value} is not finite")
     i = int(round(value / (t[1] - t[0])))
     if not (0 <= i < len(t)) or abs(t[i] - value) > 1e-9 * max(1.0, t[-1]):
         raise DomainError(f"{what}={value} does not lie on the grid")
@@ -440,35 +428,37 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
                   history, history_forcing=None):
     """One fixed-point window solve on window=(t_a, t_b).
 
-    history is a trace covering the nodes up to t_a (its u rows are used
-    to rebuild the memory forcing unless history_forcing, rows 0..ia, is
-    supplied).  Returns a dict with the window nodes' times, u/dtu/f
+    history is a trace covering the nodes up to t_a, needed when t_a > 0:
+    its u and dtu rows at t_a centre the trust radius, and its u rows
+    rebuild the memory forcing unless history_forcing, rows 0..ia, is
+    supplied.  Returns a dict with the window nodes' times, u/dtu/f
     coefficient rows, the iteration count and the final contraction
     ratio.  Raises WindowFailure when the window does not contract."""
     p.validate()
     cfg.validate()
     t = np.asarray(grid, dtype=float)
-    ws = _Workspace(p, t, cfg)
     ta, tb = float(window[0]), float(window[1])
     ia = _node_index(t, ta, "window start")
     ib = _node_index(t, tb, "window end")
     if ib <= ia:
         raise DomainError("window must contain at least one step")
+    hu, hdtu = p.u0.coeffs[None, :], p.u1.coeffs[None, :]
+    if ia > 0:
+        if history is None:
+            raise DomainError("a window after t = 0 needs a history")
+        hu = np.asarray(history.u_coeffs, dtype=float)
+        hdtu = np.asarray(history.dtu_coeffs, dtype=float)
+        if any(h.ndim != 2 or len(h) <= ia or h.shape[1] != p.N
+               for h in (hu, hdtu)):
+            raise DomainError("history must hold rows 0..t_a of all modes")
+    ws = _Workspace(p, t, cfg)
     if history_forcing is not None:
         F_hist = np.asarray(history_forcing, dtype=float)
         if F_hist.shape != (ia + 1, p.N):
             raise DomainError("history forcing must cover rows 0..t_a")
     else:
-        if ia == 0:
-            F_hist = ws.apply_rows(p.u0.coeffs[None, :])
-        else:
-            hu = np.asarray(history.u_coeffs, dtype=float)
-            if hu.shape[0] < ia + 1:
-                raise DomainError("history does not reach the window start")
-            F_hist = ws.apply_rows(hu[:ia + 1])
-    R_eff = (ws.trust_radius(cfg, p.u0.coeffs, p.u1.coeffs) if ia == 0
-             else ws.trust_radius(cfg, np.asarray(history.u_coeffs[ia]),
-                                  np.asarray(history.dtu_coeffs[ia])))
+        F_hist = ws.apply_rows(hu[:ia + 1])
+    R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
     U, DTU, Fw, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
                                                      R_eff)
     return {

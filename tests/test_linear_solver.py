@@ -70,6 +70,24 @@ class TestTimeFunctions:
         with pytest.raises(ConfigError):
             eval_time_function("sawtooth", {}, np.array([0.0]))
 
+    @pytest.mark.parametrize("name, params", [
+        ("sinusoid", {"amplitude": "x", "omega": 1.0}),
+        ("polynomial", {"coeffs": 3}),
+        ("constant", {"value": None}),
+        ("exponential-decay", {"amplitude": 1.0, "rate": [1.0, 2.0]}),
+    ])
+    def test_mistyped_parameter(self, name, params):
+        # the value errors and type errors of the parameters are library
+        # errors, directly and through a solve, which validate() lets by
+        with pytest.raises(ConfigError, match="mistyped"):
+            eval_time_function(name, params, np.array([0.0, 1.0]))
+        op = interval_op()
+        f = ForcingSpec(kind="separable", g=field(op, [1.0]), h_name=name,
+                        h_params=params)
+        with pytest.raises(ConfigError, match="mistyped"):
+            solve_linear(problem(op, 1.5, [1.0], [0.0], f),
+                         np.linspace(0.0, 1.0, 11))
+
 
 class TestForcingValidation:
     def test_separable_needs_profile(self):
@@ -293,19 +311,23 @@ class TestProductIntegration:
         distinct = len(set(lam))
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
-        assert kt.weights(lam[0]) is kt.weights(float(lam[0]))
-        kt.weights(lam[::-1])
+        got = kt.weights(lam[::-1])
         assert len(built) == 2
+        assert got.shape == (2, 2, N, 10)
+        assert (got[:, :, ::-1].tobytes()
+                == kt.weights(lam).tobytes())
 
     def test_batched_weights_equal_single_builds(self):
+        # (left, right) = ((B, B'), (A, A')) of each eigenvalue, bit-equal
+        # to a table that builds that eigenvalue alone
         t = np.linspace(0.0, 2.0, 41)
         lam = (np.arange(1, 9) ** 2.0)[[3, 0, 7, 3, 5, 1]]
         for a in (1.1, 1.5, 1.9):
             got = linear_solver._KernelTable(a, t).weights(lam)
+            assert got.shape == (2, 2, len(lam), 40)
             for i, v in enumerate(lam):
-                want = linear_solver._KernelTable(a, t).weights(float(v))
-                for g, w in zip(got[:, i], want):
-                    assert g.tobytes() == w.tobytes()
+                want = linear_solver._KernelTable(a, t).weights([v])
+                assert got[:, :, i].tobytes() == want[:, :, 0].tobytes()
 
 
 class TestKernelTable:

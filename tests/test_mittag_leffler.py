@@ -237,9 +237,6 @@ class TestValidation:
     def test_precision_invariants(self):
         with pytest.raises(DomainError):
             ml_e(MLQuery(1.5, 1.0, -1.0), MLPrecision(rel_tol=2.0))
-        with pytest.raises(DomainError):
-            ml_e(MLQuery(1.5, 1.0, -1.0),
-                 MLPrecision(series_cutoff=60.0, asym_cutoff=50.0))
 
     def test_determinism(self):
         q = MLQuery(1.37, 0.81, -123.456)
@@ -429,8 +426,8 @@ class TestMlRows:
     def test_handoff_to_scalar_evaluator(self, alpha, xs, seams):
         # every route, and both sides of the scalar evaluator's route
         # boundaries (kappa = series_cutoff, y = asym_cutoff, kappa = 30)
-        p = DEFAULT_PRECISION
-        at = {"series": p.series_cutoff ** alpha, "asym": p.asym_cutoff,
+        at = {"series": mittag_leffler._SERIES_CUTOFF ** alpha,
+              "asym": mittag_leffler._ASYM_CUTOFF,
               "kappa30": 30.0 ** alpha}
         x = np.array(xs + [-at[k] * (1.0 + d) for k, d in seams])
         betas = row_betas(alpha)

@@ -33,7 +33,7 @@ from mlwave import (
     solve_linear,
     strong_solution_check,
 )
-from mlwave import semilinear_solver, spectral_operator
+from mlwave import linear_solver, semilinear_solver, spectral_operator
 from mlwave.linear_solver import (_apply_plan, _correlate_rows, _panel_plan,
                                   _panel_sums)
 from mlwave.mittag_leffler import _ml
@@ -522,6 +522,44 @@ class TestPicardWindow:
             picard_window(p, (0.5, 1.0), grid, PicardConfig(), hist,
                           history_forcing=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("window", [(math.nan, 0.4), (0.0, math.inf),
+                                        (-math.inf, 0.4), (0.2, math.nan)])
+    def test_window_ends_must_be_finite(self, window):
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0], NonlinearitySpec())
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DomainError, match="not finite"):
+            picard_window(p, window, grid, PicardConfig(), None)
+
+    def test_later_window_needs_a_history(self):
+        # the trust radius is centred on the history's row at t_a, so a
+        # history is needed even when its forcing is supplied
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0],
+                    NonlinearitySpec("sine", {"c": 0.2}))
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DomainError, match="needs a history"):
+            picard_window(p, (0.2, 0.4), grid, PicardConfig(), None)
+        with pytest.raises(DomainError, match="needs a history"):
+            picard_window(p, (0.2, 0.4), grid, PicardConfig(), None,
+                          history_forcing=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("shapes", [((2, 1), (3, 1)), ((3, 1), (2, 1)),
+                                        ((1, 1), (1, 1)), ((3, 2), (3, 1)),
+                                        ((3, 1), (3,))])
+    def test_short_history_rejected(self, shapes):
+        # too few rows, or rows of another truncation
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0],
+                    NonlinearitySpec("sine", {"c": 0.2}))
+        grid = np.linspace(0.0, 1.0, 11)
+        hist = SimpleNamespace(u_coeffs=np.zeros(shapes[0]),
+                               dtu_coeffs=np.zeros(shapes[1]))
+        for forcing in (None, np.zeros((3, 1))):
+            with pytest.raises(DomainError, match="of all modes"):
+                picard_window(p, (0.2, 0.4), grid, PicardConfig(), hist,
+                              history_forcing=forcing)
+
     def test_linear_shift_relaxation(self):
         # f(u) = 0.5 u on the first mode shifts the decay rate to 0.5
         op = interval_op()
@@ -635,6 +673,39 @@ class TestRun:
                                   ref.norm_series[key])
         assert all(w.iterations == 1 for w in out.windows)
         assert all(w.contraction_estimate == 0.0 for w in out.windows)
+
+    def test_weights_built_once_per_eigenvalue(self, monkeypatch):
+        # the square's spectrum repeats eigenvalues; every window's memory
+        # term and plans ask the run's kernel table for weights, and the
+        # weights of each distinct eigenvalue are built once per run
+        built = []
+        asked = []
+        moments = linear_solver.kernel_moments
+        weights = linear_solver._KernelTable.weights
+
+        def counted(alpha, t, row, deriv=False):
+            got = moments(alpha, t, row, deriv)
+            built.append((deriv, got[0].shape))
+            return got
+
+        def asking(kt, lam):
+            asked.append(len(lam))
+            return weights(kt, lam)
+
+        monkeypatch.setattr(linear_solver, "kernel_moments", counted)
+        monkeypatch.setattr(linear_solver._KernelTable, "weights", asking)
+        op = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=(math.pi, math.pi)))
+        N = 12
+        n = np.arange(1, N + 1)
+        p = problem(op, 1.25, 0.2 * (-1.0) ** n / n ** 2, 0.1 / n ** 2,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 2.0}))
+        out = run(p, 0.1, PicardConfig(window_init=0.02), 0.01)
+        distinct = len(set(op.eigenvalues(N)))
+        assert out.status == "completed" and len(out.windows) > 2
+        assert distinct < N
+        assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
+        assert len(asked) > len(out.windows)
 
     def test_windows_tile_the_horizon(self):
         op = interval_op()
