@@ -98,19 +98,6 @@ class Scenario:
         return doc
 
 
-def _canon(value):
-    """Floats for every number so echo round-trips compare equal."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _canon(v) for k, v in value.items()}
-    return value
-
-
 def _check_keys(doc, allowed, where):
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -211,11 +198,9 @@ def _resolve_coeffs(spec, N, label, problems):
             f"{label}: unknown profile name {spec!r} "
             "(use \"zero\", \"phi<k>\", a list, or {\"file\": path})")
         return None
-    if isinstance(spec, (list, tuple)):
-        try:
-            vals = [float(v) for v in spec]
-        except (TypeError, ValueError):
-            problems.append(f"{label}: coefficient list must be numeric")
+    if isinstance(spec, list):
+        vals = _numbers(spec, label, problems)
+        if vals is None:
             return None
         if len(vals) > N:
             problems.append(
@@ -232,14 +217,22 @@ def _resolve_coeffs(spec, N, label, problems):
         except ValueError as exc:
             problems.append(f"{label}: unreadable coefficient CSV: {exc}")
             return None
+        if rows.size and rows.shape[1] != 2:
+            problems.append(f"{label}: coefficient CSV needs the two columns "
+                            f"n,c_n, got {rows.shape[1]}")
+            return None
         c = [0.0] * N
-        for nmode, val in rows:
-            k = int(round(nmode))
-            if not 1 <= k <= N:
-                problems.append(
-                    f"{label}: CSV mode index {k} outside 1..{N}")
+        for i, (nmode, val) in enumerate(rows.tolist()):
+            k = _number(nmode, f"{label} CSV row {i + 1} mode index",
+                        problems)
+            val = _number(val, f"{label} CSV row {i + 1} value", problems)
+            if k is None or val is None:
                 return None
-            c[k - 1] = float(val)
+            if k != int(k) or not 1 <= k <= N:
+                problems.append(
+                    f"{label}: CSV mode index {k:g} outside 1..{N}")
+                return None
+            c[int(k) - 1] = val
         return tuple(c)
     problems.append(f"{label}: unsupported initial-data spec {spec!r}")
     return None
@@ -271,12 +264,24 @@ def _normalize_forcing(doc, N, problems):
             if out["h_params"] is None:
                 return None
         if doc.get("h_samples") is not None:
-            out["h_samples"] = _canon(doc["h_samples"])
+            out["h_samples"] = _numbers(doc["h_samples"], "forcing.h_samples",
+                                        problems)
+            if out["h_samples"] is None:
+                return None
     elif kind == "tabulated":
-        if doc.get("table") is None:
-            problems.append("forcing: tabulated kind needs a table")
+        table = doc.get("table")
+        if not isinstance(table, list) or not table:
+            problems.append("forcing: tabulated kind needs a table, a list "
+                            "of rows")
             return None
-        out["table"] = _canon(doc["table"])
+        rows = [_numbers(row, f"forcing.table[{i}]", problems)
+                for i, row in enumerate(table)]
+        if None in rows:
+            return None
+        if len({len(row) for row in rows}) > 1:
+            problems.append("forcing.table rows must have one length")
+            return None
+        out["table"] = rows
     return out
 
 

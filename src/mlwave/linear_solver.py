@@ -280,15 +280,20 @@ class _KernelTable:
 
     def weights(self, lam):
         """Product-integration weights of each eigenvalue of the array lam
-        on the grid's panels, as one (2, 2, len(lam), panels) stack (left,
-        right): left = (B, B') and right = (A, A'), where panel l
-        contributes f_left B[l] + f_right A[l] against s^(a-1)E_aa (B, A)
-        and against s^(a-2)E_{a,a-1} (B', A').  Built from the moment
+        on the grid's P panels, as one zero-led (2, 2, len(lam), 2P - 1)
+        stack (left, right): left = (B, B') and right = (A, A'), where
+        panel l, at index P - 1 + l behind P - 1 zeros, contributes
+        f_left B[l] + f_right A[l] against s^(a-1)E_aa (B, A) and against
+        s^(a-2)E_{a,a-1} (B', A').  Sliced from index P - K, the stack is
+        the table of a K-panel grid, and _toeplitz of the slice serves
+        every causal sum over K panels; sliced from index P - 1, it serves
+        the sums against accepted samples.  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
         the kernel, making constant forcing exact.  The weights of every
         eigenvalue the table lacks are built at once, from rows built in
-        one call; the arithmetic is elementwise, so each eigenvalue's
-        weights are those of a build of it alone."""
+        one call, and cached as (2, 2, P) entries; the arithmetic is
+        elementwise, so each eigenvalue's weights are those of a build of
+        it alone."""
         keys = np.ravel(lam).tolist()
         new = [v for v in dict.fromkeys(keys) if v not in self._weights]
         if new:
@@ -303,44 +308,32 @@ class _KernelTable:
                 got[0, k] = w0 - got[1, k]
             for i, v in enumerate(new):
                 self._weights[v] = got[:, :, i]
-        return np.stack([self._weights[v] for v in keys], axis=2)
+        return _zero_led(np.stack([self._weights[v] for v in keys], axis=2))
 
 
-def _correlate_rows(w, f, count):
-    """np.correlate(w[..., n, :], f[n], "valid")[:count] for every mode row
-    n at once, out[..., n, k] = sum_j w[..., n, k + j] f[n, j]; leading
-    axes of w stack weight tables.  One vecdot over a zero-copy Toeplitz
-    view of w, so nothing of size count * f.shape[1] is built."""
-    J = f.shape[-1]
-    view = sliding_window_view(w[..., :count + J - 1], J, axis=-1)
-    return np.vecdot(view, np.ascontiguousarray(f)[:, None, :])
+def _zero_led(w):
+    """The P entries on the last axis of w behind P - 1 zeros."""
+    P = w.shape[-1]
+    out = np.zeros(w.shape[:-1] + (2 * P - 1,))
+    out[..., P - 1:] = w
+    return out
 
 
-def _panel_plan(B, A):
-    """What the causal sums against the weights (B, A) of K panels share
-    for any forcing: each table led by K - 1 zeros, and its zero-copy
-    Toeplitz view, row k holding the weights against F reversed for node
-    k + 1.  Built once, applied by _apply_plan to each F of K + 1 nodes;
-    leading axes of B and A stack weight tables."""
-    K = B.shape[-1]
-    lead = np.zeros(B.shape[:-1] + (K - 1,))
-    return tuple(sliding_window_view(np.concatenate([lead, w], axis=-1), K,
-                                     axis=-1) for w in (B, A))
+def _toeplitz(w, count, J):
+    """Zero-copy Toeplitz view of the last axis of w: row k of the count
+    rows holds w[..., k:k + J]."""
+    return sliding_window_view(w[..., :count + J - 1], J, axis=-1)
 
 
-def _apply_plan(plan, F):
+def _causal_sums(view, F):
     """The causal Volterra sums of every mode row of F (samples at nodes
-    0..K) against the same rows of the plan's weights (B, A): at node i in
-    1..K, sum_{l < i} F[n, i-1-l] B[n, l] + F[n, i-l] A[n, l]."""
-    left, right = plan
+    0..J) against the _toeplitz view (left, right) of a weight stack: row
+    k is sum_j left[k, j] F[n, J-1-j] + right[k, j] F[n, J-j], which for
+    a K-panel table (J = K) is the sum at node i = k + 1 over its panels
+    l < i, F[n, i-1-l] B[l] + F[n, i-l] A[l]."""
+    left, right = view
     return (np.vecdot(left, np.ascontiguousarray(F[:, -2::-1])[:, None, :])
             + np.vecdot(right, np.ascontiguousarray(F[:, :0:-1])[:, None, :]))
-
-
-def _panel_sums(F, B, A):
-    """_apply_plan of F against a plan of the first K panels of (B, A)."""
-    K = F.shape[-1] - 1
-    return _apply_plan(_panel_plan(B[..., :K], A[..., :K]), F)
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1):
@@ -385,7 +378,8 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
         # every forced mode's sums against both kernels at once
-        S = _panel_sums(F[:, cols].T, *kt.weights(lam[cols]))
+        K = M1 - 1
+        S = _causal_sums(_toeplitz(kt.weights(lam[cols]), K, K), F[:, cols].T)
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
     return S3, S3p
@@ -442,10 +436,10 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         EAM1, EAA = kt.row(lam, (a - 1.0, a)).swapaxes(1, 2)
         # the piecewise-constant derivative of f against s^(a-2)E_{a,a-1}
         dF = np.diff(F, axis=0).T / dt
-        W0 = kt.moment_steps(lam, deriv=True)[0]
+        W0 = _zero_led(kt.moment_steps(lam, deriv=True)[0])
         conv = np.zeros((M1, N))
-        conv[1:] = np.array([np.convolve(d, w)[:M1 - 1]
-                             for d, w in zip(dF, W0)]).T
+        conv[1:] = np.vecdot(_toeplitz(W0, M1 - 1, M1 - 1),
+                             np.ascontiguousarray(dF[:, ::-1])[:, None, :]).T
         D2 = (-p.u0.coeffs * lam * ta2 * EAM1
               - p.u1.coeffs * lam * ta1 * EAA + F[0] * ta2 * EAM1 + conv)
         D2[0] = np.nan      # the t^(alpha-2) kernel is singular at zero

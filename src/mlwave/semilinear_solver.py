@@ -19,8 +19,8 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _apply_plan, _correlate_rows, _norm_series,
-                            _panel_plan, _unforced_rows)
+                            _causal_sums, _norm_series, _toeplitz,
+                            _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _row_runs, _rule_panels, analysis, synthesis,
@@ -308,9 +308,9 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
 # ------------------------------------------------------- window machinery
 
 class _Workspace:
-    """Per-run caches: the kernel table over the global grid, which also
-    holds the product-integration weights of every mode forced so far, the
-    homogeneous part, and the collocation rule's resolution."""
+    """Per-run caches: the kernel table over the global grid, the zero-led
+    product-integration weights of every mode on it, the homogeneous part,
+    and the collocation rule's resolution."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
@@ -325,6 +325,7 @@ class _Workspace:
         self.panels = _rule_panels(self.quad)
         self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
                                                   p.u0.coeffs, p.u1.coeffs)
+        self.weights = self.kt.weights(self.lam)
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
@@ -358,29 +359,27 @@ class _Workspace:
 
     def window_solve(self, ia, ib, F_hist, cfg, R_eff):
         """Fixed-point iteration on nodes ia..ib given accepted forcing
-        history F_hist (rows 0..ia).  Returns (U, DTU, F, iterations,
-        contraction) over the window nodes or raises WindowFailure."""
+        history F_hist (rows 0..ia).  Returns (U, DTU, F, norms,
+        iterations, contraction) over the window nodes, norms the combined
+        norms of the accepted rows, or raises WindowFailure."""
         W = ib - ia
+        P = len(self.kt.t) - 1
         base_u = self.hom_u[ia:ib + 1].copy()
         base_dtu = self.hom_dtu[ia:ib + 1].copy()
-        cols = np.flatnonzero(F_hist[:ia + 1].any(axis=0)) if ia > 0 else ()
-        if len(cols):
-            # the memory of the accepted panels, every forced mode at once
-            left, right = self.kt.weights(self.lam[cols])
-            rev0 = F_hist[ia - 1::-1, cols].T
-            rev1 = F_hist[ia:0:-1, cols].T
+        if ia > 0:
+            # the memory of the accepted panels, every mode at once
+            memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
             with np.errstate(over="ignore", invalid="ignore"):
-                mem = (_correlate_rows(left, rev0, W + 1)
-                       + _correlate_rows(right, rev1, W + 1))
-                base_u[:, cols] += mem[0].T
-                base_dtu[:, cols] += mem[1].T
+                mem = _causal_sums(memory, F_hist[:ia + 1].T)
+                base_u += mem[0].T
+                base_dtu += mem[1].T
         U = base_u.copy()
         DTU = base_dtu.copy()
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         prev_d = None
-        # the window's sums reuse one plan while the forced modes stay put
-        plan_cols = None
+        # every iteration's sums read this one view of the window's table
+        window = _toeplitz(self.weights[..., P - W:], W, W)
         for it in range(1, cfg.max_iter + 1):
             try:
                 Fw[1:] = self.apply_rows(U[1:])
@@ -388,27 +387,23 @@ class _Workspace:
                 raise WindowFailure(str(sig)) from sig
             newU = base_u.copy()
             newDTU = base_dtu.copy()
-            cols = np.flatnonzero(Fw.any(axis=0))
-            if cols.size:
-                if not np.array_equal(cols, plan_cols):
-                    plan_cols = cols
-                    plan = _panel_plan(
-                        *self.kt.weights(self.lam[cols])[..., :W])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    new = _apply_plan(plan, Fw[:, cols].T)
-                    newU[1:, cols] += new[0].T
-                    newDTU[1:, cols] += new[1].T
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = _causal_sums(window, Fw.T)
+                newU[1:] += new[0].T
+                newDTU[1:] += new[1].T
             if not (np.all(np.isfinite(newU)) and np.all(np.isfinite(newDTU))):
                 raise WindowFailure("iterate overflowed")
-            d = float(np.max(self.combined_norms(newU - U, newDTU - DTU)))
-            if float(np.max(self.combined_norms(newU, newDTU))) > R_eff:
+            change, norms = self.combined_norms(
+                np.stack([newU - U, newU]), np.stack([newDTU - DTU, newDTU]))
+            d = float(np.max(change))
+            if float(np.max(norms)) > R_eff:
                 raise WindowFailure(
                     f"iterate left the trust ball of radius {R_eff:.3g}")
             contraction = 0.0 if prev_d is None else d / prev_d
             U, DTU = newU, newDTU
             if d < cfg.tol:
                 Fw[1:] = self.apply_rows(U[1:])
-                return U, DTU, Fw, it, contraction
+                return U, DTU, Fw, norms, it, contraction
             prev_d = d
         raise WindowFailure(
             f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "
@@ -437,7 +432,11 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
     p.validate()
     cfg.validate()
     t = np.asarray(grid, dtype=float)
-    ta, tb = float(window[0]), float(window[1])
+    try:
+        ta, tb = (float(v) for v in window)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"window must be a pair of times, got {window!r}") from exc
     ia = _node_index(t, ta, "window start")
     ib = _node_index(t, tb, "window end")
     if ib <= ia:
@@ -459,8 +458,8 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
     else:
         F_hist = ws.apply_rows(hu[:ia + 1])
     R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
-    U, DTU, Fw, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
-                                                     R_eff)
+    U, DTU, Fw, _, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
+                                                        R_eff)
     return {
         "times": t[ia:ib + 1],
         "u_coeffs": U,
@@ -553,7 +552,7 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
         ib = i + steps
         R_eff = ws.trust_radius(cfg, U[i], DTU[i])
         try:
-            Uw, DTUw, Fw, iters, contraction = ws.window_solve(
+            Uw, DTUw, Fw, norms, iters, contraction = ws.window_solve(
                 i, ib, F[:i + 1], cfg, R_eff)
         except WindowFailure:
             if steps == 1 or (steps // 2) * dt < cfg.window_min:
@@ -565,8 +564,7 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
         U[i + 1:ib + 1] = Uw[1:]
         DTU[i + 1:ib + 1] = DTUw[1:]
         F[i + 1:ib + 1] = Fw[1:]
-        norms = ws.combined_norms(Uw[1:], DTUw[1:])
-        breach = np.where(norms > cfg.blowup_threshold)[0]
+        breach = np.where(norms[1:] > cfg.blowup_threshold)[0]
         end = i + 1 + int(breach[0]) if breach.size else ib
         windows.append(WindowRecord(grid[i], grid[end], iters, contraction))
         kept = slice(1, end - i + 1)

@@ -387,6 +387,50 @@ class TestMistypedFields:
             MUTATION_BASE["semilinear"], "picard.nonlinearity_quadrature",
             10 * panels + 1)))
 
+    @pytest.mark.parametrize("value", ["1.5", True],
+                             ids=["string", "boolean"])
+    @pytest.mark.parametrize("path", ["u0.0", "u1.0", "forcing.g.1"])
+    def test_coefficient_entry_not_a_number_exits_one(self, tmp_path, capsys,
+                                                      path, value):
+        doc = mutated(MUTATION_BASE["linear"], path, value)
+        assert self.solve(tmp_path, "linear", doc) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "n,c_n\n1,0.5\nnan,1.0\n", "n,c_n\ninf,1.0\n", "n,c_n\n1,nan\n",
+        "n\n1\n2\n", "n,c_n,x\n1,0.5,2.0\n", "n,c_n\n1.5,1.0\n",
+    ], ids=["nan-index", "inf-index", "nan-value", "one-column",
+            "three-columns", "fractional-index"])
+    def test_malformed_coefficient_csv_exits_one(self, tmp_path, capsys,
+                                                 text):
+        f = tmp_path / "u0.csv"
+        f.write_text(text)
+        doc = mutated(MUTATION_BASE["linear"], "u0", {"file": str(f)})
+        assert self.solve(tmp_path, "linear", doc) == 1
+        assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forcing", [
+        {"kind": "separable", "g": [1.0], "h_samples": ["a", "b", "c"]},
+        {"kind": "separable", "g": [1.0], "h_samples": [0.0, True, 1.0]},
+        {"kind": "tabulated", "table": [["a"] * 4] * 3},
+        {"kind": "tabulated", "table": [[1.0] * 4, [1.0] * 2, [1.0] * 4]},
+        {"kind": "tabulated", "table": [1.0, 2.0, 3.0]},
+    ], ids=["string-samples", "boolean-sample", "string-table",
+            "ragged-table", "flat-table"])
+    def test_malformed_forcing_data_exits_one(self, tmp_path, capsys,
+                                              forcing):
+        doc = mutated(MUTATION_BASE["linear"], "forcing", forcing)
+        assert self.solve(tmp_path, "linear", doc) == 1
+        assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forcing", [
+        {"kind": "separable", "g": [1.0], "h_samples": [0, 1.0, 2]},
+        {"kind": "tabulated", "table": [[1, 0.0, 0.5, 0.0]] * 3},
+    ], ids=["samples", "table"])
+    def test_tabulated_forcing_data_solves(self, tmp_path, forcing):
+        doc = mutated(MUTATION_BASE["linear"], "forcing", forcing)
+        assert self.solve(tmp_path, "linear", doc) == 0
+
     def test_huge_integer_is_not_a_number(self):
         with pytest.raises(ConfigError, match="alpha must be a finite"):
             parse_scenario(scenario_text().replace("1.5", "1" + "0" * 400))

@@ -281,7 +281,10 @@ class TestProductIntegration:
         rng = np.random.default_rng(5)
         F, B, A = (rng.normal(size=(3, 12)), rng.normal(size=(3, 15)),
                    rng.normal(size=(3, 15)))
-        got = linear_solver._panel_sums(F, B, A)
+        K = F.shape[1] - 1
+        led = linear_solver._zero_led(np.stack([B[:, :K], A[:, :K]]))
+        got = linear_solver._causal_sums(linear_solver._toeplitz(led, K, K),
+                                         F)
         want = [[sum(f[i - 1 - l] * b[l] + f[i - l] * a[l] for l in range(i))
                  for i in range(1, len(f))] for f, b, a in zip(F, B, A)]
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -313,18 +316,20 @@ class TestProductIntegration:
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
         got = kt.weights(lam[::-1])
         assert len(built) == 2
-        assert got.shape == (2, 2, N, 10)
+        assert got.shape == (2, 2, N, 19)
+        assert not got[..., :9].any()
         assert (got[:, :, ::-1].tobytes()
                 == kt.weights(lam).tobytes())
 
     def test_batched_weights_equal_single_builds(self):
         # (left, right) = ((B, B'), (A, A')) of each eigenvalue, bit-equal
-        # to a table that builds that eigenvalue alone
+        # to a table that builds that eigenvalue alone, behind 39 zeros
         t = np.linspace(0.0, 2.0, 41)
         lam = (np.arange(1, 9) ** 2.0)[[3, 0, 7, 3, 5, 1]]
         for a in (1.1, 1.5, 1.9):
             got = linear_solver._KernelTable(a, t).weights(lam)
-            assert got.shape == (2, 2, len(lam), 40)
+            assert got.shape == (2, 2, len(lam), 79)
+            assert not got[..., :39].any()
             for i, v in enumerate(lam):
                 want = linear_solver._KernelTable(a, t).weights([v])
                 assert got[:, :, i].tobytes() == want[:, :, 0].tobytes()
@@ -571,6 +576,29 @@ class TestSecondDerivative:
         exact = np.array([2.0 * t ** (a - 2.0) * _ml(a, a - 1.0, -t ** a)
                           for t in grid[1:]])
         assert np.max(np.abs(tr.d2u_coeffs[1:, 0] - exact)) < 1e-10
+
+    @pytest.mark.parametrize("a", [1.1, 1.5, 1.9])
+    def test_forced_row_is_the_per_mode_convolution(self, a):
+        # with zero data and f(0) = 0 the d2 row is the convolution of the
+        # forcing's steps with the M'0 steps, here against np.convolve
+        op = interval_op()
+        N = 6
+        n = np.arange(1, N + 1)
+        f = ForcingSpec(kind="separable", g=field(op, 1.0 / n ** 2),
+                        h_name="sinusoid",
+                        h_params={"amplitude": 1.0, "omega": 3.0})
+        p = problem(op, a, np.zeros(N), np.zeros(N), f)
+        grid = np.linspace(0.0, 2.0, 81)
+        M = len(grid) - 1
+        tr = solve_linear(p, grid, want_d2=True)
+        dF = np.diff(f.values(grid, N), axis=0).T / (grid[1] - grid[0])
+        W0 = linear_solver._KernelTable(a, grid).moment_steps(
+            op.eigenvalues(N), deriv=True)[0]
+        for m in range(N):
+            want = np.convolve(dF[m], W0[m])[:M]
+            scale = np.convolve(np.abs(dF[m]), np.abs(W0[m]))[:M]
+            assert np.all(np.abs(tr.d2u_coeffs[1:, m] - want)
+                          <= 1e-14 * scale)
 
     def test_rough_initial_data_warns(self):
         op = interval_op()

@@ -34,8 +34,7 @@ from mlwave import (
     strong_solution_check,
 )
 from mlwave import linear_solver, semilinear_solver, spectral_operator
-from mlwave.linear_solver import (_apply_plan, _correlate_rows, _panel_plan,
-                                  _panel_sums)
+from mlwave.linear_solver import _causal_sums, _toeplitz, _zero_led
 from mlwave.mittag_leffler import _ml
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
@@ -338,8 +337,16 @@ def causal_sum(f, B, A):
                          for l in range(i)) for i in range(1, len(f))])
 
 
+def table_sums(F, B, A):
+    """_causal_sums of F against a table of the first K panels of (B, A),
+    K + 1 the length of F's rows."""
+    K = F.shape[-1] - 1
+    led = _zero_led(np.stack([B[..., :K], A[..., :K]]))
+    return _causal_sums(_toeplitz(led, K, K), F)
+
+
 class TestBatchedCausalSums:
-    """The window's Volterra sums over every forced mode at once match the
+    """The window's Volterra sums over every mode at once match the
     per-mode panel loop and np.correlate."""
 
     @pytest.mark.parametrize("K", [1, 2, 37])
@@ -347,7 +354,7 @@ class TestBatchedCausalSums:
         rng = np.random.default_rng(K)
         F = rng.standard_normal((5, K + 1))
         B, A = rng.standard_normal((2, 2, 5, K + 3))
-        got = _panel_sums(F, B, A)
+        got = table_sums(F, B, A)
         assert got.shape == (2, 5, K)
         for s in range(2):
             for m in range(5):
@@ -358,21 +365,26 @@ class TestBatchedCausalSums:
 
     @settings(max_examples=60, derandomize=True, database=None,
               deadline=None)
-    @given(K=st.integers(1, 60), lead=st.lists(st.integers(1, 3), max_size=2),
+    @given(P=st.integers(1, 60), K=st.integers(1, 60),
+           lead=st.lists(st.integers(1, 3), max_size=2),
            modes=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
-    def test_plan_applies_like_a_fresh_sum(self, K, lead, modes, seed):
-        # one plan serves every forcing of a window, byte for byte as a
-        # sum built afresh for each; its Toeplitz views copy nothing
+    def test_plan_applies_like_a_fresh_sum(self, P, K, lead, modes, seed):
+        # the view of a P-panel table sliced from P - K sums every forcing
+        # byte for byte as a K-panel table does, and copies nothing
+        K = min(K, P)
         rng = np.random.default_rng(seed)
-        B, A = rng.standard_normal((2, *lead, modes, K))
-        plan = _panel_plan(B, A)
-        assert not any(view.flags.owndata for view in plan)
+        B, A = rng.standard_normal((2, *lead, modes, P))
+        view = _toeplitz(_zero_led(np.stack([B, A]))[..., P - K:], K, K)
+        assert not view.flags.owndata
         for _ in range(3):
             F = rng.standard_normal((modes, K + 1))
-            assert np.array_equal(_apply_plan(plan, F), _panel_sums(F, B, A))
+            assert (_causal_sums(view, F).tobytes()
+                    == table_sums(F, B, A).tobytes())
 
     def test_one_plan_per_window_attempt(self, monkeypatch):
-        calls = {"plan": 0, "apply": 0}
+        # an attempt builds its window view, and its memory view after
+        # t = 0, once; its iterations only sum against them
+        calls = {"views": 0, "sums": 0}
 
         def counted(name, fn):
             def wrapped(*args):
@@ -380,46 +392,51 @@ class TestBatchedCausalSums:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(semilinear_solver, "_panel_plan",
-                            counted("plan", semilinear_solver._panel_plan))
-        monkeypatch.setattr(semilinear_solver, "_apply_plan",
-                            counted("apply", semilinear_solver._apply_plan))
+        monkeypatch.setattr(semilinear_solver, "_toeplitz",
+                            counted("views", semilinear_solver._toeplitz))
+        monkeypatch.setattr(semilinear_solver, "_causal_sums",
+                            counted("sums", semilinear_solver._causal_sums))
         attempts = []
         solve = semilinear_solver._Workspace.window_solve
 
-        def attempt(self, *args):
+        def attempt(self, ia, *args):
             before = dict(calls)
             try:
-                return solve(self, *args)
+                return solve(self, ia, *args)
             finally:
-                attempts.append((calls["plan"] - before["plan"],
-                                 calls["apply"] - before["apply"]))
+                attempts.append((ia, calls["views"] - before["views"],
+                                 calls["sums"] - before["sums"]))
 
         monkeypatch.setattr(semilinear_solver._Workspace, "window_solve",
                             attempt)
-        # every mode forced from the start, run to blow-up through
-        # rejected windows
+        # run to blow-up through rejected windows
         op = interval_op()
         out = run(problem(op, 1.5, [20.0, 0.1, -0.05, 0.02], [0.0] * 4,
                           NonlinearitySpec("power", {"c": 1.0, "r": 3.0})),
                   0.1, PicardConfig(), 0.0005)
         assert out.status == "maximal_time_detected"
         assert len(attempts) > len(out.windows)
-        assert all(plans == 1 for plans, applies in attempts if applies)
-        assert sum(applies for _, applies in attempts) > 2 * len(attempts)
+        assert all(views == 1 + (ia > 0) for ia, views, _ in attempts)
+        assert sum(sums for *_, sums in attempts) > 3 * len(attempts)
 
     @pytest.mark.parametrize("ia, W", [(1, 1), (3, 5), (40, 12)])
     def test_memory_term_matches_correlate(self, ia, W):
+        # the memory of ia accepted samples: the table sliced from P - 1
         rng = np.random.default_rng(ia + W)
-        w = rng.standard_normal((2, 4, ia + W + 2))
-        f = rng.standard_normal((4, ia))
-        got = _correlate_rows(w, f, W + 1)
+        P = ia + W + 2
+        left, right = rng.standard_normal((2, 2, 4, P))
+        F = rng.standard_normal((4, ia + 1))
+        view = _toeplitz(_zero_led(np.stack([left, right]))[..., P - 1:],
+                         W + 1, ia)
+        got = _causal_sums(view, F)
         assert got.shape == (2, 4, W + 1)
         for s in range(2):
             for m in range(4):
-                want = np.correlate(w[s, m, :ia + W], f[m], "valid")
-                scale = np.correlate(np.abs(w[s, m, :ia + W]),
-                                     np.abs(f[m]), "valid")
+                pairs = ((left[s, m, :ia + W], F[m, ia - 1::-1]),
+                         (right[s, m, :ia + W], F[m, ia:0:-1]))
+                want = sum(np.correlate(w, f, "valid") for w, f in pairs)
+                scale = sum(np.correlate(np.abs(w), np.abs(f), "valid")
+                            for w, f in pairs)
                 assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
 
 
@@ -529,6 +546,15 @@ class TestPicardWindow:
         p = problem(op, 1.5, [1.0], [0.0], NonlinearitySpec())
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(DomainError, match="not finite"):
+            picard_window(p, window, grid, PicardConfig(), None)
+
+    @pytest.mark.parametrize("window", [("x", 0.4), (None, 0.4), (0.0,),
+                                        (0.0, 0.2, 0.4), None])
+    def test_window_must_be_a_pair_of_times(self, window):
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0], NonlinearitySpec())
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DomainError, match="pair of times"):
             picard_window(p, window, grid, PicardConfig(), None)
 
     def test_later_window_needs_a_history(self):
@@ -675,9 +701,9 @@ class TestRun:
         assert all(w.contraction_estimate == 0.0 for w in out.windows)
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):
-        # the square's spectrum repeats eigenvalues; every window's memory
-        # term and plans ask the run's kernel table for weights, and the
-        # weights of each distinct eigenvalue are built once per run
+        # the square's spectrum repeats eigenvalues; the run asks its
+        # kernel table once for the weights of every mode, and the weights
+        # of each distinct eigenvalue are built once
         built = []
         asked = []
         moments = linear_solver.kernel_moments
@@ -705,7 +731,7 @@ class TestRun:
         assert out.status == "completed" and len(out.windows) > 2
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
-        assert len(asked) > len(out.windows)
+        assert asked == [N]
 
     def test_windows_tile_the_horizon(self):
         op = interval_op()
