@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -213,15 +214,20 @@ def _resolve_coeffs(spec, N, label, problems):
             problems.append(f"{label}: file not found: {path}")
             return None
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():     # no data: reported below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             problems.append(f"{label}: unreadable coefficient CSV: {exc}")
             return None
-        if rows.size and rows.shape[1] != 2:
+        if not rows.size:
+            problems.append(f"{label}: coefficient CSV has no data rows")
+            return None
+        if rows.shape[1] != 2:
             problems.append(f"{label}: coefficient CSV needs the two columns "
                             f"n,c_n, got {rows.shape[1]}")
             return None
-        c = [0.0] * N
+        c = [None] * N
         for i, (nmode, val) in enumerate(rows.tolist()):
             k = _number(nmode, f"{label} CSV row {i + 1} mode index",
                         problems)
@@ -232,8 +238,11 @@ def _resolve_coeffs(spec, N, label, problems):
                 problems.append(
                     f"{label}: CSV mode index {k:g} outside 1..{N}")
                 return None
+            if c[int(k) - 1] is not None:
+                problems.append(f"{label}: CSV mode index {k:g} repeats")
+                return None
             c[int(k) - 1] = val
-        return tuple(c)
+        return tuple(0.0 if v is None else v for v in c)
     problems.append(f"{label}: unsupported initial-data spec {spec!r}")
     return None
 
@@ -427,10 +436,6 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
 
 # ----------------------------------------------------- scenario -> solver
 
-def _build_operator(scn: Scenario):
-    return make_operator(scn.operator)
-
-
 def _forcing_spec(scn: Scenario, op) -> ForcingSpec:
     f = scn.forcing
     if f is None or f["kind"] == "zero":
@@ -447,28 +452,20 @@ def _forcing_spec(scn: Scenario, op) -> ForcingSpec:
     return ForcingSpec(kind="tabulated", table=np.array(f["table"]))
 
 
-def _linear_problem(scn: Scenario):
-    op = _build_operator(scn)
-    return LinearProblem(op, scn.alpha,
-                         SpectralField(op, np.array(scn.u0), scn.N_modes),
-                         SpectralField(op, np.array(scn.u1), scn.N_modes),
-                         _forcing_spec(scn, op))
+def _problem(scn: Scenario):
+    """The scenario's LinearProblem or SemilinearProblem."""
+    op = make_operator(scn.operator)
+    u0, u1 = (SpectralField(op, np.array(c), scn.N_modes)
+              for c in (scn.u0, scn.u1))
+    if scn.kind == "linear":
+        return LinearProblem(op, scn.alpha, u0, u1, _forcing_spec(scn, op))
+    nl = scn.nonlinearity
+    return SemilinearProblem(op, scn.alpha, u0, u1,
+                             NonlinearitySpec(nl["kind"], dict(nl["params"])))
 
 
-def _semilinear_problem(scn: Scenario):
-    op = _build_operator(scn)
-    nl = NonlinearitySpec(scn.nonlinearity["kind"],
-                          dict(scn.nonlinearity["params"]))
-    return SemilinearProblem(op, scn.alpha,
-                             SpectralField(op, np.array(scn.u0),
-                                           scn.N_modes),
-                             SpectralField(op, np.array(scn.u1),
-                                           scn.N_modes),
-                             nl)
-
-
-def _grid(scn: Scenario):
-    return np.linspace(0.0, scn.t_end, round(scn.t_end / scn.dt) + 1)
+def _grid(t_end, dt):
+    return np.linspace(0.0, t_end, round(t_end / dt) + 1)
 
 
 # ------------------------------------------------------------- persistence
@@ -479,16 +476,19 @@ def _fmt(v) -> str:
 
 def _write_atomic(path, text):
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-",
-                               suffix="-" + os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-",
+                                   suffix="-" + os.path.basename(path))
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path, obj):
@@ -607,30 +607,38 @@ def _exponent_table_csv(s=0.75, q=4.0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _outdir(args, scn) -> str:
-    out = args.out or scn.output
-    if not out:
-        raise ConfigError(
-            "no output directory: pass --out or set \"output\" in the "
-            "scenario")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _cmd_solve(args) -> int:
+def _read_scenario(args) -> Scenario:
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    scn = parse_scenario(text, allow_limit=args.allow_limit)
+    return parse_scenario(text, allow_limit=args.allow_limit)
+
+
+def _outdir(out) -> str:
+    """The output directory out, created before any work is done."""
+    if not out:
+        raise ConfigError(
+            "no output directory: pass --out or set \"output\" in the "
+            "scenario")
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return out
+
+
+def _cmd_solve(args) -> int:
+    scn = _read_scenario(args)
     if args.mode != scn.kind:
         raise ConfigError(
             f"scenario is {scn.kind} (use `solve {scn.kind}`)")
-    out = _outdir(args, scn)
-    grid = _grid(scn)
+    out = _outdir(args.out or scn.output)
+    grid = _grid(scn.t_end, scn.dt)
+    p = _problem(scn)
     if scn.kind == "linear":
-        trace = solve_linear(_linear_problem(scn), grid)
+        trace = solve_linear(p, grid)
         summary = {
             "scenario": scn.echo(),
             "status": "completed",
@@ -646,7 +654,6 @@ def _cmd_solve(args) -> int:
         _write_json(os.path.join(out, "summary.json"), summary)
         status = "completed"
     else:
-        p = _semilinear_problem(scn)
         outcome = run(p, scn.t_end, PicardConfig(**scn.picard), scn.dt)
         hf1 = p.nonlinearity.hf1
         check = strong_solution_check(
@@ -672,36 +679,35 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    scn = parse_scenario(text, allow_limit=args.allow_limit)
+    scn = _read_scenario(args)
     if args.levels < 3:
         raise ConfigError("need at least 3 refinement levels")
+    # level k has M 2^k steps: the most levels within the cap, without
+    # forming 2^levels
+    fit = (_MAX_STEPS // round(scn.t_end / scn.dt)).bit_length()
+    if args.levels > fit:
+        raise ConfigError(
+            f"--levels {args.levels} refines past the cap of {_MAX_STEPS} "
+            f"steps; this grid admits at most {fit} levels")
+    if args.out:
+        _outdir(args.out)
     dts = [scn.dt / 2 ** k for k in range(args.levels)]
+    p = _problem(scn)
     if scn.kind == "linear":
-        p = _linear_problem(scn)
-
         def runner(dt):
-            grid = np.linspace(0.0, scn.t_end, round(scn.t_end / dt) + 1)
-            return solve_linear(p, grid).u_coeffs[-1]
+            return solve_linear(p, _grid(scn.t_end, dt)).u_coeffs[-1]
     else:
-        p = _semilinear_problem(scn)
         cfg = PicardConfig(**scn.picard)
 
         def runner(dt):
             return run(p, scn.t_end, cfg, dt).trace.u_coeffs[-1]
 
     rep = self_convergence(runner, dts)
-    doc = {"scenario": scn.echo(), "dts": list(rep["dts"]),
-           "diffs": list(rep["diffs"]), "orders": list(rep["orders"])}
-    print(json.dumps({"dts": doc["dts"], "diffs": doc["diffs"],
-                      "orders": doc["orders"]}, indent=2))
+    res = {key: list(rep[key]) for key in ("dts", "diffs", "orders")}
+    print(json.dumps(res, indent=2))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "convergence.json"), doc)
+        _write_json(os.path.join(args.out, "convergence.json"),
+                    {"scenario": scn.echo(), **res})
     return 0
 
 
@@ -867,37 +873,30 @@ def _suite_rates():
 
 def _suite_convergence():
     checks = []
-    op = make_operator(OperatorSpecConfig(
-        kind="dirichlet_laplacian_interval", lengths=(math.pi,)))
-    u0 = SpectralField(op, np.array([0.5, -0.25]), 2)
-    u1 = SpectralField(op, np.array([0.0, 0.3]), 2)
-    ph = LinearProblem(op, 1.5, u0, u1, ForcingSpec())
+    ph = _interval_problem(1.5, [0.5, -0.25], [0.0, 0.3])
 
-    def run_h(dt):
-        grid = np.arange(0, round(1.0 / dt) + 1) * dt
-        return solve_linear(ph, grid).u_coeffs[-1]
+    def final_state(p):
+        def solve(dt):
+            grid = np.arange(0, round(1.0 / dt) + 1) * dt
+            return solve_linear(p, grid).u_coeffs[-1]
+        return solve
 
-    rep = self_convergence(run_h, (4e-3, 2e-3, 1e-3))
+    rep = self_convergence(final_state(ph), (4e-3, 2e-3, 1e-3))
     exact = rep["orders"] == ("exact",)
     checks.append(_check("homogeneous-exact", exact,
                          f"orders {rep['orders']}"))
 
-    g = SpectralField(op, np.array([1.0, 0.5]), 2)
+    g = SpectralField(ph.op, np.array([1.0, 0.5]), 2)
     f = ForcingSpec(kind="separable", g=g, h_name="sinusoid",
                     h_params={"amplitude": 2.0, "omega": 3.0, "phase": 0.0})
-    pf = LinearProblem(op, 1.5, u0, u1, f)
-
-    def run_f(dt):
-        grid = np.arange(0, round(1.0 / dt) + 1) * dt
-        return solve_linear(pf, grid).u_coeffs[-1]
-
-    rep = self_convergence(run_f, (4e-3, 2e-3, 1e-3))
+    rep = self_convergence(final_state(replace(ph, forcing=f)),
+                           (4e-3, 2e-3, 1e-3))
     ok = all(isinstance(o, float) and o >= 1.8 for o in rep["orders"])
     checks.append(_check("sinusoidal-forcing-order", ok,
                          f"orders {tuple(round(o, 3) for o in rep['orders'])}"
                          " (need >= 1.8)"))
 
-    ps = SemilinearProblem(op, 1.5, u0, u1,
+    ps = SemilinearProblem(ph.op, 1.5, ph.u0, ph.u1,
                            NonlinearitySpec("sine", {"c": 0.3}))
     cfg = PicardConfig(tol=1e-12)
 
@@ -928,11 +927,11 @@ def _print_checks(checks):
 
 
 def _cmd_verify(args) -> int:
+    _outdir(args.out)
     checks = _SUITES[args.suite]()
     _print_checks(checks)
     passed = all(c["passed"] for c in checks)
     report = {"suite": args.suite, "passed": passed, "checks": checks}
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report)
     return 0 if passed else 3
 

@@ -235,18 +235,19 @@ def homogeneous_state(p: LinearProblem, t: float):
 
 class _KernelTable:
     """Both solvers' product-integration layer on one uniform grid: Mittag-
-    Leffler rows over the grid offsets and the weights built from them,
-    cached per eigenvalue as box spectra repeat them; the one owner of the
-    weights and of their layout.  Rows come from ml_rows with this
-    module's _ml as its scalar fallback, so a wrapper around _ml sees
-    every point the array routes leave to it."""
+    Leffler rows over the grid offsets, cached per eigenvalue and beta, and
+    the weights built from them; the one owner of the weights and of their
+    layout.  Rows come from ml_rows with this module's _ml as its scalar
+    fallback, so a wrapper around _ml sees every point the array routes
+    leave to it.  The batching rule: a consumer asks in one call for every
+    beta it will read of a mode, and for no other, since one ml_rows call
+    integrates the branch cut once for all of its betas."""
 
     def __init__(self, alpha, times):
         self.alpha = alpha
         self.t = np.asarray(times, dtype=float)
         self.ta = self.t ** alpha
         self._rows = {}
-        self._weights = {}
 
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
@@ -289,26 +290,20 @@ class _KernelTable:
         every causal sum over K panels; sliced from index P - 1, it serves
         the sums against accepted samples.  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact.  The weights of every
-        eigenvalue the table lacks are built at once, from rows built in
-        one call, and cached as (2, 2, P) entries; the arithmetic is
-        elementwise, so each eigenvalue's weights are those of a build of
-        it alone."""
-        keys = np.ravel(lam).tolist()
-        new = [v for v in dict.fromkeys(keys) if v not in self._weights]
-        if new:
-            new_lam = np.array(new)
-            self.row(new_lam, moment_betas(self.alpha))
-            dt = float(self.t[1] - self.t[0])
-            ell = np.arange(1, len(self.t))
-            got = np.empty((2, 2, len(new), len(ell)))
-            for k, deriv in enumerate((False, True)):
-                w0, mm1 = self.moment_steps(new_lam, deriv)
-                got[1, k] = ell * w0 - mm1 / dt
-                got[0, k] = w0 - got[1, k]
-            for i, v in enumerate(new):
-                self._weights[v] = got[:, :, i]
-        return _zero_led(np.stack([self._weights[v] for v in keys], axis=2))
+        the kernel, making constant forcing exact.  Each call builds the
+        weights once per distinct eigenvalue, from rows asked for in one
+        call; the arithmetic is elementwise, so each eigenvalue's weights
+        are those of a build of it alone."""
+        uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
+        self.row(uniq, moment_betas(self.alpha))
+        dt = float(self.t[1] - self.t[0])
+        ell = np.arange(1, len(self.t))
+        got = np.empty((2, 2, len(uniq), len(ell)))
+        for k, deriv in enumerate((False, True)):
+            w0, mm1 = self.moment_steps(uniq, deriv)
+            got[1, k] = ell * w0 - mm1 / dt
+            got[0, k] = w0 - got[1, k]
+        return _zero_led(got[:, :, inv])
 
 
 def _zero_led(w):
@@ -336,24 +331,25 @@ def _causal_sums(view, F):
             + np.vecdot(right, np.ascontiguousarray(F[:, :0:-1])[:, None, :]))
 
 
-def _unforced_rows(kt: _KernelTable, lam, u0, u1):
+def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
     """Unforced (U, DTU) on the table's grid, time rows by mode columns,
     with the initial data exact in row 0.  Modes whose data vanish stay
-    zero and build no rows."""
-    t = kt.t
+    zero and build no rows; those of the mask forced, whose weights the
+    caller reads too, build the moments' rows in the same call."""
+    t, a = kt.t, kt.alpha
     M1 = len(t)
     U = np.zeros((M1, len(lam)))
     DTU = np.zeros((M1, len(lam)))
-    live = np.flatnonzero((u0 != 0.0) | (u1 != 0.0))
+    live = (u0 != 0.0) | (u1 != 0.0)
+    kt.row(lam[live & forced], _propagator_betas(a) + moment_betas(a))
+    live = np.flatnonzero(live)
     ta1 = np.zeros(M1)
-    ta1[1:] = t[1:] ** (kt.alpha - 1.0)
-    if live.size:
-        rows = kt.row(lam[live], _propagator_betas(kt.alpha)).swapaxes(1, 2)
-        # callers check the result for non-finite values; no numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            U[:, live], DTU[:, live] = _propagate(
-                u0[live], u1[live], lam[live], t[:, None], ta1[:, None],
-                *rows)
+    ta1[1:] = t[1:] ** (a - 1.0)
+    rows = kt.row(lam[live], _propagator_betas(a)).swapaxes(1, 2)
+    # callers check the result for non-finite values; no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        U[:, live], DTU[:, live] = _propagate(
+            u0[live], u1[live], lam[live], t[:, None], ta1[:, None], *rows)
     U[0] = u0
     DTU[0] = u1
     return U, DTU
@@ -413,13 +409,9 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     lam = p.op.eigenvalues(N)
     F = p.forcing.values(t, N)
     kt = _KernelTable(a, t)
-    # modes with both forcing and initial data need the propagator's rows
-    # and the moments': build them all in one call
-    both = F.any(axis=0) & ((p.u0.coeffs != 0.0) | (p.u1.coeffs != 0.0))
-    kt.row(lam[both], _propagator_betas(a) + moment_betas(a))
+    U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs,
+                            F.any(axis=0))
     S3, S3p = convolve_forcing(p, grid, kt)
-
-    U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs)
     # overflow surfaces as a NumericFailure below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[1:] += S3[1:]
@@ -433,7 +425,8 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         ta1, ta2 = np.zeros((2, M1, 1))
         ta1[1:, 0] = t[1:] ** (a - 1.0)
         ta2[1:, 0] = t[1:] ** (a - 2.0)
-        EAM1, EAA = kt.row(lam, (a - 1.0, a)).swapaxes(1, 2)
+        # every beta the block reads, moment_steps' a and a + 1 included
+        EAM1, EAA, _ = kt.row(lam, (a - 1.0, a, a + 1.0)).swapaxes(1, 2)
         # the piecewise-constant derivative of f against s^(a-2)E_{a,a-1}
         dF = np.diff(F, axis=0).T / dt
         W0 = _zero_led(kt.moment_steps(lam, deriv=True)[0])

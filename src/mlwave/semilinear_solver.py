@@ -323,8 +323,10 @@ class _Workspace:
                 f"nonlinearity_quadrature={self.quad} is below the "
                 f"anti-aliasing floor 4N={4 * p.N}")
         self.panels = _rule_panels(self.quad)
-        self.hom_u, self.hom_dtu = _unforced_rows(self.kt, self.lam,
-                                                  p.u0.coeffs, p.u1.coeffs)
+        # f(u) can force every mode
+        self.hom_u, self.hom_dtu = _unforced_rows(
+            self.kt, self.lam, p.u0.coeffs, p.u1.coeffs,
+            np.ones(p.N, dtype=bool))
         self.weights = self.kt.weights(self.lam)
 
     def apply_rows(self, U_rows):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -408,6 +409,21 @@ class TestMistypedFields:
         doc = mutated(MUTATION_BASE["linear"], "u0", {"file": str(f)})
         assert self.solve(tmp_path, "linear", doc) == 1
         assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, problem", [
+        ("n,c_n\n1,0.5\n1,2.0\n", "mode index 1 repeats"),
+        ("n,c_n\n", "no data rows"),
+    ], ids=["repeated-index", "header-only"])
+    def test_coefficient_csv_without_one_value_per_mode_exits_one(
+            self, tmp_path, capsys, text, problem):
+        f = tmp_path / "u0.csv"
+        f.write_text(text)
+        doc = mutated(MUTATION_BASE["linear"], "u0", {"file": str(f)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.solve(tmp_path, "linear", doc) == 1
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and problem in err
 
     @pytest.mark.parametrize("forcing", [
         {"kind": "separable", "g": [1.0], "h_samples": ["a", "b", "c"]},
@@ -851,10 +867,64 @@ class TestConvergenceCli:
         doc = json.loads(capsys.readouterr().out)
         assert all(o >= 1.8 for o in doc["orders"])
 
+    def test_levels_past_the_step_cap_exit_one(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the default grid has 100 steps: 14 levels end at 100 * 2^13 =
+        # 819 200 steps, 15 would run 1 638 400; nothing is solved here
+        dts = []
+
+        def study(runner, levels_dts):
+            dts.append(levels_dts)
+            return {"dts": levels_dts, "diffs": [], "orders": []}
+
+        monkeypatch.setattr(cli, "self_convergence", study)
+        monkeypatch.setattr(cli, "solve_linear",
+                            lambda *a, **k: pytest.fail("solved"))
+        cfg = write_config(tmp_path)
+        for levels in (15, 10 ** 6):
+            assert main(["convergence", "--config", cfg,
+                         "--levels", str(levels)]) == 1
+            assert "at most 14 levels" in capsys.readouterr().err
+        assert main(["convergence", "--config", cfg, "--levels", "14"]) == 0
+        assert dts == [[0.01 / 2 ** k for k in range(14)]]
+
     def test_too_few_levels(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["convergence", "--config", cfg, "--levels", "2"]) == 1
         assert "at least 3" in capsys.readouterr().err
+
+
+class TestOutputPathErrors:
+    """An output path that names a file exits 1 before any work, with an
+    error line and no traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(MUTATION_BASE))
+    def test_solve(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(MUTATION_BASE[kind]))
+        (tmp_path / "afile").write_text("")
+        assert main(["solve", kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "afile")]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_verify(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._SUITES, "ml", lambda: pytest.fail("ran"))
+        (tmp_path / "afile").write_text("")
+        assert main(["verify", "--suite", "ml",
+                     "--out", str(tmp_path / "afile" / "x")]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_convergence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_linear",
+                            lambda *a, **k: pytest.fail("solved"))
+        (tmp_path / "afile").write_text("")
+        assert main(["convergence", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "afile")]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_unwritable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot write"):
+            cli._write_atomic(str(tmp_path / "nodir" / "x.csv"), "x\n")
 
 
 class TestDispatch:

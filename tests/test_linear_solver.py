@@ -290,9 +290,9 @@ class TestProductIntegration:
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):
-        # the square's spectrum repeats eigenvalues; the weights of every
-        # distinct value are built once, in one batched build, and served
-        # from the table after that
+        # the square's spectrum repeats eigenvalues; each weights call
+        # builds those of every distinct value once, in one batched build,
+        # whatever the order the eigenvalues are asked in
         built = []
         moments = linear_solver.kernel_moments
 
@@ -315,7 +315,7 @@ class TestProductIntegration:
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
         got = kt.weights(lam[::-1])
-        assert len(built) == 2
+        assert built[2:] == [(False, (distinct, 11)), (True, (distinct, 11))]
         assert got.shape == (2, 2, N, 19)
         assert not got[..., :9].any()
         assert (got[:, :, ::-1].tobytes()
@@ -372,7 +372,8 @@ class TestKernelTable:
 
     def test_rows_are_built_at_the_betas_asked_for(self, monkeypatch):
         # unforced: the propagator's rows alone; forcing on a mode without
-        # initial data adds the moments' rows for that mode alone
+        # initial data adds the moments' rows for that mode alone, after
+        # the propagator's
         built = []
         ml_rows = linear_solver.ml_rows
 
@@ -390,8 +391,8 @@ class TestKernelTable:
         f = ForcingSpec(kind="separable", g=field(op, [0.0, 0.0, 1.0]),
                         h_name="constant", h_params={"value": 1.0})
         solve_linear(problem(op, 1.5, u0, u1, f), grid)
-        assert built == [((1.5, 2.5, 3.5), (1, 11)),
-                         ((1.0, 2.0, 1.5), (2, 11))]
+        assert built == [((1.0, 2.0, 1.5), (2, 11)),
+                         ((1.5, 2.5, 3.5), (1, 11))]
 
 
 class TestSolveLinear:
@@ -599,6 +600,31 @@ class TestSecondDerivative:
             scale = np.convolve(np.abs(dF[m]), np.abs(W0[m]))[:M]
             assert np.all(np.abs(tr.d2u_coeffs[1:, m] - want)
                           <= 1e-14 * scale)
+
+    def test_d2_betas_in_one_request(self, monkeypatch):
+        # forcing on mode 1 of 8, data on all: after the propagator's and
+        # the moments' requests, one call builds the d2 row's betas the
+        # table lacks, a - 1 for every mode and a + 1 for the unforced
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append((betas, x.shape))
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        a = 1.5
+        op = interval_op()
+        n = np.arange(1, 9)
+        f = ForcingSpec(kind="separable", g=field(op, [1.0] + [0.0] * 7),
+                        h_name="sinusoid",
+                        h_params={"amplitude": 1.0, "omega": 3.0})
+        p = problem(op, a, 1.0 / n ** 2, 0.5 / n ** 2, f)
+        tr = solve_linear(p, np.linspace(0.0, 2.0, 41), want_d2=True)
+        assert built == [((1.0, 2.0, a, a + 1.0, a + 2.0), (1, 41)),
+                         ((1.0, 2.0, a), (7, 41)),
+                         ((a - 1.0, a + 1.0), (8, 41))]
+        assert np.isfinite(tr.d2u_coeffs[1:]).all()
 
     def test_rough_initial_data_warns(self):
         op = interval_op()

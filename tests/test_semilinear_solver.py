@@ -33,7 +33,8 @@ from mlwave import (
     solve_linear,
     strong_solution_check,
 )
-from mlwave import linear_solver, semilinear_solver, spectral_operator
+from mlwave import (linear_solver, mittag_leffler, semilinear_solver,
+                    spectral_operator)
 from mlwave.linear_solver import _causal_sums, _toeplitz, _zero_led
 from mlwave.mittag_leffler import _ml
 
@@ -732,6 +733,43 @@ class TestRun:
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
         assert asked == [N]
+
+    def test_cut_rows_integrate_each_grid_point_once(self, monkeypatch):
+        # every mode has data and f(u) can force any of them, so the run
+        # asks for the propagator's and the moments' betas at once: one
+        # branch-cut pass over the grid points past the series (kappa
+        # reaches 32), besides the window heuristic's bound probe
+        passes = []
+        probing = []
+        cut_rows = mittag_leffler._cut_rows
+        probe = semilinear_solver.ml_bound_probe
+
+        def counted(alpha, bs, y, *args):
+            if not probing:
+                passes.append((bs, y.size))
+            return cut_rows(alpha, bs, y, *args)
+
+        def probed(*args):
+            probing.append(True)
+            try:
+                return probe(*args)
+            finally:
+                probing.clear()
+
+        monkeypatch.setattr(mittag_leffler, "_cut_rows", counted)
+        monkeypatch.setattr(semilinear_solver, "ml_bound_probe", probed)
+        a = 1.5
+        op = interval_op()
+        n = np.arange(1, 9)
+        p = problem(op, a, 1.0 / n ** 2, 0.5 / n ** 2,
+                    NonlinearitySpec("sine", {"c": 0.3}))
+        out = run(p, 2.0, PicardConfig(), 0.05)
+        kappa = (op.eigenvalues(8)[:, None]
+                 * np.linspace(0.0, 2.0, 41) ** a) ** (1.0 / a)
+        assert out.status == "completed"
+        assert kappa.max() > 30.0
+        assert passes == [((1.0, 2.0, a), int(np.sum(
+            kappa > mittag_leffler._SERIES_CUTOFF)))]
 
     def test_windows_tile_the_horizon(self):
         op = interval_op()
