@@ -252,21 +252,22 @@ class _KernelTable:
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
         each eigenvalue of lam, a scalar or an array: shape (len(betas),)
-        + np.shape(lam) + t.shape.  The rows the table lacks are built in
-        one ml_rows call, at the betas some requested eigenvalue lacks."""
+        + np.shape(lam) + t.shape.  Each row the table lacks is built once:
+        the eigenvalues are grouped by the betas they lack, one ml_rows
+        call per group."""
         lam = np.asarray(lam, dtype=float)
         keys = lam.ravel().tolist()
         have = self._rows
-        lacking = [(v, b) for v in dict.fromkeys(keys) for b in betas
-                   if (v, b) not in have]
-        if lacking:
-            new = list(dict.fromkeys(v for v, _ in lacking))
-            need = tuple(dict.fromkeys(b for _, b in lacking))
+        groups = {}
+        for v in dict.fromkeys(keys):
+            need = tuple(b for b in dict.fromkeys(betas) if (v, b) not in have)
+            if need:
+                groups.setdefault(need, []).append(v)
+        for need, new in groups.items():
             got = ml_rows(self.alpha, need,
                           -np.array(new)[:, None] * self.ta, _ml)
             for b, rows in zip(need, got):
-                for v, r in zip(new, rows):
-                    have.setdefault((v, b), r)
+                have.update(zip([(v, b) for v in new], rows))
         return np.array([[have[v, b] for v in keys] for b in betas]).reshape(
             (len(betas),) + lam.shape + self.t.shape)
 

@@ -567,29 +567,38 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 
 # ------------------------------------------------------------- array rows
 
-def _taylor_row(alpha, beta, x):
-    """_taylor for x < 0 with kappa <= _SERIES_CUTOFF, as one array: the same
-    log-space terms over the term count the cutoff itself needs, so that no
-    element depends on another.  Each element's terms are summed along
-    its own contiguous row (numpy's pairwise order)."""
+def _taylor_rows(alpha, betas, x):
+    """_taylor for x < 0 with kappa <= _SERIES_CUTOFF at each beta of betas,
+    as one (len(betas), len(x)) array: the same log-space terms over the
+    term count the cutoff itself needs, so that no element depends on
+    another or on the other betas.  n log|x| is formed once per chunk of
+    x for every beta.  Each element's terms are summed along its own
+    contiguous row (numpy's pairwise order)."""
     n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
-    g = alpha * n + beta
-    sg = gammasgn(g)
-    sg[n % 2 == 1] *= -1.0
-    # gammasgn is nan at exact non-positive integers (Gamma poles)
-    keep = np.abs(sg) == 1.0
-    n, sg, lg = n[keep], sg[keep], gammaln(g[keep])
-    out = np.empty(x.shape)
-    step = max(1, _CHUNK // max(1, len(n)))
+    out = np.empty((len(betas), len(x)))
+    terms = []
+    for beta in betas:
+        g = alpha * n + beta
+        sg = gammasgn(g)
+        sg[n % 2 == 1] *= -1.0
+        # gammasgn is nan at exact non-positive integers (Gamma poles)
+        keep = np.abs(sg) == 1.0
+        terms.append((None if keep.all() else n[keep], sg[keep],
+                      gammaln(g[keep])))
+    step = max(1, _CHUNK // len(n))
     for lo in range(0, len(x), step):
-        e = np.log(-x[lo:lo + step, None]) * n - lg
-        # terms below e^-700 are dropped: they cannot move any sum above
-        # 1e-288, and exp is far slower where its result is subnormal
-        gone = e < -700.0
-        e[gone] = -700.0
-        e = np.exp(e) * sg
-        e[gone] = 0.0
-        out[lo:lo + step] = e.sum(axis=1)
+        lx = np.log(-x[lo:lo + step, None])
+        nlx = lx * n
+        for row, (kept, sg, lg) in zip(out, terms):
+            # a beta with poles among its terms sums the others only
+            e = (nlx if kept is None else lx * kept) - lg
+            # terms below e^-700 add e^-700 instead, which cannot move
+            # any sum above 1e-286, and exp is far slower where its
+            # result is subnormal
+            np.maximum(e, -700.0, out=e)
+            np.exp(e, out=e)
+            e *= sg
+            row[lo:lo + step] = e.sum(axis=1)
     return out
 
 
@@ -633,11 +642,11 @@ def ml_rows(alpha, betas, x, scalar=_ml):
         reduced = {beta: _reduce_beta(alpha, beta) for beta in betas}
     bs = tuple(dict.fromkeys(b for b, _ in reduced.values()))
     cuts = dict(zip(bs, _cut_rows(alpha, bs, y))) if bs else {}
+    if series.any():
+        out[:, series] = _taylor_rows(alpha, betas, xf[series])
     for row, beta in zip(out, betas):
         row[zero] = float(rgamma(beta))
         done = zero | series
-        if series.any():
-            row[series] = _taylor_row(alpha, beta, xf[series])
         if beta in reduced:
             b, down = reduced[beta]
             val, ok = cuts[b]

@@ -24,7 +24,7 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _row_runs, _rule_panels, analysis, synthesis,
-                                weighted_norm)
+                                synthesis_blas)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -260,17 +260,18 @@ class RunOutcome:
     warnings: tuple = ()
 
 
-def _collocate(f, op, C, N, panels):
+def _collocate(f, op, C, N, panels, values=synthesis):
     """Coefficients of f(u) for each coefficient row u of C on the
     composite rule with `panels` panels per axis: per run of rows, grid
-    values by synthesis, f pointwise, weighted values back by analysis.
-    Non-finite values of f raise OverflowSignal for the blow-up monitor."""
+    values by `values` (synthesis, or synthesis_blas for a diagnostic),
+    f pointwise, weighted values back by analysis.  Non-finite values of
+    f raise OverflowSignal for the blow-up monitor; callers that expect
+    overflow silence numpy's warnings around the call."""
     _, w, factors = op.rule(N, panels)
     out = np.empty((len(C), N))
     for rows in _row_runs(len(C), w.size):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = f.apply(synthesis(factors, C[rows]))
-        if not np.all(np.isfinite(vals)):
+        vals = f.apply(values(factors, C[rows]))
+        if not np.isfinite(vals).all():
             raise OverflowSignal("nonlinearity produced non-finite values")
         out[rows] = analysis(factors, vals * w)
     return out
@@ -278,8 +279,11 @@ def _collocate(f, op, C, N, panels):
 
 def _aliasing(f, op, C, F, N, panels):
     """Largest change of the coefficients F of f(C) on the rule with
-    `panels` panels when they are redone on the doubled rule."""
-    return float(np.max(np.abs(_collocate(f, op, C, N, 2 * panels) - F)))
+    `panels` panels when they are redone on the doubled rule, whose grid
+    values are summed in BLAS order (synthesis_blas)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        F2 = _collocate(f, op, C, N, 2 * panels, synthesis_blas)
+    return float(np.abs(F2 - F).max())
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
@@ -299,7 +303,8 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
         return SpectralField(u.op, np.zeros(u.N), u.N)
     panels = _rule_panels(quad_points)
     C = u.coeffs[None, :]
-    c = _collocate(f, u.op, C, u.N, panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _collocate(f, u.op, C, u.N, panels)
     aliasing = _aliasing(f, u.op, C, c, u.N, panels)
     return SpectralField(u.op, c[0], u.N, aliasing_est=aliasing,
                          warnings=_aliasing_warnings(aliasing, u.N))
@@ -309,13 +314,16 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
 
 class _Workspace:
     """Per-run caches: the kernel table over the global grid, the zero-led
-    product-integration weights of every mode on it, the homogeneous part,
-    and the collocation rule's resolution."""
+    product-integration weights of every mode on it (None for f = 0,
+    which forces no mode), the homogeneous part, the collocation rule's
+    resolution and the V_gamma norm's weights lam^(2 gamma)."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
         self.N = p.N
         self.lam = p.op.eigenvalues(p.N)
+        # weighted_norm's weights at theta = 1/alpha
+        self.vweights = self.lam ** (2.0 * abs(1.0 / p.alpha))
         self.kt = _KernelTable(p.alpha, grid)
         self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
@@ -323,11 +331,12 @@ class _Workspace:
                 f"nonlinearity_quadrature={self.quad} is below the "
                 f"anti-aliasing floor 4N={4 * p.N}")
         self.panels = _rule_panels(self.quad)
-        # f(u) can force every mode
+        # f(u) can force every mode, unless f = 0
+        forcing = p.nonlinearity.kind != "zero"
         self.hom_u, self.hom_dtu = _unforced_rows(
             self.kt, self.lam, p.u0.coeffs, p.u1.coeffs,
-            np.ones(p.N, dtype=bool))
-        self.weights = self.kt.weights(self.lam)
+            np.full(p.N, forcing))
+        self.weights = self.kt.weights(self.lam) if forcing else None
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
@@ -347,17 +356,21 @@ class _Workspace:
         except OverflowSignal:
             return math.inf
 
-    def combined_norms(self, U, DTU):
-        """Per-row ||u||_{V_gamma} + ||dtu||_{L2}."""
-        return (weighted_norm(U, self.lam, 1.0 / self.p.alpha)
-                + weighted_norm(DTU, self.lam, 0.0))
+    def combined_norms(self, UD):
+        """Per-row ||u||_{V_gamma} + ||dtu||_{L2} of the pair UD = (u rows,
+        dtu rows), which it squares in place: weighted_norm's sums over
+        the same contiguous mode rows, so the same bits."""
+        np.square(UD, out=UD)
+        UD[0] *= self.vweights
+        root = np.sqrt(UD.sum(axis=-1))
+        return root[0] + root[1]
 
     def trust_radius(self, cfg, u, dtu):
         """cfg.R_star, or 8 (c0 + 1) re-centred on the combined norm c0 of
         the state (u, dtu) a window starts from."""
         if cfg.R_star is not None:
             return cfg.R_star
-        return 8.0 * (float(self.combined_norms(u, dtu)) + 1.0)
+        return 8.0 * (float(self.combined_norms(np.array([u, dtu]))) + 1.0)
 
     def window_solve(self, ia, ib, F_hist, cfg, R_eff):
         """Fixed-point iteration on nodes ia..ib given accepted forcing
@@ -368,48 +381,59 @@ class _Workspace:
         P = len(self.kt.t) - 1
         base_u = self.hom_u[ia:ib + 1].copy()
         base_dtu = self.hom_dtu[ia:ib + 1].copy()
-        if ia > 0:
-            # the memory of the accepted panels, every mode at once
-            memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
-            with np.errstate(over="ignore", invalid="ignore"):
+        Fw = np.empty((W + 1, self.N))
+        Fw[0] = F_hist[ia]
+        # the norm pass's one buffer: (u, dtu) by (change, iterate)
+        pair = np.empty((2, 2, W + 1, self.N))
+        prev_d = None
+        # f = 0 forces no mode and makes no sums; else every iteration's
+        # sums read this one view of the window's table
+        forced = self.weights is not None
+        if forced:
+            window = _toeplitz(self.weights[..., P - W:], W, W)
+        # one errstate per attempt: an overflow of f(u) or of the sums
+        # ends it through the finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ia > 0 and forced:
+                # the memory of the accepted panels, every mode at once
+                memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
                 mem = _causal_sums(memory, F_hist[:ia + 1].T)
                 base_u += mem[0].T
                 base_dtu += mem[1].T
-        U = base_u.copy()
-        DTU = base_dtu.copy()
-        Fw = np.empty((W + 1, self.N))
-        Fw[0] = F_hist[ia]
-        prev_d = None
-        # every iteration's sums read this one view of the window's table
-        window = _toeplitz(self.weights[..., P - W:], W, W)
-        for it in range(1, cfg.max_iter + 1):
-            try:
-                Fw[1:] = self.apply_rows(U[1:])
-            except OverflowSignal as sig:
-                raise WindowFailure(str(sig)) from sig
-            newU = base_u.copy()
-            newDTU = base_dtu.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = _causal_sums(window, Fw.T)
-                newU[1:] += new[0].T
-                newDTU[1:] += new[1].T
-            if not (np.all(np.isfinite(newU)) and np.all(np.isfinite(newDTU))):
-                raise WindowFailure("iterate overflowed")
-            change, norms = self.combined_norms(
-                np.stack([newU - U, newU]), np.stack([newDTU - DTU, newDTU]))
-            d = float(np.max(change))
-            if float(np.max(norms)) > R_eff:
-                raise WindowFailure(
-                    f"iterate left the trust ball of radius {R_eff:.3g}")
-            contraction = 0.0 if prev_d is None else d / prev_d
-            U, DTU = newU, newDTU
-            if d < cfg.tol:
-                Fw[1:] = self.apply_rows(U[1:])
-                return U, DTU, Fw, norms, it, contraction
-            prev_d = d
-        raise WindowFailure(
-            f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "
-            "iterations")
+            U = base_u.copy()
+            DTU = base_dtu.copy()
+            for it in range(1, cfg.max_iter + 1):
+                try:
+                    Fw[1:] = self.apply_rows(U[1:])
+                except OverflowSignal as sig:
+                    raise WindowFailure(str(sig)) from sig
+                newU = base_u.copy()
+                newDTU = base_dtu.copy()
+                if forced:
+                    new = _causal_sums(window, Fw.T)
+                    newU[1:] += new[0].T
+                    newDTU[1:] += new[1].T
+                if not (np.isfinite(newU).all()
+                        and np.isfinite(newDTU).all()):
+                    raise WindowFailure("iterate overflowed")
+                np.subtract(newU, U, out=pair[0, 0])
+                pair[0, 1] = newU
+                np.subtract(newDTU, DTU, out=pair[1, 0])
+                pair[1, 1] = newDTU
+                change, norms = self.combined_norms(pair)
+                d = float(change.max())
+                if norms.max() > R_eff:
+                    raise WindowFailure(
+                        f"iterate left the trust ball of radius {R_eff:.3g}")
+                contraction = 0.0 if prev_d is None else d / prev_d
+                U, DTU = newU, newDTU
+                if d < cfg.tol:
+                    Fw[1:] = self.apply_rows(U[1:])
+                    return U, DTU, Fw, norms, it, contraction
+                prev_d = d
+            raise WindowFailure(
+                f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "
+                "iterations")
 
 
 def _node_index(t, value, what):
@@ -458,7 +482,8 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
         if F_hist.shape != (ia + 1, p.N):
             raise DomainError("history forcing must cover rows 0..t_a")
     else:
-        F_hist = ws.apply_rows(hu[:ia + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            F_hist = ws.apply_rows(hu[:ia + 1])
     R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
     U, DTU, Fw, _, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
                                                         R_eff)
@@ -526,7 +551,8 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     U[0] = p.u0.coeffs
     DTU[0] = p.u1.coeffs
     try:
-        F[0] = ws.apply_rows(U[0:1])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            F[0] = ws.apply_rows(U[0:1])[0]
     except OverflowSignal as sig:
         raise ConfigError(
             f"nonlinearity overflows already on the initial data: {sig}"
@@ -613,13 +639,14 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     s = float(q) * (float(r) - 1.0)
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
-    # the spatial sup per time row on a uniform tensor grid, per run of rows
+    # the spatial sup per time row on a uniform tensor grid, per run of
+    # rows, the grid values in BLAS order
     axes = [np.linspace(lo, hi, 513 if p.op.dim == 1 else 65)
             for lo, hi in p.op.domain_box]
     factors = p.op.factors(p.N, axes)
     sup_vals = np.empty(len(trace.times))
     for rows in _row_runs(len(sup_vals), math.prod(map(len, axes))):
-        vals = synthesis(factors, trace.u_coeffs[rows])
+        vals = synthesis_blas(factors, trace.u_coeffs[rows])
         sup_vals[rows] = np.abs(vals.reshape(len(vals), -1)).max(axis=1)
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"

@@ -309,22 +309,47 @@ def _quad_coeffs(op, g, N, panels):
     return analysis(rule.factors, (rule.weights * gv)[None])[0]
 
 
+def _table_rows(factors: _Factors, C) -> np.ndarray:
+    """Coefficient rows C scattered onto the (J_1, ..., J_d) table-row
+    grid, (rows, J_1, ..., J_d); C itself in 1-D."""
+    tables, index = factors
+    if index is None:
+        return C
+    D = np.zeros((len(C),) + tuple(len(T) for T in tables))
+    D.reshape(len(C), -1)[:, index] = C
+    return D
+
+
 def synthesis(factors: _Factors, C) -> np.ndarray:
     """Grid values (rows, P_1, ..., P_d) of coefficient rows C, scattered
     onto the (J_1, ..., J_d) table-row grid and contracted one axis at a
     time, table rows added in ascending order: a row's values do not
     depend on the rows with it."""
-    tables, index = factors
-    D = C
-    if index is not None:
-        D = np.zeros((len(C),) + tuple(len(T) for T in tables))
-        D.reshape(len(C), -1)[:, index] = C
-    for T in tables:
+    D = _table_rows(factors, C)
+    for T in factors.tables:
         cols = D.swapaxes(0, 1)[..., None]      # cols[j] is D[:, j, ..., None]
         acc = cols[0] * T[0]
         for c, t in zip(cols[1:], T[1:]):
             acc += c * t
         D = acc
+    return D
+
+
+def synthesis_blas(factors: _Factors, C) -> np.ndarray:
+    """synthesis' grid values, each axis contracted by np.matmul as one
+    product per coefficient row, (m, J) by (J, P): BLAS picks the order
+    of the table-row sums, and a row's values still do not depend on the
+    rows with it.  There are two orders because the solver's f(u) rows
+    keep synthesis' ascending one: the accepted iterates rest on its
+    rounding, and so does the T_est of picard-blowup pool entry 23 in
+    bench/, whose window converges at exactly max_iter iterations.  The
+    aliasing estimate and the strong check's sup only report, so they
+    take this faster order, which agrees with synthesis to rounding."""
+    D = _table_rows(factors, C)
+    for T in factors.tables:
+        rows, J, *rest = D.shape
+        D = (D.reshape(rows, J, -1).swapaxes(1, 2) @ T).reshape(
+            rows, *rest, T.shape[1])
     return D
 
 

@@ -603,8 +603,9 @@ class TestSecondDerivative:
 
     def test_d2_betas_in_one_request(self, monkeypatch):
         # forcing on mode 1 of 8, data on all: after the propagator's and
-        # the moments' requests, one call builds the d2 row's betas the
-        # table lacks, a - 1 for every mode and a + 1 for the unforced
+        # the moments' requests, the d2 row's betas the table lacks are
+        # built once each, a - 1 alone for the forced mode, which holds
+        # a + 1, and both for the unforced
         built = []
         ml_rows = linear_solver.ml_rows
 
@@ -623,7 +624,8 @@ class TestSecondDerivative:
         tr = solve_linear(p, np.linspace(0.0, 2.0, 41), want_d2=True)
         assert built == [((1.0, 2.0, a, a + 1.0, a + 2.0), (1, 41)),
                          ((1.0, 2.0, a), (7, 41)),
-                         ((a - 1.0, a + 1.0), (8, 41))]
+                         ((a - 1.0,), (1, 41)),
+                         ((a - 1.0, a + 1.0), (7, 41))]
         assert np.isfinite(tr.d2u_coeffs[1:]).all()
 
     def test_rough_initial_data_warns(self):

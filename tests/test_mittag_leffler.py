@@ -369,9 +369,10 @@ class TestMlRows:
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_integer_alpha_equals_stacked_rows(self, alpha):
         # no branch cut at integer alpha: every point past the series
-        # band takes the scalar route
+        # band takes the scalar route; at beta 0 and -1 the leading series
+        # terms sit on Gamma poles and the series sums the others only
         x = np.array([0.0, -0.5, -30.0, -400.0, -2e3, 1.5])
-        betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
+        betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0, 0.0, -1.0)
         want = np.stack([ml_row(alpha, beta, x) for beta in betas])
         assert ml_rows(alpha, betas, x).tobytes() == want.tobytes()
 

@@ -37,6 +37,7 @@ from mlwave import (linear_solver, mittag_leffler, semilinear_solver,
                     spectral_operator)
 from mlwave.linear_solver import _causal_sums, _toeplitz, _zero_led
 from mlwave.mittag_leffler import _ml
+from mlwave.spectral_operator import weighted_norm
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
 PHI1_CUBED_C3 = -0.15915494309189535    # -1/(2 pi)
@@ -506,6 +507,116 @@ class TestProblemValidation:
             p.validate()
 
 
+def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
+    """The window iterate written plainly, with the arithmetic of the
+    stacked-norm loop: per iteration f(u) of the iterate by _collocate,
+    the causal sums added to fresh copies of the base, and the norms of
+    the change and of the iterate by weighted_norm over np.stack'ed
+    pairs.  Returns window_solve's tuple, or the reason it fails with."""
+    p = ws.p
+    W, P = ib - ia, len(ws.kt.t) - 1
+
+    def norms_of(U, DTU):
+        return (weighted_norm(U, ws.lam, 1.0 / p.alpha)
+                + weighted_norm(DTU, ws.lam, 0.0))
+
+    def f_rows(U):
+        return semilinear_solver._collocate(p.nonlinearity, p.op, U, p.N,
+                                            ws.panels)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_u = ws.hom_u[ia:ib + 1].copy()
+        base_dtu = ws.hom_dtu[ia:ib + 1].copy()
+        if ia > 0:
+            mem = _causal_sums(_toeplitz(ws.weights[..., P - 1:], W + 1, ia),
+                               F_hist[:ia + 1].T)
+            base_u += mem[0].T
+            base_dtu += mem[1].T
+        window = _toeplitz(ws.weights[..., P - W:], W, W)
+        U, DTU = base_u.copy(), base_dtu.copy()
+        Fw = np.empty((W + 1, p.N))
+        Fw[0] = F_hist[ia]
+        prev_d = None
+        for it in range(1, cfg.max_iter + 1):
+            try:
+                Fw[1:] = f_rows(U[1:])
+            except OverflowSignal as sig:
+                return str(sig)
+            new = _causal_sums(window, Fw.T)
+            newU = base_u.copy()
+            newU[1:] += new[0].T
+            newDTU = base_dtu.copy()
+            newDTU[1:] += new[1].T
+            if not (np.all(np.isfinite(newU))
+                    and np.all(np.isfinite(newDTU))):
+                return "iterate overflowed"
+            change, norms = norms_of(np.stack([newU - U, newU]),
+                                     np.stack([newDTU - DTU, newDTU]))
+            d = float(np.max(change))
+            if float(np.max(norms)) > R_eff:
+                return f"iterate left the trust ball of radius {R_eff:.3g}"
+            contraction = 0.0 if prev_d is None else d / prev_d
+            U, DTU = newU, newDTU
+            if d < cfg.tol:
+                Fw[1:] = f_rows(U[1:])
+                return U, DTU, Fw, norms, it, contraction
+            prev_d = d
+    return (f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "
+            "iterations")
+
+
+class TestWindowIterate:
+    """window_solve keeps the bits of the plain Picard loop, failures and
+    their reasons included."""
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(box=st.booleans(), N=st.integers(1, 12),
+           alpha=st.sampled_from((1.25, 1.5, 1.75)),
+           nl=st.sampled_from((("power", 2.0), ("power", 3.0),
+                               ("sine", None))),
+           c=st.sampled_from((1.0, -0.5, 2.0)),
+           # up to states whose f(u) overflows
+           scale=st.one_of(st.floats(-3.0, 3.0), st.just(200.0)).map(
+               lambda e: 10.0 ** e),
+           M=st.integers(2, 12), start=st.integers(0, 11),
+           width=st.integers(1, 12), max_iter=st.sampled_from((1, 3, 50)),
+           R_star=st.sampled_from((None, 1.0, 1e6)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_solve_is_the_plain_loop(self, box, N, alpha, nl, c,
+                                            scale, M, start, width,
+                                            max_iter, R_star, seed):
+        kind, r = nl
+        f = NonlinearitySpec(kind, {"c": c} if r is None else {"c": c, "r": r})
+        op = make_operator(CATALOG["box2"]) if box else interval_op()
+        rng = np.random.default_rng(seed)
+        n = np.arange(1, N + 1)
+        u0, u1 = scale * rng.uniform(-1.0, 1.0, (2, N)) / n ** 2
+        p = problem(op, alpha, u0, u1, f)
+        cfg = PicardConfig(R_star=R_star, max_iter=max_iter)
+        grid = np.linspace(0.0, 0.05 * M, M + 1)
+        ws = semilinear_solver._Workspace(p, grid, cfg)
+        ia = min(start, M - 1)
+        ib = min(ia + width, M)
+        F_hist = scale * rng.uniform(-1.0, 1.0, (ia + 1, N))
+        u, dtu = ws.hom_u[ia], ws.hom_dtu[ia]
+        with np.errstate(over="ignore"):    # inf at the largest states
+            R_eff = (R_star if R_star is not None else
+                     8.0 * (float(weighted_norm(u, ws.lam, 1.0 / alpha)
+                                  + weighted_norm(dtu, ws.lam, 0.0)) + 1.0))
+            assert ws.trust_radius(cfg, u, dtu) == R_eff
+        want = reference_window(ws, ia, ib, F_hist, cfg, R_eff)
+        try:
+            got = ws.window_solve(ia, ib, F_hist, cfg, R_eff)
+        except WindowFailure as exc:
+            assert exc.reason == want
+            return
+        assert not isinstance(want, str), want
+        for g, w in zip(got[:4], want[:4]):
+            assert g.tobytes() == w.tobytes()
+        assert got[4:] == want[4:]
+
+
 class TestPicardWindow:
     def test_zero_forcing_converges_immediately(self):
         op = interval_op()
@@ -700,6 +811,40 @@ class TestRun:
                                   ref.norm_series[key])
         assert all(w.iterations == 1 for w in out.windows)
         assert all(w.contraction_estimate == 0.0 for w in out.windows)
+
+    def test_zero_nonlinearity_builds_no_weights_and_no_sums(self,
+                                                             monkeypatch):
+        # f = 0 forces no mode: the run asks for no moment rows and no
+        # weights, and its windows make no memory or window sums
+        calls = []
+        betas = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        ml_rows = linear_solver.ml_rows
+
+        def rows(alpha, bs, x, scalar):
+            betas.extend(bs)
+            return ml_rows(alpha, bs, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", rows)
+        monkeypatch.setattr(linear_solver._KernelTable, "weights", counted(
+            "weights", linear_solver._KernelTable.weights))
+        for name in ("_toeplitz", "_causal_sums"):
+            monkeypatch.setattr(semilinear_solver, name, counted(
+                name, getattr(semilinear_solver, name)))
+        a = 1.5
+        n = np.arange(1, 9)
+        p = problem(interval_op(), a, 1.0 / n ** 2, 0.5 / n ** 2,
+                    NonlinearitySpec())
+        out = run(p, 2.0, PicardConfig(window_init=0.5), 0.01)
+        assert out.status == "completed" and len(out.windows) > 1
+        assert calls == []
+        assert set(betas) == {1.0, 2.0, a}
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):
         # the square's spectrum repeats eigenvalues; the run asks its

@@ -15,7 +15,7 @@ from mlwave import (
     q_A_of,
     spectral_operator,
 )
-from mlwave.spectral_operator import analysis, synthesis
+from mlwave.spectral_operator import analysis, synthesis, synthesis_blas
 
 INTERVAL_PI = OperatorSpecConfig("dirichlet_laplacian_interval",
                                  lengths=(math.pi,))
@@ -234,6 +234,25 @@ class TestArrays:
         got = analysis(factors, whole * w)
         want = (vals * w.reshape(-1)) @ phi
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_blas_order_matches_synthesis_row_by_row(self, cfg):
+        # the diagnostics' order agrees with the ascending one to rounding,
+        # and a row's values are those of the row alone, bit for bit,
+        # whatever rows are computed with it
+        op = make_operator(cfg)
+        N = 8
+        factors = op.rule(N, 4).factors
+        C = np.random.default_rng(13).normal(size=(7, N))
+        got = synthesis_blas(factors, C)
+        want = synthesis(factors, C)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for i in range(len(C)):
+            alone = synthesis_blas(factors, C[i:i + 1].copy())
+            assert alone[0].tobytes() == got[i].tobytes()
+        for lo, hi in ((0, 3), (2, 7), (5, 6)):
+            assert (synthesis_blas(factors, C[lo:hi]).tobytes()
+                    == got[lo:hi].tobytes())
 
     def test_cached_rule_arrays_reject_writes(self, cfg):
         axes, w, (tables, index) = make_operator(cfg).rule(4, 2)
