@@ -34,12 +34,13 @@ the integral.  ml_row is the one-beta case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, rgamma
 
+from ._gamma import lgam_sgn, rgamma
 from .errors import AccuracyError, DomainError, NumericOverflowError
 
 __all__ = [
@@ -115,10 +116,10 @@ def _term_count(kappa, alpha):
 
 def _taylor(alpha, beta, x, rel_tol):
     """Kahan-compensated power series; every term through exp/log so large
-    Gamma arguments neither overflow nor underflow.  Poles of Gamma are
-    detected through gammasgn and skipped."""
+    Gamma arguments neither overflow nor underflow.  Poles of Gamma, where
+    its sign is nan, are skipped."""
     if x == 0.0:
-        return float(rgamma(beta))
+        return rgamma(beta)
     ax = abs(x)
     lax = math.log(ax)
     kappa = _kappa(ax, alpha)
@@ -133,11 +134,10 @@ def _taylor(alpha, beta, x, rel_tol):
     last = math.inf
     for n in range(nmax):
         g = alpha * n + beta
-        sg = float(gammasgn(g))
-        # gammasgn is nan at exact non-positive integers (Gamma poles)
+        lg, sg = lgam_sgn(g)
         if sg != 1.0 and sg != -1.0:
             continue
-        term = sg * math.exp(n * lax - float(gammaln(g)))
+        term = sg * math.exp(n * lax - lg)
         if x < 0.0 and (n % 2 == 1):
             term = -term
         yk = term - c
@@ -199,12 +199,12 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
     ly = math.log(y)
     for k in range(1, kmax):
         z = beta - alpha * k
-        sg = float(gammasgn(z))
+        lg, sg = lgam_sgn(z)
         if sg != 1.0 and sg != -1.0:
             continue        # exact pole, the term vanishes
         # log space: y^-k underflows and 1/Gamma overflows long before
         # their product leaves the double range
-        lt = -k * ly - float(gammaln(z))
+        lt = -k * ly - lg
         if lt > 709.0:
             break           # the series diverges off the double range
         term = sg * math.exp(lt)
@@ -267,7 +267,7 @@ def _reduce_beta(alpha, beta):
 def _lift_beta(alpha, b, down, x, val):
     """Undo _reduce_beta on val = E_{a,b}(x); scalars or arrays alike."""
     for _ in range(down):          # E_{a,b+a} = (E_{a,b} - 1/Gamma(b)) / x
-        val = (val - float(rgamma(b))) / x
+        val = (val - rgamma(b)) / x
         b += alpha
     return val
 
@@ -392,8 +392,7 @@ def _cut(alpha, beta, y, rel_tol):
 def _two_sum(x, y):
     s = x + y
     bb = s - x
-    e = (x - (s - bb)) + (y - bb)
-    return s, e
+    return s, (x - (s - bb)) + (y - bb)
 
 
 def _split(x):
@@ -406,27 +405,23 @@ def _two_prod(x, y):
     p = x * y
     xh, xl = _split(x)
     yh, yl = _split(y)
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, e
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def _dd_add(ah, al, bh, bl):
     s, e = _two_sum(ah, bh)
-    e += al + bl
-    return _two_sum(s, e)
+    return _two_sum(s, e + (al + bl))
 
 
 def _dd_mul_d(ah, al, b):
     p, e = _two_prod(ah, b)
-    e += al * b
-    return _two_sum(p, e)
+    return _two_sum(p, e + al * b)
 
 
 def _dd_div_d(ah, al, b):
     q1 = ah / b
     p, e = _two_prod(q1, b)
-    r = ((ah - p) - e + al) / b
-    return _two_sum(q1, r)
+    return _two_sum(q1, ((ah - p) - e + al) / b)
 
 
 def _dd_series(step, beta, x, nmax=2600):
@@ -455,7 +450,7 @@ def _dd_series(step, beta, x, nmax=2600):
         sh, sl = _dd_add(sh, sl, th, tl)
         if abs(th) < 1e-35 * max(abs(sh), 1e-300) and j + beta > kappa + 10.0:
             break
-    return (sh + sl) * float(rgamma(beta))
+    return (sh + sl) * rgamma(beta)
 
 
 def _integer_alpha_neg(m, beta, x, rel_tol):
@@ -475,7 +470,7 @@ def _integer_alpha_neg(m, beta, x, rel_tol):
         rt = math.sqrt(y)
         err = 8.0 * _EPS * (abs(val) if m == 1 else (1.0 + rt) / rt ** (b - 1))
         while b < beta:
-            g = float(rgamma(b))
+            g = rgamma(b)
             val = (val - g) / x
             err = (err + 4.0 * _EPS * abs(g)) / y + 3.0 * _EPS * abs(val)
             b += m
@@ -516,7 +511,7 @@ def _integer_alpha_neg(m, beta, x, rel_tol):
     val = _dd_series(m, b, x)
     for _ in range(lifts):
         b -= m
-        val = float(rgamma(b)) + x * val
+        val = rgamma(b) + x * val
     return val
 
 
@@ -526,9 +521,7 @@ def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
     """E_{alpha,beta}(x) for validated inputs: the evaluator the solvers
     call directly, and the scalar fallback of ml_row."""
     rel_tol = prec.rel_tol
-    if x == 0.0:
-        return float(rgamma(beta))
-    if x > 0.0:
+    if x >= 0.0:
         return _taylor(alpha, beta, x, rel_tol)
     y = -x
     kappa = _kappa(y, alpha)
@@ -567,6 +560,21 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 
 # ------------------------------------------------------------- array rows
 
+@functools.lru_cache(maxsize=256)
+def _series_terms(alpha, beta):
+    """_taylor_rows' terms off the Gamma poles, cached as read-only arrays:
+    n, the sign of (-1)^n Gamma(alpha n + beta) and log|Gamma(alpha n +
+    beta)|.  The Gamma calls are scalar Python."""
+    n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
+    lg, sg = np.array([lgam_sgn(g) for g in (alpha * n + beta).tolist()]).T
+    sg[n % 2 == 1] *= -1.0
+    keep = np.abs(sg) == 1.0                 # the sign is nan at the poles
+    terms = n[keep], sg[keep], lg[keep]
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
 def _taylor_rows(alpha, betas, x):
     """_taylor for x < 0 with kappa <= _SERIES_CUTOFF at each beta of betas,
     as one (len(betas), len(x)) array: the same log-space terms over the
@@ -576,22 +584,14 @@ def _taylor_rows(alpha, betas, x):
     contiguous row (numpy's pairwise order)."""
     n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
     out = np.empty((len(betas), len(x)))
-    terms = []
-    for beta in betas:
-        g = alpha * n + beta
-        sg = gammasgn(g)
-        sg[n % 2 == 1] *= -1.0
-        # gammasgn is nan at exact non-positive integers (Gamma poles)
-        keep = np.abs(sg) == 1.0
-        terms.append((None if keep.all() else n[keep], sg[keep],
-                      gammaln(g[keep])))
+    terms = [_series_terms(alpha, beta) for beta in betas]
     step = max(1, _CHUNK // len(n))
     for lo in range(0, len(x), step):
         lx = np.log(-x[lo:lo + step, None])
         nlx = lx * n
         for row, (kept, sg, lg) in zip(out, terms):
             # a beta with poles among its terms sums the others only
-            e = (nlx if kept is None else lx * kept) - lg
+            e = (nlx if len(kept) == len(n) else lx * kept) - lg
             # terms below e^-700 add e^-700 instead, which cannot move
             # any sum above 1e-286, and exp is far slower where its
             # result is subnormal
@@ -645,7 +645,7 @@ def ml_rows(alpha, betas, x, scalar=_ml):
     if series.any():
         out[:, series] = _taylor_rows(alpha, betas, xf[series])
     for row, beta in zip(out, betas):
-        row[zero] = float(rgamma(beta))
+        row[zero] = rgamma(beta)
         done = zero | series
         if beta in reduced:
             b, down = reduced[beta]
@@ -678,7 +678,7 @@ def ml_bound_probe(alpha: float, beta: float, x_max: float, n_grid: int) -> floa
         raise DomainError("x_max must be positive")
     if n_grid < 2:
         raise DomainError("n_grid must be >= 2")
-    sup = abs(float(rgamma(beta)))           # x = 0 endpoint
+    sup = abs(rgamma(beta))           # x = 0 endpoint
     lo = math.log10(x_max) - 8.0
     hi = math.log10(x_max)
     if n_grid > 2:
@@ -705,10 +705,9 @@ def ml_identity_residuals(alpha: float, lam: float, t: float, h: float):
         raise DomainError("central-difference step too large relative to t")
 
     a = alpha
-    p = DEFAULT_PRECISION
 
     def e(beta, s):
-        return _ml(a, beta, -lam * s ** a, p)
+        return _ml(a, beta, -lam * s ** a)
 
     tm, tp = t - h, t + h
     cd1 = (e(1.0, tp) - e(1.0, tm)) / (2.0 * h)

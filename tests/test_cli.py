@@ -952,6 +952,32 @@ class TestDispatch:
                             "print('scipy.integrate' in sys.modules)")
         assert proc.stdout.strip() == "False"
 
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # the Gamma values come from mlwave._gamma, so neither the import,
+        # an evaluation nor a solve of either kind needs scipy
+        lin = write_config(tmp_path, "lin.json", N_modes=2,
+                           grid={"t_end": 0.2, "dt": 0.05})
+        semi = write_config(tmp_path, "semi.json", N_modes=2, u1=[0.0, 0.3],
+                            nonlinearity={"kind": "sine",
+                                          "params": {"c": 0.2}},
+                            grid={"t_end": 0.2, "dt": 0.05})
+        code = (
+            "import contextlib, io, sys\n"
+            "import mlwave.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [mlwave.cli.main(a) for a in (\n"
+            "        ['ml', 'eval', '--alpha', '1.5', '--beta', '1.5',\n"
+            "         '--x', '-7.0'],\n"
+            f"        ['solve', 'linear', '--config', {lin!r},\n"
+            f"         '--out', {str(tmp_path / 'lin')!r}],\n"
+            f"        ['solve', 'semilinear', '--config', {semi!r},\n"
+            f"         '--out', {str(tmp_path / 'semi')!r}])]\n"
+            "print(rcs, sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'scipy'))\n")
+        proc = run_cli(code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+
     def test_console_script_is_wired(self):
         # The wiring is read from the repo's own pyproject.toml, so the check
         # holds without installing the package.

@@ -398,6 +398,33 @@ class TestMlRows:
             assert row.tobytes() == \
                 ml_row(alpha, beta, -np.logspace(-1, 5, 40)).tobytes()
 
+    def test_series_terms_built_once(self, monkeypatch):
+        # the per-beta Gamma table depends on (alpha, beta) alone: a second
+        # request at the same betas reuses it without one Gamma call
+        calls = []
+        lgam_sgn = mittag_leffler.lgam_sgn
+
+        def counted(g):
+            calls.append(g)
+            return lgam_sgn(g)
+
+        monkeypatch.setattr(mittag_leffler, "lgam_sgn", counted)
+        mittag_leffler._series_terms.cache_clear()
+        alpha = 1.3
+        betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0, -1.0)
+        x = -np.linspace(0.05, 5.0, 30)
+        first = mittag_leffler._taylor_rows(alpha, betas, x)
+        assert calls
+        calls.clear()
+        again = mittag_leffler._taylor_rows(alpha, betas, x)
+        assert calls == []
+        assert again.tobytes() == first.tobytes()
+        for beta in betas:
+            for table in mittag_leffler._series_terms(alpha, beta):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0
+
     @prop(40)
     @given(alpha=st.floats(1.01, 1.999),
            fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True),
