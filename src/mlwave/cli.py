@@ -699,8 +699,25 @@ def _cmd_convergence(args) -> int:
     else:
         cfg = PicardConfig(**scn.picard)
 
+        def level(dt):
+            # status, T_est and final state alone: the trace is freed here
+            o = run(p, scn.t_end, cfg, dt)
+            return o.status, o.T_est, o.trace.u_coeffs[-1].copy()
+
+        levels = {dt: level(dt) for dt in dts}
+        if any(status == "maximal_time_detected"
+               for status, _, _ in levels.values()):
+            # each level's last state is at its own T_est: no order
+            raise ConfigError(
+                "no convergence order: a level stops before t_end, so the "
+                "levels' final states are at different times:\n  - "
+                + "\n  - ".join(
+                    f"dt={dt:g}: {status}"
+                    + ("" if T_est is None else f", T_est={T_est:g}")
+                    for dt, (status, T_est, _) in levels.items()))
+
         def runner(dt):
-            return run(p, scn.t_end, cfg, dt).trace.u_coeffs[-1]
+            return levels[dt][2]
 
     rep = self_convergence(runner, dts)
     res = {key: list(rep[key]) for key in ("dts", "diffs", "orders")}

@@ -23,8 +23,8 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
                             _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
-                                _row_runs, _rule_panels, analysis, synthesis,
-                                synthesis_blas)
+                                _row_runs, _rule_panels, analysis,
+                                synthesis, synthesis_blas)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -137,23 +137,33 @@ class NonlinearitySpec:
 
     def apply(self, vals):
         """Pointwise f on an array of field values."""
-        vals = np.asarray(vals, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(vals)
+        return self.pointwise()(np.asarray(vals, dtype=float))
+
+    def pointwise(self):
+        """f as a map of float arrays, its params read once, here."""
         p = self.params
+        if self.kind == "zero":
+            return np.zeros_like
         if self.kind == "linear_shift":
-            return float(p["kappa"]) * vals
+            kappa = float(p["kappa"])
+            return lambda vals: kappa * vals
         if self.kind == "power":
             c, e = float(p["c"]), float(p["r"]) - 1.0
-            mag = np.abs(vals)
-            # the exponents 1 and 2 as products, bit-equal to the general pow
-            grow = (mag if e == 1.0 else mag * mag if e == 2.0
-                    else mag ** e)
-            return c * grow * vals
+
+            def power(vals):
+                mag = np.abs(vals)
+                # the exponents 1 and 2 as products, bit-equal to the
+                # general pow
+                grow = (mag if e == 1.0 else mag * mag if e == 2.0
+                        else mag ** e)
+                return c * grow * vals
+            return power
         if self.kind == "sine":
-            return float(p["c"]) * np.sin(vals)
-        return np.interp(vals, np.asarray(p["s"], dtype=float),
-                         np.asarray(p["values"], dtype=float))
+            c = float(p["c"])
+            return lambda vals: c * np.sin(vals)
+        s = np.asarray(p["s"], dtype=float)
+        v = np.asarray(p["values"], dtype=float)
+        return lambda vals: np.interp(vals, s, v)
 
     def lipschitz_envelope(self, rho) -> float:
         """Monotone bound Q1(rho) on the local Lipschitz constant over the
@@ -260,21 +270,34 @@ class RunOutcome:
     warnings: tuple = ()
 
 
-def _collocate(f, op, C, N, panels, values=synthesis):
+class _Collocation:
     """Coefficients of f(u) for each coefficient row u of C on the
-    composite rule with `panels` panels per axis: per run of rows, grid
-    values by `values` (synthesis, or synthesis_blas for a diagnostic),
-    f pointwise, weighted values back by analysis.  Non-finite values of
-    f raise OverflowSignal for the blow-up monitor; callers that expect
-    overflow silence numpy's warnings around the call."""
-    _, w, factors = op.rule(N, panels)
-    out = np.empty((len(C), N))
-    for rows in _row_runs(len(C), w.size):
-        vals = f.apply(values(factors, C[rows]))
-        if not np.isfinite(vals).all():
-            raise OverflowSignal("nonlinearity produced non-finite values")
-        out[rows] = analysis(factors, vals * w)
-    return out
+    composite rule with `panels` panels per axis, bound once: the
+    pointwise map fmap and the rule's weights and factor tables.  Per run
+    of rows: grid values by `values` (synthesis, or synthesis_blas for a
+    diagnostic), f pointwise, weighted values back by analysis.
+    Non-finite values of f raise OverflowSignal for the blow-up monitor;
+    callers that expect overflow silence numpy's warnings around the
+    call."""
+
+    def __init__(self, fmap, op, N, panels, values=synthesis):
+        _, self.w, self.factors = op.rule(N, panels)
+        self.fmap, self.N, self.values = fmap, N, values
+
+    def __call__(self, C):
+        out = np.empty((len(C), self.N))
+        for rows in _row_runs(len(C), self.w.size):
+            vals = self.fmap(self.values(self.factors, C[rows]))
+            if not np.isfinite(vals).all():
+                raise OverflowSignal("nonlinearity produced non-finite values")
+            out[rows] = analysis(self.factors, vals * self.w)
+        return out
+
+
+def _collocate(f, op, C, N, panels, values=synthesis):
+    """The _Collocation of f.apply on the rule with `panels` panels, for
+    the coefficient rows C."""
+    return _Collocation(f.apply, op, N, panels, values)(C)
 
 
 def _aliasing(f, op, C, F, N, panels):
@@ -312,11 +335,24 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
 
 # ------------------------------------------------------- window machinery
 
+_EXTENT_MIN = 64    # steps a workspace builds first (see _Workspace)
+
+
 class _Workspace:
-    """Per-run caches: the kernel table over the global grid, the zero-led
-    product-integration weights of every mode on it (None for f = 0,
-    which forces no mode), the homogeneous part, the collocation rule's
-    resolution and the V_gamma norm's weights lam^(2 gamma)."""
+    """Per-run caches: the kernel table on a prefix of the grid; in the
+    whole grid's layout, the zero-led product-integration weights of every
+    mode (None for f = 0, which forces no mode) and the homogeneous part,
+    both filled as far as the prefix; the collocation bound to the run's
+    rule (None for f = 0); the V_gamma norm's weights lam^(2 gamma).
+
+    The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
+    about that many nodes a row build is mostly the cost of the call.  A
+    window past its end extends it to the window's end or to twice the
+    window's start, whichever is further, capped at the grid, so it grows
+    geometrically and, once windows are short, to at most twice the last
+    accepted node.  An extension builds the new nodes' rows, homogeneous
+    values and panel weights only; each depends on its own nodes alone,
+    so the bits are those of a build on the whole grid."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
@@ -324,7 +360,6 @@ class _Workspace:
         self.lam = p.op.eigenvalues(p.N)
         # weighted_norm's weights at theta = 1/alpha
         self.vweights = self.lam ** (2.0 * abs(1.0 / p.alpha))
-        self.kt = _KernelTable(p.alpha, grid)
         self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
             raise ConfigError(
@@ -332,23 +367,52 @@ class _Workspace:
                 f"anti-aliasing floor 4N={4 * p.N}")
         self.panels = _rule_panels(self.quad)
         # f(u) can force every mode, unless f = 0
-        forcing = p.nonlinearity.kind != "zero"
-        self.hom_u, self.hom_dtu = _unforced_rows(
+        self.forced = p.nonlinearity.kind != "zero"
+        self.colloc = (_Collocation(p.nonlinearity.pointwise(), p.op, p.N,
+                                    self.panels) if self.forced else None)
+        self.M = M = len(grid) - 1
+        self.kt = _KernelTable(p.alpha, grid, min(M, _EXTENT_MIN) + 1)
+        # (u, dtu) rows stacked
+        self.hom = np.empty((2, M + 1, p.N))
+        self.weights = None
+        self._build(0)
+
+    def reach(self, ia, ib):
+        """Extend the prefix to cover the window ia..ib, if it ends before
+        ib: to ib or to 2 ia, whichever is further, capped at the grid."""
+        if ib >= len(self.kt.t):
+            lo = len(self.kt.t)
+            self.kt.extend(min(self.M, max(ib, 2 * ia)) + 1)
+            self._build(lo)
+
+    def _build(self, lo):
+        """The homogeneous part from node lo to the prefix's end, and the
+        weights of the panels that end there (from panel lo - 1 on)."""
+        p, M, end = self.p, self.M, len(self.kt.t)
+        self.hom[:, lo:end] = _unforced_rows(
             self.kt, self.lam, p.u0.coeffs, p.u1.coeffs,
-            np.full(p.N, forcing))
-        self.weights = self.kt.weights(self.lam) if forcing else None
+            np.full(p.N, self.forced), lo)
+        if not self.forced:
+            return
+        if lo == 0:
+            # the prefix's zero-led table, placed in the whole grid's
+            led = self.kt.weights(self.lam)
+            self.weights = np.zeros(led.shape[:-1] + (2 * M - 1,))
+            self.weights[..., M - end + 1:M + end - 2] = led
+        else:
+            self.weights[..., M + lo - 2:M + end - 2] = (
+                self.kt.panel_weights(self.lam, lo - 1))
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
-        if self.p.nonlinearity.kind == "zero":
+        if self.colloc is None:
             return np.zeros_like(U_rows)
-        return _collocate(self.p.nonlinearity, self.p.op, U_rows, self.N,
-                          self.panels)
+        return self.colloc(U_rows)
 
     def aliasing(self, U_rows, F_rows):
         """Aliasing estimate of the rows' f(u) coefficients F_rows: their
         largest change on the doubled rule, inf if f overflows there."""
-        if self.p.nonlinearity.kind == "zero":
+        if not self.forced:
             return 0.0
         try:
             return _aliasing(self.p.nonlinearity, self.p.op, U_rows, F_rows,
@@ -377,10 +441,9 @@ class _Workspace:
         history F_hist (rows 0..ia).  Returns (U, DTU, F, norms,
         iterations, contraction) over the window nodes, norms the combined
         norms of the accepted rows, or raises WindowFailure."""
+        self.reach(ia, ib)
         W = ib - ia
-        P = len(self.kt.t) - 1
-        base_u = self.hom_u[ia:ib + 1].copy()
-        base_dtu = self.hom_dtu[ia:ib + 1].copy()
+        P = self.M
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         # the norm pass's one buffer: (u, dtu) by (change, iterate)
@@ -388,48 +451,43 @@ class _Workspace:
         prev_d = None
         # f = 0 forces no mode and makes no sums; else every iteration's
         # sums read this one view of the window's table
-        forced = self.weights is not None
-        if forced:
+        if self.forced:
             window = _toeplitz(self.weights[..., P - W:], W, W)
         # one errstate per attempt: an overflow of f(u) or of the sums
         # ends it through the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            if ia > 0 and forced:
+            # (u, dtu) rows of the window's fixed part
+            base = self.hom[:, ia:ib + 1].copy()
+            if ia > 0 and self.forced:
                 # the memory of the accepted panels, every mode at once
                 memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
-                mem = _causal_sums(memory, F_hist[:ia + 1].T)
-                base_u += mem[0].T
-                base_dtu += mem[1].T
-            U = base_u.copy()
-            DTU = base_dtu.copy()
+                base += _causal_sums(memory, F_hist[:ia + 1].T).swapaxes(1, 2)
+            # the iterate and the next one, swapped every iteration; row
+            # 0, the window's start, stays the fixed part's in both
+            cur, new = base.copy(), base.copy()
             for it in range(1, cfg.max_iter + 1):
                 try:
-                    Fw[1:] = self.apply_rows(U[1:])
+                    Fw[1:] = self.apply_rows(cur[0, 1:])
                 except OverflowSignal as sig:
                     raise WindowFailure(str(sig)) from sig
-                newU = base_u.copy()
-                newDTU = base_dtu.copy()
-                if forced:
-                    new = _causal_sums(window, Fw.T)
-                    newU[1:] += new[0].T
-                    newDTU[1:] += new[1].T
-                if not (np.isfinite(newU).all()
-                        and np.isfinite(newDTU).all()):
+                if self.forced:
+                    np.add(base[:, 1:],
+                           _causal_sums(window, Fw.T).swapaxes(1, 2),
+                           out=new[:, 1:])
+                if not np.isfinite(new).all():
                     raise WindowFailure("iterate overflowed")
-                np.subtract(newU, U, out=pair[0, 0])
-                pair[0, 1] = newU
-                np.subtract(newDTU, DTU, out=pair[1, 0])
-                pair[1, 1] = newDTU
+                np.subtract(new, cur, out=pair[:, 0])
+                pair[:, 1] = new
                 change, norms = self.combined_norms(pair)
                 d = float(change.max())
                 if norms.max() > R_eff:
                     raise WindowFailure(
                         f"iterate left the trust ball of radius {R_eff:.3g}")
                 contraction = 0.0 if prev_d is None else d / prev_d
-                U, DTU = newU, newDTU
+                cur, new = new, cur
                 if d < cfg.tol:
-                    Fw[1:] = self.apply_rows(U[1:])
-                    return U, DTU, Fw, norms, it, contraction
+                    Fw[1:] = self.apply_rows(cur[0, 1:])
+                    return cur[0], cur[1], Fw, norms, it, contraction
                 prev_d = d
             raise WindowFailure(
                 f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "

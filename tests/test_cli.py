@@ -867,6 +867,27 @@ class TestConvergenceCli:
         doc = json.loads(capsys.readouterr().out)
         assert all(o >= 1.8 for o in doc["orders"])
 
+    def test_blowup_levels_give_no_order(self, tmp_path, capsys):
+        # each level stops at its own T_est, so their last states lie at
+        # different times: exit 1 with every level's dt, status and T_est,
+        # and no order printed or written
+        cfg = write_config(
+            tmp_path, N_modes=2, u0=[20.0, 0.1], u1="zero",
+            nonlinearity={"kind": "power", "params": {"c": 1.0, "r": 3.0}},
+            grid={"t_end": 0.04, "dt": 0.001})
+        out = tmp_path / "rep"
+        assert main(["convergence", "--config", cfg,
+                     "--out", str(out)]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert "final states are at different times" in cap.err
+        assert cap.err.count("maximal_time_detected") == 3
+        for dt, t_est in (("0.001", "0.033"), ("0.0005", "0.034"),
+                          ("0.00025", "0.0345")):
+            assert (f"  - dt={dt}: maximal_time_detected, T_est={t_est}\n"
+                    in cap.err)
+        assert not (out / "convergence.json").exists()
+
     def test_levels_past_the_step_cap_exit_one(self, tmp_path, capsys,
                                               monkeypatch):
         # the default grid has 100 steps: 14 levels end at 100 * 2^13 =

@@ -275,26 +275,27 @@ class TestBatchedCollocation:
             f"{got.aliasing_est:.3e} over 4 coefficients",)
 
     def test_blocks_and_row_runs_match_one_block(self, monkeypatch):
-        # a budget of five rows' values on the 40 x 40 rule: the rows come
-        # in blocks of five, and each row's coefficients are those of one
-        # run, bit for bit
+        # a budget of five rows' values on the 40 x 40 rule gives blocks of
+        # five rows, a budget below one row's values blocks of one, and
+        # each row's coefficients are those of one run, bit for bit
         op = make_operator(CATALOG["box2"])
         f = NONLINEARITIES["power"]
         N, panels = 4, 4
         C = coefficient_rows(12, N, seed=3)
         whole = semilinear_solver._collocate(f, op, C, N, panels)
-        budget = 5 * 40 * 40
-        monkeypatch.setattr(spectral_operator, "_VALUES_MAX", budget)
-        sizes = []
+        row = 40 * 40
+        for budget, runs in ((5 * row, [5, 5, 2]), (row - 1, [1] * 12)):
+            monkeypatch.setattr(spectral_operator, "_VALUES_MAX", budget)
+            sizes = []
 
-        def spy(vals):
-            sizes.append(vals.size)
-            return f.apply(vals)
+            def spy(vals):
+                sizes.append(vals.size)
+                return f.apply(vals)
 
-        got = semilinear_solver._collocate(SimpleNamespace(apply=spy), op,
-                                           C, N, panels)
-        assert sizes == [budget, budget, 2 * 40 * 40]
-        assert np.array_equal(got, whole)
+            got = semilinear_solver._collocate(SimpleNamespace(apply=spy),
+                                               op, C, N, panels)
+            assert sizes == [rows * row for rows in runs]
+            assert np.array_equal(got, whole)
 
     def test_interval_rows_are_the_ascending_mode_sums(self):
         # Pool entry 23 of the picard-blowup benchmark has a window that
@@ -516,7 +517,7 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
     the change and of the iterate by weighted_norm over np.stack'ed
     pairs.  Returns window_solve's tuple, or the reason it fails with."""
     p = ws.p
-    W, P = ib - ia, len(ws.kt.t) - 1
+    W, P = ib - ia, ws.M
 
     def norms_of(U, DTU):
         return (weighted_norm(U, ws.lam, 1.0 / p.alpha)
@@ -527,8 +528,8 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
                                             ws.panels)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        base_u = ws.hom_u[ia:ib + 1].copy()
-        base_dtu = ws.hom_dtu[ia:ib + 1].copy()
+        base_u = ws.hom[0, ia:ib + 1].copy()
+        base_dtu = ws.hom[1, ia:ib + 1].copy()
         if ia > 0:
             mem = _causal_sums(_toeplitz(ws.weights[..., P - 1:], W + 1, ia),
                                F_hist[:ia + 1].T)
@@ -601,7 +602,7 @@ class TestWindowIterate:
         ia = min(start, M - 1)
         ib = min(ia + width, M)
         F_hist = scale * rng.uniform(-1.0, 1.0, (ia + 1, N))
-        u, dtu = ws.hom_u[ia], ws.hom_dtu[ia]
+        u, dtu = ws.hom[:, ia]
         with np.errstate(over="ignore"):    # inf at the largest states
             R_eff = (R_star if R_star is not None else
                      8.0 * (float(weighted_norm(u, ws.lam, 1.0 / alpha)
@@ -917,6 +918,48 @@ class TestRun:
         assert kappa.max() > 30.0
         assert passes == [((1.0, 2.0, a), int(np.sum(
             kappa > mittag_leffler._SERIES_CUTOFF)))]
+
+    @pytest.mark.parametrize("first", [8, semilinear_solver._EXTENT_MIN])
+    def test_rows_built_only_as_far_as_the_run_reaches(self, monkeypatch,
+                                                       first):
+        # a blow-up run that stops at node 59 of 200 hands ml_rows each
+        # node once, in order, and none past twice the node it stops at,
+        # extending its first extent at least once.  Its trace, windows
+        # and T_est are byte for byte those of a run built on the whole
+        # grid at once.
+        def blowup():
+            p = problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02],
+                        [0.0] * 4,
+                        NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
+            return run(p, 0.1, PicardConfig(), 0.0005)
+
+        heads = []
+        ml_rows = linear_solver.ml_rows
+
+        def rows(alpha, bs, x, scalar):
+            heads.append(x[0])
+            return ml_rows(alpha, bs, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", rows)
+        monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", first)
+        lazy = blowup()
+        monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", 200)
+        heads_lazy, heads[:] = list(heads), []
+        whole = blowup()
+        stop = round(lazy.T_est / 0.0005)
+        x = np.concatenate(heads_lazy)
+        assert lazy.status == "maximal_time_detected"
+        assert np.all(np.diff(x) < 0.0)
+        assert len(heads_lazy) > 1
+        assert stop < len(x) <= 2 * stop
+        assert [len(h) for h in heads] == [201]
+        assert whole.T_est == lazy.T_est
+        assert whole.windows == lazy.windows
+        for key in ("times", "u_coeffs", "dtu_coeffs", "dalpha_coeffs"):
+            assert (getattr(whole.trace, key).tobytes()
+                    == getattr(lazy.trace, key).tobytes())
+        for key, series in whole.trace.norm_series.items():
+            assert series.tobytes() == lazy.trace.norm_series[key].tobytes()
 
     def test_windows_tile_the_horizon(self):
         op = interval_op()

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlwave import (
     ConfigError,
@@ -15,7 +17,8 @@ from mlwave import (
     q_A_of,
     spectral_operator,
 )
-from mlwave.spectral_operator import analysis, synthesis, synthesis_blas
+from mlwave.spectral_operator import (_table_rows, analysis, synthesis,
+                                     synthesis_blas)
 
 INTERVAL_PI = OperatorSpecConfig("dirichlet_laplacian_interval",
                                  lengths=(math.pi,))
@@ -267,6 +270,53 @@ def test_three_dimensional_rule_holds_no_modes_by_nodes_array():
     axes, w, (tables, index) = op.rule(N, math.ceil(4 * N / 10))
     assert max(a.size for a in (*axes, w, index, *tables)) < N * w.size
     assert len(index) == N
+
+
+SYNTHESIS_OPERATORS = {
+    "interval": INTERVAL_PI,
+    "square": OperatorSpecConfig("dirichlet_laplacian_box",
+                                 lengths=(1.0, 1.0)),
+    "cube": OperatorSpecConfig("dirichlet_laplacian_box",
+                               lengths=(1.0, 1.0, 1.0)),
+}
+
+
+def ascending_rows(factors, C):
+    """Grid values of each coefficient row on its own, every axis summed
+    as a running total over the table rows in ascending order."""
+    out = []
+    for c in C:
+        D = _table_rows(factors, c[None])
+        for T in factors.tables:
+            cols = D.swapaxes(0, 1)[..., None]
+            acc = cols[0] * T[0]
+            for col, t in zip(cols[1:], T[1:]):
+                acc += col * t
+            D = acc
+        out.append(D[0])
+    return np.array(out)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(sorted(SYNTHESIS_OPERATORS)),
+       N=st.integers(1, 16), rows=st.integers(1, 57),
+       panels=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
+       stack_max=st.sampled_from((0, spectral_operator._STACK_MAX, 1 << 62)))
+def test_synthesis_is_the_ascending_per_row_sum(kind, N, rows, panels, seed,
+                                                stack_max):
+    # the order picard-blowup's T_est rests on: synthesis adds the table
+    # rows as the running total does, row by row, byte for byte, signed
+    # zeros and spread magnitudes included, whether its axes stack their
+    # products (stack_max 1 << 62), sum them as they go (0) or choose
+    op = make_operator(SYNTHESIS_OPERATORS[kind])
+    factors = op.rule(N, panels).factors
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((rows, N)) * 10.0 ** rng.integers(-6, 7,
+                                                              (rows, N))
+    C[rng.random((rows, N)) < 0.2] = -0.0
+    with mock.patch.object(spectral_operator, "_STACK_MAX", stack_max):
+        got = synthesis(factors, C)
+    assert got.tobytes() == ascending_rows(factors, C).tobytes()
 
 
 class TestEmbeddingExponent:
