@@ -8,6 +8,7 @@ name.  Exit codes: 0 success, 1 domain/config error, 2 numeric failure,
 """
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -616,17 +617,27 @@ def _read_scenario(args) -> Scenario:
     return parse_scenario(text, allow_limit=args.allow_limit)
 
 
-def _outdir(out) -> str:
-    """The output directory out, created before any work is done."""
+@contextlib.contextmanager
+def _outdir(out):
+    """The output directory out, created before any work is done, for the
+    body of a with statement; removed again if this call created it and
+    the body fails and leaves it empty."""
     if not out:
         raise ConfigError(
             "no output directory: pass --out or set \"output\" in the "
             "scenario")
+    made = not os.path.exists(out)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
-    return out
+    try:
+        yield out
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)
+        raise
 
 
 def _cmd_solve(args) -> int:
@@ -634,48 +645,48 @@ def _cmd_solve(args) -> int:
     if args.mode != scn.kind:
         raise ConfigError(
             f"scenario is {scn.kind} (use `solve {scn.kind}`)")
-    out = _outdir(args.out or scn.output)
-    grid = _grid(scn.t_end, scn.dt)
-    p = _problem(scn)
-    if scn.kind == "linear":
-        trace = solve_linear(p, grid)
-        summary = {
-            "scenario": scn.echo(),
-            "status": "completed",
-            "nodes": len(grid),
-            "final_time": float(trace.times[-1]),
-            "final_norms": {k: float(v[-1])
-                            for k, v in sorted(trace.norm_series.items())},
-            "warnings": list(trace.warnings),
-            "metadata": {
-                "generated_at": datetime.datetime.now(
-                    datetime.timezone.utc).isoformat()},
-        }
-        _write_json(os.path.join(out, "summary.json"), summary)
-        status = "completed"
-    else:
-        outcome = run(p, scn.t_end, PicardConfig(**scn.picard), scn.dt)
-        hf1 = p.nonlinearity.hf1
-        check = strong_solution_check(
-            outcome, p, q=2.0, r=hf1[0] if hf1 else 2.0)
-        outcome = replace(outcome, strong_check=check)
-        trace = outcome.trace
-        _write_json(os.path.join(out, "outcome.json"), {
-            "scenario": scn.echo(),
-            "status": outcome.status,
-            "T_end": outcome.T_end,
-            "T_est": outcome.T_est,
-            "windows": _windows_json(outcome.windows),
-            "strong_check": outcome.strong_check,
-            "aliasing_est": outcome.aliasing_est,
-            "warnings": list(outcome.warnings),
-        })
-        status = outcome.status
-    _write_atomic(os.path.join(out, "trace.csv"), _trace_csv(trace))
-    _write_atomic(os.path.join(out, "norms.csv"), _norms_csv(trace))
-    print(f"{status}: {len(trace.times)} nodes x {scn.N_modes} modes "
-          f"-> {out}")
-    return 0
+    with _outdir(args.out or scn.output) as out:
+        grid = _grid(scn.t_end, scn.dt)
+        p = _problem(scn)
+        if scn.kind == "linear":
+            trace = solve_linear(p, grid)
+            summary = {
+                "scenario": scn.echo(),
+                "status": "completed",
+                "nodes": len(grid),
+                "final_time": float(trace.times[-1]),
+                "final_norms": {k: float(v[-1])
+                                for k, v in sorted(trace.norm_series.items())},
+                "warnings": list(trace.warnings),
+                "metadata": {
+                    "generated_at": datetime.datetime.now(
+                        datetime.timezone.utc).isoformat()},
+            }
+            _write_json(os.path.join(out, "summary.json"), summary)
+            status = "completed"
+        else:
+            outcome = run(p, scn.t_end, PicardConfig(**scn.picard), scn.dt)
+            hf1 = p.nonlinearity.hf1
+            check = strong_solution_check(
+                outcome, p, q=2.0, r=hf1[0] if hf1 else 2.0)
+            outcome = replace(outcome, strong_check=check)
+            trace = outcome.trace
+            _write_json(os.path.join(out, "outcome.json"), {
+                "scenario": scn.echo(),
+                "status": outcome.status,
+                "T_end": outcome.T_end,
+                "T_est": outcome.T_est,
+                "windows": _windows_json(outcome.windows),
+                "strong_check": outcome.strong_check,
+                "aliasing_est": outcome.aliasing_est,
+                "warnings": list(outcome.warnings),
+            })
+            status = outcome.status
+        _write_atomic(os.path.join(out, "trace.csv"), _trace_csv(trace))
+        _write_atomic(os.path.join(out, "norms.csv"), _norms_csv(trace))
+        print(f"{status}: {len(trace.times)} nodes x {scn.N_modes} modes "
+              f"-> {out}")
+        return 0
 
 
 def _cmd_convergence(args) -> int:
@@ -689,43 +700,42 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(
             f"--levels {args.levels} refines past the cap of {_MAX_STEPS} "
             f"steps; this grid admits at most {fit} levels")
-    if args.out:
-        _outdir(args.out)
-    dts = [scn.dt / 2 ** k for k in range(args.levels)]
-    p = _problem(scn)
-    if scn.kind == "linear":
-        def runner(dt):
-            return solve_linear(p, _grid(scn.t_end, dt)).u_coeffs[-1]
-    else:
-        cfg = PicardConfig(**scn.picard)
+    with _outdir(args.out) if args.out else contextlib.nullcontext():
+        dts = [scn.dt / 2 ** k for k in range(args.levels)]
+        p = _problem(scn)
+        if scn.kind == "linear":
+            def runner(dt):
+                return solve_linear(p, _grid(scn.t_end, dt)).u_coeffs[-1]
+        else:
+            cfg = PicardConfig(**scn.picard)
 
-        def level(dt):
-            # status, T_est and final state alone: the trace is freed here
-            o = run(p, scn.t_end, cfg, dt)
-            return o.status, o.T_est, o.trace.u_coeffs[-1].copy()
+            def level(dt):
+                # status, T_est and final state alone: the trace is freed here
+                o = run(p, scn.t_end, cfg, dt)
+                return o.status, o.T_est, o.trace.u_coeffs[-1].copy()
 
-        levels = {dt: level(dt) for dt in dts}
-        if any(status == "maximal_time_detected"
-               for status, _, _ in levels.values()):
-            # each level's last state is at its own T_est: no order
-            raise ConfigError(
-                "no convergence order: a level stops before t_end, so the "
-                "levels' final states are at different times:\n  - "
-                + "\n  - ".join(
-                    f"dt={dt:g}: {status}"
-                    + ("" if T_est is None else f", T_est={T_est:g}")
-                    for dt, (status, T_est, _) in levels.items()))
+            levels = {dt: level(dt) for dt in dts}
+            if any(status == "maximal_time_detected"
+                   for status, _, _ in levels.values()):
+                # each level's last state is at its own T_est: no order
+                raise ConfigError(
+                    "no convergence order: a level stops before t_end, so the "
+                    "levels' final states are at different times:\n  - "
+                    + "\n  - ".join(
+                        f"dt={dt:g}: {status}"
+                        + ("" if T_est is None else f", T_est={T_est:g}")
+                        for dt, (status, T_est, _) in levels.items()))
 
-        def runner(dt):
-            return levels[dt][2]
+            def runner(dt):
+                return levels[dt][2]
 
-    rep = self_convergence(runner, dts)
-    res = {key: list(rep[key]) for key in ("dts", "diffs", "orders")}
-    print(json.dumps(res, indent=2))
-    if args.out:
-        _write_json(os.path.join(args.out, "convergence.json"),
-                    {"scenario": scn.echo(), **res})
-    return 0
+        rep = self_convergence(runner, dts)
+        res = {key: list(rep[key]) for key in ("dts", "diffs", "orders")}
+        print(json.dumps(res, indent=2))
+        if args.out:
+            _write_json(os.path.join(args.out, "convergence.json"),
+                        {"scenario": scn.echo(), **res})
+        return 0
 
 
 # ------------------------------------------------------------ verify suites
@@ -944,13 +954,13 @@ def _print_checks(checks):
 
 
 def _cmd_verify(args) -> int:
-    _outdir(args.out)
-    checks = _SUITES[args.suite]()
-    _print_checks(checks)
-    passed = all(c["passed"] for c in checks)
-    report = {"suite": args.suite, "passed": passed, "checks": checks}
-    _write_json(os.path.join(args.out, "report.json"), report)
-    return 0 if passed else 3
+    with _outdir(args.out):
+        checks = _SUITES[args.suite]()
+        _print_checks(checks)
+        passed = all(c["passed"] for c in checks)
+        report = {"suite": args.suite, "passed": passed, "checks": checks}
+        _write_json(os.path.join(args.out, "report.json"), report)
+        return 0 if passed else 3
 
 
 # ----------------------------------------------------------------- parser

@@ -244,67 +244,57 @@ class _KernelTable:
     integrates the branch cut once for all of its betas.
 
     The table covers the first `nodes` nodes of `times`, all of them when
-    nodes is None, and t is that prefix; extend carries it further."""
+    nodes is None, and t is that prefix; extend moves it further, and a
+    row held short of it is completed when next asked for.  A row value
+    depends on its own point alone, so the rows, and the weights and
+    propagators built from them, are those of a table built on the
+    longer prefix at once."""
 
     def __init__(self, alpha, times, nodes=None):
         self.alpha = alpha
         self._grid = np.asarray(times, dtype=float)
         self._ta = self._grid ** alpha
-        self.t, self.ta = self._grid[:nodes], self._ta[:nodes]
+        self.extend(nodes)
         self._rows = {}
+
+    def extend(self, nodes):
+        """Cover the first `nodes` nodes of the grid."""
+        self.t, self.ta = self._grid[:nodes], self._ta[:nodes]
 
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
         each eigenvalue of lam, a scalar or an array: shape (len(betas),)
-        + np.shape(lam) + t.shape.  Each row the table lacks is built once:
-        the eigenvalues are grouped by the betas they lack, one ml_rows
-        call per group."""
+        + np.shape(lam) + t.shape.  Each row the table lacks or holds
+        short of t is built or completed once: the eigenvalues are
+        grouped by the node they lack rows from and the betas they lack
+        there, one ml_rows call per group."""
         lam = np.asarray(lam, dtype=float)
         keys = lam.ravel().tolist()
         have = self._rows
-        self._build({v: [b for b in dict.fromkeys(betas) if (v, b) not in have]
-                     for v in dict.fromkeys(keys)}, 0)
-        return np.array([[have[v, b] for v in keys] for b in betas]).reshape(
-            (len(betas),) + lam.shape + self.t.shape)
-
-    def extend(self, nodes):
-        """Cover the first `nodes` nodes of the grid: every row held gains
-        the new nodes' values, one ml_rows call per group of eigenvalues
-        holding the same betas.  A row value depends on its own point
-        alone, so the rows are those of a table built on the longer
-        prefix at once."""
-        lo = len(self.t)
-        self.t, self.ta = self._grid[:nodes], self._ta[:nodes]
-        held = {}
-        for v, b in self._rows:
-            held.setdefault(v, []).append(b)
-        self._build(held, lo)
-
-    def _build(self, betas, lo):
-        """The rows over nodes lo.. of t of each eigenvalue v at the betas
-        betas[v], one ml_rows call per group of eigenvalues with the same
-        betas: new rows for lo = 0, else appended to the rows held."""
         groups = {}
-        for v, need in betas.items():
-            if need:
-                groups.setdefault(tuple(need), []).append(v)
-        have = self._rows
-        for need, new in groups.items():
+        for v in dict.fromkeys(keys):
+            lack = {}
+            for b in dict.fromkeys(betas):
+                lack.setdefault(len(have.get((v, b), ())), []).append(b)
+            for lo, need in lack.items():
+                if lo < len(self.t):
+                    groups.setdefault((lo, tuple(need)), []).append(v)
+        for (lo, need), new in groups.items():
             got = ml_rows(self.alpha, need,
                           -np.array(new)[:, None] * self.ta[lo:], _ml)
             for b, rows in zip(need, got):
                 for v, r in zip(new, rows):
                     have[v, b] = np.concatenate((have[v, b], r)) if lo else r
+        return np.array([[have[v, b] for v in keys] for b in betas]).reshape(
+            (len(betas),) + lam.shape + self.t.shape)
 
-    def moment_steps(self, lam, deriv, first=0):
+    def moment_steps(self, lam, deriv):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
-        one eigenvalue, or of each of an array of them (one row each), on
-        the panels from index first on."""
-        m0, m1 = kernel_moments(
-            self.alpha, self.t[first:],
-            lambda beta: self.row(lam, (beta,))[0][..., first:], deriv)
-        if first == 0:
-            m0[..., 0] = m1[..., 0] = 0.0
+        one eigenvalue, or of each of an array of them (one row each)."""
+        m0, m1 = kernel_moments(self.alpha, self.t,
+                                lambda beta: self.row(lam, (beta,))[0],
+                                deriv)
+        m0[..., 0] = m1[..., 0] = 0.0
         return np.diff(m0), np.diff(m1)
 
     def weights(self, lam):
@@ -320,24 +310,19 @@ class _KernelTable:
         differences so that sum(B + A) telescopes to the exact integral of
         the kernel, making constant forcing exact.  Each call builds the
         weights once per distinct eigenvalue, from rows asked for in one
-        call; the arithmetic is elementwise, so each eigenvalue's weights
-        are those of a build of it alone."""
-        return _zero_led(self.panel_weights(lam))
-
-    def panel_weights(self, lam, first=0):
-        """The (2, 2, len(lam), P - first) stack of the weights of panels
-        first..P-1, with no zeros led.  Panel l reads nodes l and l + 1
-        alone, so its weights are those of the whole table's."""
+        call; the arithmetic is elementwise, and panel l reads nodes l and
+        l + 1 alone, so each eigenvalue's weights are those of a build of
+        it alone, and each panel's those of a build on a longer prefix."""
         uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
         self.row(uniq, moment_betas(self.alpha))
         dt = float(self.t[1] - self.t[0])
-        ell = np.arange(first + 1, len(self.t))
+        ell = np.arange(1, len(self.t))
         got = np.empty((2, 2, len(uniq), len(ell)))
         for k, deriv in enumerate((False, True)):
-            w0, mm1 = self.moment_steps(uniq, deriv, first)
+            w0, mm1 = self.moment_steps(uniq, deriv)
             got[1, k] = ell * w0 - mm1 / dt
             got[0, k] = w0 - got[1, k]
-        return got[:, :, inv]
+        return _zero_led(got[:, :, inv])
 
 
 def _zero_led(w):
@@ -369,14 +354,12 @@ def _causal_sums(view, F):
             + np.vecdot(right, np.ascontiguousarray(F[:, :0:-1])[:, None, :]))
 
 
-def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced, first=0):
-    """Unforced (U, DTU) on the table's grid from node first on, time rows
-    by mode columns, with the initial data exact at node 0.  Modes whose
-    data vanish stay zero and build no rows; those of the mask forced,
-    whose weights the caller reads too, build the moments' rows in the
-    same call.  Each node's values are those of a build on the whole
-    table."""
-    t, a = kt.t[first:], kt.alpha
+def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
+    """Unforced (U, DTU) on the table's grid, time rows by mode columns,
+    with the initial data exact in row 0.  Modes whose data vanish stay
+    zero and build no rows; those of the mask forced, whose weights the
+    caller reads too, build the moments' rows in the same call."""
+    t, a = kt.t, kt.alpha
     M1 = len(t)
     U = np.zeros((M1, len(lam)))
     DTU = np.zeros((M1, len(lam)))
@@ -384,14 +367,13 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced, first=0):
     kt.row(lam[live & forced], _propagator_betas(a) + moment_betas(a))
     live = np.flatnonzero(live)
     ta1 = t ** (a - 1.0)
-    rows = kt.row(lam[live], _propagator_betas(a))[..., first:].swapaxes(1, 2)
+    rows = kt.row(lam[live], _propagator_betas(a)).swapaxes(1, 2)
     # callers check the result for non-finite values; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[:, live], DTU[:, live] = _propagate(
             u0[live], u1[live], lam[live], t[:, None], ta1[:, None], *rows)
-    if first == 0:
-        U[0] = u0
-        DTU[0] = u1
+    U[0] = u0
+    DTU[0] = u1
     return U, DTU
 
 

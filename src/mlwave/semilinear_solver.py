@@ -339,20 +339,21 @@ _EXTENT_MIN = 64    # steps a workspace builds first (see _Workspace)
 
 
 class _Workspace:
-    """Per-run caches: the kernel table on a prefix of the grid; in the
-    whole grid's layout, the zero-led product-integration weights of every
-    mode (None for f = 0, which forces no mode) and the homogeneous part,
-    both filled as far as the prefix; the collocation bound to the run's
-    rule (None for f = 0); the V_gamma norm's weights lam^(2 gamma).
+    """Per-run caches: the kernel table on a prefix of the grid, and over
+    that prefix the zero-led product-integration weights of every mode
+    (None for f = 0, which forces no mode) and the homogeneous part; the
+    collocation bound to the run's rule (None for f = 0); the V_gamma
+    norm's weights lam^(2 gamma).
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
     window past its end extends it to the window's end or to twice the
     window's start, whichever is further, capped at the grid, so it grows
     geometrically and, once windows are short, to at most twice the last
-    accepted node.  An extension builds the new nodes' rows, homogeneous
-    values and panel weights only; each depends on its own nodes alone,
-    so the bits are those of a build on the whole grid."""
+    accepted node.  An extension builds the new nodes' rows only; the
+    weights and the homogeneous part are rebuilt from the rows, and each
+    of their values depends on its own nodes alone, so the bits are those
+    of a build on the whole grid."""
 
     def __init__(self, p: SemilinearProblem, grid, cfg: PicardConfig):
         self.p = p
@@ -371,37 +372,21 @@ class _Workspace:
         self.colloc = (_Collocation(p.nonlinearity.pointwise(), p.op, p.N,
                                     self.panels) if self.forced else None)
         self.M = M = len(grid) - 1
-        self.kt = _KernelTable(p.alpha, grid, min(M, _EXTENT_MIN) + 1)
-        # (u, dtu) rows stacked
-        self.hom = np.empty((2, M + 1, p.N))
-        self.weights = None
-        self._build(0)
+        # an empty prefix, which the first reach extends
+        self.kt = _KernelTable(p.alpha, grid, 0)
+        self.reach(0, min(M, _EXTENT_MIN))
 
     def reach(self, ia, ib):
         """Extend the prefix to cover the window ia..ib, if it ends before
-        ib: to ib or to 2 ia, whichever is further, capped at the grid."""
+        ib: to ib or to 2 ia, whichever is further, capped at the grid;
+        then rebuild the homogeneous part, (u, dtu) rows stacked, and the
+        weights over it."""
         if ib >= len(self.kt.t):
-            lo = len(self.kt.t)
             self.kt.extend(min(self.M, max(ib, 2 * ia)) + 1)
-            self._build(lo)
-
-    def _build(self, lo):
-        """The homogeneous part from node lo to the prefix's end, and the
-        weights of the panels that end there (from panel lo - 1 on)."""
-        p, M, end = self.p, self.M, len(self.kt.t)
-        self.hom[:, lo:end] = _unforced_rows(
-            self.kt, self.lam, p.u0.coeffs, p.u1.coeffs,
-            np.full(p.N, self.forced), lo)
-        if not self.forced:
-            return
-        if lo == 0:
-            # the prefix's zero-led table, placed in the whole grid's
-            led = self.kt.weights(self.lam)
-            self.weights = np.zeros(led.shape[:-1] + (2 * M - 1,))
-            self.weights[..., M - end + 1:M + end - 2] = led
-        else:
-            self.weights[..., M + lo - 2:M + end - 2] = (
-                self.kt.panel_weights(self.lam, lo - 1))
+            self.hom = np.array(_unforced_rows(
+                self.kt, self.lam, self.p.u0.coeffs, self.p.u1.coeffs,
+                np.full(self.N, self.forced)))
+            self.weights = self.kt.weights(self.lam) if self.forced else None
 
     def apply_rows(self, U_rows):
         """f(u) coefficients for a stack of coefficient rows."""
@@ -442,8 +427,7 @@ class _Workspace:
         iterations, contraction) over the window nodes, norms the combined
         norms of the accepted rows, or raises WindowFailure."""
         self.reach(ia, ib)
-        W = ib - ia
-        P = self.M
+        W, P = ib - ia, len(self.kt.t) - 1
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         # the norm pass's one buffer: (u, dtu) by (change, iterate)

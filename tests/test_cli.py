@@ -716,6 +716,13 @@ class TestSolveSemilinearCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "r*" in capsys.readouterr().err
+        # the refused solve removes the empty directory it made, and
+        # keeps one that was there before it
+        assert not (tmp_path / "o").exists()
+        (tmp_path / "kept").mkdir()
+        assert main(["solve", "semilinear", "--config", cfg,
+                     "--out", str(tmp_path / "kept")]) == 1
+        assert (tmp_path / "kept").is_dir()
 
 
 class TestMlCli:
@@ -887,6 +894,7 @@ class TestConvergenceCli:
             assert (f"  - dt={dt}: maximal_time_detected, T_est={t_est}\n"
                     in cap.err)
         assert not (out / "convergence.json").exists()
+        assert not out.exists()
 
     def test_levels_past_the_step_cap_exit_one(self, tmp_path, capsys,
                                               monkeypatch):

@@ -517,7 +517,7 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
     the change and of the iterate by weighted_norm over np.stack'ed
     pairs.  Returns window_solve's tuple, or the reason it fails with."""
     p = ws.p
-    W, P = ib - ia, ws.M
+    W, P = ib - ia, len(ws.kt.t) - 1
 
     def norms_of(U, DTU):
         return (weighted_norm(U, ws.lam, 1.0 / p.alpha)
@@ -924,15 +924,18 @@ class TestRun:
                                                        first):
         # a blow-up run that stops at node 59 of 200 hands ml_rows each
         # node once, in order, and none past twice the node it stops at,
-        # extending its first extent at least once.  Its trace, windows
-        # and T_est are byte for byte those of a run built on the whole
-        # grid at once.
-        def blowup():
-            p = problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02],
-                        [0.0] * 4,
-                        NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
-            return run(p, 0.1, PicardConfig(), 0.0005)
-
+        # extending its first extent at least once; a run that completes
+        # its 200 steps hands it each node once, in order, in more than
+        # one call.  Each run's trace, windows and T_est are byte for
+        # byte those of a run built on the whole grid at once.
+        n = np.arange(1, 9)
+        blowup = (problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02],
+                          [0.0] * 4,
+                          NonlinearitySpec("power", {"c": 1.0, "r": 3.0})),
+                  0.1, 0.0005, "maximal_time_detected")
+        sine = (problem(interval_op(), 1.5, 1.0 / n ** 2, 0.5 / n ** 2,
+                        NonlinearitySpec("sine", {"c": 0.3})),
+                2.0, 0.01, "completed")
         heads = []
         ml_rows = linear_solver.ml_rows
 
@@ -941,25 +944,32 @@ class TestRun:
             return ml_rows(alpha, bs, x, scalar)
 
         monkeypatch.setattr(linear_solver, "ml_rows", rows)
-        monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", first)
-        lazy = blowup()
-        monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", 200)
-        heads_lazy, heads[:] = list(heads), []
-        whole = blowup()
-        stop = round(lazy.T_est / 0.0005)
-        x = np.concatenate(heads_lazy)
-        assert lazy.status == "maximal_time_detected"
-        assert np.all(np.diff(x) < 0.0)
-        assert len(heads_lazy) > 1
-        assert stop < len(x) <= 2 * stop
-        assert [len(h) for h in heads] == [201]
-        assert whole.T_est == lazy.T_est
-        assert whole.windows == lazy.windows
-        for key in ("times", "u_coeffs", "dtu_coeffs", "dalpha_coeffs"):
-            assert (getattr(whole.trace, key).tobytes()
-                    == getattr(lazy.trace, key).tobytes())
-        for key, series in whole.trace.norm_series.items():
-            assert series.tobytes() == lazy.trace.norm_series[key].tobytes()
+        for p, T, dt, status in (blowup, sine):
+            monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", first)
+            heads.clear()
+            lazy = run(p, T, PicardConfig(), dt)
+            monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", 10 ** 6)
+            heads_lazy, heads[:] = list(heads), []
+            whole = run(p, T, PicardConfig(), dt)
+            x = np.concatenate(heads_lazy)
+            M = round(T / dt)
+            assert lazy.status == status
+            assert np.all(np.diff(x) < 0.0)
+            assert len(heads_lazy) > 1
+            if status == "completed":
+                assert len(x) == M + 1
+            else:
+                stop = round(lazy.T_est / dt)
+                assert stop < len(x) <= 2 * stop
+            assert [len(h) for h in heads] == [M + 1]
+            assert whole.T_est == lazy.T_est
+            assert whole.windows == lazy.windows
+            for key in ("times", "u_coeffs", "dtu_coeffs", "dalpha_coeffs"):
+                assert (getattr(whole.trace, key).tobytes()
+                        == getattr(lazy.trace, key).tobytes())
+            for key, series in whole.trace.norm_series.items():
+                assert (series.tobytes()
+                        == lazy.trace.norm_series[key].tobytes())
 
     def test_windows_tile_the_horizon(self):
         op = interval_op()

@@ -4,9 +4,12 @@ usage: python tools/pool_diff.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the mlwave package.  Every scenario of the
 pools in bench/workloads.py is solved by both trees' cli.main, in this one
-process, one tree after the other.  Printed per differing scenario: trace.csv
-and norms.csv when their bytes differ, and each JSON key that differs apart
-from metadata, with its largest relative change.  Passing one tree twice
+process, one tree after the other.  So are two derived pools, whose runs
+extend their workspace past its first 64 steps: each box-power entry run to
+t_end = 1 (100 steps), and each picard-blowup entry with u0[0] = 12, which
+stops past node 64.  Printed per differing scenario: trace.csv and norms.csv
+when their bytes differ, and each JSON key that differs apart from metadata,
+with its largest relative change.  Passing one tree twice
 checks that reruns are byte-identical.  Nothing under bench/ is written.
 """
 
@@ -26,8 +29,25 @@ FILES = {"linear": ("summary.json", "trace.csv", "norms.csv"),
          "semilinear": ("outcome.json", "trace.csv", "norms.csv")}
 
 
+def scenarios():
+    """(pool, k, solve kind, scenario document) of every pool entry, then of
+    every entry of the derived pools."""
+    for w in wl.WORKLOADS:
+        kind = "linear" if w == "linear-forced" else "semilinear"
+        for k in range(wl.POOL_SIZE[w]):
+            yield w, k, kind, wl.scenario(w, k)
+    for k in range(wl.POOL_SIZE["box-power"]):
+        doc = wl.scenario("box-power", k)
+        doc["grid"]["t_end"] = 1.0
+        yield "box-power-t1", k, "semilinear", doc
+    for k in range(wl.POOL_SIZE["picard-blowup"]):
+        doc = wl.scenario("picard-blowup", k)
+        doc["u0"][0] = 12.0
+        yield "picard-blowup-u12", k, "semilinear", doc
+
+
 def solve_pool(src, work):
-    """{(workload, k): {file name: bytes}} of every pool scenario."""
+    """{(pool, k): {file name: bytes}} of every scenario."""
     for name in [m for m in sys.modules if m.split(".")[0] == "mlwave"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
@@ -37,21 +57,22 @@ def solve_pool(src, work):
         sys.path.pop(0)
     os.makedirs(work)
     got = {}
-    for w in wl.WORKLOADS:
-        kind = "linear" if w == "linear-forced" else "semilinear"
-        for k in range(wl.POOL_SIZE[w]):
-            config, out = os.path.join(work, "scenario.json"), \
-                os.path.join(work, f"{w}-{k}")
-            with open(config, "w") as fh:
-                json.dump(wl.scenario(w, k), fh)
-            with contextlib.redirect_stdout(io.StringIO()):
+    for w, k, kind, doc in scenarios():
+        config, out = os.path.join(work, "scenario.json"), \
+            os.path.join(work, f"{w}-{k}")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
                 rc = mlwave.cli.main(["solve", kind, "--config", config,
                                       "--out", out])
-            got[w, k] = {"exit": str(rc).encode()}
-            for f in FILES[kind]:
-                path = os.path.join(out, f)
-                if os.path.exists(path):
-                    got[w, k][f] = Path(path).read_bytes()
+            except Exception as exc:    # a broken tree: compared, not fatal
+                rc = f"raised {type(exc).__name__}: {exc}"
+        got[w, k] = {"exit": str(rc).encode()}
+        for f in FILES[kind]:
+            path = os.path.join(out, f)
+            if os.path.exists(path):
+                got[w, k][f] = Path(path).read_bytes()
     return got
 
 
