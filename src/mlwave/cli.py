@@ -620,13 +620,17 @@ def _read_scenario(args) -> Scenario:
 @contextlib.contextmanager
 def _outdir(out):
     """The output directory out, created before any work is done, for the
-    body of a with statement; removed again if this call created it and
-    the body fails and leaves it empty."""
+    body of a with statement.  If the body fails, each directory this call
+    created is removed again, leaf first, while it is empty."""
     if not out:
         raise ConfigError(
             "no output directory: pass --out or set \"output\" in the "
             "scenario")
-    made = not os.path.exists(out)
+    made = []
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -634,9 +638,9 @@ def _outdir(out):
     try:
         yield out
     except BaseException:
-        if made:
-            with contextlib.suppress(OSError):
-                os.rmdir(out)
+        with contextlib.suppress(OSError):
+            for path in made:
+                os.rmdir(path)
         raise
 
 

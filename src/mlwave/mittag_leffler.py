@@ -13,10 +13,12 @@ Regime map on the negative axis (y = -x, kappa = y^(1/a)):
                            the requested tolerance
   a exactly 1 or 2         closed forms (exp / cos families) where they
                            exist, else a double-double Pochhammer series
-  otherwise                real branch-cut integral (weighted rational
-                           density against e^-r) on a fixed composite
-                           Gauss-Legendre rule with an embedded error
-                           estimate
+  otherwise                real branch-cut integral in s = log(r) - v*,
+                           v* = log(y)/a the resonance: a rational part
+                           R_b(s), built once per unit lattice cell of v*,
+                           against exp(-kappa e^s), on composite
+                           Gauss-Legendre panels with an embedded error
+                           estimate; v* outside [0, 600] is refused
 
 The cancellation amplitude of the alternating series is e^kappa, hence the
 series cutoff (_SERIES_CUTOFF, like _ASYM_CUTOFF a fixed constant) lives in
@@ -24,7 +26,8 @@ kappa space; an |x|-space cutoff fails for a < 1.
 
 ml_rows evaluates whole rows, one array of points at several betas, with
 array code: the power series over a fixed term count, and the branch cut
-in one pass over every reduced beta, lifted to the betas that share one.
+in one pass over every reduced beta, lifted to the betas that share one;
+its points share the panels and R_b of their lattice cell.
 The scalar evaluator takes the same pass at its one point, so both give
 the same bits there.  Rows keep a cut value only where the estimate is
 within 1e-13 of the integral; the rest, and the routes without an array
@@ -276,28 +279,74 @@ def _lift_beta(alpha, b, down, x, val):
 # the fine rule and checked against the coarse one on the same panel.
 _GL_FINE = np.polynomial.legendre.leggauss(20)
 _GL_COARSE = np.polynomial.legendre.leggauss(12)
-# The nodes of both rules side by side, and their weights as the two
-# columns of a matrix, so one product gives a panel's fine and coarse sums.
+# The nodes of both rules side by side, and as the two columns of a matrix
+# the weights of the fine rule and of fine minus coarse, so one product
+# gives a panel's integral and its error estimate.
 _GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
 _GL_WEIGHTS = np.zeros((len(_GL_NODES), 2))
-_GL_WEIGHTS[:len(_GL_FINE[0]), 0] = _GL_FINE[1]
-_GL_WEIGHTS[len(_GL_FINE[0]):, 1] = _GL_COARSE[1]
+_GL_WEIGHTS[:len(_GL_FINE[0])] = _GL_FINE[1][:, None]
+_GL_WEIGHTS[len(_GL_FINE[0]):, 1] = -_GL_COARSE[1]
 # Panel breakpoints in v = log r that do not move with y or b: fractions of
 # the lower limit across the e^(v w) tail, then unit steps over the e^-r
 # decay up to r = 200, where e^-200 is dwarfed.  Every cut has
 # w = a - b + 1 >= 0.5, so one lower limit, e^(v w) below 1e-20 of
 # anything at w = 0.5, serves every b; past w = 60 the r^w e^-r bulk nears
-# r = 200 and the cut certifies nothing.
+# r = 200 and the cut certifies nothing.  Both ends are widened by half a
+# lattice cell (see _cut_rows).
 _CUT_VMIN = -92.0
 _CUT_VMAX = 5.3
 _CUT_WMAX = 60.0
 _CUT_FIXED = np.concatenate([
     _CUT_VMIN * np.array([1.0, 0.6, 0.35, 0.18, 0.1, 0.05]),
     [-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX]])
+_CUT_FIXED[[0, -1]] += (-0.5, 0.5)
 _CUT_GRADE = 2.0                   # ratio of successive resonance offsets
 _CUT_CERT = 1e-13                  # a row's accepted estimate, of |integral|
 _CUT_STALL = 1e-8                  # the scalar's, of |integral|
+# The largest v* and w v* the cut takes: past them kappa = e^v*, kappa^w / y
+# or e^(w s) over the e^-r bulk leave the normal double range.  The cut
+# serves kappa > 5, so v* > 1.6, and w <= 2.5 on the solver rows.
+_CUT_SPLIT = 600.0
 _CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_cell(alpha, bs, cell):
+    """The panels of one lattice cell of v* and the part of the integrand
+    that does not depend on y: (e^s, R), e^s and each R_b of bs laid out as
+    (panel, node), cached as read-only arrays.
+
+    The panels in s = v - v* are cut at the resonance offsets, graded
+    geometrically from the distance pi|a-1|/a of the poles from the real
+    axis, and at _CUT_FIXED - cell, clipped to its ends; empty panels are
+    dropped.  R_b(s) = e^(w s) (e^(a s) sin pi b + sin pi (b - a)) / D(s)
+    times the panel's half width, with D(s) = (e^(a s) + cos pi a)^2 +
+    sin^2 pi a, which does not cancel at the resonance near a = 1."""
+    a = alpha
+    d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
+    grade = d0 * _CUT_GRADE ** np.arange(
+        max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
+    fixed = _CUT_FIXED - cell
+    bp = np.concatenate([fixed, -grade[::-1], [0.0], grade])
+    bp = np.unique(np.clip(bp, fixed[0], fixed[-1]))
+    h = 0.5 * np.diff(bp)[:, None]
+    s = bp[:-1, None] + h + h * _GL_NODES
+    ea = np.exp(a * s)
+    den = ea + math.cos(math.pi * a)
+    den *= den
+    den += _sinpi(a) ** 2
+    rs = []
+    for b in bs:
+        r = ea * _sinpi(b)
+        r += _sinpi(b - a)
+        r *= np.exp((a - b + 1.0) * s)
+        r *= h
+        r /= den
+        rs.append(r)
+    es = np.exp(s)
+    for t in [es] + rs:
+        t.flags.writeable = False
+    return es, tuple(rs)
 
 
 def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
@@ -309,66 +358,58 @@ def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
 
     With r = e^v, E_{a,b}(-y) is the residue pair plus (1/pi) times the
     integral over v of e^(v w - r) (r^a sin pi b + y sin pi (b - a)) /
-    (r^2a + 2 y r^a cos pi a + y^2), w = a - b + 1, whose denominator is
-    at least y^2 sin^2 pi a > 0.  It is integrated over [_CUT_VMIN,
-    _CUT_VMAX] on panels cut at the fixed breakpoints above and at offsets
-    s = v - v* from each point's resonance v* = log(y)/a, graded
-    geometrically down to the distance pi|a-1|/a of its poles from the
-    real axis.  Per point, the fine rule gives the integral I and the sum
-    over panels of |fine - coarse| the estimate; the value's error bound is
-    (estimate + eps |I|) / pi, plus the residue pair's rounding where
-    _strict(a, b).  A value is certified when the estimate is within limit
-    of |I|, w is within _CUT_WMAX and, for strict b, the bound within
-    rel_tol of the value.
+    (r^2a + 2 y r^a cos pi a + y^2), w = a - b + 1.  In s = v - v*, where
+    v* = log(y)/a is the point's resonance and kappa = e^v*, the integrand
+    is (kappa^w / y) R_b(s) e^(-kappa e^s), and R_b (see _cut_cell) does
+    not depend on y.  So the points are grouped by the lattice cell
+    round(v*) and each cell's panels and R_b are built once, and kept for
+    later calls; the panels cover [_CUT_VMIN - v*, _CUT_VMAX - v*] for
+    every point of the cell.  Each point pays one exp(-kappa e^s), shared
+    by every b, and per b one product and its reduction by the weights.
 
-    Nothing of the panels depends on b, so the nodes, r = e^v, r^a and the
-    denominator are built once per chunk for every b; only the numerator
-    and r^w e^-r are per b.  Arrays are laid out as (point, panel, node),
-    and each point's (panel, node) block is reduced by its own matrix
-    product with the weights, so a value depends on its own point and b
-    alone."""
+    Per point, the fine rule gives the integral I and the sum over panels
+    of |fine - coarse| the estimate; the value's error bound is (estimate +
+    eps |I|) / pi, plus the residue pair's rounding where _strict(a, b).  A
+    value is certified when the estimate is within limit of |I|, w is
+    within _CUT_WMAX, v* and w v* lie in [0, _CUT_SPLIT] and, for strict b,
+    the bound is within rel_tol of the value.  Arrays are laid out as
+    (point, panel, node), and each point's (panel, node) block is reduced
+    by its own matrix product with the weights, so a value depends on its
+    own point and b alone, whichever cell and chunk it falls in."""
     a = alpha
-    consts = [(_sinpi(b), _sinpi(b - a), a - b + 1.0) for b in bs]
-    ca = math.cos(math.pi * a)
-    d0 = min(math.pi * abs(a - 1.0) / a, 0.5)
-    grade = d0 * _CUT_GRADE ** np.arange(
-        max(1, math.ceil(math.log(2.0 / d0, _CUT_GRADE))))
-    offsets = np.concatenate([-grade[::-1], [0.0], grade])
-    nodes = len(_GL_NODES) * (len(_CUT_FIXED) + len(offsets) - 1)
-    step = max(1, _CHUNK // nodes)
-    val = np.empty((len(bs),) + y.shape)
-    est = np.empty(val.shape)
+    val = np.full((len(bs),) + y.shape, np.nan)
+    est = np.full(val.shape, np.nan)
+    buf = np.empty((2, _CHUNK))
     # a non-finite integrand only costs certification
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, len(y), step):
-            yc = y[lo:lo + step, None]
-            bp = np.concatenate(
-                [np.broadcast_to(_CUT_FIXED, (len(yc), len(_CUT_FIXED))),
-                 np.log(yc) / a + offsets], axis=1)
-            bp = np.sort(np.clip(bp, _CUT_VMIN, _CUT_VMAX), axis=1)
-            h = 0.5 * np.diff(bp, axis=1)
-            v = (bp[:, :-1] + h)[:, :, None] + h[:, :, None] * _GL_NODES
-            yc = yc[:, :, None]
-            ra = np.exp(a * v)
-            den = ra + 2.0 * ca * yc
-            den *= ra
-            den += yc * yc
-            r = np.exp(v)
-            for k, (sb, sba, w) in enumerate(consts):
-                f = ra * sb
-                f += yc * sba
-                e = v * w
-                e -= r
-                f *= np.exp(e, out=e)
-                f /= den
-                fine, coarse = (f @ _GL_WEIGHTS).transpose(2, 0, 1) * h
-                val[k, lo:lo + step] = fine.sum(axis=1)
-                est[k, lo:lo + step] = np.abs(fine - coarse).sum(axis=1)
+        vs = np.log(y) / a
+        cells = np.rint(vs)
+        live = (vs >= 0.0) & (vs <= _CUT_SPLIT)
+        for cell in np.unique(cells[live]):
+            es, rs = _cut_cell(a, bs, cell)
+            members = np.flatnonzero(live & (cells == cell))
+            step = max(1, _CHUNK // es.size)
+            for lo in range(0, len(members), step):
+                pts = members[lo:lo + step]
+                e, f = buf[:, :len(pts) * es.size].reshape(
+                    (2, len(pts)) + es.shape)
+                np.multiply(-np.exp(vs[pts])[:, None, None], es, out=e)
+                np.exp(e, out=e)
+                for k, rb in enumerate(rs):
+                    np.multiply(e, rb, out=f)
+                    g = f @ _GL_WEIGHTS
+                    val[k, pts] = g[..., 0].sum(axis=1)
+                    est[k, pts] = np.abs(g[..., 1]).sum(axis=1)
         out = []
-        for b, (_, _, w), iv, err in zip(bs, consts, val, est):
+        for b, iv, err in zip(bs, val, est):
+            w = a - b + 1.0
+            scale = np.exp((1.0 - b) * vs)            # kappa^w / y
+            iv *= scale
+            err *= scale
             res, res_err = _exp_terms(a, b, y)
             value = iv / math.pi + res
-            ok = (err <= limit * np.abs(iv)) & (w <= _CUT_WMAX)
+            ok = ((err <= limit * np.abs(iv)) & (w <= _CUT_WMAX)
+                  & (w * vs <= _CUT_SPLIT))
             if _strict(a, b):
                 bound = (err + _EPS * np.abs(iv)) / math.pi + res_err
                 ok &= bound <= rel_tol * np.abs(value)
@@ -543,8 +584,8 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
     asymptotic routes certify p.rel_tol, and so does the branch cut for
     beta <= alpha - 1.5.  For beta > alpha - 1.5 a branch-cut value is only
     checked against the 1e-8 stall limit of its quadrature estimate; within
-    0.01 of alpha = 1, at kappa 5 to 13, it misses p.rel_tol by up to 5e-11
-    against extended-precision references.  Raises DomainError on invalid
+    0.01 of alpha = 1, at kappa 5 to 30, such values were within 2e-13 of
+    extended-precision references.  Raises DomainError on invalid
     parameters, NumericOverflowError when the value exceeds the double
     range (large positive x) and AccuracyError where no route certifies a
     value.

@@ -723,6 +723,14 @@ class TestSolveSemilinearCli:
         assert main(["solve", "semilinear", "--config", cfg,
                      "--out", str(tmp_path / "kept")]) == 1
         assert (tmp_path / "kept").is_dir()
+        # every directory it made goes, leaf first, and none it found
+        assert main(["solve", "semilinear", "--config", cfg,
+                     "--out", str(tmp_path / "a" / "b")]) == 1
+        assert not (tmp_path / "a").exists()
+        assert main(["solve", "semilinear", "--config", cfg,
+                     "--out", str(tmp_path / "kept" / "c" / "d")]) == 1
+        assert (tmp_path / "kept").is_dir()
+        assert not (tmp_path / "kept" / "c").exists()
 
 
 class TestMlCli:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import rgamma
 
@@ -26,7 +26,7 @@ from mlwave import mittag_leffler
 from mlwave.mittag_leffler import (_cut, _cut_rows, _ml, _reduce_beta,
                                    _sinpi, kernel_moments)
 
-from conftest import ml_ref, ml_ref_row
+from conftest import ml_ref, ml_ref_row, taylor_ref
 
 
 
@@ -305,11 +305,11 @@ class TestMlRow:
                 assert rel(g, rv) < 1e-10, (alpha, beta, x)
 
     def test_uncertified_points_fall_back(self):
-        # a close to 1: the resonance at v* = log(y)/a is narrow and for
-        # kappa just above the series cutoff the fixed rule's estimate
-        # rejects some points
-        a, beta = 1.001, 1.001
-        y = np.logspace(np.log10(5.0 ** a * 1.0001), 2, 40)
+        # w = a - beta + 1 = 64.5 lies past _CUT_WMAX, where the r^w e^-r
+        # bulk nears the cut-off r = 200 and the pass certifies nothing;
+        # the scalar's asymptotic series answers at these y
+        a, beta = 1.5, -62.0
+        y = np.logspace(4, 7, 40)
         [(_, ok)] = _cut_rows(a, (beta,), y)
         assert not ok.all()
         calls = []
@@ -489,13 +489,62 @@ class TestMlRows:
     def test_uncertified_count_on_a_fixed_sweep(self):
         # a fixed sweep over the cut's b range, a close to 1 included; the
         # per-b panels, whose lower limit was -46/w, left 56 of its 9600
-        # points uncertified
+        # points uncertified; the cell panels in s, with a denominator free
+        # of cancellation, leave none
         bad = 0
         for a in (1.001, 1.003, 1.01, 1.5, 1.99, 1.999):
             bs = tuple(np.linspace(a - 1.5, a + 0.5, 9)[1:].tolist())
             y = np.logspace(np.log10(5.0 ** a), 6, 200)
             bad += sum(int((~ok).sum()) for _, ok in _cut_rows(a, bs, y))
-        assert bad <= 56
+        assert bad == 0
+
+    @pytest.mark.parametrize("alpha", [1.001, 1.01])
+    def test_cut_zone_accuracy_near_one(self, alpha):
+        # near a = 1 the resonance is narrow, and the denominator r^2a +
+        # 2 y r^a cos pi a + y^2 of the integral in v cancelled there: on
+        # these points it certified values 1.3e-11 (a = 1.001) and 3.1e-12
+        # (a = 1.01) off
+        y = np.logspace(np.log10(5.0 ** alpha * 1.0001),
+                        np.log10(30.0 ** alpha), 25)
+        bs = (1.0, alpha, 2.0 - alpha)
+        for b, (val, ok) in zip(bs, _cut_rows(alpha, bs, y)):
+            assert ok.any()
+            for yi, v in zip(y[ok], val[ok]):
+                want = float(taylor_ref(alpha, b, -yi))
+                assert rel(v, want) < 1e-12, (alpha, b, yi, v, want)
+
+    @prop(40)
+    @given(alpha=st.floats(1.01, 1.999), k=st.integers(2, 12),
+           offs=st.lists(st.sampled_from((-0.5, 0.5)).flatmap(
+               lambda side: st.floats(-1e-9, 1e-9).map(
+                   lambda d: side + d)), min_size=1, max_size=6),
+           others=st.lists(st.floats(0.7, 6.0).map(lambda e: 10.0 ** e),
+                           max_size=6),
+           data=st.data())
+    def test_point_bytes_across_cells(self, alpha, k, offs, others, data):
+        # points on both sides of a cell boundary v* = k +- 0.5 take the
+        # panels of different cells; each value and its certificate are
+        # the same alone, in any batch and next to its neighbours
+        bs = (1.0, alpha, alpha - 1.0)
+        y = np.concatenate([np.exp(alpha * (k + np.array(offs))), others])
+        got = _cut_rows(alpha, bs, y)
+        for i in range(len(y)):
+            alone = _cut_rows(alpha, bs, y[i:i + 1])
+            for (v, ok), (v1, ok1) in zip(got, alone):
+                assert v[i:i + 1].tobytes() == v1.tobytes()
+                assert ok[i:i + 1].tobytes() == ok1.tobytes()
+        perm = np.array(data.draw(st.permutations(range(len(y)))))
+        for (v, ok), (vp, okp) in zip(got, _cut_rows(alpha, bs, y[perm])):
+            assert v[perm].tobytes() == vp.tobytes()
+            assert ok[perm].tobytes() == okp.tobytes()
+
+    @pytest.mark.parametrize("alpha,y", [
+        (5e-324, 2.0), (1e-3, 1e6), (0.5, 1e-3), (1.5, 1e-300)])
+    def test_extreme_resonance_is_left_uncertified(self, alpha, y):
+        # v* = log(y)/a outside [0, _CUT_SPLIT], or not finite: no value
+        # is certified and nothing raises
+        for _, ok in _cut_rows(alpha, (1.0, 0.0), np.array([y])):
+            assert not ok.any()
 
     def test_shape(self):
         x = -np.arange(6.0).reshape(2, 3)
@@ -656,6 +705,7 @@ class TestOneBranchCut:
     @prop(300)
     @given(alpha=st.floats(0.0, 2.0, exclude_min=True),
            beta=st.floats(-3.0, 4.0), x=st.floats(-1e6, 10.0))
+    @example(alpha=5e-324, beta=0.0, x=-2.0)       # v* = log(2)/a is inf
     def test_ml_e_is_finite_or_refused(self, alpha, beta, x):
         try:
             v = ml_e(MLQuery(alpha, beta, x))
