@@ -24,7 +24,7 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _row_runs, _rule_panels, analysis,
-                                synthesis, synthesis_blas)
+                                synthesis)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -274,38 +274,36 @@ class _Collocation:
     """Coefficients of f(u) for each coefficient row u of C on the
     composite rule with `panels` panels per axis, bound once: the
     pointwise map fmap and the rule's weights and factor tables.  Per run
-    of rows: grid values by `values` (synthesis, or synthesis_blas for a
-    diagnostic), f pointwise, weighted values back by analysis.
-    Non-finite values of f raise OverflowSignal for the blow-up monitor;
-    callers that expect overflow silence numpy's warnings around the
-    call."""
+    of rows: grid values by synthesis, f pointwise, weighted values back
+    by analysis.  Non-finite values of f raise OverflowSignal for the
+    blow-up monitor; callers that expect overflow silence numpy's warnings
+    around the call."""
 
-    def __init__(self, fmap, op, N, panels, values=synthesis):
+    def __init__(self, fmap, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)
-        self.fmap, self.N, self.values = fmap, N, values
+        self.fmap, self.N = fmap, N
 
     def __call__(self, C):
         out = np.empty((len(C), self.N))
         for rows in _row_runs(len(C), self.w.size):
-            vals = self.fmap(self.values(self.factors, C[rows]))
+            vals = self.fmap(synthesis(self.factors, C[rows]))
             if not np.isfinite(vals).all():
                 raise OverflowSignal("nonlinearity produced non-finite values")
             out[rows] = analysis(self.factors, vals * self.w)
         return out
 
 
-def _collocate(f, op, C, N, panels, values=synthesis):
+def _collocate(f, op, C, N, panels):
     """The _Collocation of f.apply on the rule with `panels` panels, for
     the coefficient rows C."""
-    return _Collocation(f.apply, op, N, panels, values)(C)
+    return _Collocation(f.apply, op, N, panels)(C)
 
 
 def _aliasing(f, op, C, F, N, panels):
     """Largest change of the coefficients F of f(C) on the rule with
-    `panels` panels when they are redone on the doubled rule, whose grid
-    values are summed in BLAS order (synthesis_blas)."""
+    `panels` panels when they are redone on the doubled rule."""
     with np.errstate(over="ignore", invalid="ignore"):
-        F2 = _collocate(f, op, C, N, 2 * panels, synthesis_blas)
+        F2 = _collocate(f, op, C, N, 2 * panels)
     return float(np.abs(F2 - F).max())
 
 
@@ -681,14 +679,13 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     s = float(q) * (float(r) - 1.0)
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
-    # the spatial sup per time row on a uniform tensor grid, per run of
-    # rows, the grid values in BLAS order
+    # the spatial sup per time row on a uniform tensor grid, per run of rows
     axes = [np.linspace(lo, hi, 513 if p.op.dim == 1 else 65)
             for lo, hi in p.op.domain_box]
     factors = p.op.factors(p.N, axes)
     sup_vals = np.empty(len(trace.times))
     for rows in _row_runs(len(sup_vals), math.prod(map(len, axes))):
-        vals = synthesis_blas(factors, trace.u_coeffs[rows])
+        vals = synthesis(factors, trace.u_coeffs[rows])
         sup_vals[rows] = np.abs(vals.reshape(len(vals), -1)).max(axis=1)
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"

@@ -35,7 +35,6 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _VALUES_MAX = 1 << 22       # doubles of one run of rows' grid values (32 MB)
-_STACK_MAX = 1 << 15        # doubles of a synthesis product stack (256 kB)
 
 _KINDS = (
     "dirichlet_laplacian_interval",
@@ -310,55 +309,18 @@ def _quad_coeffs(op, g, N, panels):
     return analysis(rule.factors, (rule.weights * gv)[None])[0]
 
 
-def _table_rows(factors: _Factors, C) -> np.ndarray:
-    """Coefficient rows C scattered onto the (J_1, ..., J_d) table-row
-    grid, (rows, J_1, ..., J_d); C itself in 1-D."""
-    tables, index = factors
-    if index is None:
-        return C
-    D = np.zeros((len(C),) + tuple(len(T) for T in tables))
-    D.reshape(len(C), -1)[:, index] = C
-    return D
-
-
 def synthesis(factors: _Factors, C) -> np.ndarray:
     """Grid values (rows, P_1, ..., P_d) of coefficient rows C, scattered
     onto the (J_1, ..., J_d) table-row grid and contracted one axis at a
-    time, table rows added in ascending order: a row's values do not
-    depend on the rows with it.  An axis whose J products of a table row
-    with its coefficient column fit in _STACK_MAX values stacks them,
-    C-ordered with j outermost so that add.reduce adds them one after
-    another in ascending j, after a -0.0 that leaves the first product as
-    it is; a larger axis adds them to a running sum, in the same order.
-    The stack costs fewer calls and the running sum less memory traffic;
-    the bits are the same."""
-    D = _table_rows(factors, C)
-    for T in factors.tables:
-        cols = D.swapaxes(0, 1)[..., None]      # cols[j] is D[:, j, ..., None]
-        if D.size * T.shape[1] <= _STACK_MAX:
-            terms = np.multiply(cols, T.reshape(
-                (len(T),) + (1,) * (D.ndim - 1) + T.shape[1:]), order="C")
-            D = np.add.reduce(terms, axis=0, initial=-0.0)
-        else:
-            acc = cols[0] * T[0]
-            for c, t in zip(cols[1:], T[1:]):
-                acc += c * t
-            D = acc
-    return D
-
-
-def synthesis_blas(factors: _Factors, C) -> np.ndarray:
-    """synthesis' grid values, each axis contracted by np.matmul as one
-    product per coefficient row, (m, J) by (J, P): BLAS picks the order
-    of the table-row sums, and a row's values still do not depend on the
-    rows with it.  There are two orders because the solver's f(u) rows
-    keep synthesis' ascending one: the accepted iterates rest on its
-    rounding, and so does the T_est of picard-blowup pool entry 23 in
-    bench/, whose window converges at exactly max_iter iterations.  The
-    aliasing estimate and the strong check's sup only report, so they
-    take this faster order, which agrees with synthesis to rounding."""
-    D = _table_rows(factors, C)
-    for T in factors.tables:
+    time by np.matmul, one (m, J) by (J, P) product per coefficient row:
+    BLAS picks the order of the table-row sums, and a row's values do not
+    depend on the rows with it."""
+    tables, index = factors
+    D = C
+    if index is not None:
+        D = np.zeros((len(C),) + tuple(len(T) for T in tables))
+        D.reshape(len(C), -1)[:, index] = C
+    for T in tables:
         rows, J, *rest = D.shape
         D = (D.reshape(rows, J, -1).swapaxes(1, 2) @ T).reshape(
             rows, *rest, T.shape[1])

@@ -705,6 +705,36 @@ class TestSolveSemilinearCli:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[0]) == doc["T_est"]
 
+    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
+        # a 2-D power run shaped like the box-power benchmark, whose grid
+        # values come from BLAS: three runs in process, then one in a
+        # fresh interpreter at each of one and two BLAS threads
+        n = np.arange(1, 17)
+        rng = np.random.default_rng(2)
+        cfg = write_config(
+            tmp_path, alpha=1.25, N_modes=16,
+            operator={"kind": "dirichlet_laplacian_box",
+                      "lengths": [PI, PI]},
+            u0=(0.2 * rng.uniform(-1.0, 1.0, 16) / n ** 2).tolist(),
+            u1=(0.1 * rng.uniform(-1.0, 1.0, 16) / n ** 2).tolist(),
+            nonlinearity={"kind": "power", "params": {"c": 1.0, "r": 2.0}},
+            grid={"t_end": 0.5, "dt": 0.01})
+        outs = [tmp_path / name for name in ("r1", "r2", "r3")]
+        for out in outs:
+            assert main(["solve", "semilinear", "--config", cfg,
+                         "--out", str(out)]) == 0
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            outs.append(tmp_path / f"blas{threads}")
+            proc = run_cli("solve", "semilinear", "--config", cfg,
+                           "--out", str(outs[-1]))
+            assert proc.returncode == 0, proc.stderr
+        doc = json.loads((outs[0] / "outcome.json").read_text())
+        assert doc["status"] == "completed" and len(doc["windows"]) > 1
+        blobs = [((out / "trace.csv").read_bytes(),
+                  (out / "norms.csv").read_bytes()) for out in outs]
+        assert all(blob == blobs[0] for blob in blobs[1:])
+
     def test_inadmissible_growth_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -768,6 +798,16 @@ class TestMlCli:
                        "-0.6174", "--x", "-8345")
         assert proc.returncode in (0, 2)
         assert "Traceback" not in proc.stderr
+
+    def test_eval_past_the_power_range_exits_without_traceback(self):
+        # a residue amplitude r^(1 - beta), or x^(1 - k) of a closed form,
+        # overflows a float on its own: a value (0) or a refusal (2)
+        for alpha, beta, x in (("1.5", "-62", "-1e9"), ("1", "-200.5", "-1e3"),
+                               ("2", "-300.5", "-1e6"), ("1", "-200", "-1e3")):
+            proc = run_cli("ml", "eval", "--alpha", alpha, f"--beta={beta}",
+                           f"--x={x}")
+            assert proc.returncode in (0, 2)
+            assert "Traceback" not in proc.stderr
 
     def test_eval_overflow_is_numeric_failure(self, capsys):
         rc = main(["ml", "eval", "--alpha", "1.5", "--beta", "1.0",

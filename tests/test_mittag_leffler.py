@@ -706,12 +706,24 @@ class TestOneBranchCut:
     @given(alpha=st.floats(0.0, 2.0, exclude_min=True),
            beta=st.floats(-3.0, 4.0), x=st.floats(-1e6, 10.0))
     @example(alpha=5e-324, beta=0.0, x=-2.0)       # v* = log(2)/a is inf
+    # r^(1 - beta) of the residue terms, or x^(1 - k) of the closed form
+    # E_{1,k}(x) = x^(1 - k) e^x, past the double range on its own
+    @example(alpha=1.5, beta=-62.0, x=-1e9)
+    @example(alpha=1.0, beta=-200.5, x=-1e3)
+    @example(alpha=2.0, beta=-300.5, x=-1e6)
+    @example(alpha=1.0, beta=-200.0, x=-1e3)
     def test_ml_e_is_finite_or_refused(self, alpha, beta, x):
         try:
             v = ml_e(MLQuery(alpha, beta, x))
         except MLWaveError:
             return
         assert math.isfinite(v)
+
+    def test_closed_form_past_the_power_range(self):
+        # E_{1,-200}(-1000) = (-1000)^201 e^-1000, where (-1000)^201 alone
+        # overflows (mpmath, 60 digits)
+        got = ml_e(MLQuery(1.0, -200.0, -1e3))
+        assert got == pytest.approx(-5.0759588975494567653e168, rel=1e-14)
 
     @prop(400)
     @given(alpha=st.floats(1.01, 1.99), frac=st.floats(0.0, 1.0,

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +16,7 @@ from mlwave import (
     q_A_of,
     spectral_operator,
 )
-from mlwave.spectral_operator import (_table_rows, analysis, synthesis,
-                                     synthesis_blas)
+from mlwave.spectral_operator import analysis, synthesis
 
 INTERVAL_PI = OperatorSpecConfig("dirichlet_laplacian_interval",
                                  lengths=(math.pi,))
@@ -239,22 +237,19 @@ class TestArrays:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_blas_order_matches_synthesis_row_by_row(self, cfg):
-        # the diagnostics' order agrees with the ascending one to rounding,
-        # and a row's values are those of the row alone, bit for bit,
-        # whatever rows are computed with it
+        # synthesis sums in BLAS order, and a row's values are those of
+        # the row alone, bit for bit, whatever rows are computed with it:
+        # the property the runs of rows and the Picard iterate rest on
         op = make_operator(cfg)
         N = 8
         factors = op.rule(N, 4).factors
-        C = np.random.default_rng(13).normal(size=(7, N))
-        got = synthesis_blas(factors, C)
-        want = synthesis(factors, C)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        C = np.random.default_rng(13).normal(size=(12, N))
+        got = synthesis(factors, C)
         for i in range(len(C)):
-            alone = synthesis_blas(factors, C[i:i + 1].copy())
+            alone = synthesis(factors, C[i:i + 1].copy())
             assert alone[0].tobytes() == got[i].tobytes()
-        for lo, hi in ((0, 3), (2, 7), (5, 6)):
-            assert (synthesis_blas(factors, C[lo:hi]).tobytes()
+        for lo, hi in ((0, 3), (2, 7), (5, 6), (1, 12), (4, 11)):
+            assert (synthesis(factors, C[lo:hi]).tobytes()
                     == got[lo:hi].tobytes())
 
     def test_cached_rule_arrays_reject_writes(self, cfg):
@@ -282,12 +277,17 @@ SYNTHESIS_OPERATORS = {
 
 
 def ascending_rows(factors, C):
-    """Grid values of each coefficient row on its own, every axis summed
-    as a running total over the table rows in ascending order."""
+    """Grid values of each coefficient row on its own, scattered onto the
+    grid of table rows, every axis summed as a running total over the
+    table rows in ascending order."""
+    tables, index = factors
     out = []
     for c in C:
-        D = _table_rows(factors, c[None])
-        for T in factors.tables:
+        D = c[None]
+        if index is not None:
+            D = np.zeros((1,) + tuple(len(T) for T in tables))
+            D.reshape(-1)[index] = c
+        for T in tables:
             cols = D.swapaxes(0, 1)[..., None]
             acc = cols[0] * T[0]
             for col, t in zip(cols[1:], T[1:]):
@@ -300,23 +300,24 @@ def ascending_rows(factors, C):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(kind=st.sampled_from(sorted(SYNTHESIS_OPERATORS)),
        N=st.integers(1, 16), rows=st.integers(1, 57),
-       panels=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
-       stack_max=st.sampled_from((0, spectral_operator._STACK_MAX, 1 << 62)))
-def test_synthesis_is_the_ascending_per_row_sum(kind, N, rows, panels, seed,
-                                                stack_max):
-    # the order picard-blowup's T_est rests on: synthesis adds the table
-    # rows as the running total does, row by row, byte for byte, signed
-    # zeros and spread magnitudes included, whether its axes stack their
-    # products (stack_max 1 << 62), sum them as they go (0) or choose
+       panels=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesis_matches_the_ascending_per_row_sum(kind, N, rows, panels,
+                                                     seed):
+    # BLAS picks synthesis' summation order; at every node it agrees with
+    # the running total over ascending table rows to 1e-14 of the scale
+    # of the sum, the same total over |coefficients| and |table rows|,
+    # zeros and magnitudes spread over twelve decades included
     op = make_operator(SYNTHESIS_OPERATORS[kind])
     factors = op.rule(N, panels).factors
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((rows, N)) * 10.0 ** rng.integers(-6, 7,
                                                               (rows, N))
-    C[rng.random((rows, N)) < 0.2] = -0.0
-    with mock.patch.object(spectral_operator, "_STACK_MAX", stack_max):
-        got = synthesis(factors, C)
-    assert got.tobytes() == ascending_rows(factors, C).tobytes()
+    C[rng.random((rows, N)) < 0.2] = 0.0
+    got = synthesis(factors, C)
+    scale = ascending_rows(
+        factors._replace(tables=tuple(map(np.abs, factors.tables))),
+        np.abs(C))
+    assert np.all(np.abs(got - ascending_rows(factors, C)) <= 1e-14 * scale)
 
 
 class TestEmbeddingExponent:

@@ -8,9 +8,12 @@ process, one tree after the other.  So are two derived pools, whose runs
 extend their workspace past its first 64 steps: each box-power entry run to
 t_end = 1 (100 steps), and each picard-blowup entry with u0[0] = 12, which
 stops past node 64.  Printed per differing scenario: trace.csv and norms.csv
-when their bytes differ, and each JSON key that differs apart from metadata,
-with its largest relative change.  Passing one tree twice
-checks that reruns are byte-identical.  Nothing under bench/ is written.
+when their bytes differ, each JSON key that differs apart from metadata,
+with its largest relative change, and the final state's change relative to
+max(1, max |state|), the measure bench/workloads.py:gate_solve holds to
+STATE_TOL.  The last line counts the scenarios whose status or T_est
+changed.  Passing one tree twice checks that reruns are byte-identical.
+Nothing under bench/ is written.
 """
 
 import contextlib
@@ -76,6 +79,27 @@ def solve_pool(src, work):
     return got
 
 
+def final_state(files, N):
+    """u then dtu coefficients of trace.csv's last row, as the gate reads
+    them, or None without a trace."""
+    if "trace.csv" not in files:
+        return None
+    last = files["trace.csv"].decode().splitlines()[-1].split(",")
+    return [float(v) for v in last[1:2 * N + 1]]
+
+
+def state_change(a, b, N):
+    """Largest change of the final state from a to b relative to
+    max(1, max |state of a|); inf if only one has a state of that size."""
+    x, y = final_state(a, N), final_state(b, N)
+    if x is None and y is None:
+        return 0.0
+    if x is None or y is None or len(x) != len(y):
+        return math.inf
+    err = max((abs(u - v) for u, v in zip(x, y)), default=0.0)
+    return err / max([1.0] + [abs(u) for u in x])
+
+
 def json_diffs(a, b, key=""):
     """(key, largest relative change) of each leaf where a and b differ;
     inf where they differ other than as two numbers."""
@@ -106,22 +130,31 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         before, after = (solve_pool(src, os.path.join(work, side))
                          for src, side in zip(argv, ("a", "b")))
+    modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
     worst = {}
-    differing = 0
+    differing = moved = 0
     for case, files in before.items():
         notes = [f for f, data in files.items()
                  if not f.endswith(".json") and after[case].get(f) != data]
+        changed = set()
         for f in (f for f in files if f.endswith(".json")):
             for key, rel in json_diffs(json.loads(files[f]),
                                        json.loads(after[case].get(f, "{}"))):
                 notes.append(f"{f}:{key} {rel:.2e}")
                 worst[key] = max(worst.get(key, 0.0), rel)
+                changed.add(key)
         if notes:
             differing += 1
-            print(f"{case[0]} {case[1]}: " + ", ".join(notes))
+            moved += bool(changed & {"status", "T_est"})
+            rel = state_change(files, after[case], modes[case])
+            worst["final state (gate scale)"] = max(
+                worst.get("final state (gate scale)", 0.0), rel)
+            print(f"{case[0]} {case[1]}: " + ", ".join(notes)
+                  + f", final state {rel:.2e} of scale")
     for key, rel in sorted(worst.items()):
         print(f"largest relative change of {key}: {rel:.3e}")
     print(f"{differing} of {len(before)} scenarios differ")
+    print(f"{moved} of {len(before)} scenarios change status or T_est")
     return 1 if differing else 0
 
 
