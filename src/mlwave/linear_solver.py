@@ -343,15 +343,22 @@ def _toeplitz(w, count, J):
                       w.strides[:-1] + (step, step), writeable=False)
 
 
-def _causal_sums(view, F):
+def _causal_sums(view, F, out=None):
     """The causal Volterra sums of every mode row of F (samples at nodes
     0..J) against the _toeplitz view (left, right) of a weight stack: row
     k is sum_j left[k, j] F[n, J-1-j] + right[k, j] F[n, J-j], which for
     a K-panel table (J = K) is the sum at node i = k + 1 over its panels
-    l < i, F[n, i-1-l] B[l] + F[n, i-l] A[l]."""
+    l < i, F[n, i-1-l] B[l] + F[n, i-l] A[l].  out, if given, is the pair
+    of buffers it fills: F's samples reversed, shaped like F, and the two
+    terms of the sums, (2,) + the sums' shape; the sums are the first."""
     left, right = view
-    return (np.vecdot(left, np.ascontiguousarray(F[:, -2::-1])[:, None, :])
-            + np.vecdot(right, np.ascontiguousarray(F[:, :0:-1])[:, None, :]))
+    if out is None:
+        out = np.empty(F.shape), np.empty((2,) + left.shape[:-1])
+    rev, (lo, hi) = out
+    np.copyto(rev, F[:, ::-1])
+    np.vecdot(left, rev[:, None, 1:], out=lo)
+    np.vecdot(right, rev[:, None, :-1], out=hi)
+    return np.add(lo, hi, out=lo)
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):

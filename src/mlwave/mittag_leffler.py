@@ -140,7 +140,11 @@ def _taylor(alpha, beta, x, rel_tol):
         lg, sg = lgam_sgn(g)
         if sg != 1.0 and sg != -1.0:
             continue
-        term = sg * math.exp(n * lax - lg)
+        try:
+            term = sg * math.exp(n * lax - lg)
+        except OverflowError:
+            raise NumericOverflowError(f"a term of the series for E_{{{alpha},"
+                                       f"{beta}}}({x}) overflows") from None
         if x < 0.0 and (n % 2 == 1):
             term = -term
         yk = term - c
@@ -562,6 +566,9 @@ def _integer_alpha_neg(m, beta, x, rel_tol):
     lifts = 0
     b = beta
     while b <= 0.25:
+        if lifts == _MAX_TERMS:
+            raise AccuracyError(f"E_{{{m},{beta}}}({x}) needs more than "
+                                f"{_MAX_TERMS} lifts of beta")
         b += m
         lifts += 1
     val = _dd_series(m, b, x)

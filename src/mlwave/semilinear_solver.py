@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
                             _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
-                                _row_runs, _rule_panels, analysis,
-                                synthesis)
+                                _analysis_steps, _buffers, _row_runs,
+                                _rows_per_run, _rule_panels,
+                                _synthesis_steps, synthesis)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -135,35 +137,45 @@ class NonlinearitySpec:
             return r, float(self.params.get("C", self.lipschitz_envelope(1.0)))
         return None
 
-    def apply(self, vals):
-        """Pointwise f on an array of field values."""
-        return self.pointwise()(np.asarray(vals, dtype=float))
+    def apply(self, vals, out=None):
+        """Pointwise f on an array of field values, into out if given."""
+        return self.pointwise()(np.asarray(vals, dtype=float), out=out)
 
     def pointwise(self):
-        """f as a map of float arrays, its params read once, here."""
+        """f as a map of float arrays, its params read once, here.  Given
+        out=, a map writes f of its input there, not into the input
+        itself, and returns it; without, it returns a new array."""
         p = self.params
         if self.kind == "zero":
-            return np.zeros_like
+            return lambda vals, out=None: np.positive(np.zeros_like(vals),
+                                                      out=out)
         if self.kind == "linear_shift":
             kappa = float(p["kappa"])
-            return lambda vals: kappa * vals
+            return lambda vals, out=None: np.multiply(kappa, vals, out=out)
         if self.kind == "power":
             c, e = float(p["c"]), float(p["r"]) - 1.0
 
-            def power(vals):
-                mag = np.abs(vals)
+            def power(vals, out=None):
+                grow = np.abs(vals, out=out)
                 # the exponents 1 and 2 as products, bit-equal to the
                 # general pow
-                grow = (mag if e == 1.0 else mag * mag if e == 2.0
-                        else mag ** e)
-                return c * grow * vals
+                if e == 2.0:
+                    grow *= grow
+                elif e != 1.0:
+                    grow **= e
+                grow *= c
+                grow *= vals
+                return grow
             return power
         if self.kind == "sine":
             c = float(p["c"])
-            return lambda vals: c * np.sin(vals)
+            return lambda vals, out=None: np.multiply(
+                c, np.sin(vals, out=out), out=out)
         s = np.asarray(p["s"], dtype=float)
         v = np.asarray(p["values"], dtype=float)
-        return lambda vals: np.interp(vals, s, v)
+        # np.interp has no out=: its result is copied there
+        return lambda vals, out=None: np.positive(np.interp(vals, s, v),
+                                                  out=out)
 
     def lipschitz_envelope(self, rho) -> float:
         """Monotone bound Q1(rho) on the local Lipschitz constant over the
@@ -273,23 +285,64 @@ class RunOutcome:
 class _Collocation:
     """Coefficients of f(u) for each coefficient row u of C on the
     composite rule with `panels` panels per axis, bound once: the
-    pointwise map fmap and the rule's weights and factor tables.  Per run
-    of rows: grid values by synthesis, f pointwise, weighted values back
-    by analysis.  Non-finite values of f raise OverflowSignal for the
-    blow-up monitor; callers that expect overflow silence numpy's warnings
-    around the call."""
+    pointwise map fmap(values, out=) and the rule's weights and factor
+    tables.  Per run of rows: grid values by synthesis, f pointwise,
+    weighted, back by analysis, in buffers kept for the most rows a run
+    has had, and first made for `rows` rows (at most one run's), so that
+    a caller that knows how many rows it will ask for allocates once.
+    Non-finite values of f raise OverflowSignal for the blow-up monitor;
+    callers that expect overflow silence numpy's warnings around the
+    call."""
 
-    def __init__(self, fmap, op, N, panels):
+    def __init__(self, fmap, op, N, panels, rows=1):
         _, self.w, self.factors = op.rule(N, panels)
         self.fmap, self.N = fmap, N
+        self.first = min(rows, _rows_per_run(self.w.size))
+        self.rows = self.tiled = 0
+
+    def bind(self, C, out):
+        """A call that writes the coefficients of the rows C, as they are
+        when it is made, to out: the steps of each run of rows, built here,
+        once.  C is C-contiguous, so that its views stay views."""
+        steps = []
+        for rows in _row_runs(len(C), self.w.size):
+            n = len(C[rows])
+            if n > self.rows:
+                # synthesis's and analysis's buffers, f's values, their
+                # finiteness, and the weights tiled: one flat product
+                m = max(n, self.first)
+                grid = (m,) + self.w.shape
+                self.rows, self.tiled, self.bufs = m, 0, (
+                    *_buffers(self.factors, m), np.empty(grid),
+                    np.empty(grid, bool), np.empty(grid))
+            if n > self.tiled:
+                # tiled only as far as a run reaches: rows never written
+                # are never touched
+                self.bufs[-1][self.tiled:n] = self.w
+                self.tiled = n
+            syn, ana, *more = self.bufs
+            vals, finite, w = (b[:n] for b in more)
+
+            def finite_check(vals=vals, finite=finite):
+                # count_nonzero: the cheapest reduction of the booleans
+                if np.count_nonzero(np.isfinite(vals, out=finite)) < vals.size:
+                    raise OverflowSignal(
+                        "nonlinearity produced non-finite values")
+            syn = [b if b is None else b[:n] for b in syn]
+            steps += _synthesis_steps(self.factors, C[rows], syn)
+            steps += [partial(self.fmap, syn[-1], out=vals), finite_check,
+                      partial(np.multiply, vals, w, out=vals)]
+            steps += _analysis_steps(self.factors, vals, [
+                b[:n] for b in ana[:-1]] + [out[rows]])
+
+        def collocate():
+            for step in steps:
+                step()
+        return collocate
 
     def __call__(self, C):
         out = np.empty((len(C), self.N))
-        for rows in _row_runs(len(C), self.w.size):
-            vals = self.fmap(synthesis(self.factors, C[rows]))
-            if not np.isfinite(vals).all():
-                raise OverflowSignal("nonlinearity produced non-finite values")
-            out[rows] = analysis(self.factors, vals * self.w)
+        self.bind(np.ascontiguousarray(C), out)()
         return out
 
 
@@ -299,12 +352,12 @@ def _collocate(f, op, C, N, panels):
     return _Collocation(f.apply, op, N, panels)(C)
 
 
-def _aliasing(f, op, C, F, N, panels):
-    """Largest change of the coefficients F of f(C) on the rule with
-    `panels` panels when they are redone on the doubled rule."""
+def _aliasing(doubled, C, F):
+    """Largest change of the coefficients F of f(C) when the _Collocation
+    `doubled`, on the doubled rule, redoes them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        F2 = _collocate(f, op, C, N, 2 * panels)
-    return float(np.abs(F2 - F).max())
+        F2 = doubled(C)
+    return float(np.abs(np.subtract(F2, F, out=F2), out=F2).max())
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
@@ -326,7 +379,7 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
     C = u.coeffs[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         c = _collocate(f, u.op, C, u.N, panels)
-    aliasing = _aliasing(f, u.op, C, c, u.N, panels)
+    aliasing = _aliasing(_Collocation(f.apply, u.op, u.N, 2 * panels), C, c)
     return SpectralField(u.op, c[0], u.N, aliasing_est=aliasing,
                          warnings=_aliasing_warnings(aliasing, u.N))
 
@@ -340,8 +393,9 @@ class _Workspace:
     """Per-run caches: the kernel table on a prefix of the grid, and over
     that prefix the zero-led product-integration weights of every mode
     (None for f = 0, which forces no mode) and the homogeneous part; the
-    collocation bound to the run's rule (None for f = 0); the V_gamma
-    norm's weights lam^(2 gamma).
+    collocations bound to the run's rule and to its doubled rule, with
+    their buffers (None for f = 0); the V_gamma norm's weights
+    lam^(2 gamma).
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
@@ -357,8 +411,10 @@ class _Workspace:
         self.p = p
         self.N = p.N
         self.lam = p.op.eigenvalues(p.N)
-        # weighted_norm's weights at theta = 1/alpha
-        self.vweights = self.lam ** (2.0 * abs(1.0 / p.alpha))
+        # the combined norm's weights, (2, 1, N): weighted_norm's at
+        # theta = 1/alpha for u, ones for dtu
+        self.vweights = np.ones((2, 1, p.N))
+        self.vweights[0] = self.lam ** (2.0 * abs(1.0 / p.alpha))
         self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
             raise ConfigError(
@@ -367,9 +423,15 @@ class _Workspace:
         self.panels = _rule_panels(self.quad)
         # f(u) can force every mode, unless f = 0
         self.forced = p.nonlinearity.kind != "zero"
-        self.colloc = (_Collocation(p.nonlinearity.pointwise(), p.op, p.N,
-                                    self.panels) if self.forced else None)
+        fmap = p.nonlinearity.pointwise()
         self.M = M = len(grid) - 1
+        # the longest window a run takes, which sizes the collocations'
+        # buffers
+        self.steps_cap = min(M, max(1, round(cfg.window_init
+                                             / (grid[1] - grid[0]))))
+        self.colloc, self.doubled = (
+            [_Collocation(fmap, p.op, p.N, k * self.panels, self.steps_cap)
+             for k in (1, 2)] if self.forced else (None, None))
         # an empty prefix, which the first reach extends
         self.kt = _KernelTable(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
@@ -398,43 +460,53 @@ class _Workspace:
         if not self.forced:
             return 0.0
         try:
-            return _aliasing(self.p.nonlinearity, self.p.op, U_rows, F_rows,
-                             self.N, self.panels)
+            return _aliasing(self.doubled, U_rows, F_rows)
         except OverflowSignal:
             return math.inf
 
-    def combined_norms(self, UD):
+    def combined_norms(self, UD, weights, out=None):
         """Per-row ||u||_{V_gamma} + ||dtu||_{L2} of the pair UD = (u rows,
-        dtu rows), which it squares in place: weighted_norm's sums over
-        the same contiguous mode rows, so the same bits."""
-        np.square(UD, out=UD)
-        UD[0] *= self.vweights
-        root = np.sqrt(UD.sum(axis=-1))
-        return root[0] + root[1]
+        dtu rows): weighted_norm's sums over the same contiguous mode rows,
+        so the same bits.  weights is self.vweights broadcast to UD's
+        shape; out, if given, is the pair of buffers the squares and the
+        four norms go to, shaped UD.shape and UD.shape[:-1]."""
+        sq, root = (None, None) if out is None else out
+        sq = np.square(UD, out=sq)
+        sq *= weights
+        root = np.add.reduce(sq, axis=-1, out=root)
+        np.sqrt(root, out=root)
+        return np.add(root[0], root[1], out=root[0])
 
     def trust_radius(self, cfg, u, dtu):
         """cfg.R_star, or 8 (c0 + 1) re-centred on the combined norm c0 of
         the state (u, dtu) a window starts from."""
         if cfg.R_star is not None:
             return cfg.R_star
-        return 8.0 * (float(self.combined_norms(np.array([u, dtu]))) + 1.0)
+        c0 = self.combined_norms(np.array([u, dtu])[:, None], self.vweights)
+        return 8.0 * (float(c0[0]) + 1.0)
 
     def window_solve(self, ia, ib, F_hist, cfg, R_eff):
         """Fixed-point iteration on nodes ia..ib given accepted forcing
         history F_hist (rows 0..ia).  Returns (U, DTU, F, norms,
         iterations, contraction) over the window nodes, norms the combined
-        norms of the accepted rows, or raises WindowFailure."""
+        norms of the accepted rows, or raises WindowFailure.  The attempt
+        builds every view and buffer its iterations use, once: the
+        collocation bound to write f(u) of the iterate's u rows to Fw[1:],
+        the causal sums' buffers and the norm pass's."""
         self.reach(ia, ib)
         W, P = ib - ia, len(self.kt.t) - 1
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
-        # the norm pass's one buffer: (u, dtu) by (change, iterate)
+        # the norm pass's pair, (u, dtu) by (change, iterate), whose
+        # iterate is the current one; the pass's weights and buffers; the
+        # largest change and norm
         pair = np.empty((2, 2, W + 1, self.N))
+        change, cur = pair[:, 0], pair[:, 1]
+        weights = np.empty(pair.shape)
+        weights[...] = self.vweights[:, None]
+        norm_bufs = np.empty(pair.shape), np.empty(pair.shape[:-1])
+        top = np.empty(2)
         prev_d = None
-        # f = 0 forces no mode and makes no sums; else every iteration's
-        # sums read this one view of the window's table
-        if self.forced:
-            window = _toeplitz(self.weights[..., P - W:], W, W)
         # one errstate per attempt: an overflow of f(u) or of the sums
         # ends it through the finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
@@ -444,32 +516,46 @@ class _Workspace:
                 # the memory of the accepted panels, every mode at once
                 memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
                 base += _causal_sums(memory, F_hist[:ia + 1].T).swapaxes(1, 2)
-            # the iterate and the next one, swapped every iteration; row
-            # 0, the window's start, stays the fixed part's in both
-            cur, new = base.copy(), base.copy()
+            # the next iterate; row 0, the window's start, stays the fixed
+            # part's in it and in the current one
+            cur[...] = base
+            new = base.copy()
+            fixed, new_rows = base[:, 1:], new[:, 1:]
+            if self.forced:
+                # every iteration's sums read this one view of the
+                # window's table; their terms are laid out (time, mode)
+                window = _toeplitz(self.weights[..., P - W:], W, W)
+                terms = np.empty((2, 2, W, self.N))
+                sums = np.empty((self.N, W + 1)), terms.swapaxes(2, 3)
+                FwT, S = Fw.T, terms[0]
+                f_rows = self.colloc.bind(cur[0, 1:], Fw[1:])
+            else:
+                # f = 0 forces no mode and makes no sums
+                Fw[1:] = 0.0
             for it in range(1, cfg.max_iter + 1):
-                try:
-                    Fw[1:] = self.apply_rows(cur[0, 1:])
-                except OverflowSignal as sig:
-                    raise WindowFailure(str(sig)) from sig
                 if self.forced:
-                    np.add(base[:, 1:],
-                           _causal_sums(window, Fw.T).swapaxes(1, 2),
-                           out=new[:, 1:])
-                if not np.isfinite(new).all():
+                    try:
+                        f_rows()
+                    except OverflowSignal as sig:
+                        raise WindowFailure(str(sig)) from sig
+                    _causal_sums(window, FwT, sums)
+                    np.add(fixed, S, out=new_rows)
+                np.subtract(new, cur, out=change)
+                np.copyto(cur, new)
+                norms = self.combined_norms(pair, weights, norm_bufs)
+                np.maximum.reduce(norms, axis=1, out=top)
+                # a non-finite iterate leaves its largest norm non-finite
+                if not math.isfinite(top[1]) and not np.isfinite(new).all():
                     raise WindowFailure("iterate overflowed")
-                np.subtract(new, cur, out=pair[:, 0])
-                pair[:, 1] = new
-                change, norms = self.combined_norms(pair)
-                d = float(change.max())
-                if norms.max() > R_eff:
+                if top[1] > R_eff:
                     raise WindowFailure(
                         f"iterate left the trust ball of radius {R_eff:.3g}")
+                d = float(top[0])
                 contraction = 0.0 if prev_d is None else d / prev_d
-                cur, new = new, cur
                 if d < cfg.tol:
-                    Fw[1:] = self.apply_rows(cur[0, 1:])
-                    return cur[0], cur[1], Fw, norms, it, contraction
+                    if self.forced:
+                        f_rows()
+                    return cur[0], cur[1], Fw, norms[1], it, contraction
                 prev_d = d
             raise WindowFailure(
                 f"no contraction to tol={cfg.tol:g} after {cfg.max_iter} "
@@ -613,7 +699,6 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     aliasing = 0.0
     i = 0
     window_time = heuristic_window(ws.trust_radius(cfg, U[0], DTU[0]))
-    steps_cap = max(1, round(cfg.window_init / dt))
     steps = max(1, min(M, round(window_time / dt)))
     while i < M:
         steps = min(steps, M - i)
@@ -642,7 +727,7 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
             status = "maximal_time_detected"
             T_est = grid[end]
             break
-        steps = min(steps_cap, max(1, round(steps * 1.5)))
+        steps = min(ws.steps_cap, max(1, round(steps * 1.5)))
 
     last = i if status == "maximal_time_detected" else M
     tt = grid[:last + 1]
@@ -686,7 +771,8 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     sup_vals = np.empty(len(trace.times))
     for rows in _row_runs(len(sup_vals), math.prod(map(len, axes))):
         vals = synthesis(factors, trace.u_coeffs[rows])
-        sup_vals[rows] = np.abs(vals.reshape(len(vals), -1)).max(axis=1)
+        np.maximum.reduce(np.abs(vals, out=vals).reshape(len(vals), -1),
+                          axis=1, out=sup_vals[rows])
     norm = float(np.trapezoid(sup_vals ** s, trace.times)) ** (1.0 / s)
     verdict = "strong" if math.isfinite(norm) else "inconclusive"
     return {"verdict": verdict,

@@ -13,7 +13,9 @@ what makes independent oracle testing possible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -309,39 +311,85 @@ def _quad_coeffs(op, g, N, panels):
     return analysis(rule.factors, (rule.weights * gv)[None])[0]
 
 
-def synthesis(factors: _Factors, C) -> np.ndarray:
+def _buffers(factors: _Factors, rows: int):
+    """(syn, ana), what synthesis and analysis of `rows` rows write: the
+    scattered (rows, J_1, ..., J_d) table-row grid, zero off the modes
+    (None in 1-D), then the product after each axis; the contraction
+    after each axis, the last first, then the (rows, N) coefficients."""
+    tables, index = factors
+    J, P = zip(*(T.shape for T in tables))
+    syn = [None if index is None else np.zeros((rows,) + J)]
+    syn += [np.empty((rows,) + J[k + 1:] + P[:k + 1]) for k in range(len(J))]
+    ana = [np.empty((rows,) + P[:k] + J[k:]) for k in reversed(range(len(J)))]
+    return syn, ana + ([] if index is None else [np.empty((rows, len(index)))])
+
+
+def _synthesis_steps(factors: _Factors, C, out) -> list:
+    """synthesis of the rows C into out, its _buffers, as the calls to
+    make in order, on views built here; they read C when made."""
+    tables, index = factors
+    steps, D = [], C
+    if index is not None:
+        D = out[0]
+        steps.append(partial(operator.setitem, D.reshape(len(C), -1),
+                             (slice(None), index), C))
+    for T, S in zip(tables, out[1:]):
+        rows, J, *_ = D.shape
+        steps.append(partial(np.matmul, D.reshape(rows, J, -1).swapaxes(1, 2),
+                             T, out=S.reshape(rows, -1, T.shape[1])))
+        D = S
+    return steps
+
+
+def synthesis(factors: _Factors, C, out=None) -> np.ndarray:
     """Grid values (rows, P_1, ..., P_d) of coefficient rows C, scattered
     onto the (J_1, ..., J_d) table-row grid and contracted one axis at a
     time by np.matmul, one (m, J) by (J, P) product per coefficient row:
     BLAS picks the order of the table-row sums, and a row's values do not
-    depend on the rows with it."""
-    tables, index = factors
-    D = C
-    if index is not None:
-        D = np.zeros((len(C),) + tuple(len(T) for T in tables))
-        D.reshape(len(C), -1)[:, index] = C
-    for T in tables:
-        rows, J, *rest = D.shape
-        D = (D.reshape(rows, J, -1).swapaxes(1, 2) @ T).reshape(
-            rows, *rest, T.shape[1])
-    return D
+    depend on the rows with it.  They are the last of out, the syn
+    buffers of _buffers(factors, len(C)), when given."""
+    out = _buffers(factors, len(C))[0] if out is None else out
+    for step in _synthesis_steps(factors, C, out):
+        step()
+    return out[-1]
 
 
-def analysis(factors: _Factors, V) -> np.ndarray:
-    """Coefficient rows, (rows, N), of weighted grid values V: one vecdot
-    per axis, the last axis first, then the modes gathered in order."""
+def _analysis_steps(factors: _Factors, V, out) -> list:
+    """analysis of the weighted grid values V into out, its _buffers, as
+    the calls to make in order, on views built here."""
     tables, index = factors
     *rest, T = tables
-    V = np.vecdot(V[..., None, :], T)
+    steps = [partial(np.vecdot, V[..., None, :], T, out=out[0])]
     for k, T in enumerate(reversed(rest), start=2):
-        V = np.vecdot(V[(..., None) + (slice(None),) * k],
-                      T.reshape(T.shape + (1,) * (k - 1)), axis=-k)
-    return V if index is None else V.reshape(len(V), -1).take(index, axis=1)
+        steps.append(partial(
+            np.vecdot, out[k - 2][(..., None) + (slice(None),) * k],
+            T.reshape(T.shape + (1,) * (k - 1)), axis=-k, out=out[k - 1]))
+    if index is not None:
+        # the indices are in range; "clip" writes out without a copy
+        steps.append(partial(np.take, out[-2].reshape(len(V), -1), index,
+                             axis=1, out=out[-1], mode="clip"))
+    return steps
+
+
+def analysis(factors: _Factors, V, out=None) -> np.ndarray:
+    """Coefficient rows, (rows, N), of weighted grid values V: one vecdot
+    per axis, the last axis first, then the modes gathered in order.
+    They are the last of out, the ana buffers of _buffers(factors,
+    len(V)), when given."""
+    out = _buffers(factors, len(V))[1] if out is None else out
+    for step in _analysis_steps(factors, V, out):
+        step()
+    return out[-1]
+
+
+def _rows_per_run(points):
+    """Rows of one run of rows: within _VALUES_MAX values, at least one."""
+    return max(1, _VALUES_MAX // points)
 
 
 def _row_runs(count, points):
     """Runs of rows 0..count-1, each within _VALUES_MAX values or one row."""
-    step = max(1, _VALUES_MAX // points)
+    step = _rows_per_run(points)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 

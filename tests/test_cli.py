@@ -809,6 +809,13 @@ class TestMlCli:
             assert proc.returncode in (0, 2)
             assert "Traceback" not in proc.stderr
 
+    def test_eval_series_term_past_the_double_range_exits_two(self):
+        # kappa is below the overflow check, but one series term is not
+        proc = run_cli("ml", "eval", "--alpha", "0.7204604879566386",
+                       "--beta=-165", "--x=90.92926068034703")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_eval_overflow_is_numeric_failure(self, capsys):
         rc = main(["ml", "eval", "--alpha", "1.5", "--beta", "1.0",
                    "--x", "20000"])

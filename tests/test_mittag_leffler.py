@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,12 +716,32 @@ class TestOneBranchCut:
     @example(alpha=1.0, beta=-200.5, x=-1e3)
     @example(alpha=2.0, beta=-300.5, x=-1e6)
     @example(alpha=1.0, beta=-200.0, x=-1e3)
+    # a power-series term past the double range while kappa is not
+    @example(alpha=0.7204604879566386, beta=-165.0, x=90.92926068034703)
     def test_ml_e_is_finite_or_refused(self, alpha, beta, x):
         try:
             v = ml_e(MLQuery(alpha, beta, x))
         except MLWaveError:
             return
         assert math.isfinite(v)
+
+    def test_far_negative_beta_is_refused_promptly(self):
+        # the integer-a route lifts beta by a until it passes 0.25, about
+        # 1e12 lifts here; in a fresh interpreter, so a hang fails this
+        # test alone
+        code = ("from mlwave.errors import MLWaveError\n"
+                "from mlwave.mittag_leffler import MLQuery, ml_e\n"
+                "try:\n"
+                "    ml_e(MLQuery(2.0, -1989798789822.2288, "
+                "-44.72511194337896))\n"
+                "except MLWaveError:\n"
+                "    print('refused')\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(mittag_leffler.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "refused"
 
     def test_closed_form_past_the_power_range(self):
         # E_{1,-200}(-1000) = (-1000)^201 e^-1000, where (-1000)^201 alone

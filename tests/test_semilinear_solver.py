@@ -8,6 +8,7 @@ Mittag-Leffler relaxation).
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -288,9 +289,9 @@ class TestBatchedCollocation:
             monkeypatch.setattr(spectral_operator, "_VALUES_MAX", budget)
             sizes = []
 
-            def spy(vals):
+            def spy(vals, out=None):
                 sizes.append(vals.size)
-                return f.apply(vals)
+                return f.apply(vals, out=out)
 
             got = semilinear_solver._collocate(SimpleNamespace(apply=spy),
                                                op, C, N, panels)
@@ -333,6 +334,137 @@ class TestBatchedCollocation:
                                  64)
         assert np.array_equal(got.coeffs, np.zeros(2))
         assert op._rules == {}
+
+
+def plain_pointwise(f, vals):
+    """f as the allocating expressions of each kind, the reference the
+    maps written into out= buffers keep bit for bit."""
+    p = f.params
+    if f.kind == "zero":
+        return np.zeros_like(vals)
+    if f.kind == "linear_shift":
+        return p["kappa"] * vals
+    if f.kind == "power":
+        mag, e = np.abs(vals), p["r"] - 1.0
+        grow = mag if e == 1.0 else mag * mag if e == 2.0 else mag ** e
+        return p["c"] * grow * vals
+    if f.kind == "sine":
+        return p["c"] * np.sin(vals)
+    return np.interp(vals, np.asarray(p["s"]), np.asarray(p["values"]))
+
+
+class TestBuffersKeepTheBits:
+    """The pointwise maps and the collocation write into buffers, and give
+    the bits of the allocating arithmetic whatever the buffers held."""
+
+    VALUES = np.array([[-0.0, 0.0, np.inf, -np.inf],
+                       [np.nan, 1e200, -1e200, 0.5],
+                       [-3.25, 1e-300, 7.0, -2.0]])
+
+    @pytest.mark.parametrize("f", [
+        NonlinearitySpec(),
+        NonlinearitySpec("linear_shift", {"kappa": -1.5}),
+        *(NonlinearitySpec("power", {"c": -0.75, "r": r})
+          for r in (1.0, 2.0, 3.0, 2.5)),
+        NonlinearitySpec("sine", {"c": 0.7}),
+        NONLINEARITIES["custom"],
+    ], ids=["zero", "linear_shift", "power1", "power2", "power3",
+            "power2.5", "sine", "custom"])
+    def test_pointwise_into_out_is_the_allocating_map(self, f):
+        fmap = f.pointwise()
+        with np.errstate(all="ignore"):
+            want = plain_pointwise(f, self.VALUES)
+            fresh = fmap(self.VALUES)
+            out = np.full_like(self.VALUES, 42.0)
+            got = fmap(self.VALUES, out=out)
+            applied = f.apply(self.VALUES, out=np.full_like(out, -1.0))
+        assert got is out
+        for arr in (fresh, got, applied):
+            assert arr.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["interval", "box2"])
+    @pytest.mark.parametrize("first", [1, 8])
+    def test_reused_buffers_give_one_shot_bits(self, kind, first,
+                                               monkeypatch):
+        # one collocation, its buffers first made for 1 or 8 rows, then
+        # grown or tiled further and reused over calls of 5, 2, 7 and 1
+        # rows, one that overflows and 3 rows: each result is that of a
+        # fresh one, and writing to a result changes no other.  Every
+        # np.empty comes back filled with nan, so a read of a value never
+        # written shows
+        def poisoned(shape, dtype=float):
+            return np.full(shape, np.nan if np.dtype(dtype).kind == "f"
+                           else 1, dtype=dtype)
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        op = make_operator(CATALOG[kind])
+        f, N, panels = NONLINEARITIES["power"], 5, 4
+        colloc = semilinear_solver._Collocation(f.apply, op, N, panels,
+                                                first)
+        for seed, rows in enumerate((5, 2, 7, 1)):
+            C = 3.0 * coefficient_rows(rows, N, seed=seed)
+            got = colloc(C)
+            want = semilinear_solver._collocate(f, op, C, N, panels)
+            assert got.tobytes() == want.tobytes()
+            got[...] = np.nan
+        C = coefficient_rows(1, N)
+        C[0, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowSignal, match="non-finite"):
+            colloc(C)
+        C = coefficient_rows(3, N, seed=9)
+        first = colloc(C)
+        first[...] = np.nan
+        assert (colloc(C).tobytes()
+                == semilinear_solver._collocate(f, op, C, N, panels).tobytes())
+
+
+class TestAllocationGuard:
+    """After its first iteration a window attempt allocates nothing as
+    large as one row's grid values: its buffers and views are built once
+    per attempt.  numpy's own small allocations per call (iterators, view
+    objects) stay within a few kB, so the interval's rule is taken with
+    600 nodes, a row of 4.8 kB."""
+
+    @pytest.mark.parametrize("kind, quad", [("interval", 600),
+                                            ("box2", None)])
+    def test_iterations_allocate_no_row_of_grid_values(self, kind, quad,
+                                                       monkeypatch):
+        n = np.arange(1, 9)
+        op = make_operator(CATALOG[kind])
+        p = problem(op, 1.5, 1.0 / n ** 2, np.zeros(8),
+                    NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
+        cfg = PicardConfig(tol=1e-300, max_iter=8,
+                           nonlinearity_quadrature=quad)
+        W = 10
+        ws = semilinear_solver._Workspace(p, np.linspace(0.0, 0.1, W + 1),
+                                          cfg)
+        F = ws.apply_rows(p.u0.coeffs[None])
+        R = ws.trust_radius(cfg, p.u0.coeffs, p.u1.coeffs)
+        # from the first iteration's sums on, the traced peak over the
+        # traced memory there, at every later iteration's sums
+        start, peaks = [], []
+        sums = semilinear_solver._causal_sums
+
+        def traced(*args):
+            if start:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+            else:
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+            return sums(*args)
+
+        monkeypatch.setattr(semilinear_solver, "_causal_sums", traced)
+        tracemalloc.start()
+        try:
+            ws.window_solve(0, W, F, cfg, R)
+        except WindowFailure:
+            pass
+        finally:
+            tracemalloc.stop()
+        row_bytes = ws.colloc.w.size * 8
+        assert len(peaks) >= 4
+        assert max(peaks) < row_bytes
 
 
 def causal_sum(f, B, A):
@@ -443,6 +575,22 @@ class TestBatchedCausalSums:
                 scale = sum(np.correlate(np.abs(w), np.abs(f), "valid")
                             for w, f in pairs)
                 assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("W", [1, 6, 12])
+    def test_sums_into_buffers_are_the_allocating_sums(self, W):
+        # the window's buffers, terms laid out (time, mode) and stale
+        # contents included, give the bits of the allocating call
+        rng = np.random.default_rng(W)
+        P = W + 5
+        table = _zero_led(rng.standard_normal((2, 2, 5, P)))
+        F = rng.standard_normal((W + 1, 5)).T
+        view = _toeplitz(table[..., P - W:], W, W)
+        terms = np.full((2, 2, W, 5), np.nan)
+        out = np.full((5, W + 1), np.nan), terms.swapaxes(2, 3)
+        got = _causal_sums(view, F, out)
+        assert np.shares_memory(got, terms)
+        assert (np.ascontiguousarray(got).tobytes()
+                == _causal_sums(view, F).tobytes())
 
 
 class TestPicardConfig:

@@ -276,6 +276,27 @@ SYNTHESIS_OPERATORS = {
 }
 
 
+@pytest.mark.parametrize("kind", sorted(SYNTHESIS_OPERATORS))
+def test_buffers_give_the_allocating_bits(kind):
+    # synthesis and analysis written into _buffers, stale contents
+    # included, give the bits of their allocating calls
+    op = make_operator(SYNTHESIS_OPERATORS[kind])
+    N, rows = 10, 6
+    rule = op.rule(N, 4)
+    factors = rule.factors
+    C = np.random.default_rng(5).normal(size=(rows, N))
+    syn, ana = spectral_operator._buffers(factors, rows)
+    for b in syn[1:] + ana:
+        b.fill(np.nan)
+    want = synthesis(factors, C)
+    got = synthesis(factors, C, syn)
+    assert got is syn[-1] and got.tobytes() == want.tobytes()
+    V = want * rule.weights
+    coeffs = analysis(factors, V, ana)
+    assert coeffs is ana[-1]
+    assert coeffs.tobytes() == analysis(factors, V).tobytes()
+
+
 def ascending_rows(factors, C):
     """Grid values of each coefficient row on its own, scattered onto the
     grid of table rows, every axis summed as a running total over the
