@@ -498,11 +498,12 @@ def _write_json(path, obj):
 
 def _csv(cols, blocks) -> str:
     """The header cols, then one line per time row of the column blocks
-    side by side, each value as _fmt writes it, a row formatted whole."""
+    side by side, each value as _fmt writes it, the table formatted whole
+    by one repeated line format."""
     table = np.column_stack(blocks)
-    line = ",".join(["%.17g"] * len(cols))
-    return "\n".join([",".join(cols)]
-                     + [line % tuple(row) for row in table.tolist()]) + "\n"
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    return (",".join(cols) + "\n"
+            + line * len(table) % tuple(table.ravel().tolist()))
 
 
 def _trace_csv(trace) -> str:

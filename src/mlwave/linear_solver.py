@@ -12,6 +12,7 @@ reproduced to evaluator precision and smooth forcing at second order.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -233,29 +234,70 @@ def homogeneous_state(p: LinearProblem, t: float):
                       e1, e2, eaa)
 
 
+# The process-wide store of kernel tables: per (alpha, grid bytes), the
+# read-only rows and weights every table on that grid has built, least
+# recently used first, and the bytes past which older entries are evicted.
+_STORE = OrderedDict()
+_STORE_BYTES = 64 << 20
+
+
+class _Stored:
+    """One entry of _STORE: rows keyed (eigenvalue, beta), weights keyed
+    eigenvalue as (2, 2, panels) stacks, and their bytes, its key's
+    included."""
+
+    def __init__(self, nbytes):
+        self.rows, self.weights, self.nbytes = {}, {}, nbytes
+
+    def keep(self, held, key, arr):
+        """Hold arr, read-only, in place of what held had at key."""
+        arr.flags.writeable = False
+        old = held.get(key)
+        self.nbytes += arr.nbytes - (0 if old is None else old.nbytes)
+        held[key] = arr
+
+
+def _store_fit(key, entry):
+    """Mark the entry at key the most recently used, then evict the least
+    recently used others while the store holds more than _STORE_BYTES.
+    An entry evicted while a table still used it stays that table's."""
+    if _STORE.get(key) is not entry:
+        return
+    _STORE.move_to_end(key)
+    total = sum(e.nbytes for e in _STORE.values())
+    while total > _STORE_BYTES and next(iter(_STORE)) != key:
+        total -= _STORE.popitem(last=False)[1].nbytes
+
+
 class _KernelTable:
     """Both solvers' product-integration layer on one uniform grid: Mittag-
-    Leffler rows over the grid offsets, cached per eigenvalue and beta, and
-    the weights built from them; the one owner of the weights and of their
+    Leffler rows over the grid offsets, per eigenvalue and beta, and the
+    weights built from them; the one owner of the weights and of their
     layout.  Rows come from ml_rows with this module's _ml as its scalar
     fallback, so a wrapper around _ml sees every point the array routes
     leave to it.  The batching rule: a consumer asks in one call for every
     beta it will read of a mode, and for no other, since one ml_rows call
     integrates the branch cut once for all of its betas.
 
-    The table covers the first `nodes` nodes of `times`, all of them when
-    nodes is None, and t is that prefix; extend moves it further, and a
-    row held short of it is completed when next asked for.  A row value
-    depends on its own point alone, so the rows, and the weights and
-    propagators built from them, are those of a table built on the
-    longer prefix at once."""
+    Rows and weights live in _STORE under (alpha, grid bytes), so every
+    table on the same grid in the process reads what earlier ones built
+    and builds only what they lacked.  The table covers the first `nodes`
+    nodes of `times`, all of them when nodes is None, and t is that
+    prefix; extend moves it further, and a row or weight held short of it
+    is completed when next asked for, one held past it is read cut to it.
+    A row value depends on its own point alone, and a weight panel on its
+    own two nodes, so the rows, and the weights and propagators built from
+    them, are those of a table built on the longer prefix at once, cold."""
 
     def __init__(self, alpha, times, nodes=None):
         self.alpha = alpha
         self._grid = np.asarray(times, dtype=float)
         self._ta = self._grid ** alpha
         self.extend(nodes)
-        self._rows = {}
+        self._key = (float(alpha), self._grid.tobytes())
+        self._held = _STORE.setdefault(self._key,
+                                       _Stored(len(self._key[1])))
+        _store_fit(self._key, self._held)
 
     def extend(self, nodes):
         """Cover the first `nodes` nodes of the grid."""
@@ -264,37 +306,45 @@ class _KernelTable:
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
         each eigenvalue of lam, a scalar or an array: shape (len(betas),)
-        + np.shape(lam) + t.shape.  Each row the table lacks or holds
+        + np.shape(lam) + t.shape.  Each row the store lacks or holds
         short of t is built or completed once: the eigenvalues are
         grouped by the node they lack rows from and the betas they lack
         there, one ml_rows call per group."""
         lam = np.asarray(lam, dtype=float)
         keys = lam.ravel().tolist()
-        have = self._rows
+        held = self._held
+        have, n = held.rows, len(self.t)
         groups = {}
         for v in dict.fromkeys(keys):
             lack = {}
             for b in dict.fromkeys(betas):
                 lack.setdefault(len(have.get((v, b), ())), []).append(b)
             for lo, need in lack.items():
-                if lo < len(self.t):
+                if lo < n:
                     groups.setdefault((lo, tuple(need)), []).append(v)
         for (lo, need), new in groups.items():
             got = ml_rows(self.alpha, need,
                           -np.array(new)[:, None] * self.ta[lo:], _ml)
             for b, rows in zip(need, got):
                 for v, r in zip(new, rows):
-                    have[v, b] = np.concatenate((have[v, b], r)) if lo else r
-        return np.array([[have[v, b] for v in keys] for b in betas]).reshape(
+                    held.keep(have, (v, b), np.concatenate((have[v, b], r))
+                              if lo else r)
+        if groups:
+            _store_fit(self._key, held)
+        return np.array([[have[v, b][:n] for v in keys]
+                         for b in betas]).reshape(
             (len(betas),) + lam.shape + self.t.shape)
 
-    def moment_steps(self, lam, deriv):
+    def moment_steps(self, lam, deriv, lo=0):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
-        one eigenvalue, or of each of an array of them (one row each)."""
-        m0, m1 = kernel_moments(self.alpha, self.t,
-                                lambda beta: self.row(lam, (beta,))[0],
-                                deriv)
-        m0[..., 0] = m1[..., 0] = 0.0
+        one eigenvalue, or of each of an array of them (one row each), on
+        the panels from lo on."""
+        def row(beta):
+            return self.row(lam, (beta,))[0][..., lo:]
+
+        m0, m1 = kernel_moments(self.alpha, self.t[lo:], row, deriv)
+        if not lo:
+            m0[..., 0] = m1[..., 0] = 0.0
         return np.diff(m0), np.diff(m1)
 
     def weights(self, lam):
@@ -308,21 +358,40 @@ class _KernelTable:
         every causal sum over K panels; sliced from index P - 1, it serves
         the sums against accepted samples.  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact.  Each call builds the
-        weights once per distinct eigenvalue, from rows asked for in one
-        call; the arithmetic is elementwise, and panel l reads nodes l and
-        l + 1 alone, so each eigenvalue's weights are those of a build of
-        it alone, and each panel's those of a build on a longer prefix."""
+        the kernel, making constant forcing exact.  The panels the store
+        lacks are built once per distinct eigenvalue, grouped by the panel
+        they lack from, from rows asked for in one call; the arithmetic is
+        elementwise, and panel l reads nodes l and l + 1 alone, so each
+        eigenvalue's weights are those of a build of it alone, and each
+        panel's those of a build on a longer prefix."""
         uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
-        self.row(uniq, moment_betas(self.alpha))
+        keys = uniq.tolist()
+        held = self._held
+        have, P = held.weights, len(self.t) - 1
+        groups = {}
+        for v in keys:
+            lo = have[v].shape[-1] if v in have else 0
+            if lo < P:
+                groups.setdefault(lo, []).append(v)
+        if groups:
+            self.row([v for new in groups.values() for v in new],
+                     moment_betas(self.alpha))
         dt = float(self.t[1] - self.t[0])
-        ell = np.arange(1, len(self.t))
-        got = np.empty((2, 2, len(uniq), len(ell)))
-        for k, deriv in enumerate((False, True)):
-            w0, mm1 = self.moment_steps(uniq, deriv)
-            got[1, k] = ell * w0 - mm1 / dt
-            got[0, k] = w0 - got[1, k]
-        return _zero_led(got[:, :, inv])
+        for lo, new in groups.items():
+            ell = np.arange(lo + 1, P + 1)
+            got = np.empty((2, 2, len(new), P - lo))
+            for k, deriv in enumerate((False, True)):
+                w0, mm1 = self.moment_steps(np.array(new), deriv, lo)
+                got[1, k] = ell * w0 - mm1 / dt
+                got[0, k] = w0 - got[1, k]
+            for i, v in enumerate(new):
+                held.keep(have, v, np.concatenate((have[v], got[:, :, i]),
+                                                  axis=-1)
+                          if lo else got[:, :, i].copy())
+        if groups:
+            _store_fit(self._key, held)
+        return _zero_led(np.stack([have[v][..., :P] for v in keys],
+                                  axis=2)[:, :, inv])
 
 
 def _zero_led(w):

@@ -732,9 +732,12 @@ def ml_row(alpha, beta, x, scalar=_ml):
 
 # ------------------------------------------------------- derived contracts
 
+@functools.lru_cache(maxsize=64, typed=True)
 def ml_bound_probe(alpha: float, beta: float, x_max: float, n_grid: int) -> float:
     """Empirical sup of (1 + x) |E_{a,b}(-x)| over a logarithmic grid on
-    [0, x_max]; a lower estimate of the uniform decay constant."""
+    [0, x_max]; a lower estimate of the uniform decay constant.  A pure
+    function of its arguments, so each value is computed once per process
+    (a refusal is raised again each time)."""
     if not 0.0 < alpha < 2.0:
         raise DomainError("alpha must lie in (0, 2)")
     if x_max <= 0.0:

@@ -432,6 +432,8 @@ class _Workspace:
         self.colloc, self.doubled = (
             [_Collocation(fmap, p.op, p.N, k * self.panels, self.steps_cap)
              for k in (1, 2)] if self.forced else (None, None))
+        # the last window start's memory term, (ia, sums), for its retries
+        self.memo = 0, None
         # an empty prefix, which the first reach extends
         self.kt = _KernelTable(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
@@ -485,6 +487,21 @@ class _Workspace:
         c0 = self.combined_norms(np.array([u, dtu])[:, None], self.vweights)
         return 8.0 * (float(c0[0]) + 1.0)
 
+    def memory(self, ia, W, F_hist):
+        """The memory term of a window of W steps from node ia, (u, dtu)
+        rows by modes: the sums of the accepted forcing F_hist, rows
+        0..ia, against the weights, every mode at once.  A run's history
+        up to ia is fixed once a window starts there, and a sum's rows do
+        not depend on how many there are, so a retry from ia, which is
+        shorter, reads the first rows of the sums of the attempt before."""
+        start, sums = self.memo
+        if start != ia or sums.shape[1] <= W:
+            P = len(self.kt.t) - 1
+            view = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
+            sums = _causal_sums(view, F_hist[:ia + 1].T).swapaxes(1, 2)
+            self.memo = ia, sums
+        return sums[:, :W + 1]
+
     def window_solve(self, ia, ib, F_hist, cfg, R_eff):
         """Fixed-point iteration on nodes ia..ib given accepted forcing
         history F_hist (rows 0..ia).  Returns (U, DTU, F, norms,
@@ -513,9 +530,7 @@ class _Workspace:
             # (u, dtu) rows of the window's fixed part
             base = self.hom[:, ia:ib + 1].copy()
             if ia > 0 and self.forced:
-                # the memory of the accepted panels, every mode at once
-                memory = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
-                base += _causal_sums(memory, F_hist[:ia + 1].T).swapaxes(1, 2)
+                base += self.memory(ia, W, F_hist)
             # the next iterate; row 0, the window's start, stays the fixed
             # part's in it and in the current one
             cur[...] = base

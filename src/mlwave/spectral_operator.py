@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -279,6 +279,18 @@ def q_A_of(cfg: OperatorSpecConfig):
 
 
 def make_operator(cfg: OperatorSpecConfig) -> Operator:
+    """The operator of a catalog entry.  An entry is frozen, so each one
+    that hashes (its lengths a tuple) is built once per process, and later
+    solves on it reuse the rules it has built; any other is built anew."""
+    try:
+        hash(cfg)
+    except TypeError:
+        return _operator.__wrapped__(cfg)
+    return _operator(cfg)
+
+
+@lru_cache(maxsize=16)
+def _operator(cfg: OperatorSpecConfig) -> Operator:
     cfg.validate()
     qa = q_A_of(cfg)
     base, name, power = cfg, cfg.kind, 1.0

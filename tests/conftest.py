@@ -15,12 +15,25 @@ Independent mpmath routes with complementary domains:
 The bands overlap for kappa in [60, 250], where both run and must agree to
 1e-18; since 60^a < 250^a for every a, the union covers the whole axis for
 every alpha in (0, 2].  None of this code touches the production evaluator.
+
+The autouse fixture `cold_process` starts every test as a fresh process
+would: the kernel-table store, the bound probe's memo and the operator
+memo are empty, so a test that counts builds sees every build of its own.
 """
 
 import math
 
 import mpmath as mp
 import pytest
+
+from mlwave import linear_solver, mittag_leffler, spectral_operator
+
+
+@pytest.fixture(autouse=True)
+def cold_process():
+    linear_solver._STORE.clear()
+    mittag_leffler.ml_bound_probe.cache_clear()
+    spectral_operator._operator.cache_clear()
 
 
 def taylor_ref(alpha, beta, x, extra_dps=30):

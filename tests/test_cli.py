@@ -500,6 +500,26 @@ class TestFuzzedFields:
         assert rc in (0, 1, 2, 3)
 
 
+class TestCsv:
+    def test_bytes_are_those_of_one_format_per_row(self):
+        # the table formatted whole, as one row at a time formats it,
+        # nan, infinities, negative zero and subnormals included
+        rng = np.random.default_rng(7)
+        times = np.linspace(0.0, 1.0, 6)
+        block = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(
+            -300, 300, (6, 4))
+        block[1] = [np.nan, np.inf, -np.inf, -0.0]
+        block[2] = [5e-324, -2.5e-310, 0.0, 1.0 / 3.0]
+        cols = ["t", "a", "b", "c", "d"]
+        line = ",".join(["%.17g"] * 5)
+        want = "\n".join([",".join(cols)] + [
+            line % tuple(row) for row in np.column_stack(
+                [times, block]).tolist()]) + "\n"
+        assert cli._csv(cols, [times, block]) == want
+        assert ",nan,inf,-inf,-0\n" in want and "e-324," in want
+        assert cli._csv(["t"], [np.zeros(0)]) == "t\n"
+
+
 class TestSolveLinearCli:
     def config(self, tmp_path):
         return write_config(

@@ -290,9 +290,9 @@ class TestProductIntegration:
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_weights_built_once_per_eigenvalue(self, monkeypatch):
-        # the square's spectrum repeats eigenvalues; each weights call
-        # builds those of every distinct value once, in one batched build,
-        # whatever the order the eigenvalues are asked in
+        # the square's spectrum repeats eigenvalues; the weights of every
+        # distinct value are built once, in one batched build, and a later
+        # call reads them, whatever the order the eigenvalues are asked in
         built = []
         moments = linear_solver.kernel_moments
 
@@ -315,7 +315,7 @@ class TestProductIntegration:
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
         got = kt.weights(lam[::-1])
-        assert built[2:] == [(False, (distinct, 11)), (True, (distinct, 11))]
+        assert built[2:] == []
         assert got.shape == (2, 2, N, 19)
         assert not got[..., :9].any()
         assert (got[:, :, ::-1].tobytes()
@@ -323,7 +323,8 @@ class TestProductIntegration:
 
     def test_batched_weights_equal_single_builds(self):
         # (left, right) = ((B, B'), (A, A')) of each eigenvalue, bit-equal
-        # to a table that builds that eigenvalue alone, behind 39 zeros
+        # to a table that builds that eigenvalue alone, behind 39 zeros;
+        # the store is emptied before each build, so every build is cold
         t = np.linspace(0.0, 2.0, 41)
         lam = (np.arange(1, 9) ** 2.0)[[3, 0, 7, 3, 5, 1]]
         for a in (1.1, 1.5, 1.9):
@@ -331,6 +332,7 @@ class TestProductIntegration:
             assert got.shape == (2, 2, len(lam), 79)
             assert not got[..., :39].any()
             for i, v in enumerate(lam):
+                linear_solver._STORE.clear()
                 want = linear_solver._KernelTable(a, t).weights([v])
                 assert got[:, :, i].tobytes() == want[:, :, 0].tobytes()
 
@@ -372,8 +374,8 @@ class TestKernelTable:
 
     def test_rows_are_built_at_the_betas_asked_for(self, monkeypatch):
         # unforced: the propagator's rows alone; forcing on a mode without
-        # initial data adds the moments' rows for that mode alone, after
-        # the propagator's
+        # initial data, on the same grid, builds the moments' rows for that
+        # mode alone, the propagator's being held from the first solve
         built = []
         ml_rows = linear_solver.ml_rows
 
@@ -391,8 +393,7 @@ class TestKernelTable:
         f = ForcingSpec(kind="separable", g=field(op, [0.0, 0.0, 1.0]),
                         h_name="constant", h_params={"value": 1.0})
         solve_linear(problem(op, 1.5, u0, u1, f), grid)
-        assert built == [((1.0, 2.0, 1.5), (2, 11)),
-                         ((1.5, 2.5, 3.5), (1, 11))]
+        assert built == [((1.5, 2.5, 3.5), (1, 11))]
 
 
 class TestSolveLinear:
@@ -673,3 +674,134 @@ class TestStrongNormProbe:
             sups.append(float(np.max(t[keep] ** 0.5 * dal[keep])))
         assert 0.0 < sups[0] <= 2.0
         assert abs(sups[0] - sups[1]) < 0.02 * sups[1]
+
+
+def trace_bytes(tr):
+    """Every array of a trace, as bytes."""
+    return ([getattr(tr, k).tobytes() for k in (
+        "times", "u_coeffs", "dtu_coeffs", "dalpha_coeffs", "d2u_coeffs")]
+        + [tr.norm_series[k].tobytes() for k in sorted(tr.norm_series)])
+
+
+def stored_arrays():
+    return [arr for entry in linear_solver._STORE.values()
+            for held in (entry.rows, entry.weights) for arr in held.values()]
+
+
+class TestKernelStore:
+    """The process-wide store of kernel-table rows and weights."""
+
+    def forced(self, op, alpha, modes, scale=1.0):
+        n = np.arange(1, 9)
+        g = np.zeros(8)
+        g[modes] = scale
+        f = ForcingSpec(kind="separable", g=field(op, g),
+                        h_name="sinusoid",
+                        h_params={"amplitude": 1.0, "omega": 3.0})
+        return problem(op, alpha, scale / n ** 2, 0.5 / n ** 2, f)
+
+    def test_warm_solves_are_cold_solves_byte_for_byte(self):
+        # a solve reading rows and weights an earlier solve on the same
+        # grid left, and building those it lacked, gives the bytes of the
+        # same solve in a fresh store
+        op = interval_op()
+        grid = np.linspace(0.0, 2.0, 41)
+        first = self.forced(op, 1.5, [0, 1])
+        second = self.forced(op, 1.5, [1, 2, 5], scale=0.3)
+        cold = trace_bytes(solve_linear(second, grid, want_d2=True))
+        linear_solver._STORE.clear()
+        solve_linear(first, grid)
+        assert len(linear_solver._STORE) == 1
+        warm = trace_bytes(solve_linear(second, grid, want_d2=True))
+        assert warm == cold
+        assert trace_bytes(solve_linear(second, grid, want_d2=True)) == cold
+
+    def test_tables_share_rows_by_alpha_and_grid_alone(self, monkeypatch):
+        # a second table on the same (alpha, grid) builds nothing; a
+        # different alpha or grid builds its own rows
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append((alpha, x.shape))
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        lam = np.array([1.0, 4.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        want = linear_solver._KernelTable(1.5, grid).weights(lam)
+        assert linear_solver._KernelTable(1.5, grid.copy()).weights(
+            lam).tobytes() == want.tobytes()
+        assert built == [(1.5, (2, 11))]
+        linear_solver._KernelTable(1.25, grid).weights(lam)
+        linear_solver._KernelTable(1.5, np.linspace(0.0, 1.0, 12)).row(
+            lam, (1.0,))
+        assert built[1:] == [(1.25, (2, 11)), (1.5, (2, 12))]
+        assert len(linear_solver._STORE) == 3
+
+    def test_a_prefix_reads_longer_rows_cut_and_completes_shorter(self):
+        # rows and weights held past a table's prefix are read cut to it;
+        # held short of it, they are completed; either way they are the
+        # bytes of a cold table on that prefix
+        t = np.linspace(0.0, 4.0, 81)
+        lam = np.array([1.0, 9.0, 25.0])
+        betas = (1.0, 2.0, 1.5)
+
+        def cold(nodes):
+            linear_solver._STORE.clear()
+            kt = linear_solver._KernelTable(1.5, t, nodes)
+            return kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()
+
+        short, whole = cold(30), cold(None)
+        linear_solver._STORE.clear()
+        kt = linear_solver._KernelTable(1.5, t, 30)
+        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
+            == short
+        kt.extend(None)
+        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
+            == whole
+        kt = linear_solver._KernelTable(1.5, t, 30)
+        assert kt.row(lam, betas).shape == (3, 3, 30)
+        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
+            == short
+
+    def test_stored_arrays_are_read_only(self):
+        op = interval_op()
+        solve_linear(self.forced(op, 1.5, [0, 3]), np.linspace(0.0, 2.0, 41),
+                     want_d2=True)
+        held = stored_arrays()
+        assert len(held) > 8
+        for arr in held:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        # what a table hands out is the caller's own
+        kt = linear_solver._KernelTable(1.5, np.linspace(0.0, 2.0, 41))
+        assert kt.row([1.0], (1.0,)).flags.writeable
+        assert kt.weights([1.0]).flags.writeable
+
+    def test_store_stays_under_its_cap(self, monkeypatch):
+        # solves on many distinct grids evict the least recently used
+        # entries, never the one in use, so the bytes the store holds,
+        # each entry's grid key and arrays counted, stay under the cap
+        cap = 60_000
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
+        op = interval_op()
+        p = self.forced(op, 1.5, [0, 1, 2])
+        for m in range(20, 60, 2):
+            grid = np.linspace(0.0, 2.0, m + 1)
+            solve_linear(p, grid)
+            key = (1.5, grid.tobytes())
+            assert next(reversed(linear_solver._STORE)) == key
+            for k, entry in linear_solver._STORE.items():
+                assert entry.nbytes == len(k[1]) + sum(
+                    arr.nbytes for held in (entry.rows, entry.weights)
+                    for arr in held.values())
+            assert sum(e.nbytes for e in linear_solver._STORE.values()) <= cap
+        assert 1 < len(linear_solver._STORE) < 20
+        # an entry past the cap alone stays while it is in use
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", 1)
+        tr = solve_linear(p, np.linspace(0.0, 2.0, 41))
+        assert np.isfinite(tr.u_coeffs).all()
+        assert list(linear_solver._STORE) == [
+            (1.5, np.linspace(0.0, 2.0, 41).tobytes())]

@@ -128,6 +128,28 @@ class TestBoundednessProbe:
                     assert v <= c_grid
 
 
+    def test_probe_is_computed_once_per_arguments(self, monkeypatch):
+        # a pure function of its four arguments: a repeated call reads the
+        # first one's value, a refusal is raised again each time
+        rows = []
+        row = mittag_leffler.ml_row
+
+        def counted(*args):
+            rows.append(args[:2])
+            return row(*args)
+
+        monkeypatch.setattr(mittag_leffler, "ml_row", counted)
+        first = ml_bound_probe(1.5, 1.5, 1e3, 64)
+        assert ml_bound_probe(1.5, 1.5, 1e3, 64) == first
+        assert rows == [(1.5, 1.5)]
+        ml_bound_probe(1.5, 1.5, 1e3, 65)
+        assert len(rows) == 2
+        for _ in range(2):
+            with pytest.raises(DomainError, match="x_max"):
+                ml_bound_probe(1.5, 1.5, -1.0, 64)
+        assert ml_bound_probe.cache_info().currsize == 2
+
+
 class TestDerivativeIdentities:
     def test_residuals_small_at_moderate_step(self):
         r = ml_identity_residuals(1.5, 1.0, 1.0, 1e-4)

@@ -63,6 +63,15 @@ def problem(op, alpha, u0, u1, nl):
     return SemilinearProblem(op, alpha, field(op, u0), field(op, u1), nl)
 
 
+def outcome_bytes(out):
+    """What a run returns, its arrays as bytes."""
+    tr = out.trace
+    return (out.status, out.T_est, out.windows, out.aliasing_est,
+            [getattr(tr, k).tobytes() for k in (
+                "times", "u_coeffs", "dtu_coeffs", "dalpha_coeffs")],
+            [tr.norm_series[k].tobytes() for k in sorted(tr.norm_series)])
+
+
 class TestNonlinearitySpec:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="catalog"):
@@ -520,7 +529,8 @@ class TestBatchedCausalSums:
 
     def test_one_plan_per_window_attempt(self, monkeypatch):
         # an attempt builds its window view, and its memory view after
-        # t = 0, once; its iterations only sum against them
+        # t = 0 unless a failed attempt from the same start built it,
+        # once; its iterations only sum against them
         calls = {"views": 0, "sums": 0}
 
         def counted(name, fn):
@@ -553,7 +563,10 @@ class TestBatchedCausalSums:
                   0.1, PicardConfig(), 0.0005)
         assert out.status == "maximal_time_detected"
         assert len(attempts) > len(out.windows)
-        assert all(views == 1 + (ia > 0) for ia, views, _ in attempts)
+        starts = [ia for ia, *_ in attempts]
+        assert len(set(starts)) < len(starts)
+        assert all(views == 1 + (ia > 0 and ia not in starts[:k])
+                   for k, (ia, views, _) in enumerate(attempts))
         assert sum(sums for *_, sums in attempts) > 3 * len(attempts)
 
     @pytest.mark.parametrize("ia, W", [(1, 1), (3, 5), (40, 12)])
@@ -1098,6 +1111,8 @@ class TestRun:
             lazy = run(p, T, PicardConfig(), dt)
             monkeypatch.setattr(semilinear_solver, "_EXTENT_MIN", 10 ** 6)
             heads_lazy, heads[:] = list(heads), []
+            # the whole-grid run builds cold, not from the lazy run's rows
+            linear_solver._STORE.clear()
             whole = run(p, T, PicardConfig(), dt)
             x = np.concatenate(heads_lazy)
             M = round(T / dt)
@@ -1297,3 +1312,47 @@ class TestStrongSolutionCheck:
         sup = np.abs(out.trace.u_coeffs @ phi.T).max(axis=1)
         dense = float(np.trapezoid(sup ** 2.0, out.trace.times)) ** 0.5
         assert abs(blocked["norm"] - dense) <= 1e-14 * dense
+
+
+class TestRepeatedRuns:
+    """Runs in one process share the kernel store and the bound probe's
+    memo, and keep every bit of a run in a fresh process."""
+
+    @staticmethod
+    def cold():
+        linear_solver._STORE.clear()
+        mittag_leffler.ml_bound_probe.cache_clear()
+
+    @staticmethod
+    def rows_held():
+        (entry,) = linear_solver._STORE.values()
+        return {len(r) for r in entry.rows.values()}
+
+    def test_warm_runs_are_cold_runs_byte_for_byte(self):
+        # a blow-up run stops near node 59 of 200 and leaves rows short of
+        # the grid; a run that completes reads them cut to its first
+        # prefix of 64 nodes, then extends them to node 200; the blow-up
+        # run again reads those longer rows cut to its prefix
+        power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
+        short = problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02],
+                        [0.0] * 4, power)
+        whole = problem(interval_op(), 1.5, [1.0, 0.1, -0.05, 0.02],
+                        [0.0] * 4, power)
+
+        def solve(p):
+            return outcome_bytes(run(p, 0.1, PicardConfig(), 0.0005))
+
+        self.cold()
+        want_short = solve(short)
+        self.cold()
+        want_whole = solve(whole)
+        assert want_short[0] == "maximal_time_detected"
+        assert want_whole[0] == "completed"
+        self.cold()
+        assert solve(short) == want_short
+        assert max(self.rows_held()) < 201
+        assert solve(whole) == want_whole
+        assert self.rows_held() == {201}
+        assert solve(short) == want_short
+        assert solve(whole) == want_whole
+        assert mittag_leffler.ml_bound_probe.cache_info().currsize == 1

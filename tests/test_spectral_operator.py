@@ -125,6 +125,24 @@ class TestCatalog:
             assert lam[0] > 0
             assert np.all(np.diff(lam) >= 0)
 
+    def test_each_entry_is_built_once(self):
+        # an entry is frozen: an equal one gets the same operator, with the
+        # rules it has built; an entry that does not hash is built anew,
+        # and a refused one is refused again
+        cfg = OperatorSpecConfig(kind="dirichlet_laplacian_box",
+                                 lengths=(1.0, 2.0))
+        op = make_operator(cfg)
+        rule = op.rule(8, 4)
+        again = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=(1.0, 2.0)))
+        assert again is op and again.rule(8, 4) is rule
+        listed = make_operator(OperatorSpecConfig(
+            kind="dirichlet_laplacian_box", lengths=[1.0, 2.0]))
+        assert listed is not op
+        assert np.array_equal(listed.eigenvalues(8), op.eigenvalues(8))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="unknown operator kind"):
+                make_operator(OperatorSpecConfig(kind="disk", lengths=(1.0,)))
 
 CATALOG = [
     INTERVAL_PI,

@@ -11,9 +11,16 @@ stops past node 64.  Printed per differing scenario: trace.csv and norms.csv
 when their bytes differ, each JSON key that differs apart from metadata,
 with its largest relative change, and the final state's change relative to
 max(1, max |state|), the measure bench/workloads.py:gate_solve holds to
-STATE_TOL.  The last line counts the scenarios whose status or T_est
-changed.  Passing one tree twice checks that reruns are byte-identical.
-Nothing under bench/ is written.
+STATE_TOL.
+
+The change tree then solves every scenario a second time within the same
+import, so that each solve reads the kernel rows and weights its first pass
+left in the process-wide store; each scenario whose warm pass differs from
+its cold one is printed as above, prefixed "warm".  Three lines end the
+output: the counts of scenarios that differ between the trees, of those
+whose status or T_est changed, and of those whose warm pass differs.
+Passing one tree twice checks that reruns in a fresh import are
+byte-identical.  Nothing under bench/ is written.
 """
 
 import contextlib
@@ -49,8 +56,8 @@ def scenarios():
         yield "picard-blowup-u12", k, "semilinear", doc
 
 
-def solve_pool(src, work):
-    """{(pool, k): {file name: bytes}} of every scenario."""
+def load(src):
+    """The cli module of the mlwave package under src, freshly imported."""
     for name in [m for m in sys.modules if m.split(".")[0] == "mlwave"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
@@ -58,6 +65,12 @@ def solve_pool(src, work):
         import mlwave.cli
     finally:
         sys.path.pop(0)
+    return mlwave.cli
+
+
+def solve_pool(cli, work):
+    """{(pool, k): {file name: bytes}} of every scenario, solved by the
+    cli module cli."""
     os.makedirs(work)
     got = {}
     for w, k, kind, doc in scenarios():
@@ -67,8 +80,8 @@ def solve_pool(src, work):
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()):
             try:
-                rc = mlwave.cli.main(["solve", kind, "--config", config,
-                                      "--out", out])
+                rc = cli.main(["solve", kind, "--config", config,
+                               "--out", out])
             except Exception as exc:    # a broken tree: compared, not fatal
                 rc = f"raised {type(exc).__name__}: {exc}"
         got[w, k] = {"exit": str(rc).encode()}
@@ -122,15 +135,11 @@ def json_diffs(a, b, key=""):
     return [(key, math.inf)]
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    with tempfile.TemporaryDirectory() as work:
-        before, after = (solve_pool(src, os.path.join(work, side))
-                         for src, side in zip(argv, ("a", "b")))
-    modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
+def compare(before, after, modes, label=""):
+    """Print each scenario whose files differ from before to after, then
+    the largest relative change per key; return (differing, moved), the
+    counts of differing scenarios and of those whose status or T_est
+    changed."""
     worst = {}
     differing = moved = 0
     for case, files in before.items():
@@ -149,13 +158,31 @@ def main(argv=None):
             rel = state_change(files, after[case], modes[case])
             worst["final state (gate scale)"] = max(
                 worst.get("final state (gate scale)", 0.0), rel)
-            print(f"{case[0]} {case[1]}: " + ", ".join(notes)
+            print(f"{label}{case[0]} {case[1]}: " + ", ".join(notes)
                   + f", final state {rel:.2e} of scale")
     for key, rel in sorted(worst.items()):
-        print(f"largest relative change of {key}: {rel:.3e}")
+        print(f"{label}largest relative change of {key}: {rel:.3e}")
+    return differing, moved
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        before = solve_pool(load(argv[0]), os.path.join(work, "a"))
+        cli = load(argv[1])
+        after = solve_pool(cli, os.path.join(work, "b"))
+        warm = solve_pool(cli, os.path.join(work, "c"))
+    modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
+    differing, moved = compare(before, after, modes)
+    warm_differing, _ = compare(after, warm, modes, "warm ")
     print(f"{differing} of {len(before)} scenarios differ")
     print(f"{moved} of {len(before)} scenarios change status or T_est")
-    return 1 if differing else 0
+    print(f"{warm_differing} of {len(after)} scenarios differ between the "
+          "change tree's cold and warm passes")
+    return 1 if differing or warm_differing else 0
 
 
 if __name__ == "__main__":
