@@ -434,16 +434,19 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
     """Unforced (U, DTU) on the table's grid, time rows by mode columns,
     with the initial data exact in row 0.  Modes whose data vanish stay
     zero and build no rows; those of the mask forced, whose weights the
-    caller reads too, build the moments' rows in the same call."""
+    caller reads too, read their rows from one call with the moments'."""
     t, a = kt.t, kt.alpha
     M1 = len(t)
     U = np.zeros((M1, len(lam)))
     DTU = np.zeros((M1, len(lam)))
     live = (u0 != 0.0) | (u1 != 0.0)
-    kt.row(lam[live & forced], _propagator_betas(a) + moment_betas(a))
+    rows = np.empty((3, len(lam), M1))
+    rows[:, live & forced] = kt.row(
+        lam[live & forced], _propagator_betas(a) + moment_betas(a))[:3]
+    rows[:, live & ~forced] = kt.row(lam[live & ~forced], _propagator_betas(a))
     live = np.flatnonzero(live)
     ta1 = t ** (a - 1.0)
-    rows = kt.row(lam[live], _propagator_betas(a)).swapaxes(1, 2)
+    rows = rows[:, live].swapaxes(1, 2)
     # callers check the result for non-finite values; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[:, live], DTU[:, live] = _propagate(

@@ -5,34 +5,37 @@ in this package.  The evaluator targets near machine precision (default
 rel_tol 1e-12) for a in (0, 2], real b, and real x, with the solvers only
 ever asking for x <= 0.
 
-Regime map on the negative axis (y = -x, kappa = y^(1/a)):
+Route order on the negative axis (y = -x, kappa = y^(1/a)):
 
-  kappa <= 5               power series, log-space terms, Kahan summation
-  y >= 50 or kappa >= 30   asymptotic series + exponential terms, accepted
-                           only when a smallest-term error bound certifies
-                           the requested tolerance
+  kappa <= 5               power series, log-space terms over a fixed
+                           count, certified by its last term
   a exactly 1 or 2         closed forms (exp / cos families) where they
                            exist, else a double-double Pochhammer series
-  otherwise                real branch-cut integral in s = log(r) - v*,
+                           or the asymptotic series below
+  otherwise, in order:
+    cut at 1e-13           real branch-cut integral in s = log(r) - v*,
                            v* = log(y)/a the resonance: a rational part
                            R_b(s), built once per unit lattice cell of v*,
                            against exp(-kappa e^s), on composite
                            Gauss-Legendre panels with an embedded error
-                           estimate; v* outside [0, 600] is refused
+                           estimate within 1e-13 of the integral; v*
+                           outside [0, 600] is not certified
+    asymptotic             where y >= 50 or kappa >= 30: asymptotic series
+                           + exponential terms, accepted only when a
+                           smallest-term error bound certifies the
+                           requested tolerance
+    cut at 1e-8            the same estimate within the stall limit
+    refuse                 AccuracyError
 
 The cancellation amplitude of the alternating series is e^kappa, hence the
 series cutoff (_SERIES_CUTOFF, like _ASYM_CUTOFF a fixed constant) lives in
-kappa space; an |x|-space cutoff fails for a < 1.
+kappa space; an |x|-space cutoff fails for a < 1.  For x > 0 the series
+runs over the terms kappa needs, up to kappa = 708.
 
-ml_rows evaluates whole rows, one array of points at several betas, with
-array code: the power series over a fixed term count, and the branch cut
-in one pass over every reduced beta, lifted to the betas that share one;
-its points share the panels and R_b of their lattice cell.
-The scalar evaluator takes the same pass at its one point, so both give
-the same bits there.  Rows keep a cut value only where the estimate is
-within 1e-13 of the integral; the rest, and the routes without an array
-form, go to the scalar evaluator, which accepts an estimate up to 1e-8 of
-the integral.  ml_row is the one-beta case.
+Each route is written once, as array code over many points and betas
+(ml_rows); the scalar evaluator _ml is that code at one point, and a
+row's value is _ml's at that point, bit for bit.  The branch cut runs in
+one pass over every reduced beta, lifted to the betas that share one.
 """
 
 from __future__ import annotations
@@ -91,24 +94,17 @@ class MLPrecision:
 
 DEFAULT_PRECISION = MLPrecision()
 _EPS = float(np.finfo(float).eps)
-# The route thresholds, the same for the scalar evaluator and the rows:
+# The route thresholds, one set since the scalar evaluator is the rows:
 # kappa = |x|^(1/alpha) up to which the pure power series runs, the |x| past
-# which the asymptotic expansion is tried first, and the series' term cap.
+# which the asymptotic expansion is tried after the cut, and the term cap.
 # Accuracy is certified by each route, not assumed from the thresholds.
 _SERIES_CUTOFF = 5.0
 _ASYM_CUTOFF = 50.0
 _MAX_TERMS = 20000
+_CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
 
 
 # ----------------------------------------------------------- power series
-
-def _kappa(y, alpha):
-    """y^(1/alpha), y >= 0, or inf past the double range (small alpha)."""
-    try:
-        return y ** (1.0 / alpha)
-    except OverflowError:
-        return math.inf
-
 
 def _term_count(kappa, alpha):
     """Power-series terms for kappa: the terms peak near alpha n = kappa
@@ -117,53 +113,73 @@ def _term_count(kappa, alpha):
     return min(int(min(n, _MAX_TERMS)) + 24, _MAX_TERMS)
 
 
-def _taylor(alpha, beta, x, rel_tol):
-    """Kahan-compensated power series; every term through exp/log so large
-    Gamma arguments neither overflow nor underflow.  Poles of Gamma, where
-    its sign is nan, are skipped."""
-    if x == 0.0:
-        return rgamma(beta)
-    ax = abs(x)
-    lax = math.log(ax)
-    kappa = _kappa(ax, alpha)
-    if x > 0.0 and kappa > 708.0:
-        raise NumericOverflowError(
-            f"E_{{{alpha},{beta}}}({x}) exceeds the double range")
-    nmax = _term_count(kappa, alpha)
-    s = 0.0
-    c = 0.0
-    small_run = 0
-    converged = False
-    last = math.inf
-    for n in range(nmax):
-        g = alpha * n + beta
-        lg, sg = lgam_sgn(g)
-        if sg != 1.0 and sg != -1.0:
-            continue
-        try:
-            term = sg * math.exp(n * lax - lg)
-        except OverflowError:
-            raise NumericOverflowError(f"a term of the series for E_{{{alpha},"
-                                       f"{beta}}}({x}) overflows") from None
-        if x < 0.0 and (n % 2 == 1):
-            term = -term
-        yk = term - c
-        t = s + yk
-        c = (t - s) - yk
-        s = t
-        last = abs(term)
-        if last <= rel_tol * 1e-3 * max(abs(s), 1e-300) and g > kappa + 10.0:
-            small_run += 1
-            if small_run >= 4:
-                converged = True
-                break
-        else:
-            small_run = 0
-    if not converged and last > rel_tol * max(abs(s), 1e-300):
-        raise AccuracyError(
-            f"power series for E_{{{alpha},{beta}}}({x}) did not converge "
-            f"within {nmax} terms")
-    return s
+@functools.lru_cache(maxsize=256)
+def _series_terms(alpha, beta, count=None):
+    """The series terms off the Gamma poles among the first count, by
+    default the rows', as read-only arrays: n, the sign of (-1)^n
+    Gamma(alpha n + beta) and log|Gamma(alpha n + beta)|.  The Gamma calls
+    are scalar Python.  A call at x > 0 skips the cache (__wrapped__)."""
+    n = np.arange(_term_count(_SERIES_CUTOFF, alpha) if count is None
+                  else count)
+    lg, sg = np.array([lgam_sgn(g) for g in (alpha * n + beta).tolist()]).T
+    sg[n % 2 == 1] *= -1.0
+    keep = np.abs(sg) == 1.0                 # the sign is nan at the poles
+    terms = n[keep], sg[keep], lg[keep]
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _taylor_rows(alpha, betas, x, rel_tol=DEFAULT_PRECISION.rel_tol,
+                 count=None):
+    """The power series at each beta of betas, one (len(betas), len(x))
+    array, for x < 0 with kappa <= _SERIES_CUTOFF over the cutoff's term
+    count, or at one x > 0 over count terms: log-space terms, so that no
+    element depends on another or on the other betas.  n log|x| is formed
+    once per chunk of x for every beta, and each element's terms summed
+    along its own contiguous row (numpy's pairwise order).  A finite sum
+    whose last term exceeds rel_tol of it and e^-700 is refused."""
+    if count is None:                # the rows, x < 0: cached tables
+        count = _term_count(_SERIES_CUTOFF, alpha)
+        terms = [_series_terms(alpha, beta) for beta in betas]
+    else:                            # one x > 0: (-1)^n taken out
+        terms = [(n, np.where(n % 2 == 1, -sg, sg), lg) for n, sg, lg in (
+            _series_terms.__wrapped__(alpha, beta, count) for beta in betas)]
+    n = np.arange(count)
+    out = np.empty((len(betas), len(x)))
+    step = max(1, _CHUNK // len(n))
+    for lo in range(0, len(x), step):
+        lx = np.log(np.abs(x[lo:lo + step, None]))
+        nlx = lx * n
+        for row, beta, (kept, sg, lg) in zip(out, betas, terms):
+            # a beta with poles among its terms sums the others only
+            e = (nlx if len(kept) == len(n) else lx * kept) - lg
+            # terms below e^-700 add e^-700 instead, which cannot move
+            # any sum above 1e-280, and exp is far slower where its
+            # result is subnormal
+            np.maximum(e, -700.0, out=e)
+            np.exp(e, out=e)
+            e *= sg
+            s = row[lo:lo + step] = e.sum(axis=1)
+            size = np.abs(s)
+            last = e[:, -1] if len(kept) else math.inf
+            bad = np.abs(last) > np.maximum(rel_tol * size,
+                                            math.exp(-700.0))
+            if bad.any():
+                raise AccuracyError(
+                    f"power series for E_{{{alpha},{beta}}}("
+                    f"{x[lo:lo + step][bad][0]}) did not converge within "
+                    f"{count} terms")
+            # a sum below that is taken again, its terms scaled by the
+            # largest one (terms below e^-800 are 0 in doubles)
+            tiny = (size < 1e-280).nonzero()[0]
+            if tiny.size:
+                e = lx[tiny] * kept - lg
+                top = e.max(axis=1, initial=-800.0)
+                e = np.exp(np.maximum(e - top[:, None], -700.0)) * sg
+                row[lo + tiny] = e.sum(axis=1) * np.exp(top)
+    return out
 
 
 # ------------------------------------------------- asymptotic + residues
@@ -232,24 +248,20 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
         term = sg * math.exp(lt)
         if k % 2 == 0:
             term = -term
-        near_pole = z <= 0.5 and abs(z - round(z)) <= pole_tol
+        regular = z > 0.5 or abs(z - round(z)) > pole_tol
         m = abs(term)
-        if not near_pole:
-            if m >= prev:
-                err = m     # first omitted regular term bounds the remainder
-                break
-            if m <= 1e-19 * max(abs(s), 1e-300):
-                err = m
-                yk = term - c
-                t = s + yk
-                c = (t - s) - yk
-                s = t
-                break
-            prev = m
+        if regular and m >= prev:
+            err = m         # first omitted regular term bounds the remainder
+            break
+        last = regular and m <= 1e-19 * max(abs(s), 1e-300)
+        prev = m if regular else prev
         yk = term - c
         t = s + yk
         c = (t - s) - yk
         s = t
+        if last:
+            err = m
+            break
     e, e_err = _exp_terms(alpha, beta, y)
     total = s + e
     # the first omitted term bounds the truncation within a factor 4
@@ -277,7 +289,11 @@ def _strict(alpha, beta):
 def _reduce_beta(alpha, beta):
     """(b, down): b = beta - down alpha <= alpha + 0.5.  Any lower b is
     integrated as it is: an up-step E_{a,b-a} = 1/Gamma(b-a) + x E_{a,b}
-    would multiply the error by |x|."""
+    would multiply the error by |x|.  Past _MAX_TERMS steps, counted in
+    closed form, AccuracyError; below, b keeps the bits of its steps."""
+    if (beta - alpha - 0.5) / alpha > _MAX_TERMS:
+        raise AccuracyError(f"E_{{{alpha},{beta}}} needs more than "
+                            f"{_MAX_TERMS} lifts of beta")
     b = beta
     down = 0
     while b > alpha + 0.5:
@@ -320,13 +336,12 @@ _CUT_FIXED = np.concatenate([
     [-3.0, -1.5, 0.0, 1.0, 2.0, 3.0, 4.0, _CUT_VMAX]])
 _CUT_FIXED[[0, -1]] += (-0.5, 0.5)
 _CUT_GRADE = 2.0                   # ratio of successive resonance offsets
-_CUT_CERT = 1e-13                  # a row's accepted estimate, of |integral|
-_CUT_STALL = 1e-8                  # the scalar's, of |integral|
+_CUT_CERT = 1e-13                  # the certified estimate, of |integral|
+_CUT_STALL = 1e-8                  # the stall limit after the asymptotics
 # The largest v* and w v* the cut takes: past them kappa = e^v*, kappa^w / y
 # or e^(w s) over the e^-r bulk leave the normal double range.  The cut
 # serves kappa > 5, so v* > 1.6, and w <= 2.5 on the solver rows.
 _CUT_SPLIT = 600.0
-_CHUNK = 1 << 14                   # doubles: 128 KB per (points x nodes) array
 
 
 @functools.lru_cache(maxsize=64)
@@ -368,12 +383,12 @@ def _cut_cell(alpha, bs, cell):
     return es, tuple(rs)
 
 
-def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
-              rel_tol=DEFAULT_PRECISION.rel_tol):
+def _cut_rows(alpha, bs, y, rel_tol=DEFAULT_PRECISION.rel_tol):
     """The branch-cut values of E_{alpha,b}(-y) for an array y > 0, at non-
     integer alpha, for each reduced b in bs (see _reduce_beta), before any
-    lift.  Returns one (values, certified) pair per b, the values with the
-    residue pair added.
+    lift.  Returns one (values, certified) pair per b: the values with the
+    residue pair added, nan where the point fails even the stall limit,
+    and certified where it passes _CUT_CERT.
 
     With r = e^v, E_{a,b}(-y) is the residue pair plus (1/pi) times the
     integral over v of e^(v w - r) (r^a sin pi b + y sin pi (b - a)) /
@@ -389,7 +404,7 @@ def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
     Per point, the fine rule gives the integral I and the sum over panels
     of |fine - coarse| the estimate; the value's error bound is (estimate +
     eps |I|) / pi, plus the residue pair's rounding where _strict(a, b).  A
-    value is certified when the estimate is within limit of |I|, w is
+    value passes a limit when the estimate is within it of |I|, w is
     within _CUT_WMAX, v* and w v* lie in [0, _CUT_SPLIT] and, for strict b,
     the bound is within rel_tol of the value.  Arrays are laid out as
     (point, panel, node), and each point's (panel, node) block is reduced
@@ -427,24 +442,13 @@ def _cut_rows(alpha, bs, y, limit=_CUT_CERT,
             err *= scale
             res, res_err = _exp_terms(a, b, y)
             value = iv / math.pi + res
-            ok = ((err <= limit * np.abs(iv)) & (w <= _CUT_WMAX)
-                  & (w * vs <= _CUT_SPLIT))
+            ok = (w <= _CUT_WMAX) & (w * vs <= _CUT_SPLIT)
             if _strict(a, b):
                 bound = (err + _EPS * np.abs(iv)) / math.pi + res_err
                 ok &= bound <= rel_tol * np.abs(value)
-            out.append((value, ok))
+            value[~(ok & (err <= _CUT_STALL * np.abs(iv)))] = np.nan
+            out.append((value, ok & (err <= _CUT_CERT * np.abs(iv))))
         return out
-
-
-def _cut(alpha, beta, y, rel_tol):
-    """The branch cut at the one point y: _cut_rows' pass and certificate,
-    with the scalar's stall limit on the estimate, lifted to beta."""
-    b, down = _reduce_beta(alpha, beta)
-    [(val, ok)] = _cut_rows(alpha, (b,), np.array([y]), _CUT_STALL, rel_tol)
-    if not ok[0]:
-        raise AccuracyError(
-            f"branch cut for E_{{{alpha},{beta}}}({-y}) not certified")
-    return _lift_beta(alpha, b, down, -y, float(val[0]))
 
 
 # -------------------------------------------- double-double integer alpha
@@ -582,32 +586,31 @@ def _integer_alpha_neg(m, beta, x, rel_tol):
 
 def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
     """E_{alpha,beta}(x) for validated inputs: the evaluator the solvers
-    call directly, and the scalar fallback of ml_row."""
+    call directly, and the scalar route of ml_rows.  For x <= 0 it is the
+    rows at the one point, whose scalar route there is the integer-alpha
+    code; for x > 0 the power series over the terms kappa needs."""
     rel_tol = prec.rel_tol
-    if x >= 0.0:
-        return _taylor(alpha, beta, x, rel_tol)
-    y = -x
-    kappa = _kappa(y, alpha)
-    if kappa <= _SERIES_CUTOFF:
-        return _taylor(alpha, beta, x, rel_tol)
-    if alpha == 1.0 or alpha == 2.0:
-        return _integer_alpha_neg(int(alpha), beta, x, rel_tol)
-    if y >= _ASYM_CUTOFF or kappa >= 30.0:
-        v, ok = _asym(alpha, beta, y, rel_tol, 400)
-        if ok:
-            return v
-    return _cut(alpha, beta, y, rel_tol)
+    if x <= 0.0:
+        return float(_rows(alpha, (beta,), np.array([x]), lambda a, b, v:
+                           _integer_alpha_neg(int(a), b, v, rel_tol),
+                           rel_tol)[0, 0])
+    if math.log(x) / alpha > math.log(708.0):
+        raise NumericOverflowError(
+            f"E_{{{alpha},{beta}}}({x}) exceeds the double range")
+    return float(_taylor_rows(alpha, (beta,), np.array([x]), rel_tol,
+                              _term_count(x ** (1.0 / alpha), alpha))[0, 0])
 
 
 def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
     """Evaluate E_{alpha,beta}(x).
 
-    Deterministic (fixed summation orders everywhere).  The series and
-    asymptotic routes certify p.rel_tol, and so does the branch cut for
-    beta <= alpha - 1.5.  For beta > alpha - 1.5 a branch-cut value is only
-    checked against the 1e-8 stall limit of its quadrature estimate; within
-    0.01 of alpha = 1, at kappa 5 to 30, such values were within 7.5e-14
-    of extended-precision references (a test pins 1e-12).  Raises
+    Deterministic (fixed summation orders everywhere).  The series, the
+    asymptotic series and the branch cut within 1e-13 of its integral
+    certify p.rel_tol (for beta <= alpha - 1.5 with the residue pair's
+    rounding).  A cut value where neither certifies is only checked against
+    the 1e-8 stall limit of its estimate; within 0.01 of alpha = 1, at
+    kappa 5 to 30, such values were within 7.5e-14 of extended-precision
+    references (a test pins 1e-12).  Raises
     DomainError on invalid parameters, NumericOverflowError when the value
     or one of its terms exceeds the double range, and AccuracyError where
     no route certifies a value.
@@ -623,105 +626,69 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
 
 # ------------------------------------------------------------- array rows
 
-@functools.lru_cache(maxsize=256)
-def _series_terms(alpha, beta):
-    """_taylor_rows' terms off the Gamma poles, cached as read-only arrays:
-    n, the sign of (-1)^n Gamma(alpha n + beta) and log|Gamma(alpha n +
-    beta)|.  The Gamma calls are scalar Python."""
-    n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
-    lg, sg = np.array([lgam_sgn(g) for g in (alpha * n + beta).tolist()]).T
-    sg[n % 2 == 1] *= -1.0
-    keep = np.abs(sg) == 1.0                 # the sign is nan at the poles
-    terms = n[keep], sg[keep], lg[keep]
-    for t in terms:
-        t.flags.writeable = False
-    return terms
-
-
-def _taylor_rows(alpha, betas, x):
-    """_taylor for x < 0 with kappa <= _SERIES_CUTOFF at each beta of betas,
-    as one (len(betas), len(x)) array: the same log-space terms over the
-    term count the cutoff itself needs, so that no element depends on
-    another or on the other betas.  n log|x| is formed once per chunk of
-    x for every beta.  Each element's terms are summed along its own
-    contiguous row (numpy's pairwise order)."""
-    n = np.arange(_term_count(_SERIES_CUTOFF, alpha))
-    out = np.empty((len(betas), len(x)))
-    terms = [_series_terms(alpha, beta) for beta in betas]
-    step = max(1, _CHUNK // len(n))
-    for lo in range(0, len(x), step):
-        lx = np.log(-x[lo:lo + step, None])
-        nlx = lx * n
-        for row, (kept, sg, lg) in zip(out, terms):
-            # a beta with poles among its terms sums the others only
-            e = (nlx if len(kept) == len(n) else lx * kept) - lg
-            # terms below e^-700 add e^-700 instead, which cannot move
-            # any sum above 1e-286, and exp is far slower where its
-            # result is subnormal
-            np.maximum(e, -700.0, out=e)
-            np.exp(e, out=e)
-            e *= sg
-            row[lo:lo + step] = e.sum(axis=1)
-    return out
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rows(alpha, betas, x, scalar, rel_tol):
+    """ml_rows at the tolerance rel_tol; a non-finite value, as kappa past
+    the double range or a lift past it, raises no numpy warning."""
+    for beta in betas:
+        MLQuery(alpha, beta, 0.0).validate()
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("ml_rows arguments must be finite")
+    xf = x.ravel()
+    out = np.empty((len(betas), xf.size))
+    zero = xf == 0.0
+    neg = (xf < 0.0).nonzero()[0]
+    kappa = (-xf[neg]) ** (1.0 / alpha)
+    band = kappa <= _SERIES_CUTOFF
+    series, cut, kappa = neg[band], neg[~band], kappa[~band]
+    y = -xf[cut]
+    rest = (xf > 0.0).nonzero()[0]      # the scalar route's points
+    reduced = {}                   # beta -> (b, down) at non-integer alpha
+    if alpha in (1.0, 2.0):
+        rest = np.union1d(rest, cut)
+    elif cut.size:
+        reduced = {beta: _reduce_beta(alpha, beta) for beta in betas}
+    bs = tuple(dict.fromkeys(b for b, _ in reduced.values()))
+    cuts = dict(zip(bs, _cut_rows(alpha, bs, y, rel_tol))) if bs else {}
+    if series.size:
+        out[:, series] = _taylor_rows(alpha, betas, xf[series], rel_tol)
+    for row, beta in zip(out, betas):
+        row[zero] = rgamma(beta)
+        if beta in reduced:
+            b, down = reduced[beta]
+            val, ok = cuts[b]
+            stalled = np.isnan(val)
+            row[cut] = val = _lift_beta(alpha, b, down, -y, val)
+            for k in (~(ok & np.isfinite(val))).nonzero()[0]:
+                yk = float(y[k])
+                if yk >= _ASYM_CUTOFF or kappa[k] >= 30.0:
+                    v, good = _asym(alpha, beta, yk, rel_tol, 400)
+                    if good:
+                        row[cut[k]] = v
+                        continue
+                if stalled[k]:
+                    raise AccuracyError(f"no route certifies E_{{{alpha},"
+                                        f"{beta}}}({-yk})")
+        for i in rest:
+            row[i] = scalar(alpha, beta, float(xf[i]))
+    return out.reshape((len(betas),) + x.shape)
 
 
 def ml_rows(alpha, betas, x, scalar=_ml):
     """E_{alpha,beta} at every element of the array x, for each beta in
     betas: an array of shape (len(betas),) + x.shape.
 
-    The routes are chosen per element once for every beta:
-
-      x == 0                         1/Gamma(beta)
-      x < 0, kappa <= _SERIES_CUTOFF power series, fixed term count
-      x < 0, non-integer alpha       branch cut (_cut_rows), kept where
-                                     certified
-      anything else                  scalar(alpha, beta, x_i), one call per
-                                     element
-
-    The branch cut is integrated in one pass over the distinct reduced b
-    of _reduce_beta and lifted to each beta that shares one.  Each value
+    The routes, in the module docstring's order, are chosen per element
+    once for every beta; x > 0, and at integer alpha the points past the
+    series, go to scalar(alpha, beta, x_i), one call per element.  The
+    branch cut is integrated in one pass over the distinct reduced b of
+    _reduce_beta and lifted to each beta that shares one.  Each value
     depends on its own element and beta only, never on the length or
-    order of x or on the other betas, and agrees with _ml to the
-    evaluator's tolerance.  Like _ml, non-finite values are returned, not
-    raised.
+    order of x or on the other betas, and is _ml's at that element, bit
+    for bit.  Like _ml, non-finite values are returned, not raised.
     """
-    for beta in betas:
-        MLQuery(alpha, beta, 0.0).validate()
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("ml_rows arguments must be finite")
-    xf = x.ravel()
-    out = np.empty((len(betas), xf.size))
-    zero = xf == 0.0
-    neg = xf < 0.0
-    kappa = np.zeros(xf.shape)
-    with np.errstate(over="ignore"):     # inf past the double range
-        kappa[neg] = (-xf[neg]) ** (1.0 / alpha)
-    series = neg & (kappa <= _SERIES_CUTOFF)
-    cut = np.flatnonzero(neg & ~series)
-    y = -xf[cut]
-    reduced = {}                   # beta -> (b, down) at non-integer alpha
-    if alpha not in (1.0, 2.0) and cut.size:
-        reduced = {beta: _reduce_beta(alpha, beta) for beta in betas}
-    bs = tuple(dict.fromkeys(b for b, _ in reduced.values()))
-    cuts = dict(zip(bs, _cut_rows(alpha, bs, y))) if bs else {}
-    if series.any():
-        out[:, series] = _taylor_rows(alpha, betas, xf[series])
-    for row, beta in zip(out, betas):
-        row[zero] = rgamma(beta)
-        done = zero | series
-        if beta in reduced:
-            b, down = reduced[beta]
-            val, ok = cuts[b]
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                val = _lift_beta(alpha, b, down, -y, val)
-            ok = ok & np.isfinite(val)
-            row[cut[ok]] = val[ok]
-            done[cut[ok]] = True
-        for i in np.flatnonzero(~done):
-            row[i] = scalar(alpha, beta, float(xf[i]))
-    return out.reshape((len(betas),) + x.shape)
+    return _rows(alpha, betas, x, scalar, DEFAULT_PRECISION.rel_tol)
 
 
 def ml_row(alpha, beta, x, scalar=_ml):

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.special import rgamma
 
 from mlwave import (
-    DEFAULT_PRECISION,
     AccuracyError,
     DomainError,
     MLPrecision,
@@ -27,8 +26,8 @@ from mlwave import (
     ml_rows,
 )
 from mlwave import mittag_leffler
-from mlwave.mittag_leffler import (_cut, _cut_rows, _ml, _reduce_beta,
-                                   _sinpi, kernel_moments)
+from mlwave.mittag_leffler import (_cut_rows, _ml, _reduce_beta, _sinpi,
+                                   kernel_moments)
 
 from conftest import ml_ref, ml_ref_row, taylor_ref
 
@@ -330,24 +329,33 @@ class TestMlRow:
             for x, g, rv in zip(xs, got, ref):
                 assert rel(g, rv) < 1e-10, (alpha, beta, x)
 
-    def test_uncertified_points_fall_back(self):
+    def test_uncertified_points_fall_back(self, monkeypatch):
         # w = a - beta + 1 = 64.5 lies past _CUT_WMAX, where the r^w e^-r
-        # bulk nears the cut-off r = 200 and the pass certifies nothing;
-        # the scalar's asymptotic series answers at these y
+        # bulk nears the cut-off r = 200 and the pass certifies nothing,
+        # not even within the stall limit; the rows' asymptotic series
+        # answers at these y, after one pass and without the scalar route
         a, beta = 1.5, -62.0
         y = np.logspace(4, 7, 40)
-        [(_, ok)] = _cut_rows(a, (beta,), y)
-        assert not ok.all()
-        calls = []
+        [(val, ok)] = _cut_rows(a, (beta,), y)
+        assert not ok.any() and np.isnan(val).all()
+        calls, passes = [], []
+        cut_rows = mittag_leffler._cut_rows
+
+        def counted(*args):
+            passes.append(args[1])
+            return cut_rows(*args)
 
         def scalar(alpha, b, x):
             calls.append(x)
             return _ml(alpha, b, x)
 
+        monkeypatch.setattr(mittag_leffler, "_cut_rows", counted)
         got = ml_row(a, beta, -y, scalar)
-        assert sorted(calls) == sorted((-y[~ok]).tolist())
-        for x, g in zip(-y, got):
-            assert abs(g - _ml(a, beta, x)) <= 1e-12 * max(1.0, abs(g))
+        assert calls == [] and passes == [(beta,)]
+        for yi, g in zip(y, got):
+            want, good = mittag_leffler._asym(a, beta, yi, 1e-12, 400)
+            assert good and g == want
+            assert np.float64(_ml(a, beta, -yi)).tobytes() == g.tobytes()
 
     def test_scalar_routes_fall_back(self):
         # positive arguments and integer alpha outside the series band
@@ -408,9 +416,9 @@ class TestMlRows:
         calls = []
         cut_rows = mittag_leffler._cut_rows
 
-        def counted(a, bs, y):
+        def counted(a, bs, y, *rest):
             calls.append(bs)
-            return cut_rows(a, bs, y)
+            return cut_rows(a, bs, y, *rest)
 
         monkeypatch.setattr(mittag_leffler, "_cut_rows", counted)
         betas = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
@@ -657,8 +665,7 @@ class TestSinPi:
     def test_d2_row_at_large_argument(self, alpha, y):
         beta = alpha - 1.0
         want = ml_ref(alpha, beta, -y)
-        assert rel(_cut(alpha, beta, y, DEFAULT_PRECISION.rel_tol),
-                   want) < 1e-12
+        assert rel(_ml(alpha, beta, -y), want) < 1e-12
         assert rel(ml_row(alpha, beta, np.array([-y]))[0], want) < 1e-12
 
 
@@ -725,12 +732,15 @@ class TestNegativeBeta:
 
 
 class TestOneBranchCut:
-    """The scalar evaluator integrates the branch cut with the row pass at
-    its one point, so both give the same bits wherever _ml takes the cut."""
+    """The scalar evaluator is the rows at its one point, so both give the
+    same bits on every route at non-integer alpha and x < 0."""
 
     @prop(300)
     @given(alpha=st.floats(0.0, 2.0, exclude_min=True),
-           beta=st.floats(-3.0, 4.0), x=st.floats(-1e6, 10.0))
+           beta=st.one_of(st.floats(-3.0, 4.0), st.tuples(
+               st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 308.0)).map(
+                   lambda t: t[0] * 10.0 ** t[1])),
+           x=st.floats(-1e6, 10.0))
     @example(alpha=5e-324, beta=0.0, x=-2.0)       # v* = log(2)/a is inf
     # r^(1 - beta) of the residue terms, or x^(1 - k) of the closed form
     # E_{1,k}(x) = x^(1 - k) e^x, past the double range on its own
@@ -740,6 +750,14 @@ class TestOneBranchCut:
     @example(alpha=1.0, beta=-200.0, x=-1e3)
     # a power-series term past the double range while kappa is not
     @example(alpha=0.7204604879566386, beta=-165.0, x=90.92926068034703)
+    # beta far past alpha + 0.5, where the cut steps beta down by alpha
+    @example(alpha=1.5, beta=1e7, x=-20.0)
+    @example(alpha=1.5, beta=1e7, x=-100.0)
+    @example(alpha=1.5, beta=1e9, x=-100.0)
+    # 1/Gamma(beta) and x/Gamma(alpha + beta) below the series' e^-700
+    # floor of a term
+    @example(alpha=1.5, beta=170.0, x=-1.0)
+    @example(alpha=1.5, beta=0.0, x=-5e-324)
     def test_ml_e_is_finite_or_refused(self, alpha, beta, x):
         try:
             v = ml_e(MLQuery(alpha, beta, x))
@@ -765,6 +783,27 @@ class TestOneBranchCut:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "refused"
 
+    def test_huge_beta_is_refused_promptly(self):
+        # the branch cut steps beta down by alpha to alpha + 0.5, about
+        # 7e11 steps here, each lifted back with a Gamma call; in a fresh
+        # interpreter, so a hang fails this test alone
+        code = ("import numpy as np\n"
+                "from mlwave.errors import MLWaveError\n"
+                "from mlwave.mittag_leffler import MLQuery, ml_e, ml_rows\n"
+                "for call in (lambda: ml_e(MLQuery(1.5, 1e12, -20.0)),\n"
+                "             lambda: ml_rows(1.5, (1e12,),\n"
+                "                             np.array([-100.0]))):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except MLWaveError:\n"
+                "        print('refused')\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(mittag_leffler.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["refused", "refused"]
+
     def test_closed_form_past_the_power_range(self):
         # E_{1,-200}(-1000) = (-1000)^201 e^-1000, where (-1000)^201 alone
         # overflows (mpmath, 60 digits)
@@ -772,17 +811,20 @@ class TestOneBranchCut:
         assert got == pytest.approx(-5.0759588975494567653e168, rel=1e-14)
 
     @prop(400)
-    @given(alpha=st.floats(1.01, 1.99), frac=st.floats(0.0, 1.0,
+    @given(alpha=st.floats(0.1, 1.999), frac=st.floats(0.0, 1.0,
                                                         exclude_min=True),
-           t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_scalar_equals_row_on_the_cut(self, alpha, frac, t):
-        # kappa in (series_cutoff, 30) and y below asym_cutoff, where _ml
-        # goes straight to the cut; beta in (a - 1.5, 4].  kappa keeps off
-        # the series cutoff itself, where both take the power series, whose
-        # scalar and array sums differ in their last bits
+           lk=st.floats(-2.0, 3.0))
+    @example(alpha=1.5, frac=0.5, lk=math.log10(5.0))   # the series cutoff
+    @example(alpha=1.5, frac=0.5, lk=math.log10(50.0 ** (1.0 / 1.5)))
+    @example(alpha=1.2, frac=0.5, lk=math.log10(30.0))
+    def test_scalar_equals_row_on_every_route(self, alpha, frac, lk):
+        # every route at non-integer alpha and x < 0, kappa = 10^lk from
+        # the series band through the cut to the asymptotic zone: _ml is
+        # the rows at one point, so both give the same bits or both refuse
+        if alpha == 1.0:
+            return
         beta = alpha - 1.5 + (5.5 - alpha) * frac
-        top = min(30.0, 50.0 ** (1.0 / alpha)) * (1.0 - 1e-9)
-        y = (5.0 * (1.0 + 1e-9) + (top - 5.0) * t) ** alpha
+        y = (10.0 ** lk) ** alpha
         try:
             want = _ml(alpha, beta, -y)
         except AccuracyError:
