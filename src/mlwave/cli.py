@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -476,13 +475,17 @@ def _fmt(v) -> str:
 
 
 def _write_atomic(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
+    """Write text to path through a new file beside it, renamed over path,
+    so a reader sees the old file or the new one whole.  The file is made
+    as open() makes one, with mode 0o666 less the umask; it is removed on
+    any failure."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-",
-                                   suffix="-" + os.path.basename(path))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(text.encode())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -12,6 +12,7 @@ reproduced to evaluator precision and smooth forcing at second order.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar
@@ -237,8 +238,13 @@ def homogeneous_state(p: LinearProblem, t: float):
 # The process-wide store of kernel tables: per (alpha, grid bytes), the
 # read-only rows and weights every table on that grid has built, least
 # recently used first, and the bytes past which older entries are evicted.
+# Beside it, under the same budget, the idle objects runs lend out and hand
+# back (the semilinear solver's collocations), least recently returned
+# first; each has nbytes.  The lock orders every change of either.
 _STORE = OrderedDict()
+_IDLE = OrderedDict()
 _STORE_BYTES = 64 << 20
+_STORE_LOCK = threading.RLock()
 
 
 class _Stored:
@@ -257,16 +263,35 @@ class _Stored:
         held[key] = arr
 
 
-def _store_fit(key, entry):
-    """Mark the entry at key the most recently used, then evict the least
-    recently used others while the store holds more than _STORE_BYTES.
-    An entry evicted while a table still used it stays that table's."""
-    if _STORE.get(key) is not entry:
-        return
-    _STORE.move_to_end(key)
-    total = sum(e.nbytes for e in _STORE.values())
-    while total > _STORE_BYTES and next(iter(_STORE)) != key:
-        total -= _STORE.popitem(last=False)[1].nbytes
+def _store_fit(key, entry, held=_STORE):
+    """Mark the entry at key of held (_STORE or _IDLE) the most recently
+    used, then evict others while both hold more than _STORE_BYTES: idle
+    objects first, which cost an allocation to make again, then kernel
+    entries, which cost their rows, each least recently used first.  An
+    entry evicted while a table still used it stays that table's."""
+    with _STORE_LOCK:
+        if held.get(key) is not entry:
+            return
+        held.move_to_end(key)
+        total = sum(e.nbytes for d in (_IDLE, _STORE) for e in d.values())
+        for d in (_IDLE, _STORE):
+            while total > _STORE_BYTES and d and next(iter(d)) != key:
+                total -= d.popitem(last=False)[1].nbytes
+
+
+def _lend(key):
+    """Take the idle object at key out of the store: it is the caller's
+    alone until _hand_back; None if the store holds none there."""
+    with _STORE_LOCK:
+        return _IDLE.pop(key, None)
+
+
+def _hand_back(key, obj):
+    """Hold obj idle at key, for the next _lend of it, unless the store
+    holds one there already or obj alone is past _STORE_BYTES."""
+    with _STORE_LOCK:
+        if obj.nbytes <= _STORE_BYTES:
+            _store_fit(key, _IDLE.setdefault(key, obj), _IDLE)
 
 
 class _KernelTable:
@@ -281,7 +306,9 @@ class _KernelTable:
 
     Rows and weights live in _STORE under (alpha, grid bytes), so every
     table on the same grid in the process reads what earlier ones built
-    and builds only what they lacked.  The table covers the first `nodes`
+    and builds only what they lacked; a table reads and builds under the
+    store's lock, so tables of concurrent runs on one grid build each row
+    once and read whole rows.  The table covers the first `nodes`
     nodes of `times`, all of them when nodes is None, and t is that
     prefix; extend moves it further, and a row or weight held short of it
     is completed when next asked for, one held past it is read cut to it.
@@ -295,9 +322,10 @@ class _KernelTable:
         self._ta = self._grid ** alpha
         self.extend(nodes)
         self._key = (float(alpha), self._grid.tobytes())
-        self._held = _STORE.setdefault(self._key,
-                                       _Stored(len(self._key[1])))
-        _store_fit(self._key, self._held)
+        with _STORE_LOCK:
+            self._held = _STORE.setdefault(self._key,
+                                           _Stored(len(self._key[1])))
+            _store_fit(self._key, self._held)
 
     def extend(self, nodes):
         """Cover the first `nodes` nodes of the grid."""
@@ -310,30 +338,31 @@ class _KernelTable:
         short of t is built or completed once: the eigenvalues are
         grouped by the node they lack rows from and the betas they lack
         there, one ml_rows call per group."""
-        lam = np.asarray(lam, dtype=float)
-        keys = lam.ravel().tolist()
-        held = self._held
-        have, n = held.rows, len(self.t)
-        groups = {}
-        for v in dict.fromkeys(keys):
-            lack = {}
-            for b in dict.fromkeys(betas):
-                lack.setdefault(len(have.get((v, b), ())), []).append(b)
-            for lo, need in lack.items():
-                if lo < n:
-                    groups.setdefault((lo, tuple(need)), []).append(v)
-        for (lo, need), new in groups.items():
-            got = ml_rows(self.alpha, need,
-                          -np.array(new)[:, None] * self.ta[lo:], _ml)
-            for b, rows in zip(need, got):
-                for v, r in zip(new, rows):
-                    held.keep(have, (v, b), np.concatenate((have[v, b], r))
-                              if lo else r)
-        if groups:
-            _store_fit(self._key, held)
-        return np.array([[have[v, b][:n] for v in keys]
-                         for b in betas]).reshape(
-            (len(betas),) + lam.shape + self.t.shape)
+        with _STORE_LOCK:
+            lam = np.asarray(lam, dtype=float)
+            keys = lam.ravel().tolist()
+            held = self._held
+            have, n = held.rows, len(self.t)
+            groups = {}
+            for v in dict.fromkeys(keys):
+                lack = {}
+                for b in dict.fromkeys(betas):
+                    lack.setdefault(len(have.get((v, b), ())), []).append(b)
+                for lo, need in lack.items():
+                    if lo < n:
+                        groups.setdefault((lo, tuple(need)), []).append(v)
+            for (lo, need), new in groups.items():
+                got = ml_rows(self.alpha, need,
+                              -np.array(new)[:, None] * self.ta[lo:], _ml)
+                for b, rows in zip(need, got):
+                    for v, r in zip(new, rows):
+                        held.keep(have, (v, b), np.concatenate((have[v, b], r))
+                                  if lo else r)
+            if groups:
+                _store_fit(self._key, held)
+            return np.array([[have[v, b][:n] for v in keys]
+                             for b in betas]).reshape(
+                (len(betas),) + lam.shape + self.t.shape)
 
     def moment_steps(self, lam, deriv, lo=0):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
@@ -364,34 +393,35 @@ class _KernelTable:
         elementwise, and panel l reads nodes l and l + 1 alone, so each
         eigenvalue's weights are those of a build of it alone, and each
         panel's those of a build on a longer prefix."""
-        uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
-        keys = uniq.tolist()
-        held = self._held
-        have, P = held.weights, len(self.t) - 1
-        groups = {}
-        for v in keys:
-            lo = have[v].shape[-1] if v in have else 0
-            if lo < P:
-                groups.setdefault(lo, []).append(v)
-        if groups:
-            self.row([v for new in groups.values() for v in new],
-                     moment_betas(self.alpha))
-        dt = float(self.t[1] - self.t[0])
-        for lo, new in groups.items():
-            ell = np.arange(lo + 1, P + 1)
-            got = np.empty((2, 2, len(new), P - lo))
-            for k, deriv in enumerate((False, True)):
-                w0, mm1 = self.moment_steps(np.array(new), deriv, lo)
-                got[1, k] = ell * w0 - mm1 / dt
-                got[0, k] = w0 - got[1, k]
-            for i, v in enumerate(new):
-                held.keep(have, v, np.concatenate((have[v], got[:, :, i]),
-                                                  axis=-1)
-                          if lo else got[:, :, i].copy())
-        if groups:
-            _store_fit(self._key, held)
-        return _zero_led(np.stack([have[v][..., :P] for v in keys],
-                                  axis=2)[:, :, inv])
+        with _STORE_LOCK:
+            uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
+            keys = uniq.tolist()
+            held = self._held
+            have, P = held.weights, len(self.t) - 1
+            groups = {}
+            for v in keys:
+                lo = have[v].shape[-1] if v in have else 0
+                if lo < P:
+                    groups.setdefault(lo, []).append(v)
+            if groups:
+                self.row([v for new in groups.values() for v in new],
+                         moment_betas(self.alpha))
+            dt = float(self.t[1] - self.t[0])
+            for lo, new in groups.items():
+                ell = np.arange(lo + 1, P + 1)
+                got = np.empty((2, 2, len(new), P - lo))
+                for k, deriv in enumerate((False, True)):
+                    w0, mm1 = self.moment_steps(np.array(new), deriv, lo)
+                    got[1, k] = ell * w0 - mm1 / dt
+                    got[0, k] = w0 - got[1, k]
+                for i, v in enumerate(new):
+                    held.keep(have, v, np.concatenate((have[v], got[:, :, i]),
+                                                      axis=-1)
+                              if lo else got[:, :, i].copy())
+            if groups:
+                _store_fit(self._key, held)
+            return _zero_led(np.stack([have[v][..., :P] for v in keys],
+                                      axis=2)[:, :, inv])
 
 
 def _zero_led(w):

@@ -20,8 +20,8 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _causal_sums, _norm_series, _toeplitz,
-                            _unforced_rows)
+                            _causal_sums, _hand_back, _lend, _norm_series,
+                            _toeplitz, _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _analysis_steps, _buffers, _row_runs,
@@ -163,7 +163,9 @@ class NonlinearitySpec:
                     grow *= grow
                 elif e != 1.0:
                     grow **= e
-                grow *= c
+                # x * 1.0 is x bit for bit, nan and inf included
+                if c != 1.0:
+                    grow *= c
                 grow *= vals
                 return grow
             return power
@@ -292,13 +294,21 @@ class _Collocation:
     a caller that knows how many rows it will ask for allocates once.
     Non-finite values of f raise OverflowSignal for the blow-up monitor;
     callers that expect overflow silence numpy's warnings around the
-    call."""
+    call.  key is (op, N, panels), under which the store keeps it idle
+    between runs (see _lent); nbytes is what its buffers hold."""
 
     def __init__(self, fmap, op, N, panels, rows=1):
         _, self.w, self.factors = op.rule(N, panels)
-        self.fmap, self.N = fmap, N
+        self.key, self.N = (op, N, panels), N
+        self.rows = self.tiled = self.nbytes = 0
+        self.rebind(fmap, rows)
+
+    def rebind(self, fmap, rows=1):
+        """Bind the pointwise map fmap for the calls bound from now on, and
+        make buffers for at least `rows` rows (at most one run's) when they
+        next grow."""
+        self.fmap = fmap
         self.first = min(rows, _rows_per_run(self.w.size))
-        self.rows = self.tiled = 0
 
     def bind(self, C, out):
         """A call that writes the coefficients of the rows C, as they are
@@ -315,6 +325,9 @@ class _Collocation:
                 self.rows, self.tiled, self.bufs = m, 0, (
                     *_buffers(self.factors, m), np.empty(grid),
                     np.empty(grid, bool), np.empty(grid))
+                syn, ana, *more = self.bufs
+                self.nbytes = sum(b.nbytes for b in (*syn, *ana, *more)
+                                  if b is not None)
             if n > self.tiled:
                 # tiled only as far as a run reaches: rows never written
                 # are never touched
@@ -344,6 +357,18 @@ class _Collocation:
         out = np.empty((len(C), self.N))
         self.bind(np.ascontiguousarray(C), out)()
         return out
+
+
+def _lent(fmap, op, N, panels, rows):
+    """The _Collocation of (op, N, panels) that the store holds idle, its
+    buffers and tiled weights kept, or a new one; bound to fmap, its
+    buffers made for at least `rows` rows when they grow.  It is the
+    caller's alone until its _Workspace.release."""
+    colloc = _lend((op, N, panels))
+    if colloc is None:
+        return _Collocation(fmap, op, N, panels, rows)
+    colloc.rebind(fmap, rows)
+    return colloc
 
 
 def _collocate(f, op, C, N, panels):
@@ -394,8 +419,8 @@ class _Workspace:
     that prefix the zero-led product-integration weights of every mode
     (None for f = 0, which forces no mode) and the homogeneous part; the
     collocations bound to the run's rule and to its doubled rule, with
-    their buffers (None for f = 0); the V_gamma norm's weights
-    lam^(2 gamma).
+    their buffers (None for f = 0), lent by the store and handed back by
+    release; the V_gamma norm's weights lam^(2 gamma).
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
@@ -423,20 +448,29 @@ class _Workspace:
         self.panels = _rule_panels(self.quad)
         # f(u) can force every mode, unless f = 0
         self.forced = p.nonlinearity.kind != "zero"
-        fmap = p.nonlinearity.pointwise()
         self.M = M = len(grid) - 1
         # the longest window a run takes, which sizes the collocations'
         # buffers
         self.steps_cap = min(M, max(1, round(cfg.window_init
                                              / (grid[1] - grid[0]))))
-        self.colloc, self.doubled = (
-            [_Collocation(fmap, p.op, p.N, k * self.panels, self.steps_cap)
-             for k in (1, 2)] if self.forced else (None, None))
         # the last window start's memory term, (ia, sums), for its retries
         self.memo = 0, None
         # an empty prefix, which the first reach extends
         self.kt = _KernelTable(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
+        fmap = p.nonlinearity.pointwise()
+        self.colloc, self.doubled = (
+            [_lent(fmap, p.op, p.N, k * self.panels, self.steps_cap)
+             for k in (1, 2)] if self.forced else (None, None))
+
+    def release(self):
+        """Hand both collocations back to the store for later runs on the
+        operator, with no map bound, so the workspace collocates nothing
+        after and a call bound later fails until a _lent rebinds them."""
+        for colloc in (self.colloc, self.doubled):
+            if colloc is not None:
+                colloc.fmap = None
+                _hand_back(colloc.key, colloc)
 
     def reach(self, ia, ib):
         """Extend the prefix to cover the window ia..ib, if it ends before
@@ -618,16 +652,19 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
                for h in (hu, hdtu)):
             raise DomainError("history must hold rows 0..t_a of all modes")
     ws = _Workspace(p, t, cfg)
-    if history_forcing is not None:
-        F_hist = np.asarray(history_forcing, dtype=float)
-        if F_hist.shape != (ia + 1, p.N):
-            raise DomainError("history forcing must cover rows 0..t_a")
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            F_hist = ws.apply_rows(hu[:ia + 1])
-    R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
-    U, DTU, Fw, _, iters, contraction = ws.window_solve(ia, ib, F_hist, cfg,
-                                                        R_eff)
+    try:
+        if history_forcing is not None:
+            F_hist = np.asarray(history_forcing, dtype=float)
+            if F_hist.shape != (ia + 1, p.N):
+                raise DomainError("history forcing must cover rows 0..t_a")
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                F_hist = ws.apply_rows(hu[:ia + 1])
+        R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
+        U, DTU, Fw, _, iters, contraction = ws.window_solve(
+            ia, ib, F_hist, cfg, R_eff)
+    finally:
+        ws.release()
     return {
         "times": t[ia:ib + 1],
         "u_coeffs": U,
@@ -691,14 +728,6 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     F = np.empty((M + 1, p.N))
     U[0] = p.u0.coeffs
     DTU[0] = p.u1.coeffs
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            F[0] = ws.apply_rows(U[0:1])[0]
-    except OverflowSignal as sig:
-        raise ConfigError(
-            f"nonlinearity overflows already on the initial data: {sig}"
-        ) from sig
-
     c_est = max(1.0, ml_bound_probe(p.alpha, p.alpha, 1e3, 64))
 
     def heuristic_window(R):
@@ -713,36 +742,47 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     T_est = None
     aliasing = 0.0
     i = 0
-    window_time = heuristic_window(ws.trust_radius(cfg, U[0], DTU[0]))
-    steps = max(1, min(M, round(window_time / dt)))
-    while i < M:
-        steps = min(steps, M - i)
-        ib = i + steps
-        R_eff = ws.trust_radius(cfg, U[i], DTU[i])
+    try:
         try:
-            Uw, DTUw, Fw, norms, iters, contraction = ws.window_solve(
-                i, ib, F[:i + 1], cfg, R_eff)
-        except WindowFailure:
-            if steps == 1 or (steps // 2) * dt < cfg.window_min:
+            with np.errstate(over="ignore", invalid="ignore"):
+                F[0] = ws.apply_rows(U[0:1])[0]
+        except OverflowSignal as sig:
+            raise ConfigError(
+                f"nonlinearity overflows already on the initial data: {sig}"
+            ) from sig
+        window_time = heuristic_window(ws.trust_radius(cfg, U[0], DTU[0]))
+        steps = max(1, min(M, round(window_time / dt)))
+        while i < M:
+            steps = min(steps, M - i)
+            ib = i + steps
+            R_eff = ws.trust_radius(cfg, U[i], DTU[i])
+            try:
+                Uw, DTUw, Fw, norms, iters, contraction = ws.window_solve(
+                    i, ib, F[:i + 1], cfg, R_eff)
+            except WindowFailure:
+                if steps == 1 or (steps // 2) * dt < cfg.window_min:
+                    status = "maximal_time_detected"
+                    T_est = grid[i]
+                    break
+                steps //= 2
+                continue
+            U[i + 1:ib + 1] = Uw[1:]
+            DTU[i + 1:ib + 1] = DTUw[1:]
+            F[i + 1:ib + 1] = Fw[1:]
+            breach = np.where(norms[1:] > cfg.blowup_threshold)[0]
+            end = i + 1 + int(breach[0]) if breach.size else ib
+            windows.append(WindowRecord(grid[i], grid[end], iters,
+                                        contraction))
+            kept = slice(1, end - i + 1)
+            aliasing = max(aliasing, ws.aliasing(Uw[kept], Fw[kept]))
+            i = end
+            if breach.size:
                 status = "maximal_time_detected"
-                T_est = grid[i]
+                T_est = grid[end]
                 break
-            steps //= 2
-            continue
-        U[i + 1:ib + 1] = Uw[1:]
-        DTU[i + 1:ib + 1] = DTUw[1:]
-        F[i + 1:ib + 1] = Fw[1:]
-        breach = np.where(norms[1:] > cfg.blowup_threshold)[0]
-        end = i + 1 + int(breach[0]) if breach.size else ib
-        windows.append(WindowRecord(grid[i], grid[end], iters, contraction))
-        kept = slice(1, end - i + 1)
-        aliasing = max(aliasing, ws.aliasing(Uw[kept], Fw[kept]))
-        i = end
-        if breach.size:
-            status = "maximal_time_detected"
-            T_est = grid[end]
-            break
-        steps = min(ws.steps_cap, max(1, round(steps * 1.5)))
+            steps = min(ws.steps_cap, max(1, round(steps * 1.5)))
+    finally:
+        ws.release()
 
     last = i if status == "maximal_time_detected" else M
     tt = grid[:last + 1]
@@ -780,11 +820,10 @@ def strong_solution_check(outcome: RunOutcome, p: SemilinearProblem,
     if not s > 0.0:
         raise DomainError(f"q(r-1) must be positive, got {s}")
     # the spatial sup per time row on a uniform tensor grid, per run of rows
-    axes = [np.linspace(lo, hi, 513 if p.op.dim == 1 else 65)
-            for lo, hi in p.op.domain_box]
-    factors = p.op.factors(p.N, axes)
+    nodes = 513 if p.op.dim == 1 else 65
+    factors = p.op.uniform_factors(p.N, nodes)
     sup_vals = np.empty(len(trace.times))
-    for rows in _row_runs(len(sup_vals), math.prod(map(len, axes))):
+    for rows in _row_runs(len(sup_vals), nodes ** p.op.dim):
         vals = synthesis(factors, trace.u_coeffs[rows])
         np.maximum.reduce(np.abs(vals, out=vals).reshape(len(vals), -1),
                           axis=1, out=sup_vals[rows])

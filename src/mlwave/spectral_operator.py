@@ -166,6 +166,7 @@ class Operator:
         self._modes = _BoxModes(tuple(lengths), 0 if neumann else 1)
         self._trig = np.cos if neumann else np.sin
         self._rules = {}
+        self._uniform = {}
 
     def eigenvalues(self, N: int) -> np.ndarray:
         """First N eigenvalues as a fresh vector."""
@@ -199,12 +200,21 @@ class Operator:
                            for lo, hi in self.domain_box])
             got = _Rule(xs, math.prod(np.ix_(*ws), start=1.0),
                         self.factors(N, xs))
-            for arr in (*xs, got.weights, *got.factors.tables,
-                        got.factors.index):
-                if arr is not None:
-                    arr.flags.writeable = False
+            _read_only(*xs, got.weights, *got.factors)
             self._rules[key] = got
         return self._rules[key]
+
+    def uniform_factors(self, N: int, nodes: int) -> _Factors:
+        """The factors of N modes on the uniform tensor grid with `nodes`
+        nodes per axis, both ends included, built once per (N, nodes) and
+        read-only, as rule's are."""
+        key = (int(N), int(nodes))
+        if key not in self._uniform:
+            got = self.factors(N, [np.linspace(lo, hi, nodes)
+                                   for lo, hi in self.domain_box])
+            _read_only(*got)
+            self._uniform[key] = got
+        return self._uniform[key]
 
     def factors(self, N: int, axes) -> _Factors:
         """The first N modes at per-axis nodes axes: table i has row r =
@@ -305,6 +315,16 @@ def _operator(cfg: OperatorSpecConfig) -> Operator:
 
 
 # --------------------------------------------- projection and evaluation
+
+def _read_only(*arrays):
+    """Make each array, and each array of each tuple, read-only; None is
+    skipped."""
+    for arr in arrays:
+        if isinstance(arr, tuple):
+            _read_only(*arr)
+        elif arr is not None:
+            arr.flags.writeable = False
+
 
 def _panel_nodes(lo, hi, panels):
     edges = np.linspace(lo, hi, panels + 1)

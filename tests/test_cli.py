@@ -1031,6 +1031,63 @@ class TestOutputPathErrors:
             cli._write_atomic(str(tmp_path / "nodir" / "x.csv"), "x\n")
 
 
+class TestArtifactFiles:
+    """Artifacts are made as open() makes a file, whatever was there
+    before, and a failed write leaves nothing behind."""
+
+    ARTIFACTS = {"linear": ("summary.json", "trace.csv", "norms.csv"),
+                 "semilinear": ("outcome.json", "trace.csv", "norms.csv")}
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    @pytest.mark.parametrize("kind", ["linear", "semilinear"])
+    def test_modes_honour_the_umask(self, tmp_path, kind, umask):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(MUTATION_BASE[kind]))
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            for rerun in (False, True):
+                if rerun:
+                    # a rerun replaces files of any mode by files of the
+                    # umask's
+                    for name in self.ARTIFACTS[kind]:
+                        (out / name).chmod(0o600 if umask == 0o022
+                                           else 0o644)
+                assert main(["solve", kind, "--config", str(cfg),
+                             "--out", str(out)]) == 0
+                for name in self.ARTIFACTS[kind]:
+                    mode = (out / name).stat().st_mode & 0o777
+                    assert mode == 0o666 & ~umask, name
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(out)) == sorted(self.ARTIFACTS[kind])
+
+    def test_bytes_are_the_text_written(self, tmp_path):
+        text = cli._csv(["t", "u"], [np.linspace(0.0, 1.0, 7),
+                                     np.exp(np.arange(7.0))])
+        cli._write_atomic(str(tmp_path / "a.csv"), text)
+        (tmp_path / "b.csv").write_text(text)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes() == text.encode()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "x.csv"
+        target.write_text("old\n")
+        # the text cannot be encoded: the write itself fails
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_atomic(str(target), "\ud800\n")
+        assert os.listdir(tmp_path) == ["x.csv"]
+
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(ConfigError, match="cannot write .*refused"):
+            cli._write_atomic(str(target), "new\n")
+        assert os.listdir(tmp_path) == ["x.csv"]
+        assert target.read_text() == "old\n"
+
+
 class TestDispatch:
     def test_unknown_subcommand_prints_usage(self, capsys):
         assert main(["frobnicate"]) == 1

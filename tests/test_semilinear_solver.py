@@ -8,6 +8,8 @@ Mittag-Leffler relaxation).
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -38,7 +40,7 @@ from mlwave import (linear_solver, mittag_leffler, semilinear_solver,
                     spectral_operator)
 from mlwave.linear_solver import _causal_sums, _toeplitz, _zero_led
 from mlwave.mittag_leffler import _ml
-from mlwave.spectral_operator import weighted_norm
+from mlwave.spectral_operator import synthesis, weighted_norm
 
 PHI1_CUBED_C1 = 0.47746482927568606     # 3/(2 pi)
 PHI1_CUBED_C3 = -0.15915494309189535    # -1/(2 pi)
@@ -390,6 +392,33 @@ class TestBuffersKeepTheBits:
         assert got is out
         for arr in (fresh, got, applied):
             assert arr.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 2.5, 1.5])
+    def test_power_at_unit_c_is_the_three_pass_map(self, r):
+        # c = 1 skips its product; x * 1.0 is x bit for bit, so the map
+        # keeps the bits of |u|^(r-1), times c, times u, on signed zeros,
+        # infinities, nans with and without payloads, subnormals and
+        # values whose powers overflow
+        nan = np.float64(np.nan)
+        payload = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001],
+                           dtype=np.uint64).view(float)
+        vals = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, nan, -nan], payload,
+            [5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310,
+             1.3407807929942596e154, -1.4e154, 1e200, -1e300,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.5, -3.0]])
+        e = r - 1.0
+        with np.errstate(all="ignore"):
+            grow = np.abs(vals)
+            if e == 2.0:
+                grow *= grow
+            elif e != 1.0:
+                grow **= e
+            grow *= 1.0
+            grow *= vals
+            got = NonlinearitySpec("power", {"c": 1.0, "r": r}).pointwise()(
+                vals, out=np.empty_like(vals))
+        assert got.tobytes() == grow.tobytes()
 
     @pytest.mark.parametrize("kind", ["interval", "box2"])
     @pytest.mark.parametrize("first", [1, 8])
@@ -1290,6 +1319,43 @@ class TestStrongSolutionCheck:
         with pytest.raises(DomainError):
             strong_solution_check(out, p, 2.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["interval", "box2"])
+    def test_sup_grid_tables_are_built_once(self, kind, monkeypatch):
+        # the sup grid's factor tables are the operator's, read-only,
+        # built on the first check and the bytes of a build on the grid;
+        # every check gives the norm of the old per-check build
+        op = make_operator(CATALOG[kind])
+        n = np.arange(1, 9)
+        p = problem(op, 1.5, 0.2 / n ** 2, 0.1 / n ** 2,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 2.0}))
+        out = run(p, 0.05, PicardConfig(), 0.01)
+        nodes = 513 if op.dim == 1 else 65
+        axes = [np.linspace(lo, hi, nodes) for lo, hi in op.domain_box]
+        fresh = op.factors(p.N, axes)
+        vals = synthesis(fresh, out.trace.u_coeffs)
+        sup = np.abs(vals).reshape(len(vals), -1).max(axis=1)
+        want = float(np.trapezoid(sup ** 2.0, out.trace.times)) ** 0.5
+        built = []
+        factors = op.factors
+
+        def counted(N, at):
+            built.append(N)
+            return factors(N, at)
+
+        monkeypatch.setattr(op, "factors", counted)
+        for _ in range(3):
+            assert strong_solution_check(out, p, 2.0, 2.0)["norm"] == want
+        assert built == [p.N]
+        held = op.uniform_factors(p.N, nodes)
+        for got, arr in zip((*held.tables, held.index),
+                            (*fresh.tables, fresh.index)):
+            if arr is None:
+                assert got is None
+                continue
+            assert got.tobytes() == arr.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0.0
+
     def test_blocked_sup_matches_one_block(self, monkeypatch):
         # a budget of three rows' values on the 65 x 65 sup grid splits
         # the time rows into blocks; the sup matches one block and the
@@ -1356,3 +1422,188 @@ class TestRepeatedRuns:
         assert solve(short) == want_short
         assert solve(whole) == want_whole
         assert mittag_leffler.ml_bound_probe.cache_info().currsize == 1
+
+
+def at_once(work, count):
+    """Run work(0), ..., work(count - 1) in threads at once, switching
+    between them often, each joined within two minutes."""
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestCollocationStore:
+    """A run borrows the idle collocations of its operator's rule and
+    doubled rule from the store and hands them back; their buffers and
+    tiled weights carry over, their pointwise map does not."""
+
+    BOX = dict(alpha=1.25, T=0.1, dt=0.01)
+    MAPS = [NonlinearitySpec("power", {"c": 1.0, "r": 2.0}),
+            NonlinearitySpec("power", {"c": 0.5, "r": 3.0}),
+            NonlinearitySpec("sine", {"c": 0.7}),
+            NonlinearitySpec("power", {"c": 1.0, "r": 2.0})]
+
+    @staticmethod
+    def cold():
+        linear_solver._STORE.clear()
+        linear_solver._IDLE.clear()
+        mittag_leffler.ml_bound_probe.cache_clear()
+
+    def box_problem(self, f, scale=1.0):
+        n = np.arange(1, 9)
+        return problem(make_operator(CATALOG["box2"]), self.BOX["alpha"],
+                       0.2 * scale / n ** 2, 0.1 * scale / n ** 2, f)
+
+    def solve(self, p):
+        return outcome_bytes(run(p, self.BOX["T"], PicardConfig(),
+                                 self.BOX["dt"]))
+
+    @staticmethod
+    def idle():
+        return dict(linear_solver._IDLE)
+
+    def test_each_map_after_another_is_its_cold_run(self):
+        cold = []
+        for f in self.MAPS:
+            self.cold()
+            cold.append(self.solve(self.box_problem(f)))
+        assert len(set(map(repr, cold))) == 3
+        self.cold()
+        held = None
+        for f, want in zip(self.MAPS, cold):
+            p = self.box_problem(f)
+            assert self.solve(p) == want
+            panels = spectral_operator._rule_panels(
+                PicardConfig().quadrature(p.N))
+            assert set(self.idle()) == {(p.op, p.N, panels),
+                                        (p.op, p.N, 2 * panels)}
+            # the same collocations, lent again and handed back, with no
+            # map bound while idle
+            if held is not None:
+                assert self.idle() == held
+            held = self.idle()
+            assert all(c.fmap is None for c in held.values())
+
+    def test_concurrent_runs_give_serial_bytes(self):
+        # three threads, more than the cores, solve different maps on one
+        # operator at once, each several times, switching often; a run
+        # that finds the collocations lent builds its own, and every run
+        # reads whole kernel rows
+        maps = self.MAPS[:3]
+        serial = []
+        for f in maps:
+            self.cold()
+            serial.append(self.solve(self.box_problem(f)))
+        self.cold()
+        start = threading.Barrier(len(maps))
+        got = [[] for _ in maps]
+        failed = []
+
+        def work(k):
+            try:
+                start.wait()
+                for _ in range(4):
+                    got[k].append(self.solve(self.box_problem(maps[k])))
+            except Exception as exc:    # reported by the main thread
+                failed.append(exc)
+
+        at_once(work, len(maps))
+        assert not failed
+        for want, runs in zip(serial, got):
+            assert runs == [want] * 4
+        assert len(self.idle()) == 2
+
+    def test_concurrent_runs_extending_one_grid_give_serial_bytes(self):
+        # three runs on one grid from a cold store: they stop near nodes
+        # 59 and 100, or complete, so each extends the kernel rows its own
+        # way while the others read and extend them
+        power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
+        probs = [problem(interval_op(), 1.5, [u, 0.1, -0.05, 0.02],
+                         [0.0] * 4, power) for u in (20.0, 1.0, 12.0)]
+
+        def solve(p):
+            return outcome_bytes(run(p, 0.1, PicardConfig(), 0.0005))
+
+        serial = []
+        for p in probs:
+            self.cold()
+            serial.append(solve(p))
+        for _ in range(6):
+            self.cold()
+            start = threading.Barrier(len(probs))
+            got, failed = [None] * len(probs), []
+
+            def work(k):
+                try:
+                    start.wait()
+                    got[k] = solve(probs[k])
+                except Exception as exc:    # reported by the main thread
+                    failed.append(exc)
+
+            at_once(work, len(probs))
+            assert not failed
+            assert got == serial
+
+    def test_repeated_windows_leave_one_idle_collocation_per_rule(self):
+        p = self.box_problem(self.MAPS[1])
+        grid = np.linspace(0.0, 0.1, 11)
+        cfg = PicardConfig()
+        panels = spectral_operator._rule_panels(cfg.quadrature(p.N))
+        first = None
+        for _ in range(3):
+            got = picard_window(p, (0.0, 0.05), grid, cfg, None)
+            assert set(self.idle()) == {(p.op, p.N, panels),
+                                        (p.op, p.N, 2 * panels)}
+            if first is None:
+                first = got
+            for key in ("u_coeffs", "dtu_coeffs", "forcing_coeffs"):
+                assert got[key].tobytes() == first[key].tobytes()
+        # a failed window hands them back too
+        with pytest.raises(WindowFailure):
+            picard_window(p, (0.0, 0.05), grid,
+                          PicardConfig(max_iter=1, tol=1e-300), None)
+        assert len(self.idle()) == 2
+
+    def test_store_stays_under_its_budget(self, monkeypatch):
+        # a budget below the box's doubled-rule collocation: that one is
+        # never held, and the rest, kernel entries included, are evicted
+        # least recently used first, idle collocations before kernel
+        # entries; every run keeps its cold bytes
+        cap = 1_000_000
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
+        power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
+        interval = problem(interval_op(), 1.5, [1.0, 0.1, -0.05, 0.02],
+                           [0.0] * 4, power)
+        box = self.box_problem(power, scale=0.5)
+        runs = [(box, 0.1, 0.01), (interval, 0.1, 0.0005),
+                (box, 0.1, 0.005), (interval, 0.05, 0.0005),
+                (box, 0.1, 0.01), (interval, 0.1, 0.0005)]
+        cold = []
+        for p, T, dt in runs:
+            self.cold()
+            cold.append(outcome_bytes(run(p, T, PicardConfig(), dt)))
+        self.cold()
+        keys, gone = set(), set()
+        for (p, T, dt), want in zip(runs, cold):
+            assert outcome_bytes(run(p, T, PicardConfig(), dt)) == want
+            stores = linear_solver._IDLE, linear_solver._STORE
+            assert sum(e.nbytes for d in stores for e in d.values()) <= cap
+            # a key leaves the store only when it is evicted
+            now = {k for d in stores for k in d}
+            gone |= keys - now
+            keys = now
+        doubled = (box.op, box.N, 2 * spectral_operator._rule_panels(
+            PicardConfig().quadrature(box.N)))
+        assert doubled not in keys | gone
+        # idle collocations were evicted, before any kernel entry, and
+        # held again by later runs
+        assert {k[0] for k in gone} == {box.op, interval.op}
+        assert {k[0] for k in linear_solver._IDLE} == {box.op, interval.op}

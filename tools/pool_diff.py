@@ -3,20 +3,25 @@
 usage: python tools/pool_diff.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the mlwave package.  Every scenario of the
-pools in bench/workloads.py is solved by both trees' cli.main, in this one
-process, one tree after the other.  So are two derived pools, whose runs
-extend their workspace past its first 64 steps: each box-power entry run to
-t_end = 1 (100 steps), and each picard-blowup entry with u0[0] = 12, which
-stops past node 64.  Printed per differing scenario: trace.csv and norms.csv
-when their bytes differ, each JSON key that differs apart from metadata,
-with its largest relative change, and the final state's change relative to
-max(1, max |state|), the measure bench/workloads.py:gate_solve holds to
-STATE_TOL.
+pools in bench/workloads.py (124) and of three derived pools (112) is
+solved by both trees' cli.main, in this one process, one tree after the
+other: 236 scenarios.  In two derived pools the runs extend their
+workspace past its first 64 steps: each box-power entry run to t_end = 1
+(100 steps), and each picard-blowup entry with u0[0] = 12, which stops
+past node 64.  In the third, each box-power entry with the power
+nonlinearity at r = 3, c = 0.5 is solved right after the same entry at
+r = 2, c = 1, so a run that kept the pointwise map of the run before it
+on the same operator would show.  Printed per differing scenario:
+trace.csv and norms.csv when their bytes differ, each JSON key that
+differs apart from metadata, with its largest relative change, and the
+final state's change relative to max(1, max |state|), the measure
+bench/workloads.py:gate_solve holds to STATE_TOL.
 
 The change tree then solves every scenario a second time within the same
-import, so that each solve reads the kernel rows and weights its first pass
-left in the process-wide store; each scenario whose warm pass differs from
-its cold one is printed as above, prefixed "warm".  Three lines end the
+import, so that each solve reads the kernel rows and weights, and the
+collocations, its first pass left in the process-wide store; each
+scenario whose warm pass differs from its cold one is printed as above,
+prefixed "warm".  Three lines end the
 output: the counts of scenarios that differ between the trees, of those
 whose status or T_est changed, and of those whose warm pass differs.
 Passing one tree twice checks that reruns in a fresh import are
@@ -40,12 +45,17 @@ FILES = {"linear": ("summary.json", "trace.csv", "norms.csv"),
 
 
 def scenarios():
-    """(pool, k, solve kind, scenario document) of every pool entry, then of
-    every entry of the derived pools."""
+    """(pool, k, solve kind, scenario document) of every pool entry, each
+    box-power entry followed by its derived r = 3 entry, then of every
+    entry of the other derived pools."""
     for w in wl.WORKLOADS:
         kind = "linear" if w == "linear-forced" else "semilinear"
         for k in range(wl.POOL_SIZE[w]):
             yield w, k, kind, wl.scenario(w, k)
+            if w == "box-power":
+                doc = wl.scenario(w, k)
+                doc["nonlinearity"]["params"] = {"c": 0.5, "r": 3.0}
+                yield "box-power-r3", k, kind, doc
     for k in range(wl.POOL_SIZE["box-power"]):
         doc = wl.scenario("box-power", k)
         doc["grid"]["t_end"] = 1.0
