@@ -247,50 +247,45 @@ def _resolve_coeffs(spec, N, label, problems):
     return None
 
 
-def _normalize_forcing(doc, N, problems):
+def _normalize_forcing(doc, N, nodes, problems):
+    """The forcing object, or None after adding to problems: its fields
+    as JSON types, then the ForcingSpec of them validated, against the
+    grid's node count too unless nodes is None (a refused grid)."""
     if not isinstance(doc, dict):
         problems.append("forcing must be an object")
         return None
     _check_keys(doc, _FORCING_KEYS, "forcing")
     kind = doc.get("kind")
-    if kind not in ("zero", "separable", "tabulated"):
-        problems.append(f"forcing: unknown kind {kind!r}")
-        return None
     out = {"kind": kind, "g": None, "h_name": None, "h_params": None,
            "h_samples": None, "table": None}
+    before = len(problems)
     if kind == "separable":
-        if "g" not in doc:
-            problems.append("forcing: separable kind needs a profile g")
-            return None
-        g = _resolve_coeffs(doc["g"], N, "forcing.g", problems)
-        if g is None:
-            return None
-        out["g"] = list(g)
+        if "g" in doc:
+            g = _resolve_coeffs(doc["g"], N, "forcing.g", problems)
+            out["g"] = None if g is None else list(g)
         out["h_name"] = doc.get("h_name")
         if doc.get("h_params") is not None:
             out["h_params"] = _params(doc["h_params"], "forcing.h_params",
                                       problems)
-            if out["h_params"] is None:
-                return None
         if doc.get("h_samples") is not None:
             out["h_samples"] = _numbers(doc["h_samples"], "forcing.h_samples",
                                         problems)
-            if out["h_samples"] is None:
-                return None
     elif kind == "tabulated":
         table = doc.get("table")
-        if not isinstance(table, list) or not table:
-            problems.append("forcing: tabulated kind needs a table, a list "
-                            "of rows")
-            return None
-        rows = [_numbers(row, f"forcing.table[{i}]", problems)
-                for i, row in enumerate(table)]
-        if None in rows:
-            return None
-        if len({len(row) for row in rows}) > 1:
-            problems.append("forcing.table rows must have one length")
-            return None
-        out["table"] = rows
+        if isinstance(table, list):
+            table = [_numbers(row, f"forcing.table[{i}]", problems)
+                     for i, row in enumerate(table)]
+            if len({len(row) for row in table if row is not None}) > 1:
+                problems.append("forcing.table rows must have one length")
+        out["table"] = table
+    if len(problems) > before:
+        return None
+    try:
+        # the profile is only checked for presence here
+        _forcing_spec(out, out["g"]).validate(nodes, N)
+    except MLWaveError as exc:
+        problems.append(f"forcing: {exc}")
+        return None
     return out
 
 
@@ -323,7 +318,7 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
@@ -373,18 +368,10 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
     u0 = _resolve_coeffs(doc["u0"], N, "u0", problems)
     u1 = _resolve_coeffs(doc.get("u1", "zero"), N, "u1", problems)
 
-    if doc.get("forcing") is not None and has_nl:
-        problems.append("give either forcing or nonlinearity, not both")
-    forcing = None
-    if doc.get("forcing") is not None and not has_nl:
-        forcing = _normalize_forcing(doc["forcing"], N, problems)
-    nonlinearity = None
-    if has_nl:
-        nonlinearity = _normalize_nonlinearity(doc["nonlinearity"], problems)
-
     grid = doc.get("grid", {})
     t_end = _number(grid.get("t_end", 1.0), "grid.t_end", problems)
     dt = _number(grid.get("dt", 0.01), "grid.dt", problems)
+    nodes = None        # the grid's, once it is valid
     if t_end is not None and not t_end > 0.0:
         problems.append(f"grid.t_end must be positive, got {t_end}")
     if dt is not None and not dt > 0.0:
@@ -399,6 +386,17 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
             problems.append(
                 f"grid.t_end/grid.dt = {M:.3g} steps exceeds the cap of "
                 f"{_MAX_STEPS} steps")
+        else:
+            nodes = M + 1
+
+    if doc.get("forcing") is not None and has_nl:
+        problems.append("give either forcing or nonlinearity, not both")
+    forcing = None
+    if doc.get("forcing") is not None and not has_nl:
+        forcing = _normalize_forcing(doc["forcing"], N, nodes, problems)
+    nonlinearity = None
+    if has_nl:
+        nonlinearity = _normalize_nonlinearity(doc["nonlinearity"], problems)
 
     picard = asdict(PicardConfig())
     before = len(problems)
@@ -436,20 +434,15 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
 
 # ----------------------------------------------------- scenario -> solver
 
-def _forcing_spec(scn: Scenario, op) -> ForcingSpec:
-    f = scn.forcing
-    if f is None or f["kind"] == "zero":
+def _forcing_spec(f, g) -> ForcingSpec:
+    """The ForcingSpec of a forcing object f, or of none, with the
+    spatial profile g."""
+    if f is None:
         return ForcingSpec()
-    if f["kind"] == "separable":
-        return ForcingSpec(
-            kind="separable",
-            g=SpectralField(op, np.array(f["g"]), scn.N_modes),
-            h_name=f["h_name"],
-            h_params=f["h_params"],
-            h_samples=(None if f["h_samples"] is None
-                       else np.array(f["h_samples"])),
-        )
-    return ForcingSpec(kind="tabulated", table=np.array(f["table"]))
+    return ForcingSpec(
+        kind=f["kind"], g=g, h_name=f["h_name"], h_params=f["h_params"],
+        h_samples=None if f["h_samples"] is None else np.array(f["h_samples"]),
+        table=None if f["table"] is None else np.array(f["table"]))
 
 
 def _problem(scn: Scenario):
@@ -458,7 +451,10 @@ def _problem(scn: Scenario):
     u0, u1 = (SpectralField(op, np.array(c), scn.N_modes)
               for c in (scn.u0, scn.u1))
     if scn.kind == "linear":
-        return LinearProblem(op, scn.alpha, u0, u1, _forcing_spec(scn, op))
+        f = scn.forcing
+        g = None if f is None or f["g"] is None else SpectralField(
+            op, np.array(f["g"]), scn.N_modes)
+        return LinearProblem(op, scn.alpha, u0, u1, _forcing_spec(f, g))
     nl = scn.nonlinearity
     return SemilinearProblem(op, scn.alpha, u0, u1,
                              NonlinearitySpec(nl["kind"], dict(nl["params"])))
@@ -578,7 +574,7 @@ def _cmd_criticality(args) -> int:
     else:
         try:
             doc = json.loads(args.operator)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--operator is not valid JSON: {exc}") from exc
         problems = []
         cfg = _operator_from_dict(doc, problems)

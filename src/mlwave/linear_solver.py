@@ -85,7 +85,11 @@ class ForcingSpec:
     h_samples: np.ndarray | None = None
     table: np.ndarray | None = None
 
-    def validate(self):
+    def validate(self, nodes=None, N=None):
+        """Refuse a forcing the solvers cannot use: a named time function
+        is evaluated at t = 0, so its name and parameters are checked at
+        one point; given the grid's node count and the modes, the samples
+        and the table are checked against them too."""
         if self.kind == "zero":
             return
         if self.kind == "separable":
@@ -97,24 +101,33 @@ class ForcingSpec:
                 raise ConfigError(
                     "separable forcing needs exactly one of a named time "
                     "function or tabulated samples")
-            if has_name and self.h_name not in TIME_FUNCTIONS:
-                raise ConfigError(
-                    f"unknown time function {self.h_name!r}; "
-                    f"catalog: {TIME_FUNCTIONS}")
-            if has_samples and not np.all(np.isfinite(self.h_samples)):
+            if has_name:
+                eval_time_function(self.h_name, self.h_params, 0.0)
+                return
+            if not np.all(np.isfinite(self.h_samples)):
                 raise ConfigError("time samples must be finite")
+            if nodes is not None and np.shape(self.h_samples) != (nodes,):
+                raise ConfigError(
+                    f"time samples have shape {np.shape(self.h_samples)}, "
+                    f"the grid needs ({nodes},)")
             return
         if self.kind == "tabulated":
             if self.table is None or np.ndim(self.table) != 2:
                 raise ConfigError("tabulated forcing needs a 2-D table")
             if not np.all(np.isfinite(self.table)):
                 raise ConfigError("forcing table must be finite")
+            if nodes is not None and np.shape(self.table) != (nodes, N):
+                raise ConfigError(
+                    f"forcing table shape {np.shape(self.table)} does not "
+                    f"match (grid, modes) = ({nodes}, {N})")
             return
-        raise ConfigError(f"unknown forcing kind {self.kind!r}")
+        raise ConfigError(f"unknown kind {self.kind!r}; catalog: "
+                          "('zero', 'separable', 'tabulated')")
 
     def values(self, times, N):
         """Per-mode forcing matrix, shape (len(times), N)."""
         M1 = len(times)
+        self.validate(M1, N)
         if self.kind == "zero":
             return np.zeros((M1, N))
         if self.kind == "separable":
@@ -126,17 +139,8 @@ class ForcingSpec:
                                        np.asarray(times))
             else:
                 h = np.asarray(self.h_samples, dtype=float)
-                if h.shape != (M1,):
-                    raise ConfigError(
-                        f"time samples have length {h.shape}, grid needs "
-                        f"{M1}")
             return np.outer(h, c)
-        tab = np.asarray(self.table, dtype=float)
-        if tab.shape != (M1, N):
-            raise ConfigError(
-                f"forcing table shape {tab.shape} does not match "
-                f"(grid, modes) = ({M1}, {N})")
-        return tab.copy()
+        return np.array(self.table, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -310,8 +314,9 @@ class _KernelTable:
     store's lock, so tables of concurrent runs on one grid build each row
     once and read whole rows.  The table covers the first `nodes`
     nodes of `times`, all of them when nodes is None, and t is that
-    prefix; extend moves it further, and a row or weight held short of it
-    is completed when next asked for, one held past it is read cut to it.
+    prefix; extend moves it further, and a row held short of it is
+    completed, a weight rebuilt whole from the rows, when next asked for;
+    one held past it is read cut to it.
     A row value depends on its own point alone, and a weight panel on its
     own two nodes, so the rows, and the weights and propagators built from
     them, are those of a table built on the longer prefix at once, cold."""
@@ -364,16 +369,14 @@ class _KernelTable:
                              for b in betas]).reshape(
                 (len(betas),) + lam.shape + self.t.shape)
 
-    def moment_steps(self, lam, deriv, lo=0):
+    def moment_steps(self, lam, deriv):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
-        one eigenvalue, or of each of an array of them (one row each), on
-        the panels from lo on."""
+        one eigenvalue, or of each of an array of them (one row each)."""
         def row(beta):
-            return self.row(lam, (beta,))[0][..., lo:]
+            return self.row(lam, (beta,))[0]
 
-        m0, m1 = kernel_moments(self.alpha, self.t[lo:], row, deriv)
-        if not lo:
-            m0[..., 0] = m1[..., 0] = 0.0
+        m0, m1 = kernel_moments(self.alpha, self.t, row, deriv)
+        m0[..., 0] = m1[..., 0] = 0.0
         return np.diff(m0), np.diff(m1)
 
     def weights(self, lam):
@@ -387,38 +390,30 @@ class _KernelTable:
         every causal sum over K panels; sliced from index P - 1, it serves
         the sums against accepted samples.  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact.  The panels the store
-        lacks are built once per distinct eigenvalue, grouped by the panel
-        they lack from, from rows asked for in one call; the arithmetic is
-        elementwise, and panel l reads nodes l and l + 1 alone, so each
-        eigenvalue's weights are those of a build of it alone, and each
-        panel's those of a build on a longer prefix."""
+        the kernel, making constant forcing exact.  The eigenvalues the
+        store holds no weights for, or holds them short of P panels for,
+        are built whole, once each, from rows asked for in one call; only
+        the rows are completed.  The arithmetic is elementwise, and panel
+        l reads nodes l and l + 1 alone, so each eigenvalue's weights are
+        those of a build of it alone, and each panel's those of a build on
+        a longer prefix."""
         with _STORE_LOCK:
             uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
             keys = uniq.tolist()
             held = self._held
             have, P = held.weights, len(self.t) - 1
-            groups = {}
-            for v in keys:
-                lo = have[v].shape[-1] if v in have else 0
-                if lo < P:
-                    groups.setdefault(lo, []).append(v)
-            if groups:
-                self.row([v for new in groups.values() for v in new],
-                         moment_betas(self.alpha))
-            dt = float(self.t[1] - self.t[0])
-            for lo, new in groups.items():
-                ell = np.arange(lo + 1, P + 1)
-                got = np.empty((2, 2, len(new), P - lo))
+            new = [v for v in keys if v not in have or have[v].shape[-1] < P]
+            if new:
+                self.row(new, moment_betas(self.alpha))
+                ell = np.arange(1, P + 1)
+                dt = float(self.t[1] - self.t[0])
+                got = np.empty((2, 2, len(new), P))
                 for k, deriv in enumerate((False, True)):
-                    w0, mm1 = self.moment_steps(np.array(new), deriv, lo)
+                    w0, mm1 = self.moment_steps(np.array(new), deriv)
                     got[1, k] = ell * w0 - mm1 / dt
                     got[0, k] = w0 - got[1, k]
                 for i, v in enumerate(new):
-                    held.keep(have, v, np.concatenate((have[v], got[:, :, i]),
-                                                      axis=-1)
-                              if lo else got[:, :, i].copy())
-            if groups:
+                    held.keep(have, v, got[:, :, i].copy())
                 _store_fit(self._key, held)
             return _zero_led(np.stack([have[v][..., :P] for v in keys],
                                       axis=2)[:, :, inv])

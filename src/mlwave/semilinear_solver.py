@@ -25,8 +25,7 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _analysis_steps, _buffers, _row_runs,
-                                _rows_per_run, _rule_panels,
-                                _synthesis_steps, synthesis)
+                                _rule_panels, _synthesis_steps, synthesis)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -289,26 +288,16 @@ class _Collocation:
     composite rule with `panels` panels per axis, bound once: the
     pointwise map fmap(values, out=) and the rule's weights and factor
     tables.  Per run of rows: grid values by synthesis, f pointwise,
-    weighted, back by analysis, in buffers kept for the most rows a run
-    has had, and first made for `rows` rows (at most one run's), so that
-    a caller that knows how many rows it will ask for allocates once.
-    Non-finite values of f raise OverflowSignal for the blow-up monitor;
-    callers that expect overflow silence numpy's warnings around the
-    call.  key is (op, N, panels), under which the store keeps it idle
+    weighted, back by analysis, in buffers kept for the most rows a call
+    has asked for (at most one run's).  Non-finite values of f raise
+    OverflowSignal for the blow-up monitor; callers that expect overflow
+    silence numpy's warnings around the call.  key is (op, N, panels), under which the store keeps it idle
     between runs (see _lent); nbytes is what its buffers hold."""
 
-    def __init__(self, fmap, op, N, panels, rows=1):
+    def __init__(self, fmap, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)
-        self.key, self.N = (op, N, panels), N
+        self.key, self.N, self.fmap = (op, N, panels), N, fmap
         self.rows = self.tiled = self.nbytes = 0
-        self.rebind(fmap, rows)
-
-    def rebind(self, fmap, rows=1):
-        """Bind the pointwise map fmap for the calls bound from now on, and
-        make buffers for at least `rows` rows (at most one run's) when they
-        next grow."""
-        self.fmap = fmap
-        self.first = min(rows, _rows_per_run(self.w.size))
 
     def bind(self, C, out):
         """A call that writes the coefficients of the rows C, as they are
@@ -320,10 +309,9 @@ class _Collocation:
             if n > self.rows:
                 # synthesis's and analysis's buffers, f's values, their
                 # finiteness, and the weights tiled: one flat product
-                m = max(n, self.first)
-                grid = (m,) + self.w.shape
-                self.rows, self.tiled, self.bufs = m, 0, (
-                    *_buffers(self.factors, m), np.empty(grid),
+                grid = (n,) + self.w.shape
+                self.rows, self.tiled, self.bufs = n, 0, (
+                    *_buffers(self.factors, n), np.empty(grid),
                     np.empty(grid, bool), np.empty(grid))
                 syn, ana, *more = self.bufs
                 self.nbytes = sum(b.nbytes for b in (*syn, *ana, *more)
@@ -359,15 +347,12 @@ class _Collocation:
         return out
 
 
-def _lent(fmap, op, N, panels, rows):
+def _lent(fmap, op, N, panels):
     """The _Collocation of (op, N, panels) that the store holds idle, its
-    buffers and tiled weights kept, or a new one; bound to fmap, its
-    buffers made for at least `rows` rows when they grow.  It is the
-    caller's alone until its _Workspace.release."""
-    colloc = _lend((op, N, panels))
-    if colloc is None:
-        return _Collocation(fmap, op, N, panels, rows)
-    colloc.rebind(fmap, rows)
+    buffers and tiled weights kept, or a new one; bound to fmap.  It is
+    the caller's alone until its _Workspace.release."""
+    colloc = _lend((op, N, panels)) or _Collocation(fmap, op, N, panels)
+    colloc.fmap = fmap
     return colloc
 
 
@@ -449,8 +434,7 @@ class _Workspace:
         # f(u) can force every mode, unless f = 0
         self.forced = p.nonlinearity.kind != "zero"
         self.M = M = len(grid) - 1
-        # the longest window a run takes, which sizes the collocations'
-        # buffers
+        # the longest window a run takes
         self.steps_cap = min(M, max(1, round(cfg.window_init
                                              / (grid[1] - grid[0]))))
         # the last window start's memory term, (ia, sums), for its retries
@@ -460,13 +444,13 @@ class _Workspace:
         self.reach(0, min(M, _EXTENT_MIN))
         fmap = p.nonlinearity.pointwise()
         self.colloc, self.doubled = (
-            [_lent(fmap, p.op, p.N, k * self.panels, self.steps_cap)
-             for k in (1, 2)] if self.forced else (None, None))
+            [_lent(fmap, p.op, p.N, k * self.panels) for k in (1, 2)]
+            if self.forced else (None, None))
 
     def release(self):
         """Hand both collocations back to the store for later runs on the
         operator, with no map bound, so the workspace collocates nothing
-        after and a call bound later fails until a _lent rebinds them."""
+        after and a call bound later fails until a _lent binds a map."""
         for colloc in (self.colloc, self.doubled):
             if colloc is not None:
                 colloc.fmap = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -289,19 +289,17 @@ def q_A_of(cfg: OperatorSpecConfig):
 
 
 def make_operator(cfg: OperatorSpecConfig) -> Operator:
-    """The operator of a catalog entry.  An entry is frozen, so each one
-    that hashes (its lengths a tuple) is built once per process, and later
-    solves on it reuse the rules it has built; any other is built anew."""
-    try:
-        hash(cfg)
-    except TypeError:
-        return _operator.__wrapped__(cfg)
-    return _operator(cfg)
+    """The operator of a catalog entry, validated, then with its lengths,
+    and its base's, frozen to tuples: equal entries get one operator per
+    process, so later solves on it reuse the rules it has built and the
+    collocations they keep."""
+    cfg.validate()
+    base = cfg.base and replace(cfg.base, lengths=tuple(cfg.base.lengths))
+    return _operator(replace(cfg, lengths=tuple(cfg.lengths), base=base))
 
 
 @lru_cache(maxsize=16)
 def _operator(cfg: OperatorSpecConfig) -> Operator:
-    cfg.validate()
     qa = q_A_of(cfg)
     base, name, power = cfg, cfg.kind, 1.0
     if cfg.kind == "spectral_fractional_power":
@@ -414,14 +412,9 @@ def analysis(factors: _Factors, V, out=None) -> np.ndarray:
     return out[-1]
 
 
-def _rows_per_run(points):
-    """Rows of one run of rows: within _VALUES_MAX values, at least one."""
-    return max(1, _VALUES_MAX // points)
-
-
 def _row_runs(count, points):
     """Runs of rows 0..count-1, each within _VALUES_MAX values or one row."""
-    step = _rows_per_run(points)
+    step = max(1, _VALUES_MAX // points)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 

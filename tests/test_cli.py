@@ -447,6 +447,49 @@ class TestMistypedFields:
         doc = mutated(MUTATION_BASE["linear"], "forcing", forcing)
         assert self.solve(tmp_path, "linear", doc) == 0
 
+    @pytest.mark.parametrize("forcing, problem", [
+        ({"kind": "separable", "g": [1.0], "h_name": "bogus"},
+         "forcing: unknown time function 'bogus'"),
+        ({"kind": "separable", "g": [1.0]},
+         "forcing: separable forcing needs exactly one of a named time "
+         "function or tabulated samples"),
+        ({"kind": "separable", "g": [1.0], "h_name": "sinusoid",
+          "h_params": {"amplitude": 1.0}},
+         "forcing: time function 'sinusoid' needs parameter 'omega'"),
+        ({"kind": "tabulated", "table": [[1.0, 0.0], [0.0, 1.0]]},
+         "forcing: forcing table shape (2, 2) does not match (grid, modes) "
+         "= (101, 4)"),
+    ], ids=["unknown-time-function", "no-time-factor", "missing-parameter",
+            "table-off-the-grid"])
+    def test_forcing_the_solver_refuses_is_refused_at_parse(
+            self, tmp_path, capsys, forcing, problem):
+        # on a 101-node grid, beside a refused alpha: the itemized error
+        # names both, and the solve exits 1 before it makes --out
+        doc = mutated(mutated(MUTATION_BASE["linear"], "forcing", forcing),
+                      "grid", {"t_end": 1.0, "dt": 0.01})
+        doc["alpha"] = 0.5
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(json.dumps(doc))
+        msg = str(err.value)
+        assert problem in msg and "alpha must lie in" in msg
+        assert msg.count("\n  - ") == 2
+        assert self.solve(tmp_path, "linear", doc) == 1
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_scenario_is_not_valid_json(self, tmp_path,
+                                                      capsys):
+        # json.loads runs out of recursion on 100 000 nested arrays
+        doc = json.dumps(MUTATION_BASE["linear"]).replace(
+            '"u0": [1.0, 0.5]', '"u0": ' + "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_scenario(doc)
+        path = tmp_path / "scn.json"
+        path.write_text(doc)
+        assert main(["solve", "linear", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_huge_integer_is_not_a_number(self):
         with pytest.raises(ConfigError, match="alpha must be a finite"):
             parse_scenario(scenario_text().replace("1.5", "1" + "0" * 400))
@@ -875,6 +918,18 @@ class TestCriticalityCli:
         assert main(["criticality", "--operator", op,
                      "--alpha", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_operator_json_exits_one(self, capsys):
+        # 100 000 nested arrays are not valid JSON here; 900 nested
+        # fractional powers parse, and the entry is refused, not hashed
+        assert main(["criticality", "--operator",
+                     "[" * 100_000 + "]" * 100_000, "--alpha", "1.5"]) == 1
+        assert "--operator is not valid JSON" in capsys.readouterr().err
+        op = ('{"kind": "spectral_fractional_power", "power": 0.5, "base": '
+              * 900 + '{"kind": "dirichlet_laplacian_interval", "lengths": '
+              '[1.0]}' + "}" * 900)
+        assert main(["criticality", "--operator", op, "--alpha", "1.5"]) == 1
+        assert "non-fractional" in capsys.readouterr().err
 
     def test_box_operator_json(self, capsys):
         op = json.dumps({"kind": "dirichlet_laplacian_box",

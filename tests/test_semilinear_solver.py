@@ -424,10 +424,10 @@ class TestBuffersKeepTheBits:
     @pytest.mark.parametrize("first", [1, 8])
     def test_reused_buffers_give_one_shot_bits(self, kind, first,
                                                monkeypatch):
-        # one collocation, its buffers first made for 1 or 8 rows, then
-        # grown or tiled further and reused over calls of 5, 2, 7 and 1
-        # rows, one that overflows and 3 rows: each result is that of a
-        # fresh one, and writing to a result changes no other.  Every
+        # one collocation, its buffers first made by a call of 1 or 8
+        # rows, then grown or tiled further and reused over calls of 5, 2,
+        # 7 and 1 rows, one that overflows and 3 rows: each result is that
+        # of a fresh one, and writing to a result changes no other.  Every
         # np.empty comes back filled with nan, so a read of a value never
         # written shows
         def poisoned(shape, dtype=float):
@@ -437,9 +437,8 @@ class TestBuffersKeepTheBits:
         monkeypatch.setattr(np, "empty", poisoned)
         op = make_operator(CATALOG[kind])
         f, N, panels = NONLINEARITIES["power"], 5, 4
-        colloc = semilinear_solver._Collocation(f.apply, op, N, panels,
-                                                first)
-        for seed, rows in enumerate((5, 2, 7, 1)):
+        colloc = semilinear_solver._Collocation(f.apply, op, N, panels)
+        for seed, rows in enumerate((first, 5, 2, 7, 1)):
             C = 3.0 * coefficient_rows(rows, N, seed=seed)
             got = colloc(C)
             want = semilinear_solver._collocate(f, op, C, N, panels)
@@ -1572,13 +1571,63 @@ class TestCollocationStore:
                           PicardConfig(max_iter=1, tol=1e-300), None)
         assert len(self.idle()) == 2
 
+    def test_buffers_hold_the_rows_windows_asked_for(self, monkeypatch):
+        # a blow-up run on a 200-step grid stops near node 59: each idle
+        # collocation holds buffers for the most rows a call asked of it,
+        # the bytes of a new one asked for that many, not for the longest
+        # window the grid admits
+        bind = semilinear_solver._Collocation.bind
+        asked = {}
+
+        def recorded(colloc, C, out):
+            asked[colloc.key] = max(asked.get(colloc.key, 0), len(C))
+            return bind(colloc, C, out)
+
+        monkeypatch.setattr(semilinear_solver._Collocation, "bind", recorded)
+        p = problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02], [0.0] * 4,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
+        out = run(p, 0.1, PicardConfig(), 0.0005)
+        assert out.status == "maximal_time_detected"
+        assert set(self.idle()) == set(asked)
+        for key, colloc in self.idle().items():
+            rows = asked[key]
+            assert colloc.rows == rows < 200
+            fresh = semilinear_solver._Collocation(np.positive, *key)
+            bind(fresh, np.zeros((rows, p.N)), np.empty((rows, p.N)))
+            assert colloc.nbytes == fresh.nbytes
+
+    def test_runs_on_equal_listed_entries_share_their_collocations(self):
+        # each run makes its operator from a new entry whose lengths are a
+        # list: the entries are equal, so the runs borrow one collocation
+        # per rule
+        n = np.arange(1, 9)
+        for _ in range(5):
+            op = make_operator(OperatorSpecConfig(
+                kind="dirichlet_laplacian_box", lengths=[1.0, 2.0]))
+            self.solve(problem(op, self.BOX["alpha"], 0.2 / n ** 2,
+                               0.1 / n ** 2, self.MAPS[0]))
+        assert len(self.idle()) == 2
+
     def test_store_stays_under_its_budget(self, monkeypatch):
-        # a budget below the box's doubled-rule collocation: that one is
-        # never held, and the rest, kernel entries included, are evicted
-        # least recently used first, idle collocations before kernel
-        # entries; every run keeps its cold bytes
+        # a budget below what six runs on two operators keep: idle
+        # collocations and kernel entries are evicted least recently used
+        # first, a kernel entry only once no idle collocation is held but
+        # the one being fitted, and every run keeps its cold bytes
         cap = 1_000_000
         monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
+        idle, store = linear_solver._IDLE, linear_solver._STORE
+        fit, evicted = linear_solver._store_fit, set()
+
+        def checked(key, entry, held=store):
+            before = set(idle), set(store)
+            fit(key, entry, held)
+            if before[1] - set(store):
+                assert set(idle) <= {key}
+                evicted.add("kernel")
+            if before[0] - set(idle):
+                evicted.add("idle")
+
+        monkeypatch.setattr(linear_solver, "_store_fit", checked)
         power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
         interval = problem(interval_op(), 1.5, [1.0, 0.1, -0.05, 0.02],
                            [0.0] * 4, power)
@@ -1591,19 +1640,16 @@ class TestCollocationStore:
             self.cold()
             cold.append(outcome_bytes(run(p, T, PicardConfig(), dt)))
         self.cold()
-        keys, gone = set(), set()
         for (p, T, dt), want in zip(runs, cold):
             assert outcome_bytes(run(p, T, PicardConfig(), dt)) == want
-            stores = linear_solver._IDLE, linear_solver._STORE
-            assert sum(e.nbytes for d in stores for e in d.values()) <= cap
-            # a key leaves the store only when it is evicted
-            now = {k for d in stores for k in d}
-            gone |= keys - now
-            keys = now
-        doubled = (box.op, box.N, 2 * spectral_operator._rule_panels(
-            PicardConfig().quadrature(box.N)))
-        assert doubled not in keys | gone
-        # idle collocations were evicted, before any kernel entry, and
-        # held again by later runs
-        assert {k[0] for k in gone} == {box.op, interval.op}
-        assert {k[0] for k in linear_solver._IDLE} == {box.op, interval.op}
+            assert sum(e.nbytes for d in (idle, store)
+                       for e in d.values()) <= cap
+        assert evicted == {"idle", "kernel"}
+        # idle collocations of both operators are held again by later runs
+        assert {k[0] for k in idle} == {box.op, interval.op}
+        # an object alone past the budget is never held, one at it is
+        self.cold()
+        linear_solver._hand_back("past", SimpleNamespace(nbytes=cap + 1))
+        at = SimpleNamespace(nbytes=cap)
+        linear_solver._hand_back("at", at)
+        assert dict(idle) == {"at": at}

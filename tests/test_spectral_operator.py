@@ -127,8 +127,8 @@ class TestCatalog:
 
     def test_each_entry_is_built_once(self):
         # an entry is frozen: an equal one gets the same operator, with the
-        # rules it has built; an entry that does not hash is built anew,
-        # and a refused one is refused again
+        # rules it has built, also when its lengths, or its base's, are a
+        # list; a refused one is refused again
         cfg = OperatorSpecConfig(kind="dirichlet_laplacian_box",
                                  lengths=(1.0, 2.0))
         op = make_operator(cfg)
@@ -138,8 +138,12 @@ class TestCatalog:
         assert again is op and again.rule(8, 4) is rule
         listed = make_operator(OperatorSpecConfig(
             kind="dirichlet_laplacian_box", lengths=[1.0, 2.0]))
-        assert listed is not op
-        assert np.array_equal(listed.eigenvalues(8), op.eigenvalues(8))
+        assert listed is op
+        power = make_operator(OperatorSpecConfig(
+            "spectral_fractional_power", power=0.5, base=INTERVAL_PI))
+        assert make_operator(OperatorSpecConfig(
+            "spectral_fractional_power", power=0.5, base=OperatorSpecConfig(
+                "dirichlet_laplacian_interval", lengths=[math.pi]))) is power
         for _ in range(2):
             with pytest.raises(ConfigError, match="unknown operator kind"):
                 make_operator(OperatorSpecConfig(kind="disk", lengths=(1.0,)))

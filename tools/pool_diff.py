@@ -18,12 +18,14 @@ final state's change relative to max(1, max |state|), the measure
 bench/workloads.py:gate_solve holds to STATE_TOL.
 
 The change tree then solves every scenario a second time within the same
-import, so that each solve reads the kernel rows and weights, and the
-collocations, its first pass left in the process-wide store; each
+import, so that each solve reads the kernel rows, the weights and the
+idle collocations its first pass left in the process-wide store; each
 scenario whose warm pass differs from its cold one is printed as above,
-prefixed "warm".  Three lines end the
-output: the counts of scenarios that differ between the trees, of those
-whose status or T_est changed, and of those whose warm pass differs.
+prefixed "warm".  After each pass a line gives the bytes the tree's store
+holds: kernel rows and weights (linear_solver._STORE), and idle
+collocations (linear_solver._IDLE).  Three lines end the output: the
+counts of scenarios that differ between the trees, of those whose status
+or T_est changed, and of those whose warm pass differs.
 Passing one tree twice checks that reruns in a fresh import are
 byte-identical.  Nothing under bench/ is written.
 """
@@ -100,6 +102,15 @@ def solve_pool(cli, work):
             if os.path.exists(path):
                 got[w, k][f] = Path(path).read_bytes()
     return got
+
+
+def held_bytes(label):
+    """Print the bytes the kernel store and the idle collocations of the
+    mlwave package imported last hold."""
+    ls = sys.modules["mlwave.linear_solver"]
+    kernel, idle = (sum(e.nbytes for e in getattr(ls, name, {}).values())
+                    for name in ("_STORE", "_IDLE"))
+    print(f"{label}: kernel store {kernel} B, idle collocations {idle} B")
 
 
 def final_state(files, N):
@@ -182,9 +193,12 @@ def main(argv=None):
         return 2
     with tempfile.TemporaryDirectory() as work:
         before = solve_pool(load(argv[0]), os.path.join(work, "a"))
+        held_bytes("parent tree after its pass")
         cli = load(argv[1])
         after = solve_pool(cli, os.path.join(work, "b"))
+        held_bytes("change tree after its cold pass")
         warm = solve_pool(cli, os.path.join(work, "c"))
+        held_bytes("change tree after its warm pass")
     modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
     differing, moved = compare(before, after, modes)
     warm_differing, _ = compare(after, warm, modes, "warm ")
