@@ -180,21 +180,20 @@ def _resolve_coeffs(spec, N, label, problems):
 
     Accepted forms: a profile name ("zero", "phi<k>"), a coefficient
     list (leading modes, zero-padded), or {"file": path} pointing at a
-    two-column n,c_n CSV.
+    two-column n,c_n CSV.  With N None, a refused N_modes, only the form
+    is checked.
     """
+    top, N = (math.inf, 0) if N is None else (N, N)
     if isinstance(spec, str):
         if spec == "zero":
             return (0.0,) * N
         m = re.fullmatch(r"phi([1-9][0-9]*)", spec)
         if m:
             k = int(m.group(1))
-            if k > N:
-                problems.append(
-                    f"{label}: mode {k} exceeds N_modes={N}")
+            if k > top:
+                problems.append(f"{label}: mode {k} exceeds N_modes={N}")
                 return None
-            c = [0.0] * N
-            c[k - 1] = 1.0
-            return tuple(c)
+            return tuple(float(n == k) for n in range(1, N + 1))
         problems.append(
             f"{label}: unknown profile name {spec!r} "
             "(use \"zero\", \"phi<k>\", a list, or {\"file\": path})")
@@ -203,7 +202,7 @@ def _resolve_coeffs(spec, N, label, problems):
         vals = _numbers(spec, label, problems)
         if vals is None:
             return None
-        if len(vals) > N:
+        if len(vals) > top:
             problems.append(
                 f"{label}: {len(vals)} coefficients exceed N_modes={N}")
             return None
@@ -227,22 +226,22 @@ def _resolve_coeffs(spec, N, label, problems):
             problems.append(f"{label}: coefficient CSV needs the two columns "
                             f"n,c_n, got {rows.shape[1]}")
             return None
-        c = [None] * N
+        c = {}
         for i, (nmode, val) in enumerate(rows.tolist()):
             k = _number(nmode, f"{label} CSV row {i + 1} mode index",
                         problems)
             val = _number(val, f"{label} CSV row {i + 1} value", problems)
             if k is None or val is None:
                 return None
-            if k != int(k) or not 1 <= k <= N:
+            if k != int(k) or not 1 <= k <= top:
                 problems.append(
-                    f"{label}: CSV mode index {k:g} outside 1..{N}")
+                    f"{label}: CSV mode index {k:g} outside 1..{top:g}")
                 return None
-            if c[int(k) - 1] is not None:
+            if int(k) in c:
                 problems.append(f"{label}: CSV mode index {k:g} repeats")
                 return None
-            c[int(k) - 1] = val
-        return tuple(0.0 if v is None else v for v in c)
+            c[int(k)] = val
+        return tuple(c.get(n, 0.0) for n in range(1, N + 1))
     problems.append(f"{label}: unsupported initial-data spec {spec!r}")
     return None
 
@@ -250,7 +249,7 @@ def _resolve_coeffs(spec, N, label, problems):
 def _normalize_forcing(doc, N, nodes, problems):
     """The forcing object, or None after adding to problems: its fields
     as JSON types, then the ForcingSpec of them validated, against the
-    grid's node count too unless nodes is None (a refused grid)."""
+    grid's node count and N too unless either is None (refused)."""
     if not isinstance(doc, dict):
         problems.append("forcing must be an object")
         return None
@@ -360,10 +359,10 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
     N = doc.get("N_modes", 8)
     if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
         problems.append(f"N_modes must be a positive integer, got {N!r}")
-        N = 8
+        N = None        # refused: nothing is checked against it
     elif N > _MAX_MODES:
         problems.append(f"N_modes exceeds the cap of {_MAX_MODES} modes")
-        N = 8
+        N = None
 
     u0 = _resolve_coeffs(doc["u0"], N, "u0", problems)
     u1 = _resolve_coeffs(doc.get("u1", "zero"), N, "u1", problems)
@@ -412,8 +411,8 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         except MLWaveError as exc:
             problems.append(f"picard: {exc}")
         else:
-            quad = cfg.quadrature(N)
-            if has_nl and dim is not None and \
+            quad = N and cfg.quadrature(N)
+            if has_nl and None not in (dim, quad) and \
                     _doubled_rule_nodes(quad, dim) > _MAX_RULE_NODES:
                 problems.append(
                     f"a {quad:.3g}-node rule per axis is doubled past the "

@@ -116,7 +116,7 @@ class ForcingSpec:
                 raise ConfigError("tabulated forcing needs a 2-D table")
             if not np.all(np.isfinite(self.table)):
                 raise ConfigError("forcing table must be finite")
-            if nodes is not None and np.shape(self.table) != (nodes, N):
+            if None not in (nodes, N) and np.shape(self.table) != (nodes, N):
                 raise ConfigError(
                     f"forcing table shape {np.shape(self.table)} does not "
                     f"match (grid, modes) = ({nodes}, {N})")
@@ -481,15 +481,16 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
     return U, DTU
 
 
-def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None):
+def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
+                     F=None):
     """Volterra convolutions of the forcing against the mild-solution
     kernel (S3) and its time derivative's kernel (S3p), both shaped like
-    the forcing matrix.  kt, when given, is the caller's kernel table on
-    the same grid, so rows it already holds are not built again."""
+    the forcing matrix.  kt and F, when given, are the caller's kernel
+    table and forcing matrix on the same grid, so neither is built again."""
     p.validate()
     t, _ = _check_grid(grid)
     M1 = len(t)
-    F = p.forcing.values(t, p.N)
+    F = p.forcing.values(t, p.N) if F is None else F
     S3 = np.zeros((M1, p.N))
     S3p = np.zeros((M1, p.N))
     if p.forcing.kind == "zero":
@@ -537,7 +538,7 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     kt = _KernelTable(a, t)
     U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs,
                             F.any(axis=0))
-    S3, S3p = convolve_forcing(p, grid, kt)
+    S3, S3p = convolve_forcing(p, grid, kt, F)
     # overflow surfaces as a NumericFailure below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[1:] += S3[1:]

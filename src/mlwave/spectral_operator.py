@@ -345,13 +345,26 @@ def _buffers(factors: _Factors, rows: int):
     """(syn, ana), what synthesis and analysis of `rows` rows write: the
     scattered (rows, J_1, ..., J_d) table-row grid, zero off the modes
     (None in 1-D), then the product after each axis; the contraction
-    after each axis, the last first, then the (rows, N) coefficients."""
+    after each axis, then in d > 1 the (rows, N) coefficients."""
     tables, index = factors
     J, P = zip(*(T.shape for T in tables))
     syn = [None if index is None else np.zeros((rows,) + J)]
     syn += [np.empty((rows,) + J[k + 1:] + P[:k + 1]) for k in range(len(J))]
-    ana = [np.empty((rows,) + P[:k] + J[k:]) for k in reversed(range(len(J)))]
+    ana = [np.empty((rows,) + P[k + 1:] + J[:k + 1]) for k in range(len(J))]
     return syn, ana + ([] if index is None else [np.empty((rows, len(index)))])
+
+
+def _contract_steps(D, tables, out) -> list:
+    """The calls that contract D, (rows, K_1, ..., K_d), with tables
+    (K_i, L_i) into out, one axis at a time: the axis rotated to the end,
+    one (m, K) by (K, L) np.matmul per row, so no row reads another."""
+    steps = []
+    for T, S in zip(tables, out):
+        rows, K, *_ = D.shape
+        steps.append(partial(np.matmul, D.reshape(rows, K, -1).swapaxes(1, 2),
+                             T, out=S.reshape(rows, -1, T.shape[1])))
+        D = S
+    return steps
 
 
 def _synthesis_steps(factors: _Factors, C, out) -> list:
@@ -363,21 +376,14 @@ def _synthesis_steps(factors: _Factors, C, out) -> list:
         D = out[0]
         steps.append(partial(operator.setitem, D.reshape(len(C), -1),
                              (slice(None), index), C))
-    for T, S in zip(tables, out[1:]):
-        rows, J, *_ = D.shape
-        steps.append(partial(np.matmul, D.reshape(rows, J, -1).swapaxes(1, 2),
-                             T, out=S.reshape(rows, -1, T.shape[1])))
-        D = S
-    return steps
+    return steps + _contract_steps(D, tables, out[1:])
 
 
 def synthesis(factors: _Factors, C, out=None) -> np.ndarray:
     """Grid values (rows, P_1, ..., P_d) of coefficient rows C, scattered
-    onto the (J_1, ..., J_d) table-row grid and contracted one axis at a
-    time by np.matmul, one (m, J) by (J, P) product per coefficient row:
-    BLAS picks the order of the table-row sums, and a row's values do not
-    depend on the rows with it.  They are the last of out, the syn
-    buffers of _buffers(factors, len(C)), when given."""
+    onto the (J_1, ..., J_d) table-row grid and contracted by
+    _contract_steps, BLAS picking the order of the table-row sums; the
+    last of out, the syn _buffers of len(C) rows, when given."""
     out = _buffers(factors, len(C))[0] if out is None else out
     for step in _synthesis_steps(factors, C, out):
         step()
@@ -388,12 +394,7 @@ def _analysis_steps(factors: _Factors, V, out) -> list:
     """analysis of the weighted grid values V into out, its _buffers, as
     the calls to make in order, on views built here."""
     tables, index = factors
-    *rest, T = tables
-    steps = [partial(np.vecdot, V[..., None, :], T, out=out[0])]
-    for k, T in enumerate(reversed(rest), start=2):
-        steps.append(partial(
-            np.vecdot, out[k - 2][(..., None) + (slice(None),) * k],
-            T.reshape(T.shape + (1,) * (k - 1)), axis=-k, out=out[k - 1]))
+    steps = _contract_steps(V, [T.T for T in tables], out)
     if index is not None:
         # the indices are in range; "clip" writes out without a copy
         steps.append(partial(np.take, out[-2].reshape(len(V), -1), index,
@@ -402,10 +403,9 @@ def _analysis_steps(factors: _Factors, V, out) -> list:
 
 
 def analysis(factors: _Factors, V, out=None) -> np.ndarray:
-    """Coefficient rows, (rows, N), of weighted grid values V: one vecdot
-    per axis, the last axis first, then the modes gathered in order.
-    They are the last of out, the ana buffers of _buffers(factors,
-    len(V)), when given."""
+    """Coefficient rows, (rows, N), of weighted grid values V: synthesis's
+    contractions on the transposed tables, then the modes gathered in
+    order; the last of out, the ana _buffers of len(V) rows, when given."""
     out = _buffers(factors, len(V))[1] if out is None else out
     for step in _analysis_steps(factors, V, out):
         step()

@@ -186,6 +186,24 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="positive integer"):
             parse_scenario(scenario_text(N_modes=True))
 
+    @pytest.mark.parametrize("N", ["x", 0, 5000])
+    def test_refused_mode_count_skips_the_checks_against_it(self, N,
+                                                            tmp_path):
+        # with N_modes refused there is no N to hold the coefficients,
+        # the forcing table or the rule size to: only its own item shows
+        table = [[1.0, 2.0], [3.0, 4.0]]
+        csv = tmp_path / "u1.csv"
+        csv.write_text("n,c_n\n20,1.0\n")
+        for over in ({"u0": [1.0] * 10},
+                     {"u0": "phi20", "u1": {"file": str(csv)}},
+                     {"forcing": {"kind": "tabulated", "table": table}},
+                     {"nonlinearity": {"kind": "power",
+                                       "params": {"c": 1.0, "r": 2.0}}}):
+            with pytest.raises(ConfigError) as err:
+                parse_scenario(scenario_text(N_modes=N, **over))
+            items = str(err.value).splitlines()[1:]
+            assert len(items) == 1 and "N_modes" in items[0], items
+
     def test_forcing_profile_resolved(self):
         scn = parse_scenario(scenario_text(
             N_modes=3,

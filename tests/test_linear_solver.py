@@ -428,6 +428,31 @@ class TestSolveLinear:
         assert rows == [((1.0, 2.0, 1.5, 2.5, 3.5), (16, 41))]
         assert len(convolutions) == 1
 
+    def test_forcing_matrix_built_once_per_solve(self, monkeypatch):
+        # solve_linear hands its forcing matrix to convolve_forcing, as it
+        # hands over its kernel table, so the forcing is evaluated once;
+        # the sums read the same matrix either way
+        calls = []
+        values = ForcingSpec.values
+
+        def counted(self, times, N):
+            calls.append(len(times))
+            return values(self, times, N)
+
+        op = interval_op()
+        n = np.arange(1, 9)
+        f = ForcingSpec(kind="separable", g=field(op, 1.0 / n ** 2),
+                        h_name="sinusoid",
+                        h_params={"amplitude": 1.0, "omega": 3.0})
+        p = problem(op, 1.5, 1.0 / n ** 2, 0.5 / n ** 2, f)
+        grid = np.linspace(0.0, 2.0, 41)
+        want = convolve_forcing(p, grid)
+        monkeypatch.setattr(ForcingSpec, "values", counted)
+        solve_linear(p, grid)
+        assert calls == [41]
+        got = convolve_forcing(p, grid, None, f.values(grid, 8))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
     def test_matches_homogeneous_state(self):
         p = problem(interval_op(), 1.4, [1.0, -0.5, 0.2], [0.3, 0.0, -0.1])
         grid = np.linspace(0.0, 3.0, 31)

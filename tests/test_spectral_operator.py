@@ -259,20 +259,24 @@ class TestArrays:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_blas_order_matches_synthesis_row_by_row(self, cfg):
-        # synthesis sums in BLAS order, and a row's values are those of
-        # the row alone, bit for bit, whatever rows are computed with it:
-        # the property the runs of rows and the Picard iterate rest on
+        # synthesis and analysis sum in BLAS order, and a row's result is
+        # that of the row alone, bit for bit, whatever rows are computed
+        # with it: the property the runs of rows, the Picard iterate and
+        # a window's final f_rows call rest on
         op = make_operator(cfg)
         N = 8
-        factors = op.rule(N, 4).factors
-        C = np.random.default_rng(13).normal(size=(12, N))
-        got = synthesis(factors, C)
-        for i in range(len(C)):
-            alone = synthesis(factors, C[i:i + 1].copy())
-            assert alone[0].tobytes() == got[i].tobytes()
-        for lo, hi in ((0, 3), (2, 7), (5, 6), (1, 12), (4, 11)):
-            assert (synthesis(factors, C[lo:hi]).tobytes()
-                    == got[lo:hi].tobytes())
+        w, factors = op.rule(N, 4)[1:]
+        rng = np.random.default_rng(13)
+        C = rng.normal(size=(12, N))
+        V = rng.normal(size=(12,) + w.shape) * w
+        for fn, X in ((synthesis, C), (analysis, V)):
+            got = fn(factors, X)
+            for i in range(len(X)):
+                alone = fn(factors, X[i:i + 1].copy())
+                assert alone[0].tobytes() == got[i].tobytes()
+            for lo, hi in ((0, 3), (2, 7), (5, 6), (1, 12), (4, 11)):
+                assert (fn(factors, X[lo:hi]).tobytes()
+                        == got[lo:hi].tobytes())
 
     def test_cached_rule_arrays_reject_writes(self, cfg):
         axes, w, (tables, index) = make_operator(cfg).rule(4, 2)

@@ -23,7 +23,14 @@ idle collocations its first pass left in the process-wide store; each
 scenario whose warm pass differs from its cold one is printed as above,
 prefixed "warm".  After each pass a line gives the bytes the tree's store
 holds: kernel rows and weights (linear_solver._STORE), and idle
-collocations (linear_solver._IDLE).  Three lines end the output: the
+collocations (linear_solver._IDLE).
+
+The Picard stop is absolute, so a window that needs max_iter iterations
+to converge decides T_est by a few trailing bits.  For each tree a line
+gives the count of accepted windows that used exactly their scenario's
+max_iter iterations, and the scenarios they are in; then each scenario
+whose accepted iteration counts differ between the trees is printed with
+the windows that moved, old -> new.  Three lines end the output: the
 counts of scenarios that differ between the trees, of those whose status
 or T_est changed, and of those whose warm pass differs.
 Passing one tree twice checks that reruns in a fresh import are
@@ -156,6 +163,42 @@ def json_diffs(a, b, key=""):
     return [(key, math.inf)]
 
 
+def iterations(files):
+    """The iteration counts of the accepted windows in outcome.json."""
+    if "outcome.json" not in files:
+        return []
+    return [w["iterations"]
+            for w in json.loads(files["outcome.json"]).get("windows", [])]
+
+
+def knife_edge(label, got, caps):
+    """Print the count of accepted windows in got that used exactly their
+    scenario's max_iter iterations, and the scenarios they are in."""
+    at = {case: iterations(files).count(caps[case])
+          for case, files in got.items()}
+    hit = [f"{w} {k}" + (f" (x{n})" if n > 1 else "")
+           for (w, k), n in at.items() if n]
+    print(f"{label}: {sum(at.values())} accepted windows at max_iter"
+          + (": " + ", ".join(hit) if hit else ""))
+
+
+def iteration_moves(before, after):
+    """Print each scenario whose accepted iteration counts differ, with
+    the windows that moved; return how many there are."""
+    moved = 0
+    for case, files in before.items():
+        a, b = iterations(files), iterations(after[case])
+        if a == b:
+            continue
+        moved += 1
+        notes = [f"window {i} {x} -> {y}"
+                 for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(a) != len(b):
+            notes.append(f"{len(a)} -> {len(b)} windows")
+        print(f"iterations {case[0]} {case[1]}: " + ", ".join(notes))
+    return moved
+
+
 def compare(before, after, modes, label=""):
     """Print each scenario whose files differ from before to after, then
     the largest relative change per key; return (differing, moved), the
@@ -200,6 +243,14 @@ def main(argv=None):
         warm = solve_pool(cli, os.path.join(work, "c"))
         held_bytes("change tree after its warm pass")
     modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
+    cap = sys.modules["mlwave.semilinear_solver"].PicardConfig.max_iter
+    caps = {(w, k): doc.get("picard", {}).get("max_iter", cap)
+            for w, k, _, doc in scenarios()}
+    knife_edge("parent tree", before, caps)
+    knife_edge("change tree", after, caps)
+    shifted = iteration_moves(before, after)
+    print(f"{shifted} of {len(before)} scenarios change their accepted "
+          "iteration counts")
     differing, moved = compare(before, after, modes)
     warm_differing, _ = compare(after, warm, modes, "warm ")
     print(f"{differing} of {len(before)} scenarios differ")
