@@ -620,7 +620,8 @@ def ml_e(q: MLQuery, p: MLPrecision = DEFAULT_PRECISION) -> float:
     val = _ml(q.alpha, q.beta, q.x, p)
     if not math.isfinite(val):
         raise NumericOverflowError(
-            f"E_{{{q.alpha},{q.beta}}}({q.x}) is not finite in double precision")
+            f"E_{{{q.alpha},{q.beta}}}({q.x}) is not finite in double "
+            "precision")
     return val
 
 
@@ -700,7 +701,8 @@ def ml_row(alpha, beta, x, scalar=_ml):
 # ------------------------------------------------------- derived contracts
 
 @functools.lru_cache(maxsize=64, typed=True)
-def ml_bound_probe(alpha: float, beta: float, x_max: float, n_grid: int) -> float:
+def ml_bound_probe(alpha: float, beta: float, x_max: float,
+                   n_grid: int) -> float:
     """Empirical sup of (1 + x) |E_{a,b}(-x)| over a logarithmic grid on
     [0, x_max]; a lower estimate of the uniform decay constant.  A pure
     function of its arguments, so each value is computed once per process

@@ -291,8 +291,9 @@ class _Collocation:
     weighted, back by analysis, in buffers kept for the most rows a call
     has asked for (at most one run's).  Non-finite values of f raise
     OverflowSignal for the blow-up monitor; callers that expect overflow
-    silence numpy's warnings around the call.  key is (op, N, panels), under which the store keeps it idle
-    between runs (see _lent); nbytes is what its buffers hold."""
+    silence numpy's warnings around the call.  key is (op, N, panels),
+    under which the store keeps it idle between runs (see _lent); nbytes
+    is what its buffers hold."""
 
     def __init__(self, fmap, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)

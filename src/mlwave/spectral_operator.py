@@ -77,7 +77,8 @@ class OperatorSpecConfig:
             if any(not (isinstance(L, (int, float)) and L > 0.0
                         and math.isfinite(L)) for L in self.lengths):
                 raise ConfigError("lengths must be positive and finite")
-            if self.kind != "dirichlet_laplacian_box" and len(self.lengths) != 1:
+            if (self.kind != "dirichlet_laplacian_box"
+                    and len(self.lengths) != 1):
                 raise ConfigError(f"{self.kind} is one-dimensional")
             if self.kind == "neumann_laplacian_shifted":
                 if not (self.shift > 0.0 and math.isfinite(self.shift)):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -104,6 +105,36 @@ class TestOracleAgreement:
             for x in (-1e5, -1e6):
                 got = _ml(alpha, beta, x)
                 assert rel(got, ml_ref(alpha, beta, x)) < 1e-10
+
+
+class TestSeriesBand:
+    # alphas of the tools/ml_diff.py sweep: 1 and 2, the alpha of a known
+    # cancelling point near a zero of E (-7.8e-6 at x = -2.4048, beta =
+    # 0.5508), the smallest, and the one whose cancelling point past 1e-12
+    # has the least sum of |terms|, 1.88e3 |E|
+    ALPHAS = (1.0, 2.0, 0.6868799416180951, 0.20894890242695224,
+              1.3118410277840893)
+
+    def test_within_1e_12_where_the_terms_do_not_cancel(self):
+        # the power series sums terms whose magnitudes add to S; their
+        # rounding alone is about 1e-16 S, so where S >= 1e3 |E| the
+        # certificate by the last term can pass a value past 1e-12 (the
+        # known gap); everywhere else the value must be within 1e-12
+        spec = importlib.util.spec_from_file_location(
+            "ml_diff", Path(__file__).resolve().parent.parent / "tools"
+            / "ml_diff.py")
+        ml_diff = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ml_diff)
+        checked = 0
+        for group, a, b, x in ml_diff.points():
+            if group != "series" or a not in self.ALPHAS:
+                continue
+            want = ml_ref(a, b, x)
+            if ml_diff.cancellation(a, b, x, want) >= 1e3:
+                continue
+            assert rel(ml_e(MLQuery(a, b, x)), want) <= 1e-12, (a, b, x)
+            checked += 1
+        assert checked > 400
 
 
 class TestBoundednessProbe:

@@ -23,7 +23,10 @@ the largest relative change, the points refused (an MLWaveError) or
 failing (any other exception) on one side only, the slowest point's time
 on each side, and on each side how many values lie beyond 1e-12 relative
 of `tests/conftest.py:ml_ref` (the extreme points, and points where the
-reference raises, are skipped).  Nothing is written.
+reference raises, are skipped).  Each point beyond 1e-12 on either side
+is then listed with its relative error on both sides; a series point also
+with the sum of the power series' |terms| over |E| (in mpmath), the
+cancellation its value is summed through.  Nothing is written.
 """
 
 import math
@@ -31,6 +34,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,10 +132,22 @@ def rel(u, v):
     return 0.0 if u == v else abs(u - v) / max(abs(u), abs(v))
 
 
+def cancellation(a, b, x, value):
+    """The sum over n of |x^n / Gamma(a n + b)| over |value|, in mpmath,
+    with the term count of tests/conftest.py:taylor_ref."""
+    count = int(8 + 6 * abs(x) ** (1.0 / a) / a + 80)
+    with mp.workdps(30):
+        y, am = abs(mp.mpf(x)), mp.mpf(a)
+        total = mp.fsum(y ** n * abs(mp.rgamma(b + am * n))
+                        for n in range(count))
+    return float(total / abs(value))
+
+
 def report(name, idx, pts, before, after, refs):
-    """Print one group's summary line and its one-sided outcomes."""
+    """Print one group's summary line, its one-sided outcomes and its
+    points beyond REF_TOL."""
     differ, worst, where = 0, 0.0, None
-    one_sided = []
+    one_sided, past = [], []
     beyond = [0, 0]
     for i in idx:
         (u, _), (v, _) = before[i], after[i]
@@ -142,10 +158,15 @@ def report(name, idx, pts, before, after, refs):
                     worst, where = rel(u, v), pts[i][1:]
         elif isinstance(u, float) or isinstance(v, float) or u != v:
             one_sided.append((pts[i][1:], u, v))
-        for side, w in enumerate((u, v)):
-            if isinstance(w, float) and refs[i] is not None \
-                    and rel(w, refs[i]) > REF_TOL:
+        if refs[i] is None:
+            continue
+        errs = [rel(w, refs[i]) if isinstance(w, float) else w
+                for w in (u, v)]
+        for side, e in enumerate(errs):
+            if isinstance(e, float) and e > REF_TOL:
                 beyond[side] += 1
+        if any(isinstance(e, float) and e > REF_TOL for e in errs):
+            past.append((i, errs))
     slow = [max((out[i][1] for i in idx), default=0.0)
             for out in (before, after)]
     print(f"{name}: {len(idx)} points, {differ} values differ, largest "
@@ -156,6 +177,13 @@ def report(name, idx, pts, before, after, refs):
           f"{sum(refs[i] is not None for i in idx)} with a reference)")
     for p, u, v in one_sided:
         print(f"  {name} {p}: parent {u!r}, change {v!r}")
+    for i, errs in past:
+        _, a, b, x = pts[i]
+        print(f"  {name} beyond {REF_TOL:g} {(a, b, x)}: " + ", ".join(
+            f"{side} {e:.3e}" if isinstance(e, float) else f"{side} {e}"
+            for side, e in zip(("parent", "change"), errs))
+            + (f"; sum|terms|/|E| {cancellation(a, b, x, refs[i]):.3e}"
+               if name == "series" else ""))
 
 
 def main(argv=None):
