@@ -403,7 +403,12 @@ def parse_scenario(text: str, allow_limit: bool = False) -> Scenario:
         if val is None and picard[key] is None:
             continue        # an optional setting left unset
         x = _number(val, f"picard.{key}", problems)
-        picard[key] = int(x) if key in _PICARD_INTS and x is not None else x
+        if key in _PICARD_INTS and x is not None:
+            if not x.is_integer():
+                problems.append(
+                    f"picard.{key} must be a whole number, got {val!r}")
+            x = int(x)
+        picard[key] = x
     if len(problems) == before:
         cfg = PicardConfig(**picard)
         try:
@@ -581,10 +586,12 @@ def _cmd_criticality(args) -> int:
             raise ConfigError("invalid operator: " + "; ".join(problems))
         subject = make_operator(cfg)
     regime = classify(subject, args.alpha)
-    print(json.dumps(_regime_json(regime), indent=2, sort_keys=True))
+    # the table is built before anything is printed, so a refused one
+    # prints nothing
+    text = json.dumps(_regime_json(regime), indent=2, sort_keys=True) + "\n"
     if args.table:
-        print()
-        print(_exponent_table_csv(s=args.s, q=args.q), end="")
+        text += "\n" + _exponent_table_csv(s=args.s, q=args.q)
+    print(text, end="")
     return 0
 
 

@@ -239,21 +239,20 @@ def homogeneous_state(p: LinearProblem, t: float):
                       e1, e2, eaa)
 
 
-# The process-wide store of kernel tables: per (alpha, grid bytes), the
-# read-only rows and weights every table on that grid has built, least
-# recently used first, and the bytes past which older entries are evicted.
-# Beside it, under the same budget, the idle objects runs lend out and hand
-# back (the semilinear solver's collocations), least recently returned
-# first; each has nbytes.  The lock orders every change of either.
+# The process-wide store of what solves keep between runs, least recently
+# used first, and the bytes past which older entries are evicted: per
+# (alpha, grid bytes), the read-only rows and weights every kernel table on
+# that grid has built; per (operator, N, panels), the idle objects runs lend
+# out and hand back (the semilinear solver's collocations).  Every entry
+# has nbytes.  The lock orders every change.
 _STORE = OrderedDict()
-_IDLE = OrderedDict()
 _STORE_BYTES = 64 << 20
 _STORE_LOCK = threading.RLock()
 
 
 class _Stored:
-    """One entry of _STORE: rows keyed (eigenvalue, beta), weights keyed
-    eigenvalue as (2, 2, panels) stacks, and their bytes, its key's
+    """One kernel entry of _STORE: rows keyed (eigenvalue, beta), weights
+    keyed eigenvalue as (2, 2, panels) stacks, and their bytes, its key's
     included."""
 
     def __init__(self, nbytes):
@@ -267,27 +266,24 @@ class _Stored:
         held[key] = arr
 
 
-def _store_fit(key, entry, held=_STORE):
-    """Mark the entry at key of held (_STORE or _IDLE) the most recently
-    used, then evict others while both hold more than _STORE_BYTES: idle
-    objects first, which cost an allocation to make again, then kernel
-    entries, which cost their rows, each least recently used first.  An
+def _store_fit(key, entry):
+    """Mark the entry at key the most recently used, then evict the least
+    recently used others while the store holds more than _STORE_BYTES.  An
     entry evicted while a table still used it stays that table's."""
     with _STORE_LOCK:
-        if held.get(key) is not entry:
+        if _STORE.get(key) is not entry:
             return
-        held.move_to_end(key)
-        total = sum(e.nbytes for d in (_IDLE, _STORE) for e in d.values())
-        for d in (_IDLE, _STORE):
-            while total > _STORE_BYTES and d and next(iter(d)) != key:
-                total -= d.popitem(last=False)[1].nbytes
+        _STORE.move_to_end(key)
+        total = sum(e.nbytes for e in _STORE.values())
+        while total > _STORE_BYTES and next(iter(_STORE)) != key:
+            total -= _STORE.popitem(last=False)[1].nbytes
 
 
 def _lend(key):
     """Take the idle object at key out of the store: it is the caller's
     alone until _hand_back; None if the store holds none there."""
     with _STORE_LOCK:
-        return _IDLE.pop(key, None)
+        return _STORE.pop(key, None)
 
 
 def _hand_back(key, obj):
@@ -295,7 +291,7 @@ def _hand_back(key, obj):
     holds one there already or obj alone is past _STORE_BYTES."""
     with _STORE_LOCK:
         if obj.nbytes <= _STORE_BYTES:
-            _store_fit(key, _IDLE.setdefault(key, obj), _IDLE)
+            _store_fit(key, _STORE.setdefault(key, obj))
 
 
 class _KernelTable:

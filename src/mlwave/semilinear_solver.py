@@ -285,25 +285,26 @@ class RunOutcome:
 
 class _Collocation:
     """Coefficients of f(u) for each coefficient row u of C on the
-    composite rule with `panels` panels per axis, bound once: the
-    pointwise map fmap(values, out=) and the rule's weights and factor
-    tables.  Per run of rows: grid values by synthesis, f pointwise,
-    weighted, back by analysis, in buffers kept for the most rows a call
-    has asked for (at most one run's).  Non-finite values of f raise
-    OverflowSignal for the blow-up monitor; callers that expect overflow
-    silence numpy's warnings around the call.  key is (op, N, panels),
-    under which the store keeps it idle between runs (see _lent); nbytes
-    is what its buffers hold."""
+    composite rule with `panels` panels per axis, by a pointwise map
+    fmap(values, out=) each call is given, with the rule's weights and
+    factor tables.  Per run of rows: grid values by synthesis, f
+    pointwise, weighted, back by analysis, in buffers kept for the most
+    rows a call has asked for (at most one run's).  Non-finite values of f
+    raise OverflowSignal for the blow-up monitor; callers that expect
+    overflow silence numpy's warnings around the call.  key is (op, N,
+    panels), under which the store keeps it idle between runs; nbytes is
+    what its buffers hold."""
 
-    def __init__(self, fmap, op, N, panels):
+    def __init__(self, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)
-        self.key, self.N, self.fmap = (op, N, panels), N, fmap
+        self.key, self.N = (op, N, panels), N
         self.rows = self.tiled = self.nbytes = 0
 
-    def bind(self, C, out):
-        """A call that writes the coefficients of the rows C, as they are
-        when it is made, to out: the steps of each run of rows, built here,
-        once.  C is C-contiguous, so that its views stay views."""
+    def bind(self, fmap, C, out):
+        """A call that writes the coefficients of fmap on the rows C, as
+        they are when it is made, to out: the steps of each run of rows,
+        built here, once.  C is C-contiguous, so that its views stay
+        views."""
         steps = []
         for rows in _row_runs(len(C), self.w.size):
             n = len(C[rows])
@@ -332,7 +333,7 @@ class _Collocation:
                         "nonlinearity produced non-finite values")
             syn = [b if b is None else b[:n] for b in syn]
             steps += _synthesis_steps(self.factors, C[rows], syn)
-            steps += [partial(self.fmap, syn[-1], out=vals), finite_check,
+            steps += [partial(fmap, syn[-1], out=vals), finite_check,
                       partial(np.multiply, vals, w, out=vals)]
             steps += _analysis_steps(self.factors, vals, [
                 b[:n] for b in ana[:-1]] + [out[rows]])
@@ -342,32 +343,17 @@ class _Collocation:
                 step()
         return collocate
 
-    def __call__(self, C):
+    def __call__(self, fmap, C):
         out = np.empty((len(C), self.N))
-        self.bind(np.ascontiguousarray(C), out)()
+        self.bind(fmap, np.ascontiguousarray(C), out)()
         return out
 
 
-def _lent(fmap, op, N, panels):
-    """The _Collocation of (op, N, panels) that the store holds idle, its
-    buffers and tiled weights kept, or a new one; bound to fmap.  It is
-    the caller's alone until its _Workspace.release."""
-    colloc = _lend((op, N, panels)) or _Collocation(fmap, op, N, panels)
-    colloc.fmap = fmap
-    return colloc
-
-
-def _collocate(f, op, C, N, panels):
-    """The _Collocation of f.apply on the rule with `panels` panels, for
-    the coefficient rows C."""
-    return _Collocation(f.apply, op, N, panels)(C)
-
-
-def _aliasing(doubled, C, F):
-    """Largest change of the coefficients F of f(C) when the _Collocation
-    `doubled`, on the doubled rule, redoes them."""
+def _aliasing(doubled, fmap, C, F):
+    """Largest change of the coefficients F of fmap(C) when the
+    _Collocation `doubled`, on the doubled rule, redoes them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        F2 = doubled(C)
+        F2 = doubled(fmap, C)
     return float(np.abs(np.subtract(F2, F, out=F2), out=F2).max())
 
 
@@ -389,8 +375,8 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
     panels = _rule_panels(quad_points)
     C = u.coeffs[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _collocate(f, u.op, C, u.N, panels)
-    aliasing = _aliasing(_Collocation(f.apply, u.op, u.N, 2 * panels), C, c)
+        c = _Collocation(u.op, u.N, panels)(f.apply, C)
+    aliasing = _aliasing(_Collocation(u.op, u.N, 2 * panels), f.apply, C, c)
     return SpectralField(u.op, c[0], u.N, aliasing_est=aliasing,
                          warnings=_aliasing_warnings(aliasing, u.N))
 
@@ -404,9 +390,10 @@ class _Workspace:
     """Per-run caches: the kernel table on a prefix of the grid, and over
     that prefix the zero-led product-integration weights of every mode
     (None for f = 0, which forces no mode) and the homogeneous part; the
-    collocations bound to the run's rule and to its doubled rule, with
-    their buffers (None for f = 0), lent by the store and handed back by
-    release; the V_gamma norm's weights lam^(2 gamma).
+    pointwise map of f, and the collocations of the run's rule and, from
+    the first aliasing estimate on, of its doubled rule, with their
+    buffers (None until borrowed, and for f = 0), lent by the store and
+    handed back by release; the V_gamma norm's weights lam^(2 gamma).
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
@@ -443,18 +430,22 @@ class _Workspace:
         # an empty prefix, which the first reach extends
         self.kt = _KernelTable(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
-        fmap = p.nonlinearity.pointwise()
-        self.colloc, self.doubled = (
-            [_lent(fmap, p.op, p.N, k * self.panels) for k in (1, 2)]
-            if self.forced else (None, None))
+        self.fmap = p.nonlinearity.pointwise()
+        self.colloc = self.borrow(1) if self.forced else None
+        self.doubled = None
+
+    def borrow(self, k):
+        """The collocation of the rule with k times the run's panels that
+        the store holds idle, its buffers and tiled weights kept, or a new
+        one.  It is the workspace's alone until release."""
+        key = (self.p.op, self.N, k * self.panels)
+        return _lend(key) or _Collocation(*key)
 
     def release(self):
-        """Hand both collocations back to the store for later runs on the
-        operator, with no map bound, so the workspace collocates nothing
-        after and a call bound later fails until a _lent binds a map."""
+        """Hand the collocations the workspace borrowed back to the store,
+        for later runs on the operator."""
         for colloc in (self.colloc, self.doubled):
             if colloc is not None:
-                colloc.fmap = None
                 _hand_back(colloc.key, colloc)
 
     def reach(self, ia, ib):
@@ -473,15 +464,17 @@ class _Workspace:
         """f(u) coefficients for a stack of coefficient rows."""
         if self.colloc is None:
             return np.zeros_like(U_rows)
-        return self.colloc(U_rows)
+        return self.colloc(self.fmap, U_rows)
 
     def aliasing(self, U_rows, F_rows):
         """Aliasing estimate of the rows' f(u) coefficients F_rows: their
         largest change on the doubled rule, inf if f overflows there."""
         if not self.forced:
             return 0.0
+        if self.doubled is None:
+            self.doubled = self.borrow(2)
         try:
-            return _aliasing(self.doubled, U_rows, F_rows)
+            return _aliasing(self.doubled, self.fmap, U_rows, F_rows)
         except OverflowSignal:
             return math.inf
 
@@ -562,7 +555,7 @@ class _Workspace:
                 terms = np.empty((2, 2, W, self.N))
                 sums = np.empty((self.N, W + 1)), terms.swapaxes(2, 3)
                 FwT, S = Fw.T, terms[0]
-                f_rows = self.colloc.bind(cur[0, 1:], Fw[1:])
+                f_rows = self.colloc.bind(self.fmap, cur[0, 1:], Fw[1:])
             else:
                 # f = 0 forces no mode and makes no sums
                 Fw[1:] = 0.0

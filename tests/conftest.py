@@ -17,9 +17,9 @@ The bands overlap for kappa in [60, 250], where both run and must agree to
 every alpha in (0, 2].  None of this code touches the production evaluator.
 
 The autouse fixture `cold_process` starts every test as a fresh process
-would: the kernel-table store, its idle collocations, the bound probe's
-memo and the operator memo are empty, so a test that counts builds sees
-every build of its own.
+would: the store of kernel tables and idle collocations, the bound
+probe's memo and the operator memo are empty, so a test that counts
+builds sees every build of its own.
 """
 
 import math
@@ -33,7 +33,6 @@ from mlwave import linear_solver, mittag_leffler, spectral_operator
 @pytest.fixture(autouse=True)
 def cold_process():
     linear_solver._STORE.clear()
-    linear_solver._IDLE.clear()
     mittag_leffler.ml_bound_probe.cache_clear()
     spectral_operator._operator.cache_clear()
 

@@ -231,6 +231,23 @@ class TestParseScenario:
         assert scn.picard["window_init"] == 0.25
         assert scn.picard["tol"] == 1e-10
 
+    def test_integer_picard_settings_are_whole_numbers(self):
+        sine = {"kind": "sine", "params": {"c": 0.1}}
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario(scenario_text(nonlinearity=sine, picard={
+                "max_iter": 7.9, "nonlinearity_quadrature": 40.5}))
+        assert str(exc.value).count("\n  - ") == 2
+        assert "picard.max_iter must be a whole number, got 7.9" \
+            in str(exc.value)
+        assert "picard.nonlinearity_quadrature must be a whole number, " \
+            "got 40.5" in str(exc.value)
+        scn = parse_scenario(scenario_text(nonlinearity=sine, picard={
+            "max_iter": 50.0, "nonlinearity_quadrature": 40.0}))
+        assert scn.picard["max_iter"] == 50
+        assert scn.picard["nonlinearity_quadrature"] == 40
+        assert all(type(scn.picard[k]) is int
+                   for k in ("max_iter", "nonlinearity_quadrature"))
+
     def test_echo_round_trip_linear(self, tmp_path):
         f = tmp_path / "u0.csv"
         f.write_text("n,c_n\n1,0.5\n2,-0.25\n")
@@ -975,6 +992,16 @@ class TestCriticalityCli:
         assert "dirichlet_laplacian,0,4,2,none" in out
         assert "wentzell,1,3,3,1.3333333333333333" in out
         assert "dirichlet_to_neumann,0,3,2,none" in out
+
+    @pytest.mark.parametrize("bad, error", [
+        (["--s", "2"], "fractional power needs s in (0, 1)"),
+        (["--q", "nan"], "q must lie in (1, inf)")], ids=["s", "q"])
+    def test_refused_table_prints_nothing(self, capsys, bad, error):
+        assert main(["criticality", "--alpha", "1.5", "--qa", "inf",
+                     "--table", *bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert error in err
 
 
 class TestVerifyCli:

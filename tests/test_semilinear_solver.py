@@ -263,8 +263,8 @@ class TestBatchedCollocation:
         f = NONLINEARITIES[nl]
         N, quad = 6, 40
         C = coefficient_rows(5, N)
-        got = semilinear_solver._collocate(
-            f, op, C, N, spectral_operator._rule_panels(quad))
+        got = semilinear_solver._Collocation(
+            op, N, spectral_operator._rule_panels(quad))(f.apply, C)
         assert close(got, per_row(f, op, C, quad))
         # apply_nonlinearity is one row of the same routine, with the
         # doubled rule's aliasing estimate as project reports it
@@ -294,7 +294,7 @@ class TestBatchedCollocation:
         f = NONLINEARITIES["power"]
         N, panels = 4, 4
         C = coefficient_rows(12, N, seed=3)
-        whole = semilinear_solver._collocate(f, op, C, N, panels)
+        whole = semilinear_solver._Collocation(op, N, panels)(f.apply, C)
         row = 40 * 40
         for budget, runs in ((5 * row, [5, 5, 2]), (row - 1, [1] * 12)):
             monkeypatch.setattr(spectral_operator, "_VALUES_MAX", budget)
@@ -304,8 +304,7 @@ class TestBatchedCollocation:
                 sizes.append(vals.size)
                 return f.apply(vals, out=out)
 
-            got = semilinear_solver._collocate(SimpleNamespace(apply=spy),
-                                               op, C, N, panels)
+            got = semilinear_solver._Collocation(op, N, panels)(spy, C)
             assert sizes == [rows * row for rows in runs]
             assert np.array_equal(got, whole)
 
@@ -318,7 +317,7 @@ class TestBatchedCollocation:
         f = NONLINEARITIES["power"]
         N, panels = 8, 4
         C = 1e5 * coefficient_rows(6, N, seed=23)
-        got = semilinear_solver._collocate(f, op, C, N, panels)
+        got = semilinear_solver._Collocation(op, N, panels)(f.apply, C)
         rule = op.rule(N, panels)
         phi = [op.eigenfunction(n, rule.nodes) for n in range(1, N + 1)]
         vals = C[:, :1] * phi[0]
@@ -336,8 +335,8 @@ class TestBatchedCollocation:
         # the power nonlinearity of the 1e200 row overflows in numpy
         with pytest.warns(RuntimeWarning, match="overflow"), \
                 pytest.raises(OverflowSignal, match="non-finite"):
-            semilinear_solver._collocate(NONLINEARITIES["power"], op, C, 5,
-                                         4)
+            semilinear_solver._Collocation(op, 5, 4)(
+                NONLINEARITIES["power"].apply, C)
 
     def test_zero_kind_never_builds_a_rule(self):
         op = interval_op()
@@ -437,23 +436,23 @@ class TestBuffersKeepTheBits:
         monkeypatch.setattr(np, "empty", poisoned)
         op = make_operator(CATALOG[kind])
         f, N, panels = NONLINEARITIES["power"], 5, 4
-        colloc = semilinear_solver._Collocation(f.apply, op, N, panels)
+        colloc = semilinear_solver._Collocation(op, N, panels)
         for seed, rows in enumerate((first, 5, 2, 7, 1)):
             C = 3.0 * coefficient_rows(rows, N, seed=seed)
-            got = colloc(C)
-            want = semilinear_solver._collocate(f, op, C, N, panels)
+            got = colloc(f.apply, C)
+            want = semilinear_solver._Collocation(op, N, panels)(f.apply, C)
             assert got.tobytes() == want.tobytes()
             got[...] = np.nan
         C = coefficient_rows(1, N)
         C[0, 0] = 1e200
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(OverflowSignal, match="non-finite"):
-            colloc(C)
+            colloc(f.apply, C)
         C = coefficient_rows(3, N, seed=9)
-        first = colloc(C)
+        first = colloc(f.apply, C)
         first[...] = np.nan
-        assert (colloc(C).tobytes()
-                == semilinear_solver._collocate(f, op, C, N, panels).tobytes())
+        assert (colloc(f.apply, C).tobytes() == semilinear_solver._Collocation(
+            op, N, panels)(f.apply, C).tobytes())
 
 
 class TestAllocationGuard:
@@ -701,10 +700,10 @@ class TestProblemValidation:
 
 def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
     """The window iterate written plainly, with the arithmetic of the
-    stacked-norm loop: per iteration f(u) of the iterate by _collocate,
-    the causal sums added to fresh copies of the base, and the norms of
-    the change and of the iterate by weighted_norm over np.stack'ed
-    pairs.  Returns window_solve's tuple, or the reason it fails with."""
+    stacked-norm loop: per iteration f(u) of the iterate by a fresh
+    _Collocation, the causal sums added to fresh copies of the base, and
+    the norms of the change and of the iterate by weighted_norm over
+    np.stack'ed pairs.  Returns window_solve's tuple, or the reason it fails with."""
     p = ws.p
     W, P = ib - ia, len(ws.kt.t) - 1
 
@@ -713,8 +712,8 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
                 + weighted_norm(DTU, ws.lam, 0.0))
 
     def f_rows(U):
-        return semilinear_solver._collocate(p.nonlinearity, p.op, U, p.N,
-                                            ws.panels)
+        return semilinear_solver._Collocation(p.op, p.N, ws.panels)(
+            p.nonlinearity.apply, U)
 
     with np.errstate(over="ignore", invalid="ignore"):
         base_u = ws.hom[0, ia:ib + 1].copy()
@@ -1390,7 +1389,8 @@ class TestRepeatedRuns:
 
     @staticmethod
     def rows_held():
-        (entry,) = linear_solver._STORE.values()
+        (entry,) = [e for e in linear_solver._STORE.values()
+                    if isinstance(e, linear_solver._Stored)]
         return {len(r) for r in entry.rows.values()}
 
     def test_warm_runs_are_cold_runs_byte_for_byte(self):
@@ -1442,7 +1442,7 @@ def at_once(work, count):
 class TestCollocationStore:
     """A run borrows the idle collocations of its operator's rule and
     doubled rule from the store and hands them back; their buffers and
-    tiled weights carry over, their pointwise map does not."""
+    tiled weights carry over, and each call is given its pointwise map."""
 
     BOX = dict(alpha=1.25, T=0.1, dt=0.01)
     MAPS = [NonlinearitySpec("power", {"c": 1.0, "r": 2.0}),
@@ -1453,7 +1453,6 @@ class TestCollocationStore:
     @staticmethod
     def cold():
         linear_solver._STORE.clear()
-        linear_solver._IDLE.clear()
         mittag_leffler.ml_bound_probe.cache_clear()
 
     def box_problem(self, f, scale=1.0):
@@ -1467,7 +1466,9 @@ class TestCollocationStore:
 
     @staticmethod
     def idle():
-        return dict(linear_solver._IDLE)
+        """The store's entries other than kernel tables."""
+        return {k: e for k, e in linear_solver._STORE.items()
+                if not isinstance(e, linear_solver._Stored)}
 
     def test_each_map_after_another_is_its_cold_run(self):
         cold = []
@@ -1484,12 +1485,10 @@ class TestCollocationStore:
                 PicardConfig().quadrature(p.N))
             assert set(self.idle()) == {(p.op, p.N, panels),
                                         (p.op, p.N, 2 * panels)}
-            # the same collocations, lent again and handed back, with no
-            # map bound while idle
+            # the same collocations, lent again and handed back
             if held is not None:
                 assert self.idle() == held
             held = self.idle()
-            assert all(c.fmap is None for c in held.values())
 
     def test_concurrent_runs_give_serial_bytes(self):
         # three threads, more than the cores, solve different maps on one
@@ -1559,8 +1558,7 @@ class TestCollocationStore:
         first = None
         for _ in range(3):
             got = picard_window(p, (0.0, 0.05), grid, cfg, None)
-            assert set(self.idle()) == {(p.op, p.N, panels),
-                                        (p.op, p.N, 2 * panels)}
+            assert set(self.idle()) == {(p.op, p.N, panels)}
             if first is None:
                 first = got
             for key in ("u_coeffs", "dtu_coeffs", "forcing_coeffs"):
@@ -1569,7 +1567,22 @@ class TestCollocationStore:
         with pytest.raises(WindowFailure):
             picard_window(p, (0.0, 0.05), grid,
                           PicardConfig(max_iter=1, tol=1e-300), None)
-        assert len(self.idle()) == 2
+        assert len(self.idle()) == 1
+
+    def test_only_an_aliasing_estimate_builds_the_doubled_rule(self):
+        # picard_window makes no aliasing estimate, so it neither borrows
+        # nor builds the doubled rule's collocation; a run that accepts a
+        # window estimates its aliasing there
+        p = self.box_problem(self.MAPS[1])
+        cfg = PicardConfig()
+        panels = spectral_operator._rule_panels(cfg.quadrature(p.N))
+        picard_window(p, (0.0, 0.05), np.linspace(0.0, 0.1, 11), cfg, None)
+        assert set(p.op._rules) == {(p.N, panels)}
+        assert set(self.idle()) == {(p.op, p.N, panels)}
+        assert run(p, self.BOX["T"], cfg, self.BOX["dt"]).windows
+        assert set(p.op._rules) == {(p.N, panels), (p.N, 2 * panels)}
+        assert set(self.idle()) == {(p.op, p.N, panels),
+                                    (p.op, p.N, 2 * panels)}
 
     def test_buffers_hold_the_rows_windows_asked_for(self, monkeypatch):
         # a blow-up run on a 200-step grid stops near node 59: each idle
@@ -1579,9 +1592,9 @@ class TestCollocationStore:
         bind = semilinear_solver._Collocation.bind
         asked = {}
 
-        def recorded(colloc, C, out):
+        def recorded(colloc, fmap, C, out):
             asked[colloc.key] = max(asked.get(colloc.key, 0), len(C))
-            return bind(colloc, C, out)
+            return bind(colloc, fmap, C, out)
 
         monkeypatch.setattr(semilinear_solver._Collocation, "bind", recorded)
         p = problem(interval_op(), 1.5, [20.0, 0.1, -0.05, 0.02], [0.0] * 4,
@@ -1592,8 +1605,9 @@ class TestCollocationStore:
         for key, colloc in self.idle().items():
             rows = asked[key]
             assert colloc.rows == rows < 200
-            fresh = semilinear_solver._Collocation(np.positive, *key)
-            bind(fresh, np.zeros((rows, p.N)), np.empty((rows, p.N)))
+            fresh = semilinear_solver._Collocation(*key)
+            bind(fresh, np.positive, np.zeros((rows, p.N)),
+                 np.empty((rows, p.N)))
             assert colloc.nbytes == fresh.nbytes
 
     def test_runs_on_equal_listed_entries_share_their_collocations(self):
@@ -1609,23 +1623,20 @@ class TestCollocationStore:
         assert len(self.idle()) == 2
 
     def test_store_stays_under_its_budget(self, monkeypatch):
-        # a budget below what six runs on two operators keep: idle
-        # collocations and kernel entries are evicted least recently used
-        # first, a kernel entry only once no idle collocation is held but
-        # the one being fitted, and every run keeps its cold bytes
+        # a budget below what six runs on two operators keep: kernel
+        # entries and idle collocations are evicted least recently used
+        # first, and every run keeps its cold bytes
         cap = 1_000_000
         monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
-        idle, store = linear_solver._IDLE, linear_solver._STORE
+        store = linear_solver._STORE
         fit, evicted = linear_solver._store_fit, set()
 
-        def checked(key, entry, held=store):
-            before = set(idle), set(store)
-            fit(key, entry, held)
-            if before[1] - set(store):
-                assert set(idle) <= {key}
-                evicted.add("kernel")
-            if before[0] - set(idle):
-                evicted.add("idle")
+        def checked(key, entry):
+            before = dict(store)
+            fit(key, entry)
+            evicted.update(
+                "kernel" if isinstance(e, linear_solver._Stored) else "idle"
+                for k, e in before.items() if k not in store)
 
         monkeypatch.setattr(linear_solver, "_store_fit", checked)
         power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
@@ -1642,14 +1653,33 @@ class TestCollocationStore:
         self.cold()
         for (p, T, dt), want in zip(runs, cold):
             assert outcome_bytes(run(p, T, PicardConfig(), dt)) == want
-            assert sum(e.nbytes for d in (idle, store)
-                       for e in d.values()) <= cap
+            assert sum(e.nbytes for e in store.values()) <= cap
         assert evicted == {"idle", "kernel"}
         # idle collocations of both operators are held again by later runs
-        assert {k[0] for k in idle} == {box.op, interval.op}
+        assert {k[0] for k in self.idle()} == {box.op, interval.op}
         # an object alone past the budget is never held, one at it is
         self.cold()
         linear_solver._hand_back("past", SimpleNamespace(nbytes=cap + 1))
         at = SimpleNamespace(nbytes=cap)
         linear_solver._hand_back("at", at)
-        assert dict(idle) == {"at": at}
+        assert dict(store) == {"at": at}
+
+    def test_idle_collocations_outlive_an_older_kernel_entry(self,
+                                                             monkeypatch):
+        # one least-recently-used order over kernel entries and idle
+        # collocations: past the budget, the kernel entry a run last used
+        # before it handed its collocations back goes first, and they stay
+        p = self.box_problem(self.MAPS[0])
+        lam, later = p.op.eigenvalues(p.N), np.linspace(0.0, 1.0, 101)
+        linear_solver._KernelTable(1.5, later).weights(lam)
+        size = sum(e.nbytes for e in linear_solver._STORE.values())
+        self.cold()
+        self.solve(p)
+        idle = self.idle()
+        assert len(idle) == 2
+        held = sum(e.nbytes for e in linear_solver._STORE.values())
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", held + size - 1)
+        linear_solver._KernelTable(1.5, later).weights(lam)
+        assert self.idle() == idle
+        assert [k for k in linear_solver._STORE if k not in idle] == [
+            (1.5, later.tobytes())]

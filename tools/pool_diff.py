@@ -22,8 +22,10 @@ import, so that each solve reads the kernel rows, the weights and the
 idle collocations its first pass left in the process-wide store; each
 scenario whose warm pass differs from its cold one is printed as above,
 prefixed "warm".  After each pass a line gives the bytes the tree's store
-holds: kernel rows and weights (linear_solver._STORE), and idle
-collocations (linear_solver._IDLE).
+holds, split by key shape: kernel rows and weights, keyed (alpha, grid
+bytes) in linear_solver._STORE, and idle collocations, keyed (operator,
+N, panels) in the same store, or in linear_solver._IDLE in a tree that
+keeps them apart.
 
 The Picard stop is absolute, so a window that needs max_iter iterations
 to converge decides T_est by a few trailing bits.  For each tree a line
@@ -112,12 +114,16 @@ def solve_pool(cli, work):
 
 
 def held_bytes(label):
-    """Print the bytes the kernel store and the idle collocations of the
-    mlwave package imported last hold."""
+    """Print the bytes the kernel tables and the idle collocations of the
+    mlwave package imported last hold: a key of two items is a kernel
+    table's, one of three a collocation's."""
     ls = sys.modules["mlwave.linear_solver"]
-    kernel, idle = (sum(e.nbytes for e in getattr(ls, name, {}).values())
-                    for name in ("_STORE", "_IDLE"))
-    print(f"{label}: kernel store {kernel} B, idle collocations {idle} B")
+    held = {2: 0, 3: 0}
+    for name in ("_STORE", "_IDLE"):
+        for key, entry in getattr(ls, name, {}).items():
+            held[len(key)] += entry.nbytes
+    print(f"{label}: kernel store {held[2]} B, "
+          f"idle collocations {held[3]} B")
 
 
 def final_state(files, N):
