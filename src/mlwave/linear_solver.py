@@ -239,44 +239,14 @@ def homogeneous_state(p: LinearProblem, t: float):
                       e1, e2, eaa)
 
 
-# The process-wide store of what solves keep between runs, least recently
-# used first, and the bytes past which older entries are evicted: per
-# (alpha, grid bytes), the read-only rows and weights every kernel table on
-# that grid has built; per (operator, N, panels), the idle objects runs lend
-# out and hand back (the semilinear solver's collocations).  Every entry
-# has nbytes.  The lock orders every change.
+# The process-wide store of the idle objects solves borrow and hand back,
+# least recently used first, and the bytes past which older entries are
+# evicted: per (alpha, grid bytes) a kernel table, per (operator, N,
+# panels) a semilinear collocation.  Every entry has nbytes.  The lock
+# guards the store alone.
 _STORE = OrderedDict()
 _STORE_BYTES = 64 << 20
-_STORE_LOCK = threading.RLock()
-
-
-class _Stored:
-    """One kernel entry of _STORE: rows keyed (eigenvalue, beta), weights
-    keyed eigenvalue as (2, 2, panels) stacks, and their bytes, its key's
-    included."""
-
-    def __init__(self, nbytes):
-        self.rows, self.weights, self.nbytes = {}, {}, nbytes
-
-    def keep(self, held, key, arr):
-        """Hold arr, read-only, in place of what held had at key."""
-        arr.flags.writeable = False
-        old = held.get(key)
-        self.nbytes += arr.nbytes - (0 if old is None else old.nbytes)
-        held[key] = arr
-
-
-def _store_fit(key, entry):
-    """Mark the entry at key the most recently used, then evict the least
-    recently used others while the store holds more than _STORE_BYTES.  An
-    entry evicted while a table still used it stays that table's."""
-    with _STORE_LOCK:
-        if _STORE.get(key) is not entry:
-            return
-        _STORE.move_to_end(key)
-        total = sum(e.nbytes for e in _STORE.values())
-        while total > _STORE_BYTES and next(iter(_STORE)) != key:
-            total -= _STORE.popitem(last=False)[1].nbytes
+_STORE_LOCK = threading.Lock()
 
 
 def _lend(key):
@@ -288,10 +258,17 @@ def _lend(key):
 
 def _hand_back(key, obj):
     """Hold obj idle at key, for the next _lend of it, unless the store
-    holds one there already or obj alone is past _STORE_BYTES."""
+    holds one there already or obj alone is past _STORE_BYTES; mark the
+    entry at key the most recently used, then evict the least recently
+    used others while the store holds more than _STORE_BYTES."""
     with _STORE_LOCK:
-        if obj.nbytes <= _STORE_BYTES:
-            _store_fit(key, _STORE.setdefault(key, obj))
+        if obj.nbytes > _STORE_BYTES:
+            return
+        _STORE.setdefault(key, obj)
+        _STORE.move_to_end(key)
+        total = sum(e.nbytes for e in _STORE.values())
+        while total > _STORE_BYTES and next(iter(_STORE)) != key:
+            total -= _STORE.popitem(last=False)[1].nbytes
 
 
 class _KernelTable:
@@ -304,66 +281,76 @@ class _KernelTable:
     beta it will read of a mode, and for no other, since one ml_rows call
     integrates the branch cut once for all of its betas.
 
-    Rows and weights live in _STORE under (alpha, grid bytes), so every
-    table on the same grid in the process reads what earlier ones built
-    and builds only what they lacked; a table reads and builds under the
-    store's lock, so tables of concurrent runs on one grid build each row
-    once and read whole rows.  The table covers the first `nodes`
-    nodes of `times`, all of them when nodes is None, and t is that
-    prefix; extend moves it further, and a row held short of it is
-    completed, a weight rebuilt whole from the rows, when next asked for;
-    one held past it is read cut to it.
-    A row value depends on its own point alone, and a weight panel on its
-    own two nodes, so the rows, and the weights and propagators built from
-    them, are those of a table built on the longer prefix at once, cold."""
+    A table holds the rows, keyed (eigenvalue, beta), and the weights,
+    keyed eigenvalue as (2, 2, panels) stacks, it has built, read-only, on
+    a read-only copy of its grid; nbytes counts them and the grid.  Solves
+    borrow one with lend and give it back with _hand_back at key, so
+    repeated solves on one (alpha, grid) build only what earlier ones
+    lacked, and no two share a table at once.  It covers the first `nodes`
+    nodes of the grid, and t is that prefix; extend moves it, and a row
+    held short of it is completed, a weight rebuilt whole from the rows,
+    when next asked for; one held past it is read cut to it.  A row value
+    depends on its own point alone, and a weight panel on its own two
+    nodes, so the rows, and the weights and propagators built from them,
+    are those of a table built on the longer prefix at once, cold."""
 
     def __init__(self, alpha, times, nodes=None):
         self.alpha = alpha
-        self._grid = np.asarray(times, dtype=float)
+        self.key = (float(alpha), np.asarray(times, dtype=float).tobytes())
+        # read-only, over the key's bytes
+        self._grid = np.frombuffer(self.key[1])
         self._ta = self._grid ** alpha
+        self._rows, self._weights, self.nbytes = {}, {}, len(self.key[1])
         self.extend(nodes)
-        self._key = (float(alpha), self._grid.tobytes())
-        with _STORE_LOCK:
-            self._held = _STORE.setdefault(self._key,
-                                           _Stored(len(self._key[1])))
-            _store_fit(self._key, self._held)
+
+    @classmethod
+    def lend(cls, alpha, times, nodes=None):
+        """The table the store holds idle on (alpha, times), or a new one,
+        over the first `nodes` nodes: the caller's until handed back."""
+        kt = (_lend((float(alpha), np.asarray(times, dtype=float).tobytes()))
+              or cls(alpha, times))
+        kt.extend(nodes)
+        return kt
 
     def extend(self, nodes):
         """Cover the first `nodes` nodes of the grid."""
         self.t, self.ta = self._grid[:nodes], self._ta[:nodes]
 
+    def _keep(self, held, key, arr):
+        """Hold arr, read-only, in place of what held had at key."""
+        arr.flags.writeable = False
+        old = held.get(key)
+        self.nbytes += arr.nbytes - (0 if old is None else old.nbytes)
+        held[key] = arr
+
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
         each eigenvalue of lam, a scalar or an array: shape (len(betas),)
-        + np.shape(lam) + t.shape.  Each row the store lacks or holds
+        + np.shape(lam) + t.shape.  Each row the table lacks or holds
         short of t is built or completed once: the eigenvalues are
         grouped by the node they lack rows from and the betas they lack
         there, one ml_rows call per group."""
-        with _STORE_LOCK:
-            lam = np.asarray(lam, dtype=float)
-            keys = lam.ravel().tolist()
-            held = self._held
-            have, n = held.rows, len(self.t)
-            groups = {}
-            for v in dict.fromkeys(keys):
-                lack = {}
-                for b in dict.fromkeys(betas):
-                    lack.setdefault(len(have.get((v, b), ())), []).append(b)
-                for lo, need in lack.items():
-                    if lo < n:
-                        groups.setdefault((lo, tuple(need)), []).append(v)
-            for (lo, need), new in groups.items():
-                got = ml_rows(self.alpha, need,
-                              -np.array(new)[:, None] * self.ta[lo:], _ml)
-                for b, rows in zip(need, got):
-                    for v, r in zip(new, rows):
-                        held.keep(have, (v, b), np.concatenate((have[v, b], r))
-                                  if lo else r)
-            if groups:
-                _store_fit(self._key, held)
-            return np.array([[have[v, b][:n] for v in keys]
-                             for b in betas]).reshape(
-                (len(betas),) + lam.shape + self.t.shape)
+        lam = np.asarray(lam, dtype=float)
+        keys = lam.ravel().tolist()
+        have, n = self._rows, len(self.t)
+        groups = {}
+        for v in dict.fromkeys(keys):
+            lack = {}
+            for b in dict.fromkeys(betas):
+                lack.setdefault(len(have.get((v, b), ())), []).append(b)
+            for lo, need in lack.items():
+                if lo < n:
+                    groups.setdefault((lo, tuple(need)), []).append(v)
+        for (lo, need), new in groups.items():
+            got = ml_rows(self.alpha, need,
+                          -np.array(new)[:, None] * self.ta[lo:], _ml)
+            for b, rows in zip(need, got):
+                for v, r in zip(new, rows):
+                    self._keep(have, (v, b), np.concatenate((have[v, b], r))
+                               if lo else r)
+        return np.array([[have[v, b][:n] for v in keys]
+                         for b in betas]).reshape(
+            (len(betas),) + lam.shape + self.t.shape)
 
     def moment_steps(self, lam, deriv):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
@@ -387,32 +374,29 @@ class _KernelTable:
         the sums against accepted samples.  Built from the moment
         differences so that sum(B + A) telescopes to the exact integral of
         the kernel, making constant forcing exact.  The eigenvalues the
-        store holds no weights for, or holds them short of P panels for,
+        table holds no weights for, or holds them short of P panels for,
         are built whole, once each, from rows asked for in one call; only
         the rows are completed.  The arithmetic is elementwise, and panel
         l reads nodes l and l + 1 alone, so each eigenvalue's weights are
         those of a build of it alone, and each panel's those of a build on
         a longer prefix."""
-        with _STORE_LOCK:
-            uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
-            keys = uniq.tolist()
-            held = self._held
-            have, P = held.weights, len(self.t) - 1
-            new = [v for v in keys if v not in have or have[v].shape[-1] < P]
-            if new:
-                self.row(new, moment_betas(self.alpha))
-                ell = np.arange(1, P + 1)
-                dt = float(self.t[1] - self.t[0])
-                got = np.empty((2, 2, len(new), P))
-                for k, deriv in enumerate((False, True)):
-                    w0, mm1 = self.moment_steps(np.array(new), deriv)
-                    got[1, k] = ell * w0 - mm1 / dt
-                    got[0, k] = w0 - got[1, k]
-                for i, v in enumerate(new):
-                    held.keep(have, v, got[:, :, i].copy())
-                _store_fit(self._key, held)
-            return _zero_led(np.stack([have[v][..., :P] for v in keys],
-                                      axis=2)[:, :, inv])
+        uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
+        keys = uniq.tolist()
+        have, P = self._weights, len(self.t) - 1
+        new = [v for v in keys if v not in have or have[v].shape[-1] < P]
+        if new:
+            self.row(new, moment_betas(self.alpha))
+            ell = np.arange(1, P + 1)
+            dt = float(self.t[1] - self.t[0])
+            got = np.empty((2, 2, len(new), P))
+            for k, deriv in enumerate((False, True)):
+                w0, mm1 = self.moment_steps(np.array(new), deriv)
+                got[1, k] = ell * w0 - mm1 / dt
+                got[0, k] = w0 - got[1, k]
+            for i, v in enumerate(new):
+                self._keep(have, v, got[:, :, i].copy())
+        return _zero_led(np.stack([have[v][..., :P] for v in keys],
+                                  axis=2)[:, :, inv])
 
 
 def _zero_led(w):
@@ -482,7 +466,8 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
     """Volterra convolutions of the forcing against the mild-solution
     kernel (S3) and its time derivative's kernel (S3p), both shaped like
     the forcing matrix.  kt and F, when given, are the caller's kernel
-    table and forcing matrix on the same grid, so neither is built again."""
+    table and forcing matrix on the same grid, so neither is built again;
+    without kt, the store lends one, and it is handed back here."""
     p.validate()
     t, _ = _check_grid(grid)
     M1 = len(t)
@@ -492,8 +477,9 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
     if p.forcing.kind == "zero":
         return S3, S3p
     lam = p.op.eigenvalues(p.N)
-    if kt is None:
-        kt = _KernelTable(p.alpha, t)
+    lent = kt is None
+    if lent:
+        kt = _KernelTable.lend(p.alpha, t)
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
         # every forced mode's sums against both kernels at once
@@ -501,6 +487,8 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
         S = _causal_sums(_toeplitz(kt.weights(lam[cols]), K, K), F[:, cols].T)
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
+    if lent:
+        _hand_back(kt.key, kt)
     return S3, S3p
 
 
@@ -531,7 +519,7 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     a = p.alpha
     lam = p.op.eigenvalues(N)
     F = p.forcing.values(t, N)
-    kt = _KernelTable(a, t)
+    kt = _KernelTable.lend(a, t)
     U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs,
                             F.any(axis=0))
     S3, S3p = convolve_forcing(p, grid, kt, F)
@@ -559,6 +547,7 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         D2 = (-p.u0.coeffs * lam * ta2 * EAM1
               - p.u1.coeffs * lam * ta1 * EAA + F[0] * ta2 * EAM1 + conv)
         D2[0] = np.nan      # the t^(alpha-2) kernel is singular at zero
+    _hand_back(kt.key, kt)
 
     for name, mat in (("u", U), ("dtu", DTU), ("dalpha", DAL)):
         bad = np.where(~np.isfinite(mat))[0]

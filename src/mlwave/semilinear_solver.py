@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class WindowFailure(MLWaveError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
+
+
+def _power_bound(c, rho, e):
+    """c rho^e for c, rho >= 0: 0 where c is, inf where rho^e overflows."""
+    try:
+        return c * rho ** e if c else 0.0
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -189,7 +198,7 @@ class NonlinearitySpec:
             return abs(float(p["kappa"]))
         if self.kind == "power":
             c, r = abs(float(p["c"])), float(p["r"])
-            return c * r * rho ** (r - 1.0)
+            return _power_bound(c * r, rho, r - 1.0)
         if self.kind == "sine":
             return abs(float(p["c"]))
         s = np.asarray(p["s"], dtype=float)
@@ -207,7 +216,7 @@ class NonlinearitySpec:
         if self.kind == "linear_shift":
             return abs(float(p["kappa"])) * rho
         if self.kind == "power":
-            return abs(float(p["c"])) * rho ** float(p["r"])
+            return _power_bound(abs(float(p["c"])), rho, float(p["r"]))
         if self.kind == "sine":
             return abs(float(p["c"])) * min(rho, 1.0)
         grid = np.linspace(-rho, rho, 257)
@@ -238,17 +247,17 @@ class PicardConfig:
             raise ConfigError("R_star must be positive")
         if not self.tol > 0.0:
             raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if not (self.window_init > 0.0 and self.window_min > 0.0):
-            raise ConfigError("window sizes must be positive")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise ConfigError("max_iter must be an integer >= 1")
+        if not (self.window_min > 0.0 and 0.0 < self.window_init < math.inf):
+            raise ConfigError("window sizes must be positive and finite")
         if not self.window_min < self.window_init:
             raise ConfigError("window_min must be below window_init")
         if not self.blowup_threshold > 0.0:
             raise ConfigError("blowup_threshold must be positive")
-        if (self.nonlinearity_quadrature is not None
-                and self.nonlinearity_quadrature < 4):
-            raise ConfigError("nonlinearity_quadrature must be >= 4")
+        if self.nonlinearity_quadrature is not None and not (
+                4 <= self.nonlinearity_quadrature < math.inf):
+            raise ConfigError("nonlinearity_quadrature must be finite, >= 4")
 
     def quadrature(self, N):
         """Collocation nodes per axis for N modes: nonlinearity_quadrature,
@@ -365,14 +374,10 @@ def apply_nonlinearity(f: NonlinearitySpec, u: SpectralField,
     rule for aliasing_est, with a warning past 1e-8 as `project` gives.
     Non-finite pointwise values raise OverflowSignal."""
     f.validate()
-    if quad_points < 4 * u.N:
-        raise DomainError(
-            f"quad_points={quad_points} is below the anti-aliasing floor "
-            f"4N={4 * u.N}")
+    panels = _rule_panels(quad_points, u.N)
     if f.kind == "zero":
         # quadrature of the zero function is exactly zero
         return SpectralField(u.op, np.zeros(u.N), u.N)
-    panels = _rule_panels(quad_points)
     C = u.coeffs[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         c = _Collocation(u.op, u.N, panels)(f.apply, C)
@@ -392,8 +397,9 @@ class _Workspace:
     (None for f = 0, which forces no mode) and the homogeneous part; the
     pointwise map of f, and the collocations of the run's rule and, from
     the first aliasing estimate on, of its doubled rule, with their
-    buffers (None until borrowed, and for f = 0), lent by the store and
-    handed back by release; the V_gamma norm's weights lam^(2 gamma).
+    buffers (None until borrowed, and for f = 0); the V_gamma norm's
+    weights lam^(2 gamma).  The store lends the table and the
+    collocations, and release hands them back.
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
@@ -428,7 +434,7 @@ class _Workspace:
         # the last window start's memory term, (ia, sums), for its retries
         self.memo = 0, None
         # an empty prefix, which the first reach extends
-        self.kt = _KernelTable(p.alpha, grid, 0)
+        self.kt = _KernelTable.lend(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
         self.fmap = p.nonlinearity.pointwise()
         self.colloc = self.borrow(1) if self.forced else None
@@ -442,11 +448,12 @@ class _Workspace:
         return _lend(key) or _Collocation(*key)
 
     def release(self):
-        """Hand the collocations the workspace borrowed back to the store,
-        for later runs on the operator."""
-        for colloc in (self.colloc, self.doubled):
-            if colloc is not None:
-                _hand_back(colloc.key, colloc)
+        """Hand the kernel table and the collocations the workspace
+        borrowed back to the store, for later runs on the grid and the
+        operator."""
+        for held in (self.kt, self.colloc, self.doubled):
+            if held is not None:
+                _hand_back(held.key, held)
 
     def reach(self, ia, ib):
         """Extend the prefix to cover the window ia..ib, if it ends before

@@ -441,19 +441,20 @@ def project(op: Operator, g, N: int, quad_points: int) -> SpectralField:
         m = min(N, g.N)
         c[:m] = g.coeffs[:m]
         return SpectralField(op, c, N)
-    if quad_points < 4 * N:
-        raise DomainError(
-            f"quad_points={quad_points} is below the anti-aliasing floor "
-            f"4N={4 * N}")
-    panels = _rule_panels(quad_points)
+    panels = _rule_panels(quad_points, N)
     c = _quad_coeffs(op, g, N, panels)
     aliasing = float(np.max(np.abs(_quad_coeffs(op, g, N, 2 * panels) - c)))
     return SpectralField(op, c, N, aliasing_est=aliasing,
                          warnings=_aliasing_warnings(aliasing, N))
 
 
-def _rule_panels(quad_points: int) -> int:
-    """Panels per axis of the composite rule with quad_points nodes."""
+def _rule_panels(quad_points: int, N: int = 0) -> int:
+    """Panels per axis of the composite rule with quad_points nodes,
+    refused unless quad_points is finite and at least 4N, the floor below
+    which phi_N aliases on the rule."""
+    if not 4 * N <= quad_points < math.inf:
+        raise DomainError(f"quad_points={quad_points} must be finite and at "
+                          f"least the anti-aliasing floor 4N={4 * N}")
     return max(1, math.ceil(quad_points / len(_GL_NODES)))
 
 

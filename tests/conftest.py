@@ -17,7 +17,7 @@ The bands overlap for kappa in [60, 250], where both run and must agree to
 every alpha in (0, 2].  None of this code touches the production evaluator.
 
 The autouse fixture `cold_process` starts every test as a fresh process
-would: the store of kernel tables and idle collocations, the bound
+would: the store of idle kernel tables and collocations, the bound
 probe's memo and the operator memo are empty, so a test that counts
 builds sees every build of its own.
 """

@@ -803,6 +803,21 @@ class TestSolveSemilinearCli:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[0]) == doc["T_est"]
 
+    def test_power_past_the_double_range_completes(self, tmp_path):
+        # r = 400 on the interval, where r* is unbounded: the window
+        # heuristic's envelope R^r overflows the double range and reads
+        # as inf, so the run starts from one-step windows
+        cfg = write_config(
+            tmp_path,
+            nonlinearity={"kind": "power", "params": {"c": 1.0, "r": 400}},
+            grid={"t_end": 0.1, "dt": 0.01})
+        out = tmp_path / "out"
+        assert main(["solve", "semilinear", "--config", cfg,
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "outcome.json").read_text())
+        assert doc["status"] == "completed"
+        assert doc["windows"][0]["end"] == pytest.approx(0.01)
+
     def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
         # a 2-D power run shaped like the box-power benchmark, whose grid
         # values come from BLAS: three runs in process, then one in a

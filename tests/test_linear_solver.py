@@ -709,12 +709,21 @@ def trace_bytes(tr):
 
 
 def stored_arrays():
-    return [arr for entry in linear_solver._STORE.values()
-            for held in (entry.rows, entry.weights) for arr in held.values()]
+    return [arr for kt in linear_solver._STORE.values()
+            for held in (kt._rows, kt._weights) for arr in held.values()]
+
+
+def lend(alpha, grid, nodes=None):
+    return linear_solver._KernelTable.lend(alpha, grid, nodes)
+
+
+def hand_back(kt):
+    linear_solver._hand_back(kt.key, kt)
 
 
 class TestKernelStore:
-    """The process-wide store of kernel-table rows and weights."""
+    """The process-wide store lends kernel tables, with the rows and
+    weights they have built, to one solve at a time."""
 
     def forced(self, op, alpha, modes, scale=1.0):
         n = np.arange(1, 9)
@@ -742,8 +751,9 @@ class TestKernelStore:
         assert trace_bytes(solve_linear(second, grid, want_d2=True)) == cold
 
     def test_tables_share_rows_by_alpha_and_grid_alone(self, monkeypatch):
-        # a second table on the same (alpha, grid) builds nothing; a
-        # different alpha or grid builds its own rows
+        # the table handed back on an (alpha, grid) is lent again on an
+        # equal grid and builds nothing; a different alpha or grid gets a
+        # table of its own
         built = []
         ml_rows = linear_solver.ml_rows
 
@@ -754,41 +764,50 @@ class TestKernelStore:
         monkeypatch.setattr(linear_solver, "ml_rows", counted)
         lam = np.array([1.0, 4.0])
         grid = np.linspace(0.0, 1.0, 11)
-        want = linear_solver._KernelTable(1.5, grid).weights(lam)
-        assert linear_solver._KernelTable(1.5, grid.copy()).weights(
-            lam).tobytes() == want.tobytes()
+        kt = lend(1.5, grid)
+        want = kt.weights(lam)
+        hand_back(kt)
+        again = lend(1.5, grid.copy())
+        assert again is kt
+        assert again.weights(lam).tobytes() == want.tobytes()
         assert built == [(1.5, (2, 11))]
-        linear_solver._KernelTable(1.25, grid).weights(lam)
-        linear_solver._KernelTable(1.5, np.linspace(0.0, 1.0, 12)).row(
-            lam, (1.0,))
+        hand_back(again)
+        other = lend(1.25, grid)
+        other.weights(lam)
+        longer = lend(1.5, np.linspace(0.0, 1.0, 12))
+        longer.row(lam, (1.0,))
+        assert kt not in (other, longer)
+        for table in (other, longer):
+            hand_back(table)
         assert built[1:] == [(1.25, (2, 11)), (1.5, (2, 12))]
         assert len(linear_solver._STORE) == 3
 
     def test_a_prefix_reads_longer_rows_cut_and_completes_shorter(self):
-        # rows and weights held past a table's prefix are read cut to it;
-        # held short of it, they are completed; either way they are the
-        # bytes of a cold table on that prefix
+        # rows and weights a lent table holds past its prefix are read cut
+        # to it; held short of it, they are completed; either way they are
+        # the bytes of a cold table on that prefix
         t = np.linspace(0.0, 4.0, 81)
         lam = np.array([1.0, 9.0, 25.0])
         betas = (1.0, 2.0, 1.5)
 
-        def cold(nodes):
-            linear_solver._STORE.clear()
-            kt = linear_solver._KernelTable(1.5, t, nodes)
+        def read(kt):
             return kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()
 
-        short, whole = cold(30), cold(None)
-        linear_solver._STORE.clear()
-        kt = linear_solver._KernelTable(1.5, t, 30)
-        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
-            == short
+        short = read(linear_solver._KernelTable(1.5, t, 30))
+        whole = read(linear_solver._KernelTable(1.5, t))
+        kt = lend(1.5, t, 30)
+        assert read(kt) == short
         kt.extend(None)
-        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
-            == whole
-        kt = linear_solver._KernelTable(1.5, t, 30)
+        assert read(kt) == whole
+        hand_back(kt)
+        kt = lend(1.5, t, 30)
         assert kt.row(lam, betas).shape == (3, 3, 30)
-        assert (kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()) \
-            == short
+        assert read(kt) == short
+        hand_back(kt)
+        kt = lend(1.5, t, 50)
+        hand_back(kt)
+        kt = lend(1.5, t)
+        assert read(kt) == whole
 
     def test_stored_arrays_are_read_only(self):
         op = interval_op()
@@ -807,8 +826,9 @@ class TestKernelStore:
 
     def test_store_stays_under_its_cap(self, monkeypatch):
         # solves on many distinct grids evict the least recently used
-        # entries, never the one in use, so the bytes the store holds,
-        # each entry's grid key and arrays counted, stay under the cap
+        # tables, never the one just handed back, so the bytes the store
+        # holds, each table's grid key and arrays counted, stay under the
+        # cap
         cap = 60_000
         monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
         op = interval_op()
@@ -818,15 +838,74 @@ class TestKernelStore:
             solve_linear(p, grid)
             key = (1.5, grid.tobytes())
             assert next(reversed(linear_solver._STORE)) == key
-            for k, entry in linear_solver._STORE.items():
-                assert entry.nbytes == len(k[1]) + sum(
-                    arr.nbytes for held in (entry.rows, entry.weights)
+            for k, kt in linear_solver._STORE.items():
+                assert kt.key == k
+                assert kt.nbytes == len(k[1]) + sum(
+                    arr.nbytes for held in (kt._rows, kt._weights)
                     for arr in held.values())
             assert sum(e.nbytes for e in linear_solver._STORE.values()) <= cap
         assert 1 < len(linear_solver._STORE) < 20
-        # an entry past the cap alone stays while it is in use
-        monkeypatch.setattr(linear_solver, "_STORE_BYTES", 1)
-        tr = solve_linear(p, np.linspace(0.0, 2.0, 41))
-        assert np.isfinite(tr.u_coeffs).all()
-        assert list(linear_solver._STORE) == [
-            (1.5, np.linspace(0.0, 2.0, 41).tobytes())]
+
+    def test_a_table_past_the_budget_is_not_held(self, monkeypatch):
+        # a table larger than the whole budget is not held after its
+        # solve; one at the budget is
+        op = interval_op()
+        p = self.forced(op, 1.5, [0, 3])
+        grid = np.linspace(0.0, 2.0, 41)
+        want = trace_bytes(solve_linear(p, grid, want_d2=True))
+        (size,) = [kt.nbytes for kt in linear_solver._STORE.values()]
+        linear_solver._STORE.clear()
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", size - 1)
+        assert trace_bytes(solve_linear(p, grid, want_d2=True)) == want
+        assert not linear_solver._STORE
+        monkeypatch.setattr(linear_solver, "_STORE_BYTES", size)
+        assert trace_bytes(solve_linear(p, grid, want_d2=True)) == want
+        assert list(linear_solver._STORE) == [(1.5, grid.tobytes())]
+
+    def test_a_solve_on_a_lent_key_builds_its_own_table(self, monkeypatch):
+        # while one caller holds the table of a grid, a solve on that grid
+        # builds a table of its own, with the cold bytes; both are handed
+        # back, and the store holds one table at the key, the first one
+        # handed back
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append(x.shape)
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        op = interval_op()
+        p = self.forced(op, 1.5, [0, 1])
+        grid = np.linspace(0.0, 2.0, 41)
+        want = trace_bytes(solve_linear(p, grid, want_d2=True))
+        key = (1.5, grid.tobytes())
+        held = lend(1.5, grid)
+        assert not linear_solver._STORE
+        size, built[:] = held.nbytes, []
+        assert trace_bytes(solve_linear(p, grid, want_d2=True)) == want
+        assert built
+        (solved,) = linear_solver._STORE.values()
+        assert solved is not held and solved.key == key
+        hand_back(held)
+        assert held.nbytes == size
+        assert list(linear_solver._STORE) == [key]
+        assert linear_solver._STORE[key] is solved
+
+    def test_a_stored_table_owns_its_grid(self):
+        # the caller's grid array, written after its solve, leaves the
+        # table that solve handed back as it was: a warm solve that builds
+        # new rows and weights on it gives the cold bytes
+        op = interval_op()
+        first = self.forced(op, 1.5, [0])
+        second = self.forced(op, 1.5, [1, 4], scale=0.3)
+        grid = np.linspace(0.0, 2.0, 41)
+        cold = trace_bytes(solve_linear(second, grid.copy(), want_d2=True))
+        linear_solver._STORE.clear()
+        mine = grid.copy()
+        solve_linear(first, mine)
+        mine *= 3.0
+        (kt,) = linear_solver._STORE.values()
+        assert not kt.t.flags.writeable
+        assert trace_bytes(solve_linear(second, grid.copy(),
+                                        want_d2=True)) == cold

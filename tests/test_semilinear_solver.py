@@ -158,6 +158,19 @@ class TestNonlinearitySpec:
         assert k.magnitude_envelope(2.0) == 6.0
         assert NonlinearitySpec().magnitude_envelope(100.0) == 0.0
 
+    def test_power_envelopes_past_the_double_range_are_inf(self):
+        # R^r past the double range reads as inf, not an OverflowError;
+        # below it the values are the plain products, and c = 0 bounds
+        # by 0 at any radius
+        p = NonlinearitySpec("power", {"c": 1.0, "r": 400.0})
+        assert p.magnitude_envelope(10.0) == math.inf
+        assert p.lipschitz_envelope(10.0) == math.inf
+        assert p.magnitude_envelope(0.5) == 0.5 ** 400.0
+        assert p.lipschitz_envelope(2.0) == 400.0 * 2.0 ** 399.0
+        zero = NonlinearitySpec("power", {"c": 0.0, "r": 400.0})
+        assert zero.magnitude_envelope(10.0) == 0.0
+        assert zero.lipschitz_envelope(10.0) == 0.0
+
     def test_custom_envelopes_from_table(self):
         nl = NonlinearitySpec("custom", {
             "s": [-2.0, -1.0, 0.0, 1.0, 2.0],
@@ -175,6 +188,13 @@ class TestApplyNonlinearity:
         u = field(op, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(DomainError, match="anti-aliasing"):
             apply_nonlinearity(NonlinearitySpec("sine", {"c": 1.0}), u, 15)
+
+    @pytest.mark.parametrize("quad", [math.inf, math.nan])
+    def test_quadrature_must_be_finite(self, quad):
+        u = field(interval_op(), [1.0, 0.0, 0.0, 0.0])
+        for f in (NonlinearitySpec("sine", {"c": 1.0}), NonlinearitySpec()):
+            with pytest.raises(DomainError, match="must be finite"):
+                apply_nonlinearity(f, u, quad)
 
     def test_zero_is_exactly_zero(self):
         op = interval_op()
@@ -645,10 +665,20 @@ class TestPicardConfig:
         {"window_min": 2.0, "window_init": 1.0},
         {"blowup_threshold": -1.0},
         {"nonlinearity_quadrature": 3},
+        {"window_init": math.inf},
+        {"max_iter": 2.5},
+        {"max_iter": 50.0},
+        {"max_iter": "50"},
+        {"nonlinearity_quadrature": math.inf},
+        {"nonlinearity_quadrature": math.nan},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             PicardConfig(**kw).validate()
+
+    def test_integer_types_are_admitted(self):
+        PicardConfig(max_iter=np.int64(5)).validate()
+        PicardConfig(nonlinearity_quadrature=np.int64(40)).validate()
 
     def test_quadrature_floor_scales_with_truncation(self):
         op = interval_op()
@@ -1379,8 +1409,9 @@ class TestStrongSolutionCheck:
 
 
 class TestRepeatedRuns:
-    """Runs in one process share the kernel store and the bound probe's
-    memo, and keep every bit of a run in a fresh process."""
+    """Runs in one process borrow, one after another, the kernel table
+    of their grid, and share the bound probe's memo, and keep every bit
+    of a run in a fresh process."""
 
     @staticmethod
     def cold():
@@ -1389,9 +1420,9 @@ class TestRepeatedRuns:
 
     @staticmethod
     def rows_held():
-        (entry,) = [e for e in linear_solver._STORE.values()
-                    if isinstance(e, linear_solver._Stored)]
-        return {len(r) for r in entry.rows.values()}
+        (kt,) = [e for e in linear_solver._STORE.values()
+                 if isinstance(e, linear_solver._KernelTable)]
+        return {len(r) for r in kt._rows.values()}
 
     def test_warm_runs_are_cold_runs_byte_for_byte(self):
         # a blow-up run stops near node 59 of 200 and leaves rows short of
@@ -1468,7 +1499,7 @@ class TestCollocationStore:
     def idle():
         """The store's entries other than kernel tables."""
         return {k: e for k, e in linear_solver._STORE.items()
-                if not isinstance(e, linear_solver._Stored)}
+                if not isinstance(e, linear_solver._KernelTable)}
 
     def test_each_map_after_another_is_its_cold_run(self):
         cold = []
@@ -1629,16 +1660,17 @@ class TestCollocationStore:
         cap = 1_000_000
         monkeypatch.setattr(linear_solver, "_STORE_BYTES", cap)
         store = linear_solver._STORE
-        fit, evicted = linear_solver._store_fit, set()
+        hand_back, evicted = linear_solver._hand_back, set()
 
-        def checked(key, entry):
+        def checked(key, obj):
             before = dict(store)
-            fit(key, entry)
+            hand_back(key, obj)
             evicted.update(
-                "kernel" if isinstance(e, linear_solver._Stored) else "idle"
-                for k, e in before.items() if k not in store)
+                "kernel" if isinstance(e, linear_solver._KernelTable)
+                else "idle" for k, e in before.items() if k not in store)
 
-        monkeypatch.setattr(linear_solver, "_store_fit", checked)
+        for module in (linear_solver, semilinear_solver):
+            monkeypatch.setattr(module, "_hand_back", checked)
         power = NonlinearitySpec("power", {"c": 1.0, "r": 3.0})
         interval = problem(interval_op(), 1.5, [1.0, 0.1, -0.05, 0.02],
                            [0.0] * 4, power)
@@ -1671,7 +1703,13 @@ class TestCollocationStore:
         # before it handed its collocations back goes first, and they stay
         p = self.box_problem(self.MAPS[0])
         lam, later = p.op.eigenvalues(p.N), np.linspace(0.0, 1.0, 101)
-        linear_solver._KernelTable(1.5, later).weights(lam)
+
+        def table():
+            kt = linear_solver._KernelTable.lend(1.5, later)
+            kt.weights(lam)
+            linear_solver._hand_back(kt.key, kt)
+
+        table()
         size = sum(e.nbytes for e in linear_solver._STORE.values())
         self.cold()
         self.solve(p)
@@ -1679,7 +1717,7 @@ class TestCollocationStore:
         assert len(idle) == 2
         held = sum(e.nbytes for e in linear_solver._STORE.values())
         monkeypatch.setattr(linear_solver, "_STORE_BYTES", held + size - 1)
-        linear_solver._KernelTable(1.5, later).weights(lam)
+        table()
         assert self.idle() == idle
         assert [k for k in linear_solver._STORE if k not in idle] == [
             (1.5, later.tobytes())]

@@ -432,6 +432,12 @@ class TestProjection:
         with pytest.raises(DomainError):
             project(op, lambda x: np.sin(x), 8, 31)
 
+    @pytest.mark.parametrize("quad", [math.inf, math.nan])
+    def test_quad_points_must_be_finite(self, quad):
+        op = make_operator(INTERVAL_PI)
+        with pytest.raises(DomainError, match="must be finite"):
+            project(op, lambda x: np.sin(x), 8, quad)
+
     def test_under_resolution_is_reported(self):
         op = make_operator(INTERVAL_PI)
         f = project(op, lambda x: np.sin(41 * x) + np.sin(2 * x), 4, 16)

@@ -18,14 +18,14 @@ final state's change relative to max(1, max |state|), the measure
 bench/workloads.py:gate_solve holds to STATE_TOL.
 
 The change tree then solves every scenario a second time within the same
-import, so that each solve reads the kernel rows, the weights and the
-idle collocations its first pass left in the process-wide store; each
-scenario whose warm pass differs from its cold one is printed as above,
-prefixed "warm".  After each pass a line gives the bytes the tree's store
-holds, split by key shape: kernel rows and weights, keyed (alpha, grid
-bytes) in linear_solver._STORE, and idle collocations, keyed (operator,
-N, panels) in the same store, or in linear_solver._IDLE in a tree that
-keeps them apart.
+import, so that each solve borrows the kernel tables, with their rows
+and weights, and the collocations its first pass left idle in the
+process-wide store; each scenario whose warm pass differs from its cold
+one is printed as above, prefixed "warm".  After each pass a line gives
+the bytes the tree's store holds, split by key shape: kernel rows and
+weights, keyed (alpha, grid bytes) in linear_solver._STORE, and idle
+collocations, keyed (operator, N, panels) in the same store, or in
+linear_solver._IDLE in a tree that keeps them apart.
 
 The Picard stop is absolute, so a window that needs max_iter iterations
 to converge decides T_est by a few trailing bits.  For each tree a line
