@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DomainError, NumericFailure
 from .mittag_leffler import _ml, kernel_moments, ml_rows, moment_betas
@@ -282,17 +281,18 @@ class _KernelTable:
     integrates the branch cut once for all of its betas.
 
     A table holds the rows, keyed (eigenvalue, beta), and the weights,
-    keyed eigenvalue as (2, 2, panels) stacks, it has built, read-only, on
-    a read-only copy of its grid; nbytes counts them and the grid.  Solves
-    borrow one with lend and give it back with _hand_back at key, so
-    repeated solves on one (alpha, grid) build only what earlier ones
-    lacked, and no two share a table at once.  It covers the first `nodes`
-    nodes of the grid, and t is that prefix; extend moves it, and a row
-    held short of it is completed, a weight rebuilt whole from the rows,
-    when next asked for; one held past it is read cut to it.  A row value
-    depends on its own point alone, and a weight panel on its own two
-    nodes, so the rows, and the weights and propagators built from them,
-    are those of a table built on the longer prefix at once, cold."""
+    keyed eigenvalue as (C, B) by kernel by panel (see weights), it has
+    built, read-only, on a read-only copy of its grid; nbytes counts them
+    and the grid.  Solves borrow one with lend and give it back with
+    _hand_back at key, so repeated solves on one (alpha, grid) build only
+    what earlier ones lacked, and no two share a table at once.  It
+    covers the first `nodes` nodes of the grid, and t is that prefix;
+    extend moves it, and a row held short of it is completed, a weight
+    rebuilt whole from the rows, when next asked for; one held past it is
+    read cut to it.  A row value depends on its own point alone, and a
+    weight on its own panel and the one before, so the rows, and the
+    weights and propagators built from them, are those of a table built
+    on the longer prefix at once, cold."""
 
     def __init__(self, alpha, times, nodes=None):
         self.alpha = alpha
@@ -364,22 +364,26 @@ class _KernelTable:
 
     def weights(self, lam):
         """Product-integration weights of each eigenvalue of the array lam
-        on the grid's P panels, as one zero-led (2, 2, len(lam), 2P - 1)
-        stack (left, right): left = (B, B') and right = (A, A'), where
-        panel l, at index P - 1 + l behind P - 1 zeros, contributes
-        f_left B[l] + f_right A[l] against s^(a-1)E_aa (B, A) and against
-        s^(a-2)E_{a,a-1} (B', A').  Sliced from index P - K, the stack is
-        the table of a K-panel grid, and _toeplitz of the slice serves
-        every causal sum over K panels; sliced from index P - 1, it serves
-        the sums against accepted samples.  Built from the moment
-        differences so that sum(B + A) telescopes to the exact integral of
-        the kernel, making constant forcing exact.  The eigenvalues the
-        table holds no weights for, or holds them short of P panels for,
-        are built whole, once each, from rows asked for in one call; only
-        the rows are completed.  The arithmetic is elementwise, and panel
-        l reads nodes l and l + 1 alone, so each eigenvalue's weights are
-        those of a build of it alone, and each panel's those of a build on
-        a longer prefix."""
+        on the grid's P panels, merged into one table per kernel.  Panel l
+        contributes f_left B[l] + f_right A[l], against s^(a-1)E_aa and
+        against s^(a-2)E_{a,a-1}, so the causal sum at node i over panels
+        l < i is
+            S_i = sum_{m < i} C[m] F[i-m] + B[i-1] F[0],
+        with C[0] = A[0] and C[m] = B[m-1] + A[m].  Returned as the pair
+        (table, boundary): table, (2, len(lam), 2P - 1), holds C laid out
+        by _toeplitz_table, so that _toeplitz views of it serve every
+        causal sum over up to P panels; boundary, (2, len(lam), P + 1),
+        holds B[i-1] at index i, the coefficient of F[0] at node i (0 at
+        node 0).  The 2 is the kernel, the second one's weights those of
+        the time derivative.  Built from the moment differences so that
+        sum(B + A) telescopes to the exact integral of the kernel, making
+        constant forcing exact.  The eigenvalues the table holds no
+        weights for, or holds them short of P panels for, are built whole,
+        once each, from rows asked for in one call; only the rows are
+        completed.  The arithmetic is elementwise, and C[m] and B[m] read
+        nodes m - 1 to m + 1 alone, so each eigenvalue's weights are those
+        of a build of it alone, and each panel's those of a build on a
+        longer prefix."""
         uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
         keys = uniq.tolist()
         have, P = self._weights, len(self.t) - 1
@@ -388,51 +392,68 @@ class _KernelTable:
             self.row(new, moment_betas(self.alpha))
             ell = np.arange(1, P + 1)
             dt = float(self.t[1] - self.t[0])
+            # (C, B) by kernel
             got = np.empty((2, 2, len(new), P))
             for k, deriv in enumerate((False, True)):
                 w0, mm1 = self.moment_steps(np.array(new), deriv)
-                got[1, k] = ell * w0 - mm1 / dt
-                got[0, k] = w0 - got[1, k]
+                got[0, k] = ell * w0 - mm1 / dt
+                got[1, k] = w0 - got[0, k]
+                got[0, k, :, 1:] += got[1, k, :, :-1]
             for i, v in enumerate(new):
                 self._keep(have, v, got[:, :, i].copy())
-        return _zero_led(np.stack([have[v][..., :P] for v in keys],
-                                  axis=2)[:, :, inv])
+        C, B = np.stack([have[v][..., :P] for v in keys], axis=2)[:, :, inv]
+        boundary = np.zeros(B.shape[:-1] + (P + 1,))
+        boundary[..., 1:] = B
+        return _toeplitz_table(C), boundary
 
 
-def _zero_led(w):
-    """The P entries on the last axis of w behind P - 1 zeros."""
+def _toeplitz_table(w):
+    """The P entries on the last axis of w reversed, then P - 1 zeros: the
+    contiguous layout _toeplitz views."""
     P = w.shape[-1]
     out = np.zeros(w.shape[:-1] + (2 * P - 1,))
-    out[..., P - 1:] = w
+    out[..., :P] = w[..., ::-1]
     return out
 
 
-def _toeplitz(w, count, J):
-    """Zero-copy, read-only Toeplitz view of the last axis of w: row k of
-    the count rows holds w[..., k:k + J]."""
-    if count + J - 1 > w.shape[-1]:
+def _toeplitz(table, lag, count, J):
+    """Zero-copy, read-only Toeplitz view of a table _toeplitz_table laid
+    out from w: row k of the count rows, column j of J, holds
+    w[lag + k - j], zero where lag + k - j < 0.  Against samples F[1..J]
+    in its columns, row k of a view at lag 0 sums node k + 1's terms, and
+    row k of a view at lag ia - 1 sums node ia + k's terms in F[1..ia]."""
+    P = (table.shape[-1] + 1) // 2
+    if lag < 0 or lag + count > P or J > P + lag:
         raise ValueError("a Toeplitz view past the end of its table")
-    step = w.strides[-1]
-    return as_strided(w, w.shape[:-1] + (count, J),
-                      w.strides[:-1] + (step, step), writeable=False)
+    step = table.strides[-1]
+    view = np.ndarray(table.shape[:-1] + (count, J), table.dtype,
+                      buffer=table, offset=(P - 1 - lag) * step,
+                      strides=table.strides[:-1] + (-step, step))
+    view.flags.writeable = False
+    return view
 
 
 def _causal_sums(view, F, out=None):
-    """The causal Volterra sums of every mode row of F (samples at nodes
-    0..J) against the _toeplitz view (left, right) of a weight stack: row
-    k is sum_j left[k, j] F[n, J-1-j] + right[k, j] F[n, J-j], which for
-    a K-panel table (J = K) is the sum at node i = k + 1 over its panels
-    l < i, F[n, i-1-l] B[l] + F[n, i-l] A[l].  out, if given, is the pair
-    of buffers it fills: F's samples reversed, shaped like F, and the two
-    terms of the sums, (2,) + the sums' shape; the sums are the first."""
-    left, right = view
-    if out is None:
-        out = np.empty(F.shape), np.empty((2,) + left.shape[:-1])
-    rev, (lo, hi) = out
-    np.copyto(rev, F[:, ::-1])
-    np.vecdot(left, rev[:, None, 1:], out=lo)
-    np.vecdot(right, rev[:, None, :-1], out=hi)
-    return np.add(lo, hi, out=lo)
+    """The Toeplitz sums of every mode row of F against the _toeplitz view
+    of a stack of tables, one row of tables per mode: row k of mode n is
+    sum_j view[..., n, k, j] F[n, j], into out if given.  One dot per row:
+    F's rows are best contiguous, since a strided dot is slower."""
+    return np.vecdot(view, F[:, None, :], out=out)
+
+
+def _known_sums(weights, F, lo, count):
+    """Every term in the samples F[n, 0..J] of the causal sums at the
+    count nodes from lo on, of each mode row n of F against its row of
+    the weights pair (table, boundary): the boundary term B[i-1] F[0]
+    plus, for J > 0, the Toeplitz sum over F[1..J] at lag lo - 1.  With
+    lo = 1 and J = count, those are the whole sums at nodes 1..J."""
+    table, boundary = weights
+    F = np.ascontiguousarray(F)
+    J = F.shape[-1] - 1
+    S = boundary[..., lo:lo + count] * F[:, :1]
+    if J:
+        S += _causal_sums(_toeplitz(table, lo - 1, count, J), F[:, 1:])
+    return S
 
 
 def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
@@ -471,7 +492,12 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
     p.validate()
     t, _ = _check_grid(grid)
     M1 = len(t)
-    F = p.forcing.values(t, p.N) if F is None else F
+    if F is None:
+        F = p.forcing.values(t, p.N)
+    elif np.shape(F) != (M1, p.N):
+        raise DomainError(
+            f"forcing matrix has shape {np.shape(F)}, the grid and modes "
+            f"need ({M1}, {p.N})")
     S3 = np.zeros((M1, p.N))
     S3p = np.zeros((M1, p.N))
     if p.forcing.kind == "zero":
@@ -483,8 +509,7 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
         # every forced mode's sums against both kernels at once
-        K = M1 - 1
-        S = _causal_sums(_toeplitz(kt.weights(lam[cols]), K, K), F[:, cols].T)
+        S = _known_sums(kt.weights(lam[cols]), F.T[cols], 1, M1 - 1)
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
     if lent:
@@ -539,11 +564,10 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         # every beta the block reads, moment_steps' a and a + 1 included
         EAM1, EAA, _ = kt.row(lam, (a - 1.0, a, a + 1.0)).swapaxes(1, 2)
         # the piecewise-constant derivative of f against s^(a-2)E_{a,a-1}
-        dF = np.diff(F, axis=0).T / dt
-        W0 = _zero_led(kt.moment_steps(lam, deriv=True)[0])
+        dF = np.ascontiguousarray(np.diff(F, axis=0).T) / dt
+        W0 = _toeplitz_table(kt.moment_steps(lam, deriv=True)[0])
         conv = np.zeros((M1, N))
-        conv[1:] = np.vecdot(_toeplitz(W0, M1 - 1, M1 - 1),
-                             np.ascontiguousarray(dF[:, ::-1])[:, None, :]).T
+        conv[1:] = _causal_sums(_toeplitz(W0, 0, M1 - 1, M1 - 1), dF).T
         D2 = (-p.u0.coeffs * lam * ta2 * EAM1
               - p.u1.coeffs * lam * ta1 * EAA + F[0] * ta2 * EAM1 + conv)
         D2[0] = np.nan      # the t^(alpha-2) kernel is singular at zero

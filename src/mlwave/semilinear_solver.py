@@ -21,8 +21,8 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _causal_sums, _hand_back, _lend, _norm_series,
-                            _toeplitz, _unforced_rows)
+                            _causal_sums, _hand_back, _known_sums, _lend,
+                            _norm_series, _toeplitz, _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _analysis_steps, _buffers, _row_runs,
@@ -393,13 +393,14 @@ _EXTENT_MIN = 64    # steps a workspace builds first (see _Workspace)
 
 class _Workspace:
     """Per-run caches: the kernel table on a prefix of the grid, and over
-    that prefix the zero-led product-integration weights of every mode
-    (None for f = 0, which forces no mode) and the homogeneous part; the
-    pointwise map of f, and the collocations of the run's rule and, from
-    the first aliasing estimate on, of its doubled rule, with their
-    buffers (None until borrowed, and for f = 0); the V_gamma norm's
-    weights lam^(2 gamma).  The store lends the table and the
-    collocations, and release hands them back.
+    that prefix the merged product-integration weights of every mode, the
+    pair (table, boundary) of _KernelTable.weights (None for f = 0, which
+    forces no mode), and the homogeneous part; the pointwise map of f,
+    and the collocations of the run's rule and, from the first aliasing
+    estimate on, of its doubled rule, with their buffers (None until
+    borrowed, and for f = 0); the V_gamma norm's weights lam^(2 gamma).
+    The store lends the table and the collocations, and release hands
+    them back.
 
     The prefix is first _EXTENT_MIN steps (all of a shorter grid): below
     about that many nodes a row build is mostly the cost of the call.  A
@@ -432,7 +433,7 @@ class _Workspace:
         self.steps_cap = min(M, max(1, round(cfg.window_init
                                              / (grid[1] - grid[0]))))
         # the last window start's memory term, (ia, sums), for its retries
-        self.memo = 0, None
+        self.memo = -1, None
         # an empty prefix, which the first reach extends
         self.kt = _KernelTable.lend(p.alpha, grid, 0)
         self.reach(0, min(M, _EXTENT_MIN))
@@ -508,16 +509,17 @@ class _Workspace:
 
     def memory(self, ia, W, F_hist):
         """The memory term of a window of W steps from node ia, (u, dtu)
-        rows by modes: the sums of the accepted forcing F_hist, rows
-        0..ia, against the weights, every mode at once.  A run's history
-        up to ia is fixed once a window starts there, and a sum's rows do
-        not depend on how many there are, so a retry from ia, which is
-        shorter, reads the first rows of the sums of the attempt before."""
+        rows by modes: every term of the causal sums at nodes ia..ia + W
+        in the accepted forcing F_hist, rows 0..ia, every mode at once
+        (_known_sums), so the window's own sums need only its new
+        samples.  A run's history up to ia is fixed once a window starts
+        there, and a sum's rows do not depend on how many there are, so a
+        retry from ia, which is shorter, reads the first rows of the sums
+        of the attempt before."""
         start, sums = self.memo
         if start != ia or sums.shape[1] <= W:
-            P = len(self.kt.t) - 1
-            view = _toeplitz(self.weights[..., P - 1:], W + 1, ia)
-            sums = _causal_sums(view, F_hist[:ia + 1].T).swapaxes(1, 2)
+            sums = _known_sums(self.weights, F_hist[:ia + 1].T, ia,
+                               W + 1).swapaxes(1, 2)
             self.memo = ia, sums
         return sums[:, :W + 1]
 
@@ -528,9 +530,13 @@ class _Workspace:
         norms of the accepted rows, or raises WindowFailure.  The attempt
         builds every view and buffer its iterations use, once: the
         collocation bound to write f(u) of the iterate's u rows to Fw[1:],
-        the causal sums' buffers and the norm pass's."""
+        the causal sums' buffer and the norm pass's.  Every term of the
+        sums in F[0..ia] is known before the first iteration, so the
+        fixed part holds them all (see memory), and an iteration adds to
+        it the window's own sums, one Toeplitz dot per row of the merged
+        table against a contiguous copy of Fw[1:]'s mode rows."""
         self.reach(ia, ib)
-        W, P = ib - ia, len(self.kt.t) - 1
+        W = ib - ia
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
         # the norm pass's pair, (u, dtu) by (change, iterate), whose
@@ -548,7 +554,7 @@ class _Workspace:
         with np.errstate(over="ignore", invalid="ignore"):
             # (u, dtu) rows of the window's fixed part
             base = self.hom[:, ia:ib + 1].copy()
-            if ia > 0 and self.forced:
+            if self.forced:
                 base += self.memory(ia, W, F_hist)
             # the next iterate; row 0, the window's start, stays the fixed
             # part's in it and in the current one
@@ -556,12 +562,21 @@ class _Workspace:
             new = base.copy()
             fixed, new_rows = base[:, 1:], new[:, 1:]
             if self.forced:
+                # the first iterate leaves out the known end F[ia] of the
+                # window's first panel, B[k-1] F[ia] at row k: it is the
+                # sums over accepted panels alone, so the iterates are
+                # those of the Picard loop that sums whole window panels
+                # (a head start moves T_est where a window ends at the
+                # iteration cap)
+                edge = self.weights[1][..., 1:W + 1] * Fw[0][:, None]
+                np.subtract(fixed, edge.swapaxes(1, 2), out=cur[:, 1:])
                 # every iteration's sums read this one view of the
-                # window's table; their terms are laid out (time, mode)
-                window = _toeplitz(self.weights[..., P - W:], W, W)
-                terms = np.empty((2, 2, W, self.N))
-                sums = np.empty((self.N, W + 1)), terms.swapaxes(2, 3)
-                FwT, S = Fw.T, terms[0]
+                # window's table, against f(u) copied to contiguous mode
+                # rows, since a strided dot is slower on long windows;
+                # the sums are laid out (time, mode)
+                window = _toeplitz(self.weights[0], 0, W, W)
+                S = np.empty((2, W, self.N))
+                sums, FwT = S.swapaxes(1, 2), np.empty((self.N, W))
                 f_rows = self.colloc.bind(self.fmap, cur[0, 1:], Fw[1:])
             else:
                 # f = 0 forces no mode and makes no sums
@@ -572,6 +587,7 @@ class _Workspace:
                         f_rows()
                     except OverflowSignal as sig:
                         raise WindowFailure(str(sig)) from sig
+                    np.copyto(FwT, Fw[1:].T)
                     _causal_sums(window, FwT, sums)
                     np.add(fixed, S, out=new_rows)
                 np.subtract(new, cur, out=change)

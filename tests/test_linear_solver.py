@@ -266,6 +266,23 @@ class TestConvolveForcing:
         e2 = abs(endpoint(128) - ref)
         assert math.log2(e1 / e2) > 1.8
 
+    def test_a_forcing_matrix_of_the_wrong_shape_is_refused(self):
+        # a caller's F must hold every node and every mode: too few rows
+        # or too few forced columns is named, not summed
+        op = interval_op()
+        N = 4
+        f = ForcingSpec(kind="separable", g=field(op, np.ones(N)),
+                        h_name="constant", h_params={"value": 1.0})
+        p = problem(op, 1.5, np.zeros(N), np.zeros(N), f)
+        grid = np.linspace(0.0, 1.0, 11)
+        F = f.values(grid, N)
+        for bad in (F[:-1], F[:, :3], F[None]):
+            with pytest.raises(DomainError, match=r"\(11, 4\)"):
+                convolve_forcing(p, grid, F=bad)
+        want = convolve_forcing(p, grid)
+        got = convolve_forcing(p, grid, F=F)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_nonuniform_grid_rejected(self):
         p = problem(interval_op(), 1.5, [1.0], [0.0])
         with pytest.raises(DomainError):
@@ -278,13 +295,17 @@ class TestConvolveForcing:
 
 class TestProductIntegration:
     def test_panel_sum_is_the_causal_sum(self):
+        # the merged table C, C[0] = A[0] and C[m] = B[m-1] + A[m], and
+        # the boundary term B[i-1] F[0] give the panel sum at every node
         rng = np.random.default_rng(5)
         F, B, A = (rng.normal(size=(3, 12)), rng.normal(size=(3, 15)),
                    rng.normal(size=(3, 15)))
         K = F.shape[1] - 1
-        led = linear_solver._zero_led(np.stack([B[:, :K], A[:, :K]]))
-        got = linear_solver._causal_sums(linear_solver._toeplitz(led, K, K),
-                                         F)
+        C = A[:, :K].copy()
+        C[:, 1:] += B[:, :K - 1]
+        view = linear_solver._toeplitz(linear_solver._toeplitz_table(C),
+                                       0, K, K)
+        got = linear_solver._causal_sums(view, F[:, 1:]) + B[:, :K] * F[:, :1]
         want = [[sum(f[i - 1 - l] * b[l] + f[i - l] * a[l] for l in range(i))
                  for i in range(1, len(f))] for f, b, a in zip(F, B, A)]
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -314,27 +335,48 @@ class TestProductIntegration:
         distinct = len(set(lam))
         assert distinct < N
         assert built == [(False, (distinct, 11)), (True, (distinct, 11))]
-        got = kt.weights(lam[::-1])
+        table, boundary = kt.weights(lam[::-1])
         assert built[2:] == []
-        assert got.shape == (2, 2, N, 19)
-        assert not got[..., :9].any()
-        assert (got[:, :, ::-1].tobytes()
-                == kt.weights(lam).tobytes())
+        assert table.shape == (2, N, 19) and boundary.shape == (2, N, 11)
+        assert not table[..., 10:].any() and not boundary[..., 0].any()
+        assert ([w[:, ::-1].tobytes() for w in (table, boundary)]
+                == [w.tobytes() for w in kt.weights(lam)])
 
     def test_batched_weights_equal_single_builds(self):
-        # (left, right) = ((B, B'), (A, A')) of each eigenvalue, bit-equal
-        # to a table that builds that eigenvalue alone, behind 39 zeros;
-        # the store is emptied before each build, so every build is cold
+        # the merged table of each eigenvalue, before 39 zeros, and its
+        # boundary weights, after one, are bit-equal to those of a table
+        # that builds that eigenvalue alone; the store is emptied before
+        # each build, so every build is cold
         t = np.linspace(0.0, 2.0, 41)
         lam = (np.arange(1, 9) ** 2.0)[[3, 0, 7, 3, 5, 1]]
         for a in (1.1, 1.5, 1.9):
-            got = linear_solver._KernelTable(a, t).weights(lam)
-            assert got.shape == (2, 2, len(lam), 79)
-            assert not got[..., :39].any()
+            table, boundary = linear_solver._KernelTable(a, t).weights(lam)
+            assert table.shape == (2, len(lam), 79)
+            assert boundary.shape == (2, len(lam), 41)
+            assert not table[..., 40:].any() and not boundary[..., 0].any()
             for i, v in enumerate(lam):
                 linear_solver._STORE.clear()
                 want = linear_solver._KernelTable(a, t).weights([v])
-                assert got[:, :, i].tobytes() == want[:, :, 0].tobytes()
+                for g, w in zip((table, boundary), want):
+                    assert g[:, i].tobytes() == w[:, 0].tobytes()
+
+    def test_merged_weights_telescope_to_the_panel_weights(self):
+        # each kernel's table, read back in panel order, is A[0] then
+        # B[m-1] + A[m], and the boundary weights are B, with sum(B + A)
+        # the kernel's integral over the grid: the constant-forcing sum
+        t = np.linspace(0.0, 2.0, 41)
+        lam = np.array([1.0, 16.0])
+        kt = linear_solver._KernelTable(1.5, t)
+        table, boundary = kt.weights(lam)
+        C, B = table[..., 39::-1], boundary[..., 1:]
+        A = C.copy()
+        A[..., 1:] -= B[..., :-1]
+        m0, _ = kt.moment_steps(lam, False)
+        m0p, _ = kt.moment_steps(lam, True)
+        for k, w0 in enumerate((m0, m0p)):
+            assert np.allclose(A[k] + B[k], w0, rtol=1e-13, atol=1e-15)
+            assert np.allclose(C[k].sum(-1) + B[k, :, -1], w0.sum(-1),
+                               rtol=1e-13)
 
 
 class TestKernelTable:
@@ -708,6 +750,11 @@ def trace_bytes(tr):
         + [tr.norm_series[k].tobytes() for k in sorted(tr.norm_series)])
 
 
+def weight_bytes(kt, lam):
+    """The bytes of a table's merged weights and boundary weights."""
+    return b"".join(w.tobytes() for w in kt.weights(lam))
+
+
 def stored_arrays():
     return [arr for kt in linear_solver._STORE.values()
             for held in (kt._rows, kt._weights) for arr in held.values()]
@@ -765,11 +812,11 @@ class TestKernelStore:
         lam = np.array([1.0, 4.0])
         grid = np.linspace(0.0, 1.0, 11)
         kt = lend(1.5, grid)
-        want = kt.weights(lam)
+        want = weight_bytes(kt, lam)
         hand_back(kt)
         again = lend(1.5, grid.copy())
         assert again is kt
-        assert again.weights(lam).tobytes() == want.tobytes()
+        assert weight_bytes(again, lam) == want
         assert built == [(1.5, (2, 11))]
         hand_back(again)
         other = lend(1.25, grid)
@@ -791,7 +838,7 @@ class TestKernelStore:
         betas = (1.0, 2.0, 1.5)
 
         def read(kt):
-            return kt.row(lam, betas).tobytes(), kt.weights(lam).tobytes()
+            return kt.row(lam, betas).tobytes(), weight_bytes(kt, lam)
 
         short = read(linear_solver._KernelTable(1.5, t, 30))
         whole = read(linear_solver._KernelTable(1.5, t))
@@ -822,7 +869,7 @@ class TestKernelStore:
         # what a table hands out is the caller's own
         kt = linear_solver._KernelTable(1.5, np.linspace(0.0, 2.0, 41))
         assert kt.row([1.0], (1.0,)).flags.writeable
-        assert kt.weights([1.0]).flags.writeable
+        assert all(w.flags.writeable for w in kt.weights([1.0]))
 
     def test_store_stays_under_its_cap(self, monkeypatch):
         # solves on many distinct grids evict the least recently used

@@ -38,7 +38,8 @@ from mlwave import (
 )
 from mlwave import (linear_solver, mittag_leffler, semilinear_solver,
                     spectral_operator)
-from mlwave.linear_solver import _causal_sums, _toeplitz, _zero_led
+from mlwave.linear_solver import (_causal_sums, _known_sums, _toeplitz,
+                                  _toeplitz_table)
 from mlwave.mittag_leffler import _ml
 from mlwave.spectral_operator import synthesis, weighted_norm
 
@@ -530,12 +531,22 @@ def causal_sum(f, B, A):
                          for l in range(i)) for i in range(1, len(f))])
 
 
+def merged(B, A):
+    """The (table, boundary) pair _KernelTable.weights lays out from the
+    panel weights (B, A): C[0] = A[0], C[m] = B[m-1] + A[m], reversed
+    before zeros, and B behind one zero."""
+    C = A.copy()
+    C[..., 1:] += B[..., :-1]
+    boundary = np.zeros(B.shape[:-1] + (B.shape[-1] + 1,))
+    boundary[..., 1:] = B
+    return _toeplitz_table(C), boundary
+
+
 def table_sums(F, B, A):
-    """_causal_sums of F against a table of the first K panels of (B, A),
-    K + 1 the length of F's rows."""
+    """_known_sums of F at nodes 1..K over the merged weights of the
+    first K panels of (B, A), K + 1 the length of F's rows."""
     K = F.shape[-1] - 1
-    led = _zero_led(np.stack([B[..., :K], A[..., :K]]))
-    return _causal_sums(_toeplitz(led, K, K), F)
+    return _known_sums(merged(B[..., :K], A[..., :K]), F, 1, K)
 
 
 class TestBatchedCausalSums:
@@ -562,22 +573,25 @@ class TestBatchedCausalSums:
            lead=st.lists(st.integers(1, 3), max_size=2),
            modes=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
     def test_plan_applies_like_a_fresh_sum(self, P, K, lead, modes, seed):
-        # the view of a P-panel table sliced from P - K sums every forcing
-        # byte for byte as a K-panel table does, and copies nothing
+        # the K by K view at lag 0 of a P-panel table sums every forcing
+        # byte for byte as that of a K-panel table does, and copies nothing
         K = min(K, P)
         rng = np.random.default_rng(seed)
         B, A = rng.standard_normal((2, *lead, modes, P))
-        view = _toeplitz(_zero_led(np.stack([B, A]))[..., P - K:], K, K)
-        assert not view.flags.owndata
+        view = _toeplitz(merged(B, A)[0], 0, K, K)
+        assert not view.flags.owndata and not view.flags.writeable
+        short = _toeplitz(merged(B[..., :K], A[..., :K])[0], 0, K, K)
         for _ in range(3):
-            F = rng.standard_normal((modes, K + 1))
+            F = rng.standard_normal((modes, K))
             assert (_causal_sums(view, F).tobytes()
-                    == table_sums(F, B, A).tobytes())
+                    == _causal_sums(short, F).tobytes())
 
     def test_one_plan_per_window_attempt(self, monkeypatch):
         # an attempt builds its window view, and its memory view after
         # t = 0 unless a failed attempt from the same start built it,
-        # once; its iterations only sum against them
+        # once; its iterations only sum against them.  The memory's view
+        # and sums are made in linear_solver (_known_sums), the window's
+        # here: both modules' names are counted
         calls = {"views": 0, "sums": 0}
 
         def counted(name, fn):
@@ -586,10 +600,11 @@ class TestBatchedCausalSums:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(semilinear_solver, "_toeplitz",
-                            counted("views", semilinear_solver._toeplitz))
-        monkeypatch.setattr(semilinear_solver, "_causal_sums",
-                            counted("sums", semilinear_solver._causal_sums))
+        for module in (semilinear_solver, linear_solver):
+            monkeypatch.setattr(module, "_toeplitz",
+                                counted("views", module._toeplitz))
+            monkeypatch.setattr(module, "_causal_sums",
+                                counted("sums", module._causal_sums))
         attempts = []
         solve = semilinear_solver._Workspace.window_solve
 
@@ -616,24 +631,55 @@ class TestBatchedCausalSums:
                    for k, (ia, views, _) in enumerate(attempts))
         assert sum(sums for *_, sums in attempts) > 3 * len(attempts)
 
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(K=st.integers(1, 60), ia=st.integers(0, 59),
+           W=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_split_is_the_causal_sum(self, K, ia, W, seed):
+        # the full-grid sum, and at the nodes of a window from ia the
+        # terms in F[0..ia] (boundary and memory, as _Workspace.memory
+        # makes them) plus the window's own sum against F[ia+1..ia+W],
+        # are each the panel-by-panel sum
+        ia = min(ia, K - 1)
+        W = min(W, K - ia)
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((3, K + 1))
+        B, A = rng.standard_normal((2, 2, 3, K))
+        weights = merged(B, A)
+        full = _known_sums(weights, F, 1, K)
+        known = _known_sums(weights, F[:, :ia + 1], ia, W + 1)
+        split = known[..., 1:] + _causal_sums(
+            _toeplitz(weights[0], 0, W, W), F[:, ia + 1:ia + W + 1])
+        for s in range(2):
+            for m in range(3):
+                want = causal_sum(F[m], B[s, m], A[s, m])
+                scale = causal_sum(np.abs(F[m]), np.abs(B[s, m]),
+                                   np.abs(A[s, m]))
+                assert np.all(np.abs(full[s, m] - want) <= 1e-14 * scale)
+                # nodes ia + 1..ia + W, and node ia, whose sum is all known
+                rows = slice(ia, ia + W)
+                assert np.all(np.abs(split[s, m] - want[rows])
+                              <= 1e-14 * scale[rows])
+                if ia > 0:
+                    assert (abs(known[s, m, 0] - want[ia - 1])
+                            <= 1e-14 * scale[ia - 1])
+
     @pytest.mark.parametrize("ia, W", [(1, 1), (3, 5), (40, 12)])
     def test_memory_term_matches_correlate(self, ia, W):
-        # the memory of ia accepted samples: the table sliced from P - 1
+        # the memory of the accepted samples F[1..ia]: the view at lag
+        # ia - 1, whose row k pairs C[ia + k - j] with F[j]
         rng = np.random.default_rng(ia + W)
         P = ia + W + 2
-        left, right = rng.standard_normal((2, 2, 4, P))
+        C = rng.standard_normal((2, 4, P))
         F = rng.standard_normal((4, ia + 1))
-        view = _toeplitz(_zero_led(np.stack([left, right]))[..., P - 1:],
-                         W + 1, ia)
-        got = _causal_sums(view, F)
+        view = _toeplitz(_toeplitz_table(C), ia - 1, W + 1, ia)
+        got = _causal_sums(view, F[:, 1:])
         assert got.shape == (2, 4, W + 1)
         for s in range(2):
             for m in range(4):
-                pairs = ((left[s, m, :ia + W], F[m, ia - 1::-1]),
-                         (right[s, m, :ia + W], F[m, ia:0:-1]))
-                want = sum(np.correlate(w, f, "valid") for w, f in pairs)
-                scale = sum(np.correlate(np.abs(w), np.abs(f), "valid")
-                            for w, f in pairs)
+                w, f = C[s, m, :ia + W], F[m, ia:0:-1]
+                want = np.correlate(w, f, "valid")
+                scale = np.correlate(np.abs(w), np.abs(f), "valid")
                 assert np.all(np.abs(got[s, m] - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("W", [1, 6, 12])
@@ -642,12 +688,11 @@ class TestBatchedCausalSums:
         # contents included, give the bits of the allocating call
         rng = np.random.default_rng(W)
         P = W + 5
-        table = _zero_led(rng.standard_normal((2, 2, 5, P)))
-        F = rng.standard_normal((W + 1, 5)).T
-        view = _toeplitz(table[..., P - W:], W, W)
-        terms = np.full((2, 2, W, 5), np.nan)
-        out = np.full((5, W + 1), np.nan), terms.swapaxes(2, 3)
-        got = _causal_sums(view, F, out)
+        table = _toeplitz_table(rng.standard_normal((2, 5, P)))
+        F = rng.standard_normal((W + 1, 5))[1:].T
+        view = _toeplitz(table, 0, W, W)
+        terms = np.full((2, W, 5), np.nan)
+        got = _causal_sums(view, F, terms.swapaxes(1, 2))
         assert np.shares_memory(got, terms)
         assert (np.ascontiguousarray(got).tobytes()
                 == _causal_sums(view, F).tobytes())
@@ -730,12 +775,18 @@ class TestProblemValidation:
 
 def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
     """The window iterate written plainly, with the arithmetic of the
-    stacked-norm loop: per iteration f(u) of the iterate by a fresh
-    _Collocation, the causal sums added to fresh copies of the base, and
-    the norms of the change and of the iterate by weighted_norm over
-    np.stack'ed pairs.  Returns window_solve's tuple, or the reason it fails with."""
+    stacked-norm loop, on the merged weights: the base holds every term
+    of the sums in F[0..ia], the boundary's and, after t = 0, the memory
+    view's; the iterate starts from it less the known end of the window's
+    first panel, B[k-1] F[ia]; per iteration f(u) of the iterate by a
+    fresh _Collocation, the window view's sums against Fw[1:], copied to
+    contiguous mode rows, added to fresh copies of the base, and the
+    norms of the change and of the iterate by weighted_norm over
+    np.stack'ed pairs.  Returns window_solve's tuple, or the reason it
+    fails with."""
     p = ws.p
-    W, P = ib - ia, len(ws.kt.t) - 1
+    W = ib - ia
+    table, boundary = ws.weights
 
     def norms_of(U, DTU):
         return (weighted_norm(U, ws.lam, 1.0 / p.alpha)
@@ -748,13 +799,17 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
     with np.errstate(over="ignore", invalid="ignore"):
         base_u = ws.hom[0, ia:ib + 1].copy()
         base_dtu = ws.hom[1, ia:ib + 1].copy()
+        mem = boundary[..., ia:ib + 1] * F_hist[0][:, None]
         if ia > 0:
-            mem = _causal_sums(_toeplitz(ws.weights[..., P - 1:], W + 1, ia),
-                               F_hist[:ia + 1].T)
-            base_u += mem[0].T
-            base_dtu += mem[1].T
-        window = _toeplitz(ws.weights[..., P - W:], W, W)
+            mem = mem + _causal_sums(_toeplitz(table, ia - 1, W + 1, ia),
+                                     np.ascontiguousarray(F_hist[1:].T))
+        base_u += mem[0].T
+        base_dtu += mem[1].T
+        window = _toeplitz(table, 0, W, W)
+        edge = (boundary[..., 1:W + 1] * F_hist[ia][:, None]).swapaxes(1, 2)
         U, DTU = base_u.copy(), base_dtu.copy()
+        U[1:] = base_u[1:] - edge[0]
+        DTU[1:] = base_dtu[1:] - edge[1]
         Fw = np.empty((W + 1, p.N))
         Fw[0] = F_hist[ia]
         prev_d = None
@@ -763,7 +818,7 @@ def reference_window(ws, ia, ib, F_hist, cfg, R_eff):
                 Fw[1:] = f_rows(U[1:])
             except OverflowSignal as sig:
                 return str(sig)
-            new = _causal_sums(window, Fw.T)
+            new = _causal_sums(window, np.ascontiguousarray(Fw[1:].T))
             newU = base_u.copy()
             newU[1:] += new[0].T
             newDTU = base_dtu.copy()

@@ -32,9 +32,11 @@ to converge decides T_est by a few trailing bits.  For each tree a line
 gives the count of accepted windows that used exactly their scenario's
 max_iter iterations, and the scenarios they are in; then each scenario
 whose accepted iteration counts differ between the trees is printed with
-the windows that moved, old -> new.  Three lines end the output: the
-counts of scenarios that differ between the trees, of those whose status
-or T_est changed, and of those whose warm pass differs.
+the windows that moved, old -> new, and one line gives the accepted
+iterations each tree took in total, per pool and over all the pools,
+parent -> change.  Three lines end the output: the counts of scenarios
+that differ between the trees, of those whose status or T_est changed,
+and of those whose warm pass differs.
 Passing one tree twice checks that reruns in a fresh import are
 byte-identical.  Nothing under bench/ is written.
 """
@@ -205,6 +207,20 @@ def iteration_moves(before, after):
     return moved
 
 
+def iteration_totals(before, after):
+    """Print on one line the accepted iterations of each tree, per pool
+    and over all pools, old -> new."""
+    pools = {}
+    for case, files in before.items():
+        old, new = pools.get(case[0], (0, 0))
+        pools[case[0]] = (old + sum(iterations(files)),
+                          new + sum(iterations(after[case])))
+    old, new = (sum(n) for n in zip(*pools.values()))
+    print("accepted iterations: " + ", ".join(
+        f"{w} {a} -> {b}" for w, (a, b) in pools.items())
+        + f", all pools {old} -> {new}")
+
+
 def compare(before, after, modes, label=""):
     """Print each scenario whose files differ from before to after, then
     the largest relative change per key; return (differing, moved), the
@@ -257,6 +273,7 @@ def main(argv=None):
     shifted = iteration_moves(before, after)
     print(f"{shifted} of {len(before)} scenarios change their accepted "
           "iteration counts")
+    iteration_totals(before, after)
     differing, moved = compare(before, after, modes)
     warm_differing, _ = compare(after, warm, modes, "warm ")
     print(f"{differing} of {len(before)} scenarios differ")
