@@ -292,17 +292,22 @@ class RunOutcome:
     warnings: tuple = ()
 
 
+_NON_FINITE = "nonlinearity produced non-finite values"
+
+
 class _Collocation:
     """Coefficients of f(u) for each coefficient row u of C on the
     composite rule with `panels` panels per axis, by a pointwise map
     fmap(values, out=) each call is given, with the rule's weights and
     factor tables.  Per run of rows: grid values by synthesis, f
     pointwise, weighted, back by analysis, in buffers kept for the most
-    rows a call has asked for (at most one run's).  Non-finite values of f
-    raise OverflowSignal for the blow-up monitor; callers that expect
-    overflow silence numpy's warnings around the call.  key is (op, N,
-    panels), under which the store keeps it idle between runs; nbytes is
-    what its buffers hold."""
+    rows a call has asked for (at most one run's).  A call raises
+    OverflowSignal for the blow-up monitor when a coefficient is not
+    finite: a non-finite value of f leaves every coefficient of its row
+    non-finite, and so does an analysis sum that overflows.  Callers that
+    expect overflow silence numpy's overflow warnings around the call.
+    key is (op, N, panels), under which the store keeps it idle between
+    runs; nbytes is what its buffers hold."""
 
     def __init__(self, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)
@@ -311,19 +316,21 @@ class _Collocation:
 
     def bind(self, fmap, C, out):
         """A call that writes the coefficients of fmap on the rows C, as
-        they are when it is made, to out: the steps of each run of rows,
-        built here, once.  C is C-contiguous, so that its views stay
-        views."""
+        they are when it is made, to out, and checks none of them: the
+        steps of each run of rows, built here, once.  C is C-contiguous,
+        so that its views stay views; out may be strided, such as the
+        transpose of mode-major rows, and the last analysis step writes
+        there directly."""
         steps = []
         for rows in _row_runs(len(C), self.w.size):
             n = len(C[rows])
             if n > self.rows:
-                # synthesis's and analysis's buffers, f's values, their
-                # finiteness, and the weights tiled: one flat product
+                # synthesis's and analysis's buffers, f's values and the
+                # weights tiled: one flat product
                 grid = (n,) + self.w.shape
                 self.rows, self.tiled, self.bufs = n, 0, (
                     *_buffers(self.factors, n), np.empty(grid),
-                    np.empty(grid, bool), np.empty(grid))
+                    np.empty(grid))
                 syn, ana, *more = self.bufs
                 self.nbytes = sum(b.nbytes for b in (*syn, *ana, *more)
                                   if b is not None)
@@ -333,16 +340,10 @@ class _Collocation:
                 self.bufs[-1][self.tiled:n] = self.w
                 self.tiled = n
             syn, ana, *more = self.bufs
-            vals, finite, w = (b[:n] for b in more)
-
-            def finite_check(vals=vals, finite=finite):
-                # count_nonzero: the cheapest reduction of the booleans
-                if np.count_nonzero(np.isfinite(vals, out=finite)) < vals.size:
-                    raise OverflowSignal(
-                        "nonlinearity produced non-finite values")
+            vals, w = (b[:n] for b in more)
             syn = [b if b is None else b[:n] for b in syn]
             steps += _synthesis_steps(self.factors, C[rows], syn)
-            steps += [partial(fmap, syn[-1], out=vals), finite_check,
+            steps += [partial(fmap, syn[-1], out=vals),
                       partial(np.multiply, vals, w, out=vals)]
             steps += _analysis_steps(self.factors, vals, [
                 b[:n] for b in ana[:-1]] + [out[rows]])
@@ -354,7 +355,12 @@ class _Collocation:
 
     def __call__(self, fmap, C):
         out = np.empty((len(C), self.N))
-        self.bind(fmap, np.ascontiguousarray(C), out)()
+        # a non-finite value of f makes nans in the analysis sums, which
+        # the check below reports
+        with np.errstate(invalid="ignore"):
+            self.bind(fmap, np.ascontiguousarray(C), out)()
+        if not np.isfinite(out).all():
+            raise OverflowSignal(_NON_FINITE)
         return out
 
 
@@ -396,9 +402,10 @@ class _Workspace:
     that prefix the merged product-integration weights of every mode, the
     pair (table, boundary) of _KernelTable.weights (None for f = 0, which
     forces no mode), and the homogeneous part; the pointwise map of f,
-    and the collocations of the run's rule and, from the first aliasing
-    estimate on, of its doubled rule, with their buffers (None until
-    borrowed, and for f = 0); the V_gamma norm's weights lam^(2 gamma).
+    and the collocations of the run's rule and, for its aliasing
+    estimate, of its doubled rule, with their buffers (None until
+    borrowed, and for f = 0); the V_gamma norm's weights lam^(2 gamma)
+    and the buffer of the state a trust radius is centred on.
     The store lends the table and the collocations, and release hands
     them back.
 
@@ -420,6 +427,9 @@ class _Workspace:
         # theta = 1/alpha for u, ones for dtu
         self.vweights = np.ones((2, 1, p.N))
         self.vweights[0] = self.lam ** (2.0 * abs(1.0 / p.alpha))
+        # the state (u, dtu) a trust radius is centred on, shaped as the
+        # norms read it
+        self.state = np.empty((2, 1, p.N))
         self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
             raise ConfigError(
@@ -474,15 +484,20 @@ class _Workspace:
             return np.zeros_like(U_rows)
         return self.colloc(self.fmap, U_rows)
 
-    def aliasing(self, U_rows, F_rows):
+    def aliasing(self, U_rows, F_rows, chunk):
         """Aliasing estimate of the rows' f(u) coefficients F_rows: their
-        largest change on the doubled rule, inf if f overflows there."""
-        if not self.forced:
+        largest change on the doubled rule, inf if f overflows there,
+        taken over runs of at most chunk rows, so that the doubled rule's
+        buffers hold no more.  Each row's collocation is its own, so the
+        value does not depend on chunk."""
+        if not (self.forced and len(U_rows)):
             return 0.0
         if self.doubled is None:
             self.doubled = self.borrow(2)
         try:
-            return _aliasing(self.doubled, self.fmap, U_rows, F_rows)
+            return max(_aliasing(self.doubled, self.fmap,
+                                 U_rows[lo:lo + chunk], F_rows[lo:lo + chunk])
+                       for lo in range(0, len(U_rows), chunk))
         except OverflowSignal:
             return math.inf
 
@@ -504,7 +519,8 @@ class _Workspace:
         the state (u, dtu) a window starts from."""
         if cfg.R_star is not None:
             return cfg.R_star
-        c0 = self.combined_norms(np.array([u, dtu])[:, None], self.vweights)
+        self.state[0, 0], self.state[1, 0] = u, dtu
+        c0 = self.combined_norms(self.state, self.vweights)
         return 8.0 * (float(c0[0]) + 1.0)
 
     def memory(self, ia, W, F_hist):
@@ -529,12 +545,17 @@ class _Workspace:
         iterations, contraction) over the window nodes, norms the combined
         norms of the accepted rows, or raises WindowFailure.  The attempt
         builds every view and buffer its iterations use, once: the
-        collocation bound to write f(u) of the iterate's u rows to Fw[1:],
-        the causal sums' buffer and the norm pass's.  Every term of the
-        sums in F[0..ia] is known before the first iteration, so the
-        fixed part holds them all (see memory), and an iteration adds to
-        it the window's own sums, one Toeplitz dot per row of the merged
-        table against a contiguous copy of Fw[1:]'s mode rows."""
+        collocation bound to write f(u) of the iterate's u rows straight
+        into contiguous mode rows FwT, the causal sums' buffer and the
+        norm pass's.  Every term of the sums in F[0..ia] is known before
+        the first iteration, so the fixed part holds them all (see
+        memory), and an iteration adds to it the window's own sums, one
+        Toeplitz dot per row of the merged table against FwT's rows.  No
+        iteration tests f(u): a non-finite coefficient makes every sum
+        non-finite, so the iterate's own test fails in the same
+        iteration, and then gives the collocation's reason.  Fw[1:] is
+        filled from FwT once, when the f(u) of the accepted iterate is
+        known to be finite."""
         self.reach(ia, ib)
         W = ib - ia
         Fw = np.empty((W + 1, self.N))
@@ -560,7 +581,6 @@ class _Workspace:
             # part's in it and in the current one
             cur[...] = base
             new = base.copy()
-            fixed, new_rows = base[:, 1:], new[:, 1:]
             if self.forced:
                 # the first iterate leaves out the known end F[ia] of the
                 # window's first panel, B[k-1] F[ia] at row k: it is the
@@ -569,42 +589,49 @@ class _Workspace:
                 # (a head start moves T_est where a window ends at the
                 # iteration cap)
                 edge = self.weights[1][..., 1:W + 1] * Fw[0][:, None]
-                np.subtract(fixed, edge.swapaxes(1, 2), out=cur[:, 1:])
+                np.subtract(base[:, 1:], edge.swapaxes(1, 2),
+                            out=cur[:, 1:])
                 # every iteration's sums read this one view of the
-                # window's table, against f(u) copied to contiguous mode
-                # rows, since a strided dot is slower on long windows;
-                # the sums are laid out (time, mode)
+                # window's table, against f(u) in contiguous mode rows,
+                # since a strided dot is slower on long windows; the
+                # analysis writes them through their transpose.  The sums
+                # are laid out as the fixed part, (time, mode) rows, and
+                # row 0 holds -0.0, so one add onto the whole contiguous
+                # fixed part keeps its start row (x + -0.0 is x, signed
+                # zeros included)
                 window = _toeplitz(self.weights[0], 0, W, W)
-                S = np.empty((2, W, self.N))
-                sums, FwT = S.swapaxes(1, 2), np.empty((self.N, W))
-                f_rows = self.colloc.bind(self.fmap, cur[0, 1:], Fw[1:])
+                S = np.empty(base.shape)
+                S[:, 0] = -0.0
+                sums, FwT = S[:, 1:].swapaxes(1, 2), np.empty((self.N, W))
+                f_rows = self.colloc.bind(self.fmap, cur[0, 1:], FwT.T)
             else:
                 # f = 0 forces no mode and makes no sums
                 Fw[1:] = 0.0
             for it in range(1, cfg.max_iter + 1):
                 if self.forced:
-                    try:
-                        f_rows()
-                    except OverflowSignal as sig:
-                        raise WindowFailure(str(sig)) from sig
-                    np.copyto(FwT, Fw[1:].T)
+                    f_rows()
                     _causal_sums(window, FwT, sums)
-                    np.add(fixed, S, out=new_rows)
+                    np.add(base, S, out=new)
                 np.subtract(new, cur, out=change)
                 np.copyto(cur, new)
                 norms = self.combined_norms(pair, weights, norm_bufs)
-                np.maximum.reduce(norms, axis=1, out=top)
+                d, big = np.maximum.reduce(norms, axis=1, out=top).tolist()
                 # a non-finite iterate leaves its largest norm non-finite
-                if not math.isfinite(top[1]) and not np.isfinite(new).all():
-                    raise WindowFailure("iterate overflowed")
-                if top[1] > R_eff:
+                if not math.isfinite(big) and not np.isfinite(new).all():
+                    raise WindowFailure(
+                        _NON_FINITE if self.forced
+                        and not np.isfinite(FwT).all()
+                        else "iterate overflowed")
+                if big > R_eff:
                     raise WindowFailure(
                         f"iterate left the trust ball of radius {R_eff:.3g}")
-                d = float(top[0])
                 contraction = 0.0 if prev_d is None else d / prev_d
                 if d < cfg.tol:
                     if self.forced:
                         f_rows()
+                        if not np.isfinite(FwT).all():
+                            raise WindowFailure(_NON_FINITE)
+                        Fw[1:] = FwT.T
                     return cur[0], cur[1], Fw, norms[1], it, contraction
                 prev_d = d
             raise WindowFailure(
@@ -630,7 +657,8 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
     rebuild the memory forcing unless history_forcing, rows 0..ia, is
     supplied.  Returns a dict with the window nodes' times, u/dtu/f
     coefficient rows, the iteration count and the final contraction
-    ratio.  Raises WindowFailure when the window does not contract."""
+    ratio.  Raises WindowFailure when the window does not contract, and
+    DomainError when f(u) of the history's u rows overflows."""
     p.validate()
     cfg.validate()
     t = np.asarray(grid, dtype=float)
@@ -659,8 +687,13 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
             if F_hist.shape != (ia + 1, p.N):
                 raise DomainError("history forcing must cover rows 0..t_a")
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                F_hist = ws.apply_rows(hu[:ia + 1])
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    F_hist = ws.apply_rows(hu[:ia + 1])
+            except OverflowSignal as sig:
+                raise DomainError(
+                    f"the history's u rows overflow the nonlinearity: {sig}"
+                ) from sig
         R_eff = ws.trust_radius(cfg, hu[ia], hdtu[ia])
         U, DTU, Fw, _, iters, contraction = ws.window_solve(
             ia, ib, F_hist, cfg, R_eff)
@@ -741,7 +774,8 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
     windows = []
     status = "completed"
     T_est = None
-    aliasing = 0.0
+    # the most rows an accepted window kept
+    widest = 0
     i = 0
     try:
         try:
@@ -774,14 +808,16 @@ def run(p: SemilinearProblem, T_end: float, cfg: PicardConfig,
             end = i + 1 + int(breach[0]) if breach.size else ib
             windows.append(WindowRecord(grid[i], grid[end], iters,
                                         contraction))
-            kept = slice(1, end - i + 1)
-            aliasing = max(aliasing, ws.aliasing(Uw[kept], Fw[kept]))
+            widest = max(widest, end - i)
             i = end
             if breach.size:
                 status = "maximal_time_detected"
                 T_est = grid[end]
                 break
             steps = min(ws.steps_cap, max(1, round(steps * 1.5)))
+        # one estimate over every accepted row, as the largest of the
+        # accepted windows' would be
+        aliasing = ws.aliasing(U[1:i + 1], F[1:i + 1], widest)
     finally:
         ws.release()
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlwave import (
     ConfigError,
@@ -358,6 +358,27 @@ class TestBatchedCollocation:
                 pytest.raises(OverflowSignal, match="non-finite"):
             semilinear_solver._Collocation(op, 5, 4)(
                 NONLINEARITIES["power"].apply, C)
+
+    def test_non_finite_coefficients_raise(self):
+        # a nan at one node of one row, and a row of finite values whose
+        # analysis sums overflow: each leaves a coefficient non-finite
+        C = coefficient_rows(3, 4)
+        colloc = semilinear_solver._Collocation(interval_op(), 4, 4)
+
+        def nan_at_a_node(vals, out=None):
+            np.copyto(out, vals)
+            out[1, 7] = np.nan
+            return out
+
+        def largest_double(vals, out=None):
+            np.copyto(out, vals)
+            out[2] = np.finfo(float).max
+            return out
+
+        for fmap in (nan_at_a_node, largest_double):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(OverflowSignal, match="non-finite"):
+                colloc(fmap, C)
 
     def test_zero_kind_never_builds_a_rule(self):
         op = interval_op()
@@ -893,6 +914,26 @@ class TestWindowIterate:
         assert got[4:] == want[4:]
 
 
+def poison_call(monkeypatch, call):
+    """Make the maps NonlinearitySpec.pointwise returns from now on write
+    inf everywhere on the call-th call, counted over all of them."""
+    pointwise = NonlinearitySpec.pointwise
+    calls = []
+
+    def poisoned(spec):
+        fmap = pointwise(spec)
+
+        def counted(vals, out=None):
+            got = fmap(vals, out=out)
+            calls.append(len(vals))
+            if len(calls) == call:
+                got[...] = np.inf
+            return got
+        return counted
+
+    monkeypatch.setattr(NonlinearitySpec, "pointwise", poisoned)
+
+
 class TestPicardWindow:
     def test_zero_forcing_converges_immediately(self):
         op = interval_op()
@@ -973,6 +1014,42 @@ class TestPicardWindow:
             with pytest.raises(DomainError, match="of all modes"):
                 picard_window(p, (0.2, 0.4), grid, PicardConfig(), hist,
                               history_forcing=forcing)
+
+    def test_overflowing_history_is_refused(self):
+        # without history_forcing, f(u) of the history's u rows is the
+        # memory's forcing; rows whose f(u) overflows are refused, as run
+        # refuses initial data that overflow
+        p = problem(interval_op(), 1.5, [1.0, 0.5, 0.0, 0.0], [0.0] * 4,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
+        hist = SimpleNamespace(u_coeffs=np.full((3, 4), 1e200),
+                               dtu_coeffs=np.zeros((3, 4)))
+        with pytest.raises(DomainError, match="history"):
+            picard_window(p, (0.2, 0.4), np.linspace(0.0, 1.0, 11),
+                          PicardConfig(), hist)
+
+    def test_non_finite_forcing_at_the_accept_step_fails_the_window(
+            self, monkeypatch):
+        # the window 0..10 converges in 5 iterations; a map that returns
+        # inf on the call after the last iteration's, which collocates
+        # the accepted iterate, fails the window with the collocation's
+        # reason: no OverflowSignal leaves picard_window or run
+        p = problem(interval_op(), 1.5, [0.5, 0.1, -0.05, 0.02], [0.0] * 4,
+                    NonlinearitySpec("power", {"c": 1.0, "r": 3.0}))
+        grid = np.linspace(0.0, 0.1, 11)
+        iters = picard_window(p, (0.0, 0.1), grid, PicardConfig(),
+                              None)["iterations"]
+        assert iters == 5
+        # one call for the forcing at t = 0, one per iteration
+        poison_call(monkeypatch, 1 + iters + 1)
+        with pytest.raises(WindowFailure, match="non-finite"):
+            picard_window(p, (0.0, 0.1), grid, PicardConfig(), None)
+        # run's first window is one step, accepted at iteration 4: a
+        # failure there is a maximal time at t = 0
+        first = run(p, 0.1, PicardConfig(), 0.01).windows[0]
+        assert (first.start, first.end, first.iterations) == (0.0, 0.01, 4)
+        poison_call(monkeypatch, 1 + first.iterations + 1)
+        out = run(p, 0.1, PicardConfig(), 0.01)
+        assert (out.status, out.T_est) == ("maximal_time_detected", 0.0)
 
     def test_linear_shift_relaxation(self):
         # f(u) = 0.5 u on the first mode shifts the decay rate to 0.5
@@ -1355,6 +1432,62 @@ class TestRunAliasing:
         out = run(p, 0.5, PicardConfig(), 0.01)
         assert out.aliasing_est == 0.0
         assert out.warnings == ()
+
+    @staticmethod
+    def one_pass_matches_the_windows(kind, amp, threshold, seed):
+        """Run a catalog problem from a cold store, check that its one
+        estimate after the loop is the largest of the per-window
+        estimates on each accepted window's kept rows, and that the
+        doubled rule's collocation holds no more rows than the widest of
+        them; return whether the last window breached the threshold."""
+        linear_solver._STORE.clear()
+        op = make_operator(CATALOG[kind])
+        f = NonlinearitySpec("power", {"c": 1.0,
+                                       "r": 3.0 if kind == "interval"
+                                       else 2.0})
+        n = np.arange(1, 9)
+        u0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 8) / n ** 2
+        u0[0] = amp
+        p = problem(op, 1.5, u0, np.zeros(8), f)
+        dt = 5e-4 if kind == "interval" else 5e-3
+        cfg = PicardConfig(blowup_threshold=threshold)
+        out = run(p, 0.1, cfg, dt)
+        panels = spectral_operator._rule_panels(cfg.quadrature(p.N))
+        fmap, U = f.pointwise(), out.trace.u_coeffs
+        want, widest = 0.0, 0
+        for w in out.windows:
+            kept = U[round(w.start / dt) + 1:round(w.end / dt) + 1]
+            # each row's f(u) is its own, so these are the run's rows
+            F = semilinear_solver._Collocation(op, p.N, panels)(fmap, kept)
+            try:
+                got = semilinear_solver._aliasing(
+                    semilinear_solver._Collocation(op, p.N, 2 * panels),
+                    fmap, kept, F)
+            except OverflowSignal:
+                got = math.inf
+            want, widest = max(want, got), max(widest, len(kept))
+        assert out.aliasing_est == want
+        doubled = linear_solver._STORE.get((op, p.N, 2 * panels))
+        assert (doubled is None) == (not out.windows)
+        assert doubled is None or doubled.rows <= widest
+        norms = out.trace.norm_series
+        return norms["u_Vgamma"][-1] + norms["dtu_L2"][-1] > threshold
+
+    @settings(max_examples=12, derandomize=True, database=None,
+              deadline=None)
+    @given(kind=st.sampled_from(("interval", "box2")),
+           amp=st.sampled_from((1.0, 5.0, 20.0)),
+           threshold=st.sampled_from((1e8, 300.0, 60.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="interval", amp=20.0, threshold=300.0, seed=0)
+    def test_one_pass_is_the_largest_window_estimate(self, kind, amp,
+                                                     threshold, seed):
+        self.one_pass_matches_the_windows(kind, amp, threshold, seed)
+
+    def test_one_pass_covers_a_breached_last_window(self):
+        # the run stops inside its last window, whose rows past the
+        # breach are not kept
+        assert self.one_pass_matches_the_windows("interval", 20.0, 300.0, 0)
 
 
 class TestStrongSolutionCheck:

@@ -15,7 +15,10 @@ on the same operator would show.  Printed per differing scenario:
 trace.csv and norms.csv when their bytes differ, each JSON key that
 differs apart from metadata, with its largest relative change, and the
 final state's change relative to max(1, max |state|), the measure
-bench/workloads.py:gate_solve holds to STATE_TOL.
+bench/workloads.py:gate_solve holds to STATE_TOL.  A scenario whose
+window attempts end otherwise also differs ("attempts"): each tree's
+_Workspace.window_solve is wrapped to record every attempt's outcome,
+accepted or the kind of its WindowFailure reason, which run() discards.
 
 The change tree then solves every scenario a second time within the same
 import, so that each solve borrows the kernel tables, with their rows
@@ -34,13 +37,15 @@ max_iter iterations, and the scenarios they are in; then each scenario
 whose accepted iteration counts differ between the trees is printed with
 the windows that moved, old -> new, and one line gives the accepted
 iterations each tree took in total, per pool and over all the pools,
-parent -> change.  Three lines end the output: the counts of scenarios
-that differ between the trees, of those whose status or T_est changed,
-and of those whose warm pass differs.
+parent -> change.  A line per pool then counts the window attempts by
+outcome, parent -> change.  Three lines end the output: the counts of
+scenarios that differ between the trees, of those whose status or T_est
+changed, and of those whose warm pass differs.
 Passing one tree twice checks that reruns in a fresh import are
 byte-identical.  Nothing under bench/ is written.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -55,6 +60,12 @@ import workloads as wl  # noqa: E402
 
 FILES = {"linear": ("summary.json", "trace.csv", "norms.csv"),
          "semilinear": ("outcome.json", "trace.csv", "norms.csv")}
+
+# the kind of a WindowFailure reason, by how the reason starts
+REASONS = {"iterate left the trust ball": "trust-ball",
+           "no contraction": "no-contraction",
+           "iterate overflowed": "iterate-overflow",
+           "nonlinearity produced non-finite": "non-finite-f"}
 
 
 def scenarios():
@@ -80,7 +91,10 @@ def scenarios():
 
 
 def load(src):
-    """The cli module of the mlwave package under src, freshly imported."""
+    """(cli, outcomes): the cli module of the mlwave package under src,
+    freshly imported, with its _Workspace.window_solve wrapped to append
+    each attempt's outcome to the list outcomes: "accepted", or the kind
+    of the reason it fails with."""
     for name in [m for m in sys.modules if m.split(".")[0] == "mlwave"]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
@@ -88,15 +102,32 @@ def load(src):
         import mlwave.cli
     finally:
         sys.path.pop(0)
-    return mlwave.cli
+    ss = sys.modules["mlwave.semilinear_solver"]
+    solve, outcomes = ss._Workspace.window_solve, []
+
+    def recorded(ws, *args):
+        try:
+            got = solve(ws, *args)
+        except ss.WindowFailure as exc:
+            outcomes.append(next((kind for start, kind in REASONS.items()
+                                  if exc.reason.startswith(start)),
+                                 exc.reason))
+            raise
+        outcomes.append("accepted")
+        return got
+
+    ss._Workspace.window_solve = recorded
+    return mlwave.cli, outcomes
 
 
-def solve_pool(cli, work):
+def solve_pool(cli, outcomes, work):
     """{(pool, k): {file name: bytes}} of every scenario, solved by the
-    cli module cli."""
+    cli module cli, with "attempts", the tuple of outcomes its window
+    attempts appended to outcomes."""
     os.makedirs(work)
     got = {}
     for w, k, kind, doc in scenarios():
+        start = len(outcomes)
         config, out = os.path.join(work, "scenario.json"), \
             os.path.join(work, f"{w}-{k}")
         with open(config, "w") as fh:
@@ -107,7 +138,8 @@ def solve_pool(cli, work):
                                "--out", out])
             except Exception as exc:    # a broken tree: compared, not fatal
                 rc = f"raised {type(exc).__name__}: {exc}"
-        got[w, k] = {"exit": str(rc).encode()}
+        got[w, k] = {"exit": str(rc).encode(),
+                     "attempts": tuple(outcomes[start:])}
         for f in FILES[kind]:
             path = os.path.join(out, f)
             if os.path.exists(path):
@@ -221,6 +253,21 @@ def iteration_totals(before, after):
         + f", all pools {old} -> {new}")
 
 
+def attempt_counts(before, after):
+    """Print a line per pool: its window attempts counted by outcome,
+    old -> new."""
+    pools = {}
+    for case, files in before.items():
+        old, new = pools.setdefault(case[0], (collections.Counter(),
+                                              collections.Counter()))
+        old.update(files["attempts"])
+        new.update(after[case]["attempts"])
+    for w, (old, new) in pools.items():
+        kinds = ["accepted"] + sorted((old | new).keys() - {"accepted"})
+        print(f"window attempts {w}: " + ", ".join(
+            f"{kind} {old[kind]} -> {new[kind]}" for kind in kinds))
+
+
 def compare(before, after, modes, label=""):
     """Print each scenario whose files differ from before to after, then
     the largest relative change per key; return (differing, moved), the
@@ -257,12 +304,12 @@ def main(argv=None):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as work:
-        before = solve_pool(load(argv[0]), os.path.join(work, "a"))
+        before = solve_pool(*load(argv[0]), os.path.join(work, "a"))
         held_bytes("parent tree after its pass")
         cli = load(argv[1])
-        after = solve_pool(cli, os.path.join(work, "b"))
+        after = solve_pool(*cli, os.path.join(work, "b"))
         held_bytes("change tree after its cold pass")
-        warm = solve_pool(cli, os.path.join(work, "c"))
+        warm = solve_pool(*cli, os.path.join(work, "c"))
         held_bytes("change tree after its warm pass")
     modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
     cap = sys.modules["mlwave.semilinear_solver"].PicardConfig.max_iter
@@ -274,6 +321,7 @@ def main(argv=None):
     print(f"{shifted} of {len(before)} scenarios change their accepted "
           "iteration counts")
     iteration_totals(before, after)
+    attempt_counts(before, after)
     differing, moved = compare(before, after, modes)
     warm_differing, _ = compare(after, warm, modes, "warm ")
     print(f"{differing} of {len(before)} scenarios differ")
