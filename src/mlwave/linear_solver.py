@@ -500,20 +500,17 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
             f"need ({M1}, {p.N})")
     S3 = np.zeros((M1, p.N))
     S3p = np.zeros((M1, p.N))
-    if p.forcing.kind == "zero":
-        return S3, S3p
-    lam = p.op.eigenvalues(p.N)
-    lent = kt is None
-    if lent:
-        kt = _KernelTable.lend(p.alpha, t)
     cols = np.flatnonzero(F.any(axis=0))
     if cols.size:
+        lent = kt is None
+        kt = _KernelTable.lend(p.alpha, t) if lent else kt
         # every forced mode's sums against both kernels at once
-        S = _known_sums(kt.weights(lam[cols]), F.T[cols], 1, M1 - 1)
+        lam = p.op.eigenvalues(p.N)[cols]
+        S = _known_sums(kt.weights(lam), F.T[cols], 1, M1 - 1)
         S3[1:, cols] = S[0].T
         S3p[1:, cols] = S[1].T
-    if lent:
-        _hand_back(kt.key, kt)
+        if lent:
+            _hand_back(kt.key, kt)
     return S3, S3p
 
 
@@ -573,18 +570,15 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
         D2[0] = np.nan      # the t^(alpha-2) kernel is singular at zero
     _hand_back(kt.key, kt)
 
-    for name, mat in (("u", U), ("dtu", DTU), ("dalpha", DAL)):
-        bad = np.where(~np.isfinite(mat))[0]
-        if bad.size:
+    # d2u from row 1 on: its row 0 is nan by construction
+    for name, mat, lo in (("u", U, 0), ("dtu", DTU, 0), ("dalpha", DAL, 0),
+                          ("d2u", D2, 1)):
+        bad = () if mat is None else np.where(~np.isfinite(mat[lo:]))[0]
+        if len(bad):
+            i = int(bad[0]) + lo
             raise NumericFailure(
-                f"non-finite {name} coefficient at time index {bad[0]}",
-                time_index=int(bad[0]))
-    if D2 is not None:
-        bad = np.where(~np.isfinite(D2[1:]))[0]
-        if bad.size:
-            raise NumericFailure(
-                f"non-finite d2u coefficient at time index {bad[0] + 1}",
-                time_index=int(bad[0] + 1))
+                f"non-finite {name} coefficient at time index {i}",
+                time_index=i)
 
     return SolutionTrace(t, U, DTU, DAL, D2,
                          _norm_series(U, DTU, DAL, lam, a), warnings)

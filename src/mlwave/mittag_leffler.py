@@ -734,8 +734,8 @@ def ml_identity_residuals(alpha: float, lam: float, t: float, h: float):
     """
     if not 1.0 < alpha < 2.0:
         raise DomainError("alpha must lie in (1, 2)")
-    if lam <= 0.0 or t <= 0.0 or h <= 0.0:
-        raise DomainError("lam, t, h must be positive")
+    if not all(0.0 < v < math.inf for v in (lam, t, h)):
+        raise DomainError("lam, t, h must be positive and finite")
     if h > t / 4.0:
         raise DomainError("central-difference step too large relative to t")
 
@@ -781,10 +781,10 @@ def moment_betas(alpha):
 def _moment(alpha, lam, h, k, p, deriv):
     if not 1.0 < alpha <= 2.0:
         raise DomainError("alpha must lie in (1, 2]")
-    if lam < 0.0:
-        raise DomainError("lam must be nonnegative")
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError("lam must be nonnegative and finite")
+    if not 0.0 < h < math.inf:
+        raise DomainError("h must be positive and finite")
     if k not in (0, 1):
         raise DomainError("k must be 0 or 1")
     z = -lam * h ** alpha

@@ -21,12 +21,14 @@ import numpy as np
 from .criticality import Unbounded, classify
 from .errors import ConfigError, DomainError, MLWaveError, OverflowSignal
 from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
-                            _causal_sums, _hand_back, _known_sums, _lend,
-                            _norm_series, _toeplitz, _unforced_rows)
+                            _causal_sums, _check_grid, _hand_back,
+                            _known_sums, _lend, _norm_series, _toeplitz,
+                            _unforced_rows)
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _analysis_steps, _buffers, _row_runs,
-                                _rule_panels, _synthesis_steps, synthesis)
+                                _rule_panels, _synthesis_steps, synthesis,
+                                weighted_norm)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -312,7 +314,7 @@ class _Collocation:
     def __init__(self, op, N, panels):
         _, self.w, self.factors = op.rule(N, panels)
         self.key, self.N = (op, N, panels), N
-        self.rows = self.tiled = self.nbytes = 0
+        self.rows = self.nbytes = 0
 
     def bind(self, fmap, C, out):
         """A call that writes the coefficients of fmap on the rows C, as
@@ -328,17 +330,13 @@ class _Collocation:
                 # synthesis's and analysis's buffers, f's values and the
                 # weights tiled: one flat product
                 grid = (n,) + self.w.shape
-                self.rows, self.tiled, self.bufs = n, 0, (
+                self.rows, self.bufs = n, (
                     *_buffers(self.factors, n), np.empty(grid),
                     np.empty(grid))
+                self.bufs[-1][...] = self.w
                 syn, ana, *more = self.bufs
                 self.nbytes = sum(b.nbytes for b in (*syn, *ana, *more)
                                   if b is not None)
-            if n > self.tiled:
-                # tiled only as far as a run reaches: rows never written
-                # are never touched
-                self.bufs[-1][self.tiled:n] = self.w
-                self.tiled = n
             syn, ana, *more = self.bufs
             vals, w = (b[:n] for b in more)
             syn = [b if b is None else b[:n] for b in syn]
@@ -404,8 +402,7 @@ class _Workspace:
     forces no mode), and the homogeneous part; the pointwise map of f,
     and the collocations of the run's rule and, for its aliasing
     estimate, of its doubled rule, with their buffers (None until
-    borrowed, and for f = 0); the V_gamma norm's weights lam^(2 gamma)
-    and the buffer of the state a trust radius is centred on.
+    borrowed, and for f = 0); the V_gamma norm's weights lam^(2 gamma).
     The store lends the table and the collocations, and release hands
     them back.
 
@@ -427,9 +424,6 @@ class _Workspace:
         # theta = 1/alpha for u, ones for dtu
         self.vweights = np.ones((2, 1, p.N))
         self.vweights[0] = self.lam ** (2.0 * abs(1.0 / p.alpha))
-        # the state (u, dtu) a trust radius is centred on, shaped as the
-        # norms read it
-        self.state = np.empty((2, 1, p.N))
         self.quad = cfg.quadrature(p.N)
         if self.quad < 4 * p.N:
             raise ConfigError(
@@ -501,14 +495,14 @@ class _Workspace:
         except OverflowSignal:
             return math.inf
 
-    def combined_norms(self, UD, weights, out=None):
+    def combined_norms(self, UD, weights, out):
         """Per-row ||u||_{V_gamma} + ||dtu||_{L2} of the pair UD = (u rows,
         dtu rows): weighted_norm's sums over the same contiguous mode rows,
         so the same bits.  weights is self.vweights broadcast to UD's
-        shape; out, if given, is the pair of buffers the squares and the
-        four norms go to, shaped UD.shape and UD.shape[:-1]."""
-        sq, root = (None, None) if out is None else out
-        sq = np.square(UD, out=sq)
+        shape; out is the pair of buffers the squares and the four norms
+        go to, shaped UD.shape and UD.shape[:-1]."""
+        sq, root = out
+        np.square(UD, out=sq)
         sq *= weights
         root = np.add.reduce(sq, axis=-1, out=root)
         np.sqrt(root, out=root)
@@ -519,9 +513,9 @@ class _Workspace:
         the state (u, dtu) a window starts from."""
         if cfg.R_star is not None:
             return cfg.R_star
-        self.state[0, 0], self.state[1, 0] = u, dtu
-        c0 = self.combined_norms(self.state, self.vweights)
-        return 8.0 * (float(c0[0]) + 1.0)
+        c0 = (weighted_norm(u, self.lam, 1.0 / self.p.alpha)
+              + weighted_norm(dtu, self.lam, 0.0))
+        return 8.0 * (float(c0) + 1.0)
 
     def memory(self, ia, W, F_hist):
         """The memory term of a window of W steps from node ia, (u, dtu)
@@ -583,12 +577,12 @@ class _Workspace:
             new = base.copy()
             if self.forced:
                 # the first iterate leaves out the known end F[ia] of the
-                # window's first panel, B[k-1] F[ia] at row k: it is the
-                # sums over accepted panels alone, so the iterates are
-                # those of the Picard loop that sums whole window panels
-                # (a head start moves T_est where a window ends at the
-                # iteration cap)
-                edge = self.weights[1][..., 1:W + 1] * Fw[0][:, None]
+                # window's first panel, B[k-1] F[ia] at row k, the known
+                # sums of that one sample: it is the sums over accepted
+                # panels alone, so the iterates are those of the Picard
+                # loop that sums whole window panels (a head start moves
+                # T_est where a window ends at the iteration cap)
+                edge = _known_sums(self.weights, Fw[0][:, None], 1, W)
                 np.subtract(base[:, 1:], edge.swapaxes(1, 2),
                             out=cur[:, 1:])
                 # every iteration's sums read this one view of the
@@ -639,10 +633,10 @@ class _Workspace:
                 "iterations")
 
 
-def _node_index(t, value, what):
+def _node_index(t, dt, value, what):
     if not math.isfinite(value):
         raise DomainError(f"{what}={value} is not finite")
-    i = int(round(value / (t[1] - t[0])))
+    i = int(round(value / dt))
     if not (0 <= i < len(t)) or abs(t[i] - value) > 1e-9 * max(1.0, t[-1]):
         raise DomainError(f"{what}={value} does not lie on the grid")
     return i
@@ -658,17 +652,18 @@ def picard_window(p: SemilinearProblem, window, grid, cfg: PicardConfig,
     supplied.  Returns a dict with the window nodes' times, u/dtu/f
     coefficient rows, the iteration count and the final contraction
     ratio.  Raises WindowFailure when the window does not contract, and
-    DomainError when f(u) of the history's u rows overflows."""
+    DomainError when the grid is not uniform from 0, as solve_linear's,
+    or f(u) of the history's u rows overflows."""
     p.validate()
     cfg.validate()
-    t = np.asarray(grid, dtype=float)
+    t, dt = _check_grid(grid)
     try:
         ta, tb = (float(v) for v in window)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(
             f"window must be a pair of times, got {window!r}") from exc
-    ia = _node_index(t, ta, "window start")
-    ib = _node_index(t, tb, "window end")
+    ia = _node_index(t, dt, ta, "window start")
+    ib = _node_index(t, dt, tb, "window end")
     if ib <= ia:
         raise DomainError("window must contain at least one step")
     hu, hdtu = p.u0.coeffs[None, :], p.u1.coeffs[None, :]

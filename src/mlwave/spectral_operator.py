@@ -147,6 +147,13 @@ class _Rule(NamedTuple):
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
 
+def _mode_index(n):
+    """n as an int, refused unless it is a finite index from 1."""
+    if not 1 <= n < math.inf:
+        raise DomainError(f"mode index must be finite and 1-based, got {n}")
+    return int(n)
+
+
 class Operator:
     """Immutable spectral triple (lambda_n, phi_n, q_A) on a box.
 
@@ -175,9 +182,7 @@ class Operator:
         return lam if self.power == 1.0 else lam ** self.power
 
     def eigenvalue(self, n: int) -> float:
-        if n < 1:
-            raise DomainError("mode index is 1-based")
-        return float(self.eigenvalues(int(n))[-1])
+        return float(self.eigenvalues(_mode_index(n))[-1])
 
     def basis(self, N: int, x) -> np.ndarray:
         """phi_1..phi_N at points x in the box, shape x.shape + (N,) in
@@ -188,9 +193,7 @@ class Operator:
 
     def eigenfunction(self, n: int, x):
         """phi_n at x; x broadcasts (scalar/array in 1-D, (..., dim) else)."""
-        if n < 1:
-            raise DomainError("mode index is 1-based")
-        return self.basis(int(n), x)[..., -1][()]
+        return self.basis(_mode_index(n), x)[..., -1][()]
 
     def rule(self, N: int, panels: int) -> _Rule:
         """Composite 10-node Gauss-Legendre rule with `panels` panels per
@@ -246,7 +249,8 @@ class Operator:
                 raise DomainError(f"point must have {self.dim} coordinates")
             shape, coords = xv.shape[:-1], list(xv.reshape(-1, self.dim).T)
         for xi, (lo, hi) in zip(coords, self.domain_box):
-            if np.any(xi < lo) or np.any(xi > hi):
+            # a nan coordinate is refused too
+            if not np.all((xi >= lo) & (xi <= hi)):
                 raise DomainError("point outside the operator domain")
         tables = self.factors(N, coords).tables
         rows = self._modes.need(N)[1] - self._modes.first
@@ -484,8 +488,6 @@ def weighted_norm(coeffs, lam, theta: float):
     """(sum_n lam_n^(2 theta) c_n^2)^(1/2) over the last axis of coeffs:
     the V_theta norm, the duality-pairing norm for theta < 0."""
     c2 = np.asarray(coeffs, dtype=float) ** 2
-    if theta == 0.0:
-        return np.sqrt(c2.sum(axis=-1))
     w = lam ** (2.0 * abs(theta))
     return np.sqrt((c2 * w if theta > 0.0 else c2 / w).sum(axis=-1))
 

@@ -286,6 +286,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_e(MLQuery(1.5, math.nan, -1.0))
 
+    @pytest.mark.parametrize("moment", [kernel_moment, deriv_kernel_moment])
+    @pytest.mark.parametrize("lam, h", [(math.nan, 0.1), (2.0, math.nan)])
+    def test_nonfinite_moment_arguments_rejected(self, moment, lam, h):
+        # a nan once reached the scalar evaluator, which raised ValueError
+        with pytest.raises(DomainError, match="finite"):
+            moment(1.5, lam, h, 0)
+
+    @pytest.mark.parametrize("lam, t, h", [(math.nan, 1.0, 0.01),
+                                           (2.0, math.nan, 0.01),
+                                           (2.0, 1.0, math.nan)])
+    def test_nonfinite_identity_arguments_rejected(self, lam, t, h):
+        with pytest.raises(DomainError, match="finite"):
+            ml_identity_residuals(1.5, lam, t, h)
+
     def test_overflow_on_large_positive_argument(self):
         with pytest.raises(NumericOverflowError):
             ml_e(MLQuery(0.25, 1.0, 100.0))

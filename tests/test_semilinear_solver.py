@@ -22,6 +22,7 @@ from mlwave import (
     DomainError,
     ForcingSpec,
     LinearProblem,
+    MLWaveError,
     NonlinearitySpec,
     OperatorSpecConfig,
     OverflowSignal,
@@ -30,7 +31,11 @@ from mlwave import (
     SpectralField,
     WindowFailure,
     apply_nonlinearity,
+    deriv_kernel_moment,
+    evaluate,
+    kernel_moment,
     make_operator,
+    ml_identity_residuals,
     picard_window,
     run,
     solve_linear,
@@ -466,7 +471,7 @@ class TestBuffersKeepTheBits:
     def test_reused_buffers_give_one_shot_bits(self, kind, first,
                                                monkeypatch):
         # one collocation, its buffers first made by a call of 1 or 8
-        # rows, then grown or tiled further and reused over calls of 5, 2,
+        # rows, then grown further and reused over calls of 5, 2,
         # 7 and 1 rows, one that overflows and 3 rows: each result is that
         # of a fresh one, and writing to a result changes no other.  Every
         # np.empty comes back filled with nan, so a read of a value never
@@ -977,6 +982,19 @@ class TestPicardWindow:
         with pytest.raises(DomainError, match="not finite"):
             picard_window(p, window, grid, PicardConfig(), None)
 
+    @pytest.mark.parametrize("grid", [
+        [0.0], np.linspace(0.0, 1.1, 12).reshape(3, 4),
+        [0.0, 0.1, 0.3, 0.6]])
+    def test_grid_is_checked_as_the_linear_solvers_are(self, grid):
+        # a one-node grid once raised IndexError and a 2-D one TypeError;
+        # the non-uniform grid was accepted for (0, 0.1), its first step,
+        # although the kernel weights assume one step throughout
+        op = interval_op()
+        p = problem(op, 1.5, [1.0], [0.0],
+                    NonlinearitySpec("sine", {"c": 0.2}))
+        with pytest.raises(DomainError, match="grid"):
+            picard_window(p, (0.0, 0.1), grid, PicardConfig(), None)
+
     @pytest.mark.parametrize("window", [("x", 0.4), (None, 0.4), (0.0,),
                                         (0.0, 0.2, 0.4), None])
     def test_window_must_be_a_pair_of_times(self, window):
@@ -1097,6 +1115,55 @@ class TestPicardWindow:
         assert dev < 10 * cfg.tol
         dev = np.max(np.abs(second["dtu_coeffs"] - whole["dtu_coeffs"][50:]))
         assert dev < 10 * cfg.tol
+
+
+def scalar_entry_points():
+    """{name: (call, finite arguments)}: public calls taking scalar float
+    arguments, each of which is refused when it is not finite."""
+    op = interval_op()
+    box = make_operator(CATALOG["box2"])
+    p = problem(op, 1.5, [0.5, 0.1], [0.0, 0.0],
+                NonlinearitySpec("sine", {"c": 0.2}))
+    grid = np.linspace(0.0, 0.4, 5)
+    return {
+        "kernel_moment": (lambda a, lam, h: kernel_moment(a, lam, h, 1),
+                          (1.5, 2.0, 0.1)),
+        "deriv_kernel_moment": (
+            lambda a, lam, h: deriv_kernel_moment(a, lam, h, 0),
+            (1.5, 2.0, 0.1)),
+        "ml_identity_residuals": (ml_identity_residuals,
+                                  (1.5, 2.0, 1.0, 0.01)),
+        "eigenvalue": (op.eigenvalue, (3,)),
+        "eigenfunction": (op.eigenfunction, (2, 0.5)),
+        "box eigenfunction": (lambda n, x, y: box.eigenfunction(n, [x, y]),
+                              (2, 0.3, 1.5)),
+        "evaluate": (lambda x: evaluate(field(op, [1.0, 0.5]), x), (1.0,)),
+        "box evaluate": (lambda x, y: evaluate(field(box, [1.0, 0.5]),
+                                               [x, y]), (0.3, 1.5)),
+        "picard_window": (lambda ta, tb: picard_window(
+            p, (ta, tb), grid, PicardConfig(), None), (0.0, 0.2)),
+    }
+
+
+class TestNonFiniteScalars:
+    CALLS = scalar_entry_points()
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(name=st.sampled_from(sorted(CALLS)), data=st.data())
+    def test_non_finite_argument_raises_a_library_error(self, name, data):
+        # any nan or infinity in any of the scalar arguments, alone or
+        # with others, ends in an MLWaveError subclass, never in numpy's
+        # or Python's own error nor in a nan result; the finite arguments
+        # are taken
+        call, args = self.CALLS[name]
+        call(*args)
+        bad = st.sampled_from((math.nan, math.inf, -math.inf))
+        picks = data.draw(st.lists(st.one_of(st.none(), bad),
+                                   min_size=len(args), max_size=len(args))
+                          .filter(lambda v: any(x is not None for x in v)))
+        with pytest.raises(MLWaveError):
+            call(*(a if x is None else x for a, x in zip(args, picks)))
 
 
 class TestAdmission:

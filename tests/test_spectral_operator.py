@@ -475,6 +475,27 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             evaluate(unit_field(op, 1), math.pi + 0.1)
 
+    @pytest.mark.parametrize("cfg, x", [
+        (INTERVAL_PI, math.nan), (INTERVAL_PI, [0.5, math.nan]),
+        (OperatorSpecConfig("dirichlet_laplacian_box", lengths=(1.0, 1.0)),
+         [0.5, math.nan])])
+    def test_nan_coordinate_rejected(self, cfg, x):
+        # a nan compares false against both ends, so it once passed as
+        # inside the box and evaluated to nan
+        op = make_operator(cfg)
+        with pytest.raises(DomainError, match="outside"):
+            evaluate(unit_field(op, 1), x)
+        with pytest.raises(DomainError, match="outside"):
+            op.eigenfunction(1, x)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_mode_index_must_be_finite_from_one(self, n):
+        op = make_operator(INTERVAL_PI)
+        with pytest.raises(DomainError, match="mode index"):
+            op.eigenvalue(n)
+        with pytest.raises(DomainError, match="mode index"):
+            op.eigenfunction(n, 1.0)
+
 
 class TestFracNorm:
     def test_single_mode_values(self):

@@ -28,7 +28,8 @@ one is printed as above, prefixed "warm".  After each pass a line gives
 the bytes the tree's store holds, split by key shape: kernel rows and
 weights, keyed (alpha, grid bytes) in linear_solver._STORE, and idle
 collocations, keyed (operator, N, panels) in the same store, or in
-linear_solver._IDLE in a tree that keeps them apart.
+linear_solver._IDLE in a tree that keeps them apart; beside them, the
+lines of the tree's mlwave/*.py files, counted as `wc -l` counts them.
 
 The Picard stop is absolute, so a window that needs max_iter iterations
 to converge decides T_est by a few trailing bits.  For each tree a line
@@ -147,17 +148,20 @@ def solve_pool(cli, outcomes, work):
     return got
 
 
-def held_bytes(label):
+def held_bytes(label, src):
     """Print the bytes the kernel tables and the idle collocations of the
-    mlwave package imported last hold: a key of two items is a kernel
-    table's, one of three a collocation's."""
+    mlwave package imported last, from src, hold: a key of two items is a
+    kernel table's, one of three a collocation's; and the newlines in
+    src's mlwave/*.py files."""
     ls = sys.modules["mlwave.linear_solver"]
     held = {2: 0, 3: 0}
     for name in ("_STORE", "_IDLE"):
         for key, entry in getattr(ls, name, {}).items():
             held[len(key)] += entry.nbytes
+    lines = sum(f.read_bytes().count(b"\n")
+                for f in Path(src).glob("mlwave/*.py"))
     print(f"{label}: kernel store {held[2]} B, "
-          f"idle collocations {held[3]} B")
+          f"idle collocations {held[3]} B, {lines} lines in mlwave/*.py")
 
 
 def final_state(files, N):
@@ -305,12 +309,12 @@ def main(argv=None):
         return 2
     with tempfile.TemporaryDirectory() as work:
         before = solve_pool(*load(argv[0]), os.path.join(work, "a"))
-        held_bytes("parent tree after its pass")
+        held_bytes("parent tree after its pass", argv[0])
         cli = load(argv[1])
         after = solve_pool(*cli, os.path.join(work, "b"))
-        held_bytes("change tree after its cold pass")
+        held_bytes("change tree after its cold pass", argv[1])
         warm = solve_pool(*cli, os.path.join(work, "c"))
-        held_bytes("change tree after its warm pass")
+        held_bytes("change tree after its warm pass", argv[1])
     modes = {(w, k): doc["N_modes"] for w, k, _, doc in scenarios()}
     cap = sys.modules["mlwave.semilinear_solver"].PicardConfig.max_iter
     caps = {(w, k): doc.get("picard", {}).get("max_iter", cap)
