@@ -10,8 +10,8 @@ Route order on the negative axis (y = -x, kappa = y^(1/a)):
   kappa <= 5               power series, log-space terms over a fixed
                            count, certified by its last term
   a exactly 1 or 2         closed forms (exp / cos families) where they
-                           exist, else a double-double Pochhammer series
-                           or the asymptotic series below
+                           exist, else a decimal Pochhammer series or
+                           the asymptotic series below
   otherwise, in order:
     cut at 1e-13           real branch-cut integral in s = log(r) - v*,
                            v* = log(y)/a the resonance: a rational part
@@ -40,6 +40,7 @@ one pass over every reduced beta, lifted to the betas that share one.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -228,10 +229,10 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
     bookkeeping: they are spuriously tiny (reciprocal Gamma has a zero
     there) and would otherwise fake an early smallest-term break.  For
     integer alpha the pole distance is constant in k and exact, so callers
-    there pass a dust-level pole_tol instead of the drift guard.
+    there pass a dust-level pole_tol instead of the drift guard.  The bound
+    counts the rounding of z, |z| eps / |z - pole| of 1/Gamma(z).
     """
-    s = 0.0
-    c = 0.0
+    s = c = rnd = 0.0
     prev = math.inf
     err = math.inf
     ly = math.log(y)
@@ -250,6 +251,8 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
             term = -term
         regular = z > 0.5 or abs(z - round(z)) > pole_tol
         m = abs(term)
+        if m and z <= 0.5:
+            rnd += m * _EPS * abs(z) / abs(z - round(z))
         if regular and m >= prev:
             err = m         # first omitted regular term bounds the remainder
             break
@@ -265,7 +268,7 @@ def _asym(alpha, beta, y, rel_tol, kmax, pole_tol=0.25):
     e, e_err = _exp_terms(alpha, beta, y)
     total = s + e
     # the first omitted term bounds the truncation within a factor 4
-    err += 0.25 * e_err if _strict(alpha, beta) else 0.0
+    err += rnd + (0.25 * e_err if _strict(alpha, beta) else 0.0)
     return total, err <= 0.25 * rel_tol * max(abs(total), 1e-300)
 
 
@@ -451,70 +454,42 @@ def _cut_rows(alpha, bs, y, rel_tol=DEFAULT_PRECISION.rel_tol):
         return out
 
 
-# -------------------------------------------- double-double integer alpha
+# ------------------------------------------------------ integer alpha
 
-def _two_sum(x, y):
-    s = x + y
-    bb = s - x
-    return s, (x - (s - bb)) + (y - bb)
-
-
-def _split(x):
-    c = 134217729.0 * x            # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_prod(x, y):
-    p = x * y
-    xh, xl = _split(x)
-    yh, yl = _split(y)
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
-def _dd_add(ah, al, bh, bl):
-    s, e = _two_sum(ah, bh)
-    return _two_sum(s, e + (al + bl))
-
-
-def _dd_mul_d(ah, al, b):
-    p, e = _two_prod(ah, b)
-    return _two_sum(p, e + al * b)
-
-
-def _dd_div_d(ah, al, b):
-    q1 = ah / b
-    p, e = _two_prod(q1, b)
-    return _two_sum(q1, ((ah - p) - e + al) / b)
-
-
-def _dd_series(step, beta, x, nmax=2600):
-    """E_{step,beta}(x) = (1/Gamma(beta)) sum_n x^n / poch(beta, step n) for
-    step in {1, 2}, term recurrence carried in double-double arithmetic.
-    Needs beta > 0 (the recurrence divides by beta + j).
-
-    The divisor beta + j must be exact: once j outgrows beta's low mantissa
-    bits a plain running `d += 1` sheds them, and that coherent ulp drift
-    costs ~13 digits after e^kappa cancellation.  So the divisor is formed
-    as a two_sum pair each time and the low part folded in to first order
-    (second order is < 1e-32, below the double-double floor)."""
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
-    j = 0.0
+def _decimal_series(step, beta, x):
+    """E_{step,beta}(x) = (1/Gamma(beta)) sum_n x^n / poch(beta, step n),
+    step in {1, 2}, beta off the poles, by the term recurrence in decimal
+    contexts of its own, where x, beta and each divisor beta + j are exact
+    to their digits, so any beta is summed as it is, until a term is below
+    1e-35 of the sum past beta + j = kappa + 10.  40 digits keep 24 after
+    the band's e^36 cancellation; where terms pass the sum by over 20
+    digits (near a zero of E) it is summed 24 digits wider, or refused."""
+    xd, bd = decimal.Decimal(x), decimal.Decimal(beta)
     kappa = abs(x) ** (1.0 / step)
-    for _ in range(nmax):
-        th, tl = _dd_mul_d(th, tl, x)
-        for _ in range(step):
-            dh, dl = _two_sum(j, beta)
-            th, tl = _dd_div_d(th, tl, dh)
-            if dl != 0.0:
-                ch, cl = _dd_mul_d(th, tl, dl / dh)
-                th, tl = _dd_add(th, tl, -ch, -cl)
-            j += 1.0
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if abs(th) < 1e-35 * max(abs(sh), 1e-300) and j + beta > kappa + 10.0:
+    digits = 40
+    while True:
+        ctx = decimal.Context(prec=digits)
+        t = s = decimal.Decimal(1)
+        top = j = 0
+        for _ in range(_MAX_TERMS + 2600):
+            t = ctx.multiply(t, xd)
+            for _ in range(step):
+                t = ctx.divide(t, ctx.add(bd, j))
+                j += 1
+            s = ctx.add(s, t)
+            top = max(top, t.adjusted())
+            if t.adjusted() < s.adjusted() - 35 and j + beta > kappa + 10.0:
+                break
+        lost = top - s.adjusted()
+        if lost <= digits - 20:
             break
-    return (sh + sl) * rgamma(beta)
+        if digits > 200:
+            raise AccuracyError(f"E_{{{step},{beta}}}({x}) cancels past "
+                                f"{digits} digits")
+        digits = lost + 24
+    if abs(beta) < 1e-300:      # 1/Gamma(beta) = beta; float(s) may overflow
+        return float(ctx.multiply(s, bd))
+    return float(s) * rgamma(beta)
 
 
 def _integer_alpha_neg(m, beta, x, rel_tol):
@@ -566,29 +541,20 @@ def _integer_alpha_neg(m, beta, x, rel_tol):
             raise AccuracyError(
                 f"asymptotic series for E_{{{m},{beta}}}({x}) not certified")
         return v
-    # lift beta above the Pochhammer pole zone, undo afterwards
-    lifts = 0
-    b = beta
-    while b <= 0.25:
-        if lifts == _MAX_TERMS:
-            raise AccuracyError(f"E_{{{m},{beta}}}({x}) needs more than "
-                                f"{_MAX_TERMS} lifts of beta")
-        b += m
-        lifts += 1
-    val = _dd_series(m, b, x)
-    for _ in range(lifts):
-        b -= m
-        val = rgamma(b) + x * val
-    return val
+    if -beta / m > _MAX_TERMS:
+        raise AccuracyError(f"E_{{{m},{beta}}}({x}) needs too many terms")
+    return _decimal_series(m, beta, x)
 
 
 # ------------------------------------------------------------- dispatcher
 
 def _ml(alpha, beta, x, prec=DEFAULT_PRECISION):
-    """E_{alpha,beta}(x) for validated inputs: the evaluator the solvers
-    call directly, and the scalar route of ml_rows.  For x <= 0 it is the
-    rows at the one point, whose scalar route there is the integer-alpha
+    """E_{alpha,beta}(x) for validated alpha and beta: the evaluator the
+    solvers call directly, and the scalar route of ml_rows.  For x <= 0 it
+    is the rows at the one point, whose scalar route is the integer-alpha
     code; for x > 0 the power series over the terms kappa needs."""
+    if not math.isfinite(x):
+        raise DomainError(f"E_{{{alpha},{beta}}}({x}): x must be finite")
     rel_tol = prec.rel_tol
     if x <= 0.0:
         return float(_rows(alpha, (beta,), np.array([x]), lambda a, b, v:

@@ -148,9 +148,10 @@ class _Rule(NamedTuple):
 
 
 def _mode_index(n):
-    """n as an int, refused unless it is a finite index from 1."""
-    if not 1 <= n < math.inf:
-        raise DomainError(f"mode index must be finite and 1-based, got {n}")
+    """n as an int, refused unless it is a finite integral index from 1."""
+    if not 1 <= n < math.inf or n != int(n):
+        raise DomainError(
+            f"mode index must be a finite integer from 1, got {n}")
     return int(n)
 
 

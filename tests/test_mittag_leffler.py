@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import rgamma
 
@@ -30,7 +30,7 @@ from mlwave import mittag_leffler
 from mlwave.mittag_leffler import (_cut_rows, _ml, _reduce_beta, _sinpi,
                                    kernel_moments)
 
-from conftest import ml_ref, ml_ref_row, taylor_ref
+from conftest import integer_alpha_ref, ml_ref, ml_ref_row, taylor_ref
 
 
 
@@ -307,6 +307,14 @@ class TestValidation:
     def test_precision_invariants(self):
         with pytest.raises(DomainError):
             ml_e(MLQuery(1.5, 1.0, -1.0), MLPrecision(rel_tol=2.0))
+
+    def test_scalar_evaluator_refuses_non_finite_argument(self):
+        # a nan once reached int(nan) on the x > 0 branch, and inf
+        # overflowed there
+        for alpha, beta, x in ((1.5, 1.0, math.nan), (2.0, 4.0, math.nan),
+                               (1.5, 1.0, math.inf), (1.5, 1.0, -math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                _ml(alpha, beta, x)
 
     def test_determinism(self):
         q = MLQuery(1.37, 0.81, -123.456)
@@ -690,6 +698,36 @@ class TestIntegerAlphaLargeArgument:
         assert rel(got, ml_ref(alpha, beta, -y)) < 1e-12
 
 
+# alpha 1 or 2, and with it y = -x log-uniform from kappa = 5 to twice the
+# integer-alpha series' limit: y = 36 at alpha = 1, 1300 at alpha = 2
+_INTEGER_ALPHA = st.shared(st.sampled_from((1.0, 2.0)), key="integer alpha")
+_PAST_THE_TAYLOR_BAND = _INTEGER_ALPHA.flatmap(lambda a: st.floats(
+    a * math.log(5.0), math.log(72.0 if a == 1.0 else 2600.0)).map(
+        lambda ly: -math.exp(ly)))
+
+
+class TestIntegerAlphaSeries:
+    """alpha in {1, 2} past the Taylor band: the Pochhammer series up to
+    y = 36 or 1300, the asymptotic series past them.  Each value is
+    within 1e-12 of the hypergeometric oracle, or refused."""
+
+    @prop(200)
+    @given(alpha=_INTEGER_ALPHA,
+           beta=st.floats(-6.0, 6.0).filter(lambda b: b != round(b)),
+           x=_PAST_THE_TAYLOR_BAND)
+    # a series sum once lifted above beta = 0.25 and stepped back down by
+    # E_{1,b} = 1/Gamma(b) + x E_{1,b+1}, each step multiplying its
+    # rounding by |x|: 6.3e-8 off
+    @example(alpha=1.0, beta=-5.001101911843869, x=-35.74759763954261)
+    def test_within_1e_12_of_the_oracle_or_refused(self, alpha, beta, x):
+        assume((-x) ** (1.0 / alpha) > 5.0)
+        try:
+            got = ml_e(MLQuery(alpha, beta, x))
+        except AccuracyError:
+            return
+        assert rel(got, float(integer_alpha_ref(alpha, beta, x))) < 1e-12
+
+
 class TestSinPi:
     """The branch cut's sin(pi b) and sin(pi (b - a)) vanish exactly at the
     integers; math.sin(math.pi * n) is about 1.2e-16 n, which y times
@@ -811,9 +849,9 @@ class TestOneBranchCut:
         assert math.isfinite(v)
 
     def test_far_negative_beta_is_refused_promptly(self):
-        # the integer-a route lifts beta by a until it passes 0.25, about
-        # 1e12 lifts here; in a fresh interpreter, so a hang fails this
-        # test alone
+        # the integer-a series would sum about 1e12 terms before its
+        # divisors beta + j turn positive; in a fresh interpreter, so a
+        # hang fails this test alone
         code = ("from mlwave.errors import MLWaveError\n"
                 "from mlwave.mittag_leffler import MLQuery, ml_e\n"
                 "try:\n"

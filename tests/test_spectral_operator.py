@@ -488,7 +488,7 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="outside"):
             op.eigenfunction(1, x)
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 2.9])
     def test_mode_index_must_be_finite_from_one(self, n):
         op = make_operator(INTERVAL_PI)
         with pytest.raises(DomainError, match="mode index"):
