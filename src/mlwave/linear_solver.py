@@ -270,6 +270,61 @@ def _hand_back(key, obj):
             total -= _STORE.popitem(last=False)[1].nbytes
 
 
+class _Build:
+    """Values a kernel table built in one call, held read-only in arr with
+    one slot per value on `axis`, for the eigenvalue vector lam: with
+    betas, the rows at those betas as ml_rows stacks them, flattened to
+    (betas x lam, nodes), so that slot i len(lam) + j is the row of beta
+    i and eigenvalue j; with betas None, the weights, (C or B, kernel,
+    lam, panels), slot j eigenvalue j's."""
+
+    __slots__ = ("lam", "betas", "arr")
+
+    def __init__(self, lam, betas=None):
+        self.lam, self.betas, self.arr = lam, betas, None
+
+    @property
+    def axis(self):
+        return 0 if self.betas is not None else 2
+
+
+def _reads(where):
+    """How a request reads its values, given where each is, (build, slot)
+    in request order: per build, the slots it reads there and the
+    request's positions they go to, or, when one build holds them all,
+    None for the positions; slots that run in order are a slice."""
+    by = {}
+    for i, (build, slot) in enumerate(where):
+        src, dst = by.setdefault(build, ([], []))
+        src.append(slot)
+        dst.append(i)
+    if len(by) == 1:
+        ((build, (src, _)),) = by.items()
+        if src == list(range(src[0], src[0] + len(src))):
+            return [(build, slice(src[0], src[0] + len(src)), None)]
+        return [(build, np.array(src, dtype=np.intp), None)]
+    return [(build, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+            for build, (src, dst) in by.items()]
+
+
+def _gather(plan, shape, own=False):
+    """The values plan reads, each cut to shape[-1] on the last axis, in
+    an array of shape: a new one, or, when one build holds them in order,
+    a read-only view of it unless own asks for a copy."""
+    if len(plan) == 1:
+        ((build, src, _),) = plan
+        held = build.arr[..., :shape[-1]]
+        if isinstance(src, slice):
+            view = held[(slice(None),) * build.axis + (src,)]
+            return view.copy() if own else view
+        return np.take(held, src, axis=build.axis)
+    out = np.empty(shape)
+    for build, src, dst in plan:
+        at = (slice(None),) * build.axis + (dst,)
+        out[at] = np.take(build.arr[..., :shape[-1]], src, axis=build.axis)
+    return out
+
+
 class _KernelTable:
     """Both solvers' product-integration layer on one uniform grid: Mittag-
     Leffler rows over the grid offsets, per eigenvalue and beta, and the
@@ -280,19 +335,26 @@ class _KernelTable:
     beta it will read of a mode, and for no other, since one ml_rows call
     integrates the branch cut once for all of its betas.
 
-    A table holds the rows, keyed (eigenvalue, beta), and the weights,
-    keyed eigenvalue as (C, B) by kernel by panel (see weights), it has
-    built, read-only, on a read-only copy of its grid; nbytes counts them
-    and the grid.  Solves borrow one with lend and give it back with
-    _hand_back at key, so repeated solves on one (alpha, grid) build only
-    what earlier ones lacked, and no two share a table at once.  It
-    covers the first `nodes` nodes of the grid, and t is that prefix;
-    extend moves it, and a row held short of it is completed, a weight
-    rebuilt whole from the rows, when next asked for; one held past it is
+    A table holds what it has built as _Builds, read-only, each the
+    stacked arrays of one build for the eigenvalue vector it was built
+    for, on a read-only copy of its grid; nbytes counts their values and
+    the grid.  Maps give where each value is, (build, slot) per
+    (eigenvalue, beta) row and per eigenvalue's weights, so none is held
+    twice, and per request answered before, (eigenvalues' bytes, betas,
+    or None for weights), the slots it reads in each build, so a repeated
+    request makes no loop over its eigenvalues: it reads the held arrays
+    with one np.take per build, or as a slice of the one build that holds
+    them in order.  Solves borrow
+    a table with lend and give it back with _hand_back at key, so
+    repeated solves on one (alpha, grid) build only what earlier ones
+    lacked, and no two share a table at once.  It covers the first
+    `nodes` nodes of the grid, and t is that prefix; extend moves it, and
+    a build held short of it is completed when next read, rows from where
+    they end, weights rebuilt whole from the rows; one held past it is
     read cut to it.  A row value depends on its own point alone, and a
     weight on its own panel and the one before, so the rows, and the
     weights and propagators built from them, are those of a table built
-    on the longer prefix at once, cold."""
+    on the longer prefix at once, cold, one eigenvalue at a time."""
 
     def __init__(self, alpha, times, nodes=None):
         self.alpha = alpha
@@ -300,7 +362,8 @@ class _KernelTable:
         # read-only, over the key's bytes
         self._grid = np.frombuffer(self.key[1])
         self._ta = self._grid ** alpha
-        self._rows, self._weights, self.nbytes = {}, {}, len(self.key[1])
+        self._builds, self._rows, self._weights, self._plans = [], {}, {}, {}
+        self.nbytes = len(self.key[1])
         self.extend(nodes)
 
     @classmethod
@@ -316,41 +379,69 @@ class _KernelTable:
         """Cover the first `nodes` nodes of the grid."""
         self.t, self.ta = self._grid[:nodes], self._ta[:nodes]
 
-    def _keep(self, held, key, arr):
-        """Hold arr, read-only, in place of what held had at key."""
+    def _keep(self, build, arr):
+        """Hold arr, read-only, as build's values, in place of any it had."""
         arr.flags.writeable = False
-        old = held.get(key)
-        self.nbytes += arr.nbytes - (0 if old is None else old.nbytes)
-        held[key] = arr
+        if build.arr is None:
+            self._builds.append(build)
+        else:
+            self.nbytes -= build.arr.nbytes
+        self.nbytes += arr.nbytes
+        build.arr = arr
+
+    def _rows_of(self, lam, betas):
+        """Build the rows at betas of the eigenvalues lam, a list, that
+        the table lacks: the eigenvalues grouped by the betas they lack,
+        one ml_rows call and one build per group."""
+        groups = {}
+        for v in dict.fromkeys(lam):
+            need = tuple(b for b in dict.fromkeys(betas)
+                         if (v, b) not in self._rows)
+            if need:
+                groups.setdefault(need, []).append(v)
+        for need, new in groups.items():
+            build = _Build(np.array(new), need)
+            got = ml_rows(self.alpha, need, -build.lam[:, None] * self.ta, _ml)
+            self._keep(build, got.reshape(-1, len(self.t)))
+            for i, b in enumerate(need):
+                for j, v in enumerate(new):
+                    self._rows[v, b] = build, i * len(new) + j
+
+    def _complete(self, build):
+        """Complete build's rows from where they end to the prefix."""
+        lo = build.arr.shape[-1]
+        got = ml_rows(self.alpha, build.betas,
+                      -build.lam[:, None] * self.ta[lo:], _ml)
+        self._keep(build, np.concatenate(
+            (build.arr, got.reshape(-1, len(self.t) - lo)), axis=1))
 
     def row(self, lam, betas):
         """E_{a,beta}(-lam t^a) over the grid for each beta of betas and
         each eigenvalue of lam, a scalar or an array: shape (len(betas),)
-        + np.shape(lam) + t.shape.  Each row the table lacks or holds
-        short of t is built or completed once: the eigenvalues are
-        grouped by the node they lack rows from and the betas they lack
-        there, one ml_rows call per group."""
+        + np.shape(lam) + t.shape, the caller's own.  Each row the table
+        lacks is built once, and each build held short of t is completed,
+        when first read."""
         lam = np.asarray(lam, dtype=float)
-        keys = lam.ravel().tolist()
-        have, n = self._rows, len(self.t)
-        groups = {}
-        for v in dict.fromkeys(keys):
-            lack = {}
-            for b in dict.fromkeys(betas):
-                lack.setdefault(len(have.get((v, b), ())), []).append(b)
-            for lo, need in lack.items():
-                if lo < n:
-                    groups.setdefault((lo, tuple(need)), []).append(v)
-        for (lo, need), new in groups.items():
-            got = ml_rows(self.alpha, need,
-                          -np.array(new)[:, None] * self.ta[lo:], _ml)
-            for b, rows in zip(need, got):
-                for v, r in zip(new, rows):
-                    self._keep(have, (v, b), np.concatenate((have[v, b], r))
-                               if lo else r)
-        return np.array([[have[v, b][:n] for v in keys]
-                         for b in betas]).reshape(
-            (len(betas),) + lam.shape + self.t.shape)
+        betas = tuple(betas)
+        n = len(self.t)
+        got = _gather(self._plan(lam, betas), (len(betas) * lam.size, n),
+                      own=True)
+        return got.reshape((len(betas),) + lam.shape + (n,))
+
+    def _plan(self, lam, betas):
+        """How the table reads the rows of row(lam, betas), once it holds
+        each of them over the prefix."""
+        key = (lam.tobytes(), betas)
+        plan = self._plans.get(key)
+        if plan is None:
+            keys = lam.ravel().tolist()
+            self._rows_of(keys, betas)
+            plan = self._plans[key] = _reads(
+                [self._rows[v, b] for b in betas for v in keys])
+        for build, _, _ in plan:
+            if build.arr.shape[-1] < len(self.t):
+                self._complete(build)
+        return plan
 
     def moment_steps(self, lam, deriv):
         """Per-panel increments of the moments (M0, M1), or (M'0, M'1), of
@@ -361,6 +452,22 @@ class _KernelTable:
         m0, m1 = kernel_moments(self.alpha, self.t, row, deriv)
         m0[..., 0] = m1[..., 0] = 0.0
         return np.diff(m0), np.diff(m1)
+
+    def _weigh(self, build):
+        """Build the weights of build's eigenvalues over every panel of
+        the prefix, from rows asked for in one call."""
+        self._plan(build.lam, moment_betas(self.alpha))
+        P = len(self.t) - 1
+        ell = np.arange(1, P + 1)
+        dt = float(self.t[1] - self.t[0])
+        # (C, B) by kernel
+        got = np.empty((2, 2, len(build.lam), P))
+        for k, deriv in enumerate((False, True)):
+            w0, mm1 = self.moment_steps(build.lam, deriv)
+            got[0, k] = ell * w0 - mm1 / dt
+            got[1, k] = w0 - got[0, k]
+            got[0, k, :, 1:] += got[1, k, :, :-1]
+        self._keep(build, got)
 
     def weights(self, lam):
         """Product-integration weights of each eigenvalue of the array lam
@@ -378,30 +485,28 @@ class _KernelTable:
         the time derivative.  Built from the moment differences so that
         sum(B + A) telescopes to the exact integral of the kernel, making
         constant forcing exact.  The eigenvalues the table holds no
-        weights for, or holds them short of P panels for, are built whole,
-        once each, from rows asked for in one call; only the rows are
-        completed.  The arithmetic is elementwise, and C[m] and B[m] read
-        nodes m - 1 to m + 1 alone, so each eigenvalue's weights are those
-        of a build of it alone, and each panel's those of a build on a
-        longer prefix."""
-        uniq, inv = np.unique(np.ravel(lam), return_inverse=True)
-        keys = uniq.tolist()
-        have, P = self._weights, len(self.t) - 1
-        new = [v for v in keys if v not in have or have[v].shape[-1] < P]
-        if new:
-            self.row(new, moment_betas(self.alpha))
-            ell = np.arange(1, P + 1)
-            dt = float(self.t[1] - self.t[0])
-            # (C, B) by kernel
-            got = np.empty((2, 2, len(new), P))
-            for k, deriv in enumerate((False, True)):
-                w0, mm1 = self.moment_steps(np.array(new), deriv)
-                got[0, k] = ell * w0 - mm1 / dt
-                got[1, k] = w0 - got[0, k]
-                got[0, k, :, 1:] += got[1, k, :, :-1]
-            for i, v in enumerate(new):
-                self._keep(have, v, got[:, :, i].copy())
-        C, B = np.stack([have[v][..., :P] for v in keys], axis=2)[:, :, inv]
+        weights for are built in one build; a build held short of P panels
+        is rebuilt whole; only the rows are completed.  The arithmetic is
+        elementwise, and C[m] and B[m] read nodes m - 1 to m + 1 alone, so
+        each eigenvalue's weights are those of a build of it alone, and
+        each panel's those of a build on a longer prefix."""
+        lam = np.asarray(lam, dtype=float).ravel()
+        P = len(self.t) - 1
+        plan = self._plans.get((lam.tobytes(), None))
+        if plan is None:
+            keys = lam.tolist()
+            new = [v for v in dict.fromkeys(keys) if v not in self._weights]
+            if new:
+                build = _Build(np.array(new))
+                self._weigh(build)
+                for j, v in enumerate(new):
+                    self._weights[v] = build, j
+            plan = self._plans[lam.tobytes(), None] = _reads(
+                [self._weights[v] for v in keys])
+        for build, _, _ in plan:
+            if build.arr.shape[-1] < P:
+                self._weigh(build)
+        C, B = _gather(plan, (2, 2, len(lam), P))
         boundary = np.zeros(B.shape[:-1] + (P + 1,))
         boundary[..., 1:] = B
         return _toeplitz_table(C), boundary
@@ -460,26 +565,42 @@ def _unforced_rows(kt: _KernelTable, lam, u0, u1, forced):
     """Unforced (U, DTU) on the table's grid, time rows by mode columns,
     with the initial data exact in row 0.  Modes whose data vanish stay
     zero and build no rows; those of the mask forced, whose weights the
-    caller reads too, read their rows from one call with the moments'."""
+    caller reads too, have their rows built in one call with the
+    moments', and every live mode's propagator rows are read at once."""
     t, a = kt.t, kt.alpha
     M1 = len(t)
     U = np.zeros((M1, len(lam)))
     DTU = np.zeros((M1, len(lam)))
-    live = (u0 != 0.0) | (u1 != 0.0)
-    rows = np.empty((3, len(lam), M1))
-    rows[:, live & forced] = kt.row(
-        lam[live & forced], _propagator_betas(a) + moment_betas(a))[:3]
-    rows[:, live & ~forced] = kt.row(lam[live & ~forced], _propagator_betas(a))
-    live = np.flatnonzero(live)
+    live = np.flatnonzero((u0 != 0.0) | (u1 != 0.0))
+    fed = live[forced[live]]
+    if fed.size:
+        # the forced modes' rows in one call with the moments'
+        kt._plan(lam[fed], _propagator_betas(a) + moment_betas(a))
+    e1, e2, eaa = kt.row(lam[live], _propagator_betas(a)).swapaxes(1, 2)
     ta1 = t ** (a - 1.0)
-    rows = rows[:, live].swapaxes(1, 2)
     # callers check the result for non-finite values; no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[:, live], DTU[:, live] = _propagate(
-            u0[live], u1[live], lam[live], t[:, None], ta1[:, None], *rows)
+            u0[live], u1[live], lam[live], t[:, None], ta1[:, None],
+            e1, e2, eaa)
     U[0] = u0
     DTU[0] = u1
     return U, DTU
+
+
+def _forcing_sums(kt: _KernelTable, lam, F):
+    """The Volterra sums (S3, S3p) of convolve_forcing, of a checked
+    forcing matrix F on the table's grid, lam the modes' eigenvalues."""
+    M1, N = F.shape
+    S3 = np.zeros((M1, N))
+    S3p = np.zeros((M1, N))
+    cols = np.flatnonzero(F.any(axis=0))
+    if cols.size:
+        # every forced mode's sums against both kernels at once
+        S = _known_sums(kt.weights(lam[cols]), F.T[cols], 1, M1 - 1)
+        S3[1:, cols] = S[0].T
+        S3p[1:, cols] = S[1].T
+    return S3, S3p
 
 
 def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
@@ -498,20 +619,13 @@ def convolve_forcing(p: LinearProblem, grid, kt: _KernelTable | None = None,
         raise DomainError(
             f"forcing matrix has shape {np.shape(F)}, the grid and modes "
             f"need ({M1}, {p.N})")
-    S3 = np.zeros((M1, p.N))
-    S3p = np.zeros((M1, p.N))
-    cols = np.flatnonzero(F.any(axis=0))
-    if cols.size:
-        lent = kt is None
-        kt = _KernelTable.lend(p.alpha, t) if lent else kt
-        # every forced mode's sums against both kernels at once
-        lam = p.op.eigenvalues(p.N)[cols]
-        S = _known_sums(kt.weights(lam), F.T[cols], 1, M1 - 1)
-        S3[1:, cols] = S[0].T
-        S3p[1:, cols] = S[1].T
-        if lent:
-            _hand_back(kt.key, kt)
-    return S3, S3p
+    lam = p.op.eigenvalues(p.N)
+    if kt is not None or not F.any():
+        return _forcing_sums(kt, lam, F)
+    kt = _KernelTable.lend(p.alpha, t)
+    sums = _forcing_sums(kt, lam, F)
+    _hand_back(kt.key, kt)
+    return sums
 
 
 def _d2_smoothness_warning(p):
@@ -544,7 +658,7 @@ def solve_linear(p: LinearProblem, grid, want_d2=False) -> SolutionTrace:
     kt = _KernelTable.lend(a, t)
     U, DTU = _unforced_rows(kt, lam, p.u0.coeffs, p.u1.coeffs,
                             F.any(axis=0))
-    S3, S3p = convolve_forcing(p, grid, kt, F)
+    S3, S3p = _forcing_sums(kt, lam, F)
     # overflow surfaces as a NumericFailure below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         U[1:] += S3[1:]

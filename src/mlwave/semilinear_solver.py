@@ -27,8 +27,7 @@ from .linear_solver import (ModalProblem, SolutionTrace, _KernelTable,
 from .mittag_leffler import ml_bound_probe
 from .spectral_operator import (SpectralField, _aliasing_warnings,
                                 _analysis_steps, _buffers, _row_runs,
-                                _rule_panels, _synthesis_steps, synthesis,
-                                weighted_norm)
+                                _rule_panels, _synthesis_steps, synthesis)
 # not called here: module names that `bench/run.py --trace 1` wraps
 from .spectral_operator import evaluate, project  # noqa: F401
 
@@ -496,26 +495,28 @@ class _Workspace:
             return math.inf
 
     def combined_norms(self, UD, weights, out):
-        """Per-row ||u||_{V_gamma} + ||dtu||_{L2} of the pair UD = (u rows,
-        dtu rows): weighted_norm's sums over the same contiguous mode rows,
-        so the same bits.  weights is self.vweights broadcast to UD's
-        shape; out is the pair of buffers the squares and the four norms
-        go to, shaped UD.shape and UD.shape[:-1]."""
+        """Per-row ||u||_{V_gamma} + ||dtu||_{L2} of UD, whose axis -3
+        holds (u rows, dtu rows): weighted_norm's sums over the same
+        contiguous mode rows, so the same bits.  weights is self.vweights
+        broadcast to UD's shape; out is the pair of buffers the squares
+        and the norms go to, shaped UD.shape and UD.shape[:-1]; the
+        combined norms are written over the u norms."""
         sq, root = out
         np.square(UD, out=sq)
         sq *= weights
         root = np.add.reduce(sq, axis=-1, out=root)
         np.sqrt(root, out=root)
-        return np.add(root[0], root[1], out=root[0])
+        return np.add(root[..., 0, :], root[..., 1, :], out=root[..., 0, :])
 
     def trust_radius(self, cfg, u, dtu):
         """cfg.R_star, or 8 (c0 + 1) re-centred on the combined norm c0 of
         the state (u, dtu) a window starts from."""
         if cfg.R_star is not None:
             return cfg.R_star
-        c0 = (weighted_norm(u, self.lam, 1.0 / self.p.alpha)
-              + weighted_norm(dtu, self.lam, 0.0))
-        return 8.0 * (float(c0) + 1.0)
+        UD = np.array((u, dtu))[:, None]
+        c0 = self.combined_norms(UD, self.vweights, (
+            np.empty(UD.shape), np.empty(UD.shape[:-1])))
+        return 8.0 * (float(c0[0]) + 1.0)
 
     def memory(self, ia, W, F_hist):
         """The memory term of a window of W steps from node ia, (u, dtu)
@@ -554,13 +555,13 @@ class _Workspace:
         W = ib - ia
         Fw = np.empty((W + 1, self.N))
         Fw[0] = F_hist[ia]
-        # the norm pass's pair, (u, dtu) by (change, iterate), whose
-        # iterate is the current one; the pass's weights and buffers; the
-        # largest change and norm
+        # the norm pass's pair, (change, iterate) by (u, dtu), whose
+        # iterate is the current one, each a contiguous block; the pass's
+        # weights and buffers; the largest change and norm
         pair = np.empty((2, 2, W + 1, self.N))
-        change, cur = pair[:, 0], pair[:, 1]
+        change, cur = pair
         weights = np.empty(pair.shape)
-        weights[...] = self.vweights[:, None]
+        weights[...] = self.vweights
         norm_bufs = np.empty(pair.shape), np.empty(pair.shape[:-1])
         top = np.empty(2)
         prev_d = None

@@ -7,8 +7,11 @@ cross-checked against adaptive quadrature in the kernel-moment tests.
 
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlwave import (
     ConfigError,
@@ -438,6 +441,79 @@ class TestKernelTable:
         assert built == [((1.5, 2.5, 3.5), (1, 11))]
 
 
+# The kernel-table property's grid, eigenvalues (series and branch-cut
+# routes both) and prefixes
+_PROP_GRID = np.linspace(0.0, 2.0, 21)
+_PROP_LAM = (1.0, 2.5, 16.0, 100.0, 900.0)
+_PROP_NODES = (6, 11, 17, 21)
+
+
+@functools.cache
+def _lone_row(alpha, v, beta):
+    """E_{a,beta}(-v t^a) over the property's grid, from a fresh table
+    that builds the one eigenvalue at the one beta."""
+    return linear_solver._KernelTable(alpha, _PROP_GRID).row(v, (beta,))[0]
+
+
+@functools.cache
+def _lone_weights(alpha, v, nodes):
+    """The weights pair of the one eigenvalue v on the first nodes of the
+    property's grid, from a fresh table."""
+    return linear_solver._KernelTable(alpha, _PROP_GRID, nodes).weights([v])
+
+
+_table_steps = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.sampled_from(_PROP_NODES)),
+    st.tuples(st.just("row"),
+              st.lists(st.integers(0, len(_PROP_LAM) - 1), max_size=7),
+              st.lists(st.integers(0, 5), min_size=1, max_size=6)),
+    st.tuples(st.just("weights"),
+              st.lists(st.integers(0, len(_PROP_LAM) - 1), max_size=7))),
+    min_size=1, max_size=8)
+
+
+class TestKernelTableReads:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(alpha=st.sampled_from((1.1, 1.5, 1.9)),
+           first=st.sampled_from(_PROP_NODES), steps=_table_steps)
+    def test_reads_equal_lone_builds(self, alpha, first, steps):
+        # any subset, order and repeats of eigenvalues, any betas with
+        # repeats, asked of a fresh table, again of the warm one, between
+        # moves of its prefix: every row and weight is the bytes of a
+        # fresh table that builds its eigenvalue alone, each value is held
+        # once, and a repeated request builds nothing
+        kt = linear_solver._KernelTable(alpha, _PROP_GRID, first)
+        betas_of = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0, alpha - 1.0)
+        for step in steps:
+            if step[0] == "extend":
+                kt.extend(step[1])
+                continue
+            n = len(kt.t)
+            lam = np.array([_PROP_LAM[i] for i in step[1]])
+            for again in (False, True):
+                held = held_values(kt)
+                if step[0] == "row":
+                    betas = tuple(betas_of[i] for i in step[2])
+                    got = kt.row(lam, betas)
+                    assert got.shape == (len(betas), len(lam), n)
+                    assert got.flags.writeable
+                    for i, b in enumerate(betas):
+                        for j, v in enumerate(lam):
+                            want = _lone_row(alpha, v, b)[:n]
+                            assert got[i, j].tobytes() == want.tobytes()
+                else:
+                    got = kt.weights(lam)
+                    assert [w.shape for w in got] == [
+                        (2, len(lam), 2 * n - 3), (2, len(lam), n)]
+                    for j, v in enumerate(lam):
+                        for g, w in zip(got, _lone_weights(alpha, v, n)):
+                            assert g[:, j].tobytes() == w[:, 0].tobytes()
+                if again:
+                    assert held_values(kt) == held
+                assert kt.nbytes == len(kt.key[1]) + held_values(kt)
+
+
 class TestSolveLinear:
     def test_one_kernel_table_per_solve(self, monkeypatch):
         # 16 distinct eigenvalues, forced: one call builds every mode's rows
@@ -446,19 +522,20 @@ class TestSolveLinear:
         rows = []
         convolutions = []
         ml_rows = linear_solver.ml_rows
-        convolve = linear_solver.convolve_forcing
+        convolve = linear_solver._forcing_sums
 
         def counted_rows(alpha, betas, x, scalar):
             rows.append((betas, x.shape))
             return ml_rows(alpha, betas, x, scalar)
 
         def counted_convolve(*args):
-            # the solver calls it through the module name
+            # the solver calls convolve_forcing's sums, on the problem
+            # and grid it has checked, through the module name
             convolutions.append(args)
             return convolve(*args)
 
         monkeypatch.setattr(linear_solver, "ml_rows", counted_rows)
-        monkeypatch.setattr(linear_solver, "convolve_forcing",
+        monkeypatch.setattr(linear_solver, "_forcing_sums",
                             counted_convolve)
         op = interval_op()
         n = np.arange(1, 17)
@@ -756,8 +833,25 @@ def weight_bytes(kt, lam):
 
 
 def stored_arrays():
-    return [arr for kt in linear_solver._STORE.values()
-            for held in (kt._rows, kt._weights) for arr in held.values()]
+    return [build.arr for kt in linear_solver._STORE.values()
+            for build in kt._builds]
+
+
+def held_values(kt):
+    """The bytes kt's builds hold, each build's slots checked to hold
+    values of the maps, each value once: the rows of its betas by its
+    eigenvalues, or the weights of its eigenvalues."""
+    slots = {}
+    for held in (kt._rows, kt._weights):
+        for build, slot in held.values():
+            slots.setdefault(id(build), []).append(slot)
+    for build in kt._builds:
+        count = len(build.lam) * (1 if build.betas is None
+                                  else len(build.betas))
+        assert build.arr.shape[build.axis] == count
+        assert sorted(slots.pop(id(build))) == list(range(count))
+    assert not slots
+    return sum(build.arr.nbytes for build in kt._builds)
 
 
 def lend(alpha, grid, nodes=None):
@@ -796,6 +890,34 @@ class TestKernelStore:
         warm = trace_bytes(solve_linear(second, grid, want_d2=True))
         assert warm == cold
         assert trace_bytes(solve_linear(second, grid, want_d2=True)) == cold
+
+    def test_a_repeated_warm_solve_builds_nothing(self, monkeypatch):
+        # the second of two equal solves, with second derivatives or
+        # without, reads every row and weight the first left in its table:
+        # no ml_rows call, no byte added
+        built = []
+        ml_rows = linear_solver.ml_rows
+
+        def counted(alpha, betas, x, scalar):
+            built.append(betas)
+            return ml_rows(alpha, betas, x, scalar)
+
+        monkeypatch.setattr(linear_solver, "ml_rows", counted)
+        op = interval_op()
+        grid = np.linspace(0.0, 2.0, 41)
+        p = self.forced(op, 1.5, [0, 2, 5])
+        for d2 in (False, True):
+            first = solve_linear(p, grid, want_d2=d2)
+            (kt,) = linear_solver._STORE.values()
+            size, built[:] = kt.nbytes, []
+            again = solve_linear(p, grid, want_d2=d2)
+            assert built == []
+            assert list(linear_solver._STORE.values()) == [kt]
+            assert kt.nbytes == size == len(kt.key[1]) + held_values(kt)
+            for key in ("u_coeffs", "dtu_coeffs", "dalpha_coeffs"):
+                assert (getattr(again, key).tobytes()
+                        == getattr(first, key).tobytes())
+        assert trace_bytes(again) == trace_bytes(first)
 
     def test_tables_share_rows_by_alpha_and_grid_alone(self, monkeypatch):
         # the table handed back on an (alpha, grid) is lent again on an
@@ -861,7 +983,8 @@ class TestKernelStore:
         solve_linear(self.forced(op, 1.5, [0, 3]), np.linspace(0.0, 2.0, 41),
                      want_d2=True)
         held = stored_arrays()
-        assert len(held) > 8
+        assert sum(len(kt._rows) + len(kt._weights)
+                   for kt in linear_solver._STORE.values()) > 8
         for arr in held:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -887,9 +1010,7 @@ class TestKernelStore:
             assert next(reversed(linear_solver._STORE)) == key
             for k, kt in linear_solver._STORE.items():
                 assert kt.key == k
-                assert kt.nbytes == len(k[1]) + sum(
-                    arr.nbytes for held in (kt._rows, kt._weights)
-                    for arr in held.values())
+                assert kt.nbytes == len(k[1]) + held_values(kt)
             assert sum(e.nbytes for e in linear_solver._STORE.values()) <= cap
         assert 1 < len(linear_solver._STORE) < 20
 
